@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class HyperParams:
         }
         for name in _FIELDS_READ[self.variant]:
             value = getattr(self, name)
-            if not np.isfinite(value) or not checks[name]:
+            if not math.isfinite(value) or not checks[name]:
                 raise DomainError(
                     f"{name}={value!r} outside its domain for variant {self.variant!r}"
                 )
@@ -485,19 +486,18 @@ def polysoft_weight(ce_value, lam, d):
 # unconstrained reparameterization
 # ---------------------------------------------------------------------------
 
+# The reparameterization maps one scalar at a time; math beats numpy's
+# 0-d array overhead several times over on the hypergradient probes.
+
 def _sigmoid(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def _softplus(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(x)))
+    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
 
 
 def _softplus_inv(y):
@@ -548,21 +548,21 @@ def from_unconstrained(theta, like):
     ``like`` supplies the variant and any preset fields (e.g. ``rce_a``).
     """
     names = like.learnable_names
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (len(names),):
+    if np.shape(theta) != (len(names),):
         raise DomainError(
-            f"expected {len(names)} coordinates for {like.variant!r}, got {theta.shape}"
+            f"expected {len(names)} coordinates for {like.variant!r}, got {np.shape(theta)}"
         )
     updates = {}
     for name, th in zip(names, theta):
+        th = float(th)
         if name == "q":
-            updates[name] = float(EPS_Q + (1.0 - EPS_Q) * _sigmoid(th))
+            updates[name] = EPS_Q + (1.0 - EPS_Q) * _sigmoid(th)
         elif name == "t1":
-            updates[name] = float((1.0 - EPS_T) * _sigmoid(th))
+            updates[name] = (1.0 - EPS_T) * _sigmoid(th)
         elif name in ("t2", "d"):
-            updates[name] = float(1.0 + _softplus(th))
+            updates[name] = 1.0 + _softplus(th)
         else:
-            updates[name] = float(_softplus(th))
+            updates[name] = _softplus(th)
     return replace(like, **updates)
 
 
@@ -572,7 +572,7 @@ def reparam_scale(variant, theta):
     theta = np.asarray(theta, dtype=float)
     out = np.empty(len(names))
     for k, (name, th) in enumerate(zip(names, theta)):
-        sig = float(_sigmoid(th))
+        sig = _sigmoid(float(th))
         if name == "q":
             out[k] = (1.0 - EPS_Q) * sig * (1.0 - sig)
         elif name == "t1":
@@ -586,20 +586,46 @@ def reparam_scale(variant, theta):
 # batched dispatch used by the training loop
 # ---------------------------------------------------------------------------
 
+def _on_classes(h):
+    """A hyperparameter (scalar, or (K, 1) when stacked) lifted onto the class axis."""
+    return np.asarray(h)[..., None]
+
+
 def batch_loss(hyper, Z, labels):
     """Per-sample values and logit gradients for a batch.
 
     ``Z`` is (n, c), ``labels`` (n,) ints.  Returns ``(values, grads)``
     with shapes (n,) and (n, c); callers handle the 1/n reduction.
+
+    ``hyper`` may also be a sequence of K HyperParams of one learnable
+    variant (the hypergradient's probes).  The outputs then gain a leading
+    probe axis, (K, n) and (K, n, c), and the softmax of ``Z`` is computed
+    once for all K; the tempered softmax depends on ``t2``, so
+    ``bi_tempered`` solves it once per entry.
     """
     Z = np.asarray(Z, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n = np.arange(len(labels))
-    v = hyper.variant
+    stacked = not isinstance(hyper, HyperParams)
+    hypers = tuple(hyper) if stacked else (hyper,)
+    v = hypers[0].variant
+    if stacked:
+        if not LEARNABLE[v] or any(h.variant != v for h in hypers):
+            raise DomainError("stacked hyperparameters must share one learnable variant")
+        # each field as a (K, 1) column, broadcasting against (n,) per-sample arrays
+        hyper = SimpleNamespace(**{
+            name: np.array([getattr(h, name) for h in hypers])[:, None]
+            for name in _FIELDS_READ[v]
+        })
 
     if v == "bi_tempered":
-        values, Pc = _bi_tempered_value_batch(Z, labels, hyper.t1, hyper.t2)
-        return values, _bi_tempered_grad_batch(Pc, labels, hyper.t1, hyper.t2)
+        out = []
+        for h in hypers:
+            values, Pc = _bi_tempered_value_batch(Z, labels, h.t1, h.t2)
+            out.append((values, _bi_tempered_grad_batch(Pc, labels, h.t1, h.t2)))
+        if not stacked:
+            return out[0]
+        return np.stack([o[0] for o in out]), np.stack([o[1] for o in out])
 
     P = softmax(Z)
     Y = np.zeros_like(P)
@@ -610,13 +636,13 @@ def batch_loss(hyper, Z, labels):
         return -np.log(pj), P - Y
     if v == "gce":
         pq = pj**hyper.q
-        return (1.0 - pq) / hyper.q, pq[:, None] * (P - Y)
+        return (1.0 - pq) / hyper.q, pq[..., None] * (P - Y)
     if v == "sl":
         ce_vals = -np.log(pj)
         rce_vals = -hyper.rce_a * (P.sum(axis=1) - P[n, labels])
         values = hyper.gamma1 * ce_vals + hyper.gamma2 * rce_vals
-        grads = hyper.gamma1 * (P - Y) + hyper.gamma2 * (
-            hyper.rce_a * P[n, labels][:, None] * (Y - P)
+        grads = _on_classes(hyper.gamma1) * (P - Y) + _on_classes(hyper.gamma2) * (
+            _on_classes(hyper.rce_a) * P[n, labels][:, None] * (Y - P)
         )
         return values, grads
     if v == "polysoft":
@@ -628,7 +654,7 @@ def batch_loss(hyper, Z, labels):
         plateau = (d - 1.0) * lam / d
         values = np.where(inside, plateau * (1.0 - u**r), plateau)
         weights = np.where(inside, u ** (r - 1.0), 0.0)
-        return values, weights[:, None] * (P - Y)
+        return values, weights[..., None] * (P - Y)
     raise DomainError(f"unknown loss variant {v!r}")
 
 

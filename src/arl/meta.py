@@ -3,13 +3,19 @@
 Each iteration draws a noisy train batch and a clean meta batch, updates
 the unconstrained hyperparameter coordinates theta by descending the meta
 cross entropy through a one-step-lookahead (virtual) parameter update,
-then takes the actual SGD step under the freshly updated loss.
+then takes the actual SGD step under the freshly updated loss.  The
+virtual step, the hypergradient and the actual step all run on one
+cached forward pass of the train batch.
 
 The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
 d L_meta / d theta_k = -alpha * g . J_k, where g is the meta gradient at
-w~ and J_k the mixed partial of the train gradient, taken by central
-differences over the low-dimensional theta.
+w~ and J_k the mixed partial of the train gradient.  The train gradient
+is backward(w, X, G(theta) / n) for the loss's logit gradient G, and
+backward is linear in G, so g . J_k = <J_w g, dG/dtheta_k> / n.  One
+forward-mode JVP gives the logit tangent J_w g; dG/dtheta_k is a central
+difference of G over theta_k, with all 2k probes evaluated on the fixed
+logits of the batch, so they cost no forward and no backward pass.
 """
 
 from __future__ import annotations
@@ -90,13 +96,18 @@ class MetricsRow:
     hyper_values: tuple
 
 
-def train_grad(params, hyper, X, y):
-    """Mean robust-loss value and its parameter gradients on a batch."""
-    Z = model.forward_logits(params, X)
-    values, G = losses.batch_loss(hyper, Z, y)
+def train_grad(params, hyper, X, y, cache=None):
+    """Mean robust-loss value and its parameter gradients on a batch.
+
+    ``cache`` is ``model._forward_cached(params, X)`` when the caller
+    already has it; otherwise the forward pass runs here, once.
+    """
+    if cache is None:
+        cache = model._forward_cached(params, X)
+    values, G = losses.batch_loss(hyper, cache[0][-1], y)
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite training loss under {hyper}")
-    grads = model.backward(params, X, G / len(y))
+    grads = model.backward(params, X, G / len(y), cache)
     return float(values.mean()), grads
 
 
@@ -105,19 +116,23 @@ def meta_ce_grad(params, X, y):
     return train_grad(params, losses.HyperParams("ce"), X, y)
 
 
-def virtual_step(params, hyper, X, y, alpha):
+def virtual_step(params, hyper, X, y, alpha, cache=None):
     """One-step lookahead w - alpha * grad_w L_train; ``params`` untouched."""
-    _, grads = train_grad(params, hyper, X, y)
+    _, grads = train_grad(params, hyper, X, y, cache)
     return model.sgd_step(params, grads, alpha)
 
 
-def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3):
+def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3, cache=None):
     """Gradient of the meta cross entropy with respect to theta.
 
     Returns -alpha * g . J_k per coordinate, with g the meta gradient at
-    the virtual point and J_k the central-difference mixed partial of the
-    train gradient in unconstrained coordinates.  Exactly zero when
-    alpha = 0 (the virtual point no longer depends on theta).
+    the virtual point and J_k the mixed partial of the train gradient in
+    unconstrained coordinates, computed as
+    -alpha / n * <J_w g, (G(theta + eps e_k) - G(theta - eps e_k)) / 2 eps>
+    from the logit gradients G of the 2k probes on the fixed logits.
+    ``cache`` is ``model._forward_cached(params, Xn)`` when the caller
+    already has it.  Exactly zero when alpha = 0 (the virtual point no
+    longer depends on theta).
     """
     names = hyper.learnable_names
     if not names:
@@ -127,19 +142,31 @@ def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3):
     theta = np.asarray(theta, dtype=float)
     if np.any(fd_eps < 1e-12 * np.abs(theta)):
         warnings.warn("fd_eps underflows the theta scale; mixed partials unreliable")
+    if cache is None:
+        cache = model._forward_cached(params, Xn)
 
-    w_tilde = virtual_step(params, hyper, Xn, yn, alpha)
+    w_tilde = virtual_step(params, hyper, Xn, yn, alpha, cache)
     _, g_meta = meta_ce_grad(w_tilde, Xm, ym)
-    g_flat = model.flatten(g_meta)
+    tangent = model.jvp(params, cache, g_meta)
 
+    probes = []
+    for k in range(len(names)):
+        step = np.zeros_like(theta)
+        step[k] = fd_eps
+        probes += [losses.from_unconstrained(theta + step, hyper),
+                   losses.from_unconstrained(theta - step, hyper)]
+    values, G = losses.batch_loss(probes, cache[0][-1], yn)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite training loss under {probes[finite.argmin()]}")
+    # same order of operations as differencing full train gradients: G
+    # carries train_grad's 1/n, and each coordinate is one dot product
+    G = G / len(yn)
+    tangent = tangent.ravel()
     out = np.empty(len(names))
     for k in range(len(names)):
-        probe = np.zeros_like(theta)
-        probe[k] = fd_eps
-        _, g_up = train_grad(params, losses.from_unconstrained(theta + probe, hyper), Xn, yn)
-        _, g_dn = train_grad(params, losses.from_unconstrained(theta - probe, hyper), Xn, yn)
-        mixed = (model.flatten(g_up) - model.flatten(g_dn)) / (2.0 * fd_eps)
-        out[k] = -alpha * float(g_flat @ mixed)
+        mixed = (G[2 * k] - G[2 * k + 1]) / (2.0 * fd_eps)
+        out[k] = -alpha * float(tangent @ mixed.ravel())
     return out
 
 
@@ -206,18 +233,19 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t = config.alpha * scale
         beta_t = config.beta * scale
+        cache = model._forward_cached(params, Xn)
 
         if adapt and theta.size and beta_t > 0.0:
             hg = hypergradient(
                 params, hyper, theta, Xn, yn,
                 meta_set.X[idx_m], meta_set.y[idx_m],
-                alpha_t, config.fd_eps,
+                alpha_t, config.fd_eps, cache,
             )
             theta = meta_update(theta, hg, beta_t)
             hyper = losses.from_unconstrained(theta, hyper)
 
         try:
-            loss_value, grads = train_grad(params, hyper, Xn, yn)
+            loss_value, grads = train_grad(params, hyper, Xn, yn, cache)
         except NumericError as exc:
             raise NumericError(f"diverged at iteration {t}: {exc}") from exc
         if velocity is not None:

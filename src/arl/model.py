@@ -62,6 +62,16 @@ def _act_grad(pre, post, kind):
 
 
 def _forward_cached(params, X):
+    """Forward pass of a 2-D batch, kept for ``backward`` and ``jvp``.
+
+    Returns the cache ``(pres, posts)``: per-layer pre-activations and
+    layer inputs, with ``posts[0]`` the features and ``pres[-1]`` the logits.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.sizes[0]:
+        raise ShapeError(
+            f"feature batch of shape {X.shape} != (n, {params.sizes[0]}) model input"
+        )
     pres, posts = [], [X]
     h = X
     last = len(params.weights) - 1
@@ -80,19 +90,17 @@ def forward_logits(params, X):
     squeeze = X.ndim == 1
     if squeeze:
         X = X[None, :]
-    if X.shape[1] != params.sizes[0]:
-        raise ShapeError(
-            f"feature dimension {X.shape[1]} != model input {params.sizes[0]}"
-        )
     pres, _ = _forward_cached(params, X)
     logits = pres[-1]
     return logits[0] if squeeze else logits
 
 
-def backward(params, X, grad_logits_batch):
+def backward(params, X, grad_logits_batch, cache=None):
     """Exact gradients of sum_i <logits_i, g_i> with respect to the parameters.
 
     Callers bake any 1/N loss reduction into ``grad_logits_batch``.
+    ``cache`` is ``_forward_cached(params, X)`` when the caller already
+    has it; otherwise the forward pass is recomputed here.
     """
     X = np.asarray(X, dtype=float)
     G = np.asarray(grad_logits_batch, dtype=float)
@@ -102,7 +110,7 @@ def backward(params, X, grad_logits_batch):
         raise ShapeError(
             f"gradient width {G.shape[1]} != model output {params.sizes[-1]}"
         )
-    pres, posts = _forward_cached(params, X)
+    pres, posts = _forward_cached(params, X) if cache is None else cache
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     delta = G
@@ -114,6 +122,24 @@ def backward(params, X, grad_logits_batch):
                 pres[l - 1], posts[l], params.activation
             )
     return MlpParams(grads_w, grads_b, list(params.sizes), params.activation)
+
+
+def jvp(params, cache, direction):
+    """Logit tangent J_w g: the derivative of the logits along ``direction``.
+
+    Forward mode over the cached forward pass of ``params`` (Pearlmutter's
+    R-operator).  Because ``backward`` is linear in its logit gradient,
+    sum_i <G_i, jvp_i> == flatten(direction) . flatten(backward(params, X, G)).
+    """
+    if [w.shape for w in direction.weights] != [w.shape for w in params.weights]:
+        raise ShapeError("direction does not match the parameter shapes")
+    pres, posts = cache
+    dw, db = direction.weights, direction.biases
+    tangent = posts[0] @ dw[0] + db[0]  # of pres[0]; the features are fixed
+    for l in range(1, len(params.weights)):
+        d_post = tangent * _act_grad(pres[l - 1], posts[l], params.activation)
+        tangent = d_post @ params.weights[l] + posts[l] @ dw[l] + db[l]
+    return tangent
 
 
 def sgd_step(params, grads, alpha):

@@ -154,6 +154,52 @@ class TestHypergradient:
                     fd[k] = (pipeline(theta + e) - pipeline(theta - e)) / (2 * h_step)
                 assert rel_err(got, fd) <= 1e-3, (variant, trial)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "polysoft"])
+    def test_matches_full_gradient_probes(self, variant, activation):
+        # reference: every probe is a full train gradient, dotted with the
+        # flattened meta gradient; the JVP route must agree to rounding
+        def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3):
+            w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
+            _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
+            g = model.flatten(g_meta)
+            out = np.empty(theta.size)
+            for k in range(theta.size):
+                e = np.zeros_like(theta)
+                e[k] = fd_eps
+                _, up = meta.train_grad(p, losses.from_unconstrained(theta + e, hyper), Xn, yn)
+                _, dn = meta.train_grad(p, losses.from_unconstrained(theta - e, hyper), Xn, yn)
+                mixed = (model.flatten(up) - model.flatten(dn)) / (2.0 * fd_eps)
+                out[k] = -alpha * float(g @ mixed)
+            return out
+
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            hyper = random_hyper(rng, variant)
+            theta = losses.to_unconstrained(hyper)
+            p = model.init_mlp([2, 16, 3], activation=activation, seed=200 + trial)
+            Xn, yn, Xm, ym = make_batches(rng)
+            got = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
+            want = reference(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
+            assert rel_err(got, want) <= 1e-9, (variant, activation, trial)
+
+    def test_nonfinite_probe_loss_names_hyper(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        hyper = losses.HyperParams("sl", gamma1=0.8, gamma2=1.2)
+        p = model.init_mlp([2, 6, 3], seed=7)
+        Xn, yn, Xm, ym = make_batches(rng)
+        real = losses.batch_loss
+
+        def poisoned(h, Z, labels):
+            values, grads = real(h, Z, labels)
+            if not isinstance(h, losses.HyperParams):  # the stacked probes
+                values[2, 0] = np.nan
+            return values, grads
+
+        monkeypatch.setattr(losses, "batch_loss", poisoned)
+        with pytest.raises(NumericError, match=r"gamma1=.*gamma2="):
+            meta.hypergradient(p, hyper, losses.to_unconstrained(hyper), Xn, yn, Xm, ym, 0.3)
+
 
 class TestMetaUpdate:
     def test_zero_hypergrad(self):
@@ -261,6 +307,50 @@ class TestArlTrain:
         meta.arl_train(train, meta_set, test, config,
                        snapshot_hook=lambda t, p, h: seen.append(t))
         assert seen == [0, 50, 100]
+
+
+class TestForwardCount:
+    """One forward of the train batch per step; a second one at w~ when adapting."""
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        counts = {"steps": 0, "metrics": 0}
+        in_metrics = [False]
+        forward, metrics_row = model._forward_cached, meta._metrics_row
+
+        def counted_forward(params, X):
+            counts["metrics" if in_metrics[0] else "steps"] += 1
+            return forward(params, X)
+
+        def flagged_metrics_row(*args):
+            in_metrics[0] = True
+            try:
+                return metrics_row(*args)
+            finally:
+                in_metrics[0] = False
+
+        monkeypatch.setattr(model, "_forward_cached", counted_forward)
+        monkeypatch.setattr(meta, "_metrics_row", flagged_metrics_row)
+        return counts
+
+    def test_arl_train_two_per_iteration(self, monkeypatch):
+        train, meta_set, test = small_problem(seed=26)
+        counts = self.count_forwards(monkeypatch)
+        config = meta.TrainConfig("polysoft", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=12, seed=27, metrics_every=5)
+        _, rows = meta.arl_train(train, meta_set, test, config)
+        assert counts["steps"] == 2 * 12
+        assert counts["metrics"] == 3 * len(rows)
+
+    def test_conventional_train_one_per_step(self, monkeypatch):
+        train, meta_set, test = small_problem(seed=28)
+        counts = self.count_forwards(monkeypatch)
+        config = meta.TrainConfig("sl", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=12, seed=29, metrics_every=5)
+        hyper = losses.HyperParams("sl", gamma1=0.5, gamma2=1.0)
+        _, rows = meta.conventional_train(train, test, config, hyper, meta_set=meta_set)
+        assert counts["steps"] == 12
+        assert counts["metrics"] == 3 * len(rows)
 
 
 class TestOptionalKnobs:

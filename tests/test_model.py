@@ -138,6 +138,55 @@ class TestBackward:
             assert rel_err(got, want) <= 1e-5, hyper.variant
 
 
+    def test_cached_forward_bitwise_equal(self):
+        rng = np.random.default_rng(31)
+        for activation in ("tanh", "relu"):
+            p = model.init_mlp([3, 8, 5, 4], activation=activation, seed=37)
+            X = rng.normal(size=(7, 3))
+            G = rng.normal(size=(7, 4))
+            cached = model.backward(p, X, G, model._forward_cached(p, X))
+            fresh = model.backward(p, X, G)
+            for a, b in zip(cached.weights + cached.biases, fresh.weights + fresh.biases):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestJvp:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(16,), (8, 5)])
+    def test_matches_fd_of_forward(self, activation, hidden):
+        rng = np.random.default_rng(41)
+        p = model.init_mlp([3, *hidden, 4], activation=activation, seed=43)
+        X = rng.normal(size=(9, 3))
+        direction = model.unflatten(
+            rng.normal(size=model.flatten(p).size), p.sizes, p.activation
+        )
+        got = model.jvp(p, model._forward_cached(p, X), direction)
+        h = 1e-6
+        want = (
+            model.forward_logits(model.axpy(p, h, direction), X)
+            - model.forward_logits(model.axpy(p, -h, direction), X)
+        ) / (2 * h)
+        assert got.shape == (9, 4)
+        assert rel_err(got, want) <= 1e-7
+
+    def test_adjoint_of_backward(self):
+        rng = np.random.default_rng(47)
+        p = model.init_mlp([2, 6, 3], seed=53)
+        X = rng.normal(size=(5, 2))
+        G = rng.normal(size=(5, 3))
+        direction = model.init_mlp([2, 6, 3], seed=59)
+        cache = model._forward_cached(p, X)
+        lhs = float((G * model.jvp(p, cache, direction)).sum())
+        rhs = float(model.flatten(direction) @ model.flatten(model.backward(p, X, G, cache)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_shape_mismatch(self):
+        p = model.init_mlp([2, 6, 3], seed=61)
+        cache = model._forward_cached(p, np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            model.jvp(p, cache, model.init_mlp([2, 5, 3], seed=61))
+
+
 class TestSgd:
     def test_zero_step(self):
         p = model.init_mlp([2, 4, 2], seed=1)
