@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arl import cli, config as config_mod, losses
+from arl import cli, config as config_mod, losses, meta
 from arl.errors import ConfigError
 
 SMALL_RUN = {
@@ -220,3 +220,23 @@ class TestConfigParsing:
         doc["loss"] = {"variant": "gce", "init": {"lam": 2.0}}
         with pytest.raises(ConfigError, match="lam"):
             config_mod.parse_config(doc)
+
+
+class TestDefaultInit:
+    def test_default_polysoft_init_learns(self):
+        # configs/blobs_apolysoft.json without loss.init: a lam = log(c)
+        # start collapsed lam to ~0.29 and ended at 0.625; 3 log(c) reaches 0.917
+        doc = {
+            "seed": 0,
+            "dataset": {"n": 4030, "classes": 3, "dim": 2, "spread": 0.5},
+            "noise": {"type": "symmetric", "eta": 0.4},
+            "split": {"meta_size": 30, "test_fraction": 1000},
+            "loss": {"variant": "polysoft"},
+            "train": {"alpha": 2.0, "beta": 0.5, "batch_n": 16, "batch_m": 30, "iters": 3000},
+        }
+        exp = config_mod.parse_config(doc)
+        split = config_mod.build_datasets(exp)
+        tc = config_mod.build_train_config(exp, split.train.c)
+        assert tc.resolve_hyper(3).lam == pytest.approx(3.0 * math.log(3.0))
+        _, rows = meta.arl_train(split.train, split.meta, split.test, tc)
+        assert rows[-1].test_acc >= 0.85

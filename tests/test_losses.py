@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from arl import losses as L
-from arl.errors import DomainError
+from arl.errors import DomainError, NumericError
 
 
 def rel_err(a, b):
@@ -197,6 +197,101 @@ class TestTemperedSoftmax:
             p1, g1 = L.tempered_softmax(z + shift, 2.0)
             assert np.max(np.abs(p0 - p1)) <= 1e-9
             assert g1 - g0 == pytest.approx(shift, abs=1e-9)
+
+
+def _bisect_reference(Z, t2):
+    """Reference normalization: bracket doubling, then bisection to 1e-12."""
+    if abs(t2 - 1.0) < L._T_NEAR_ONE:
+        return L.softmax(Z), L.logsumexp(Z)
+    s = 1.0 - t2
+
+    def row_sums(gamma):
+        with np.errstate(divide="ignore"):
+            return np.exp(np.log1p(np.maximum(s * (Z - gamma[:, None]), -1.0)) / s).sum(axis=1)
+
+    lo = Z.max(axis=1)
+    width = np.ones(len(lo))
+    while True:
+        too_low = row_sums(lo + width) >= 1.0
+        if not too_low.any():
+            break
+        width[too_low] *= 2.0
+    hi = lo + width
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-12):
+            break
+        mid = 0.5 * (lo + hi)
+        ge_one = row_sums(mid) >= 1.0
+        lo = np.where(ge_one, mid, lo)
+        hi = np.where(ge_one, hi, mid)
+    gamma = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore"):
+        P = np.exp(np.log1p(np.maximum(s * (Z - gamma[:, None]), -1.0)) / s)
+    return P, gamma
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("t2", [0.3, 0.9, 1 - 1e-6, 1 + 1e-8, 1 + 1e-6, 1.01, 1.5, 4.0, 10.0])
+    def test_matches_bisection(self, t2, monkeypatch):
+        passes = [0]
+        exp_t_neg_args = L._exp_t_neg_args
+
+        def counted(X, s):
+            passes[0] += 1
+            return exp_t_neg_args(X, s)
+
+        monkeypatch.setattr(L, "_exp_t_neg_args", counted)
+        rng = np.random.default_rng(int(t2 * 1000))
+        for scale in np.geomspace(1e-3, 1e3, 7):
+            for c in (2, 3, 10):
+                Z = rng.normal(size=(20, c)) * scale
+                passes[0] = 0
+                P, gamma = L._tempered_softmax_batch(Z, t2)
+                P_ref, gamma_ref = _bisect_reference(Z, t2)
+                assert np.max(np.abs(P - P_ref)) <= 1e-12
+                assert np.max(np.abs(gamma - gamma_ref) / np.maximum(1.0, np.abs(gamma_ref))) <= 1e-12
+                assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+                assert passes[0] <= 20
+
+    def test_mixed_rows_match_single_rows(self):
+        rng = np.random.default_rng(31)
+        t2 = rng.choice([0.3, 0.9, 1 + 1e-9, 1.01, 1.5, 4.0, 10.0], size=40)
+        Z = rng.normal(size=(40, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+        P, gamma = L._tempered_softmax_batch(Z, t2)
+        for i in range(len(Z)):
+            P_i, gamma_i = L._tempered_softmax_batch(Z[i:i + 1], t2[i])
+            assert np.array_equal(P[i], P_i[0])
+            assert gamma[i] == gamma_i[0]
+
+    def test_stacked_probes_match_loop_bitwise(self):
+        # each row's Newton steps are its own, so the tolerance is zero
+        rng = np.random.default_rng(37)
+        Z = rng.normal(size=(16, 3)) * 3.0
+        labels = rng.integers(3, size=16)
+        probes = [L.HyperParams("bi_tempered", t1=t1, t2=t2)
+                  for t1, t2 in [(0.5001, 1.5), (0.4999, 1.5), (0.5, 1.5001), (0.5, 1.4999),
+                                 (0.2, 1.0 + 1e-9), (0.9, 4.0)]]
+        values, grads = L.batch_loss(probes, Z, labels)
+        assert values.shape == (6, 16) and grads.shape == (6, 16, 3)
+        for k, h in enumerate(probes):
+            v_k, g_k = L.batch_loss(h, Z, labels)
+            assert np.array_equal(values[k], v_k)
+            assert np.array_equal(grads[k], g_k)
+
+    def test_step_cap_raises_with_context(self, monkeypatch):
+        monkeypatch.setattr(L, "_NEWTON_MAX_STEPS", 2)
+        Z = np.array([[0.0, -500.0, 1000.0]])
+        with pytest.raises(NumericError, match=r"t2=\[10\.\].*\|sum p - 1\| = .*logit range"):
+            L._tempered_softmax_batch(Z, 10.0)
+
+    @pytest.mark.parametrize("t2", [1.000099, 1.0000995])
+    def test_probe_just_below_one(self, t2):
+        # the t2 - 1e-4 probe lands just below 1, where 1 + s*X needs log1p
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            z = rng.normal(size=int(rng.integers(2, 8))) * rng.uniform(0.5, 8.0)
+            ev = L.bi_tempered(z, 0, 0.5, t2)
+            assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad_hyper))
 
 
 def _simplex_grid(c, parts):
