@@ -293,11 +293,11 @@ def _exp_t_neg_args(X, s):
 
     For t > 1 the base 1 + s*X is >= 1; for t < 1 (reached only by the
     finite-difference probes around t2) it can hit zero, which is the
-    [.]_+ branch of exp_t.  log1p keeps the base exact as s -> 0 on both
-    sides of 1.
+    [.]_+ branch of exp_t: log1p(-1) = -inf gives the exact 0, and the
+    caller silences its divide warning.  log1p keeps the base exact as
+    s -> 0 on both sides of 1.
     """
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the exact 0
-        return np.exp(np.log1p(np.maximum(s * X, -1.0)) / s)
+    return np.exp(np.log1p(np.maximum(s * X, -1.0)) / s)
 
 
 def _tempered_softmax_batch(Z, t2):
@@ -326,22 +326,22 @@ def _tempered_softmax_batch(Z, t2):
     s = (1.0 - tt)[:, None]
     gamma = Zt.max(axis=1)
     done = np.zeros(len(Zt), dtype=bool)
-    for _ in range(_NEWTON_MAX_STEPS):
+    with np.errstate(divide="ignore"):  # log1p(-1) in _exp_t_neg_args
+        for _ in range(_NEWTON_MAX_STEPS):
+            P = _exp_t_neg_args(Zt - gamma[:, None], s)
+            resid = P.sum(axis=1) - 1.0
+            step = resid / (P ** tt[:, None]).sum(axis=1)
+            gamma = np.where(done, gamma, gamma + step)
+            done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
+            if done.all():
+                break
+        else:
+            raise NumericError(
+                f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
+                f"t2={np.unique(tt[~done])}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
+                f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
+            )
         P = _exp_t_neg_args(Zt - gamma[:, None], s)
-        resid = P.sum(axis=1) - 1.0
-        step = resid / (P ** tt[:, None]).sum(axis=1)
-        gamma = np.where(done, gamma, gamma + step)
-        done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
-        if done.all():
-            break
-    else:
-        raise NumericError(
-            f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
-            f"t2={np.unique(tt[~done])}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
-            f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
-        )
-
-    P = _exp_t_neg_args(Zt - gamma[:, None], s)
     err = np.abs(P.sum(axis=1) - 1.0)
     if np.any(err > 1e-10):
         raise NumericError(

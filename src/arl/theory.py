@@ -11,13 +11,19 @@ This module evaluates the bound constants in closed form and checks the
 inequalities by exhaustive minimization over a finite world: K points,
 each assigned a probability vector from a delta-spaced simplex grid.  The
 risk is a sum of independent per-point terms, so the global minimizer is
-found by scanning the grid once per point instead of enumerating the
+found by scanning the grid once per label instead of enumerating the
 product hypothesis space.
+
+One verification evaluates the loss on the grid once: a (points, c) table
+of L(u, j) per (variant, hyper, c, delta).  Its columns give the clean and
+noisy per-point terms of every label, hence both minimizers, and its rows
+give the grid tolerance: moving one delta of mass between two coordinates
+of a grid point lands on another grid point, so every slope the tolerance
+needs is a difference of two table rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,20 +140,27 @@ def bound_constants(variant, c, eta, hyper):
 
 
 def simplex_grid(c, delta):
-    """All probability vectors with entries that are multiples of delta."""
+    """All probability vectors with entries that are multiples of delta.
+
+    Rows come in lexicographic order of their counts (n_0, ..., n_{c-1}) of
+    delta.  The counts are built one coordinate at a time: each prefix, in
+    order, is extended by every count its remaining mass allows, and the
+    last coordinate takes what is left.
+    """
     parts = int(round(1.0 / delta))
     if abs(parts * delta - 1.0) > 1e-9:
         raise ConfigError(f"1/delta must be an integer, got delta={delta}")
     count = math.comb(parts + c - 1, c - 1)
     if count > GRID_BUDGET:
         raise ConfigError(f"simplex grid would hold {count} points > budget {GRID_BUDGET}")
-    grid = np.empty((count, c))
-    for i, cut in enumerate(itertools.combinations(range(parts + c - 1), c - 1)):
-        prev = -1
-        for j, edge in enumerate(list(cut) + [parts + c - 1]):
-            grid[i, j] = edge - prev - 1
-            prev = edge
-    return grid / parts
+    counts = np.zeros((1, 0), dtype=np.int32)
+    left = np.array([parts], dtype=np.int32)
+    for _ in range(c - 1):
+        width = left + 1
+        head = np.arange(width.sum(), dtype=np.int32) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack([np.repeat(counts, width, axis=0), head])
+        left = np.repeat(left, width) - head
+    return np.column_stack([counts, left]) / parts
 
 
 def loss_on_simplex(variant, hyper, probs, label):
@@ -182,15 +195,22 @@ def loss_on_simplex(variant, hyper, probs, label):
     raise DomainError(f"unknown loss variant {variant!r}")
 
 
-def _per_point_terms(grid, variant, hyper, label, c, eta, noisy):
-    """Expected loss of every grid assignment for one point."""
-    per_label = np.stack(
-        [loss_on_simplex(variant, hyper, grid, j) for j in range(c)], axis=1
-    )
+def _loss_table(variant, hyper, probs):
+    """The (rows, c) table of L(u, j) for every row u of probs and label j."""
+    table = np.empty(probs.shape)
+    for j in range(probs.shape[1]):
+        table[:, j] = loss_on_simplex(variant, hyper, probs, j)
+    return table
+
+
+def _per_point_terms(table, label, eta, noisy):
+    """Expected loss of every table row under ``label`` (one, or one per row)."""
+    c = table.shape[1]
+    own = table[np.arange(len(table)), label]
     if not noisy:
-        return per_label[:, label]
-    others = per_label.sum(axis=1) - per_label[:, label]
-    return (1.0 - eta) * per_label[:, label] + eta / (c - 1.0) * others
+        return own
+    others = table.sum(axis=1) - own
+    return (1.0 - eta) * own + eta / (c - 1.0) * others
 
 
 def exact_risk(world, assignment, variant, hyper, noisy):
@@ -205,38 +225,57 @@ def exact_risk(world, assignment, variant, hyper, noisy):
         raise DomainError(f"assignment shape {A.shape} does not match the world")
     if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("assignments must be probability vectors")
+    terms = _per_point_terms(_loss_table(variant, hyper, A), world.labels, world.eta, noisy)
     total = 0.0
-    for k, label in enumerate(world.labels):
-        total += float(
-            _per_point_terms(A[k : k + 1], variant, hyper, int(label), world.c, world.eta, noisy)[0]
-        )
+    for term in terms.tolist():
+        total += term
     return total / len(world.labels)
 
 
-def grid_lipschitz(variant, hyper, c, delta):
+def _neighbours(counts):
+    """Row indices of adjacent grid points, one coordinate pair a < b at a time.
+
+    ``counts`` are the grid rows in delta units, in lexicographic order.
+    Yields ``(src, dst)``: the rows with mass at a, and the rows that one
+    delta moved from a to b lands on.  With suffix sums S_i = sum_{l>=i} n_l
+    a row's rank is N - 1 - sum_{i=1}^{c-1} C(S_i + c-1-i, c-i).  The move
+    raises S_i by one for a < i <= b, so by Pascal's rule the destination
+    sits D_{a+1} + ... + D_b rows earlier, D_i = C(S_i + c-1-i, c-1-i).
+    Every term is at most N, unlike a positional key in base parts + 1.
+    """
+    c = counts.shape[1]
+    parts = int(counts[0].sum())
+    # binom[m, s] = C(s + m, m), by the hockey-stick identity
+    binom = np.ones((c - 1, parts + 1), dtype=np.int32)
+    for m in range(1, c - 1):
+        np.cumsum(binom[m - 1], out=binom[m])
+    suffix = np.cumsum(counts[:, :0:-1], axis=1, dtype=np.int32)[:, ::-1]
+    offsets = np.zeros(counts.shape, dtype=np.int32)
+    np.cumsum(binom[np.arange(c - 2, -1, -1), suffix], axis=1, out=offsets[:, 1:])
+    del suffix
+    for a in range(c - 1):
+        src = np.flatnonzero(counts[:, a])
+        for b in range(a + 1, c):
+            yield src, src - (offsets[src, b] - offsets[src, a])
+
+
+def grid_lipschitz(grid, table, delta):
     """Max loss slope between adjacent grid points, per unit L1 mass.
 
     Adjacent means one delta of mass moved between a coordinate pair (an
     L1 displacement of 2 delta); the estimate feeds the grid tolerance
-    lipschitz * delta.
+    lipschitz * delta.  The move keeps every entry a multiple of delta and
+    the sum at 1, so it lands on another row of ``grid``; each slope is
+    |table[dst] - table[src]| / (2 delta) over the rows of the grid's loss
+    table, with no loss evaluated again.  Adjacency is symmetric, so the
+    pairs a < b cover every adjacent pair.
     """
-    grid = simplex_grid(c, delta)
+    counts = np.rint(grid * round(1.0 / delta)).astype(np.int32)
     worst = 0.0
-    for label in range(c):
-        base = loss_on_simplex(variant, hyper, grid, label)
-        for a in range(c):
-            movable = grid[:, a] >= delta - 1e-12
-            if not movable.any():
-                continue
-            for b in range(c):
-                if b == a:
-                    continue
-                moved = grid[movable].copy()
-                moved[:, a] -= delta
-                moved[:, b] += delta
-                vals = loss_on_simplex(variant, hyper, moved, label)
-                slope = np.abs(vals - base[movable]) / (2.0 * delta)
-                worst = max(worst, float(slope.max()))
+    for src, dst in _neighbours(counts):
+        rise = table[dst]
+        rise -= table[src]
+        worst = max(worst, float(np.abs(rise, out=rise).max()) / (2.0 * delta))
     return worst
 
 
@@ -244,25 +283,26 @@ def riskgap_verify(world, variant, hyper):
     """Check both sandwich inequalities by exhaustive grid minimization.
 
     The risk is additive over points with independent assignments, so the
-    global minimizers decompose into per-point grid scans.
+    global minimizers decompose into per-point grid scans; points sharing
+    a label share their minimizers.
     """
     constants = bound_constants(variant, world.c, world.eta, hyper)
     grid = simplex_grid(world.c, world.delta)
+    table = _loss_table(variant, hyper, grid)
     K = len(world.labels)
     f_star = np.empty((K, world.c))
     f_hat = np.empty((K, world.c))
-    for k, label in enumerate(world.labels):
-        clean_terms = _per_point_terms(grid, variant, hyper, int(label), world.c, world.eta, False)
-        noisy_terms = _per_point_terms(grid, variant, hyper, int(label), world.c, world.eta, True)
-        f_star[k] = grid[int(np.argmin(clean_terms))]
-        f_hat[k] = grid[int(np.argmin(noisy_terms))]
+    for label in np.unique(world.labels):
+        points = world.labels == label
+        f_star[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, False)))]
+        f_hat[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, True)))]
 
     r_clean_star = exact_risk(world, f_star, variant, hyper, noisy=False)
     r_clean_hat = exact_risk(world, f_hat, variant, hyper, noisy=False)
     r_noisy_star = exact_risk(world, f_star, variant, hyper, noisy=True)
     r_noisy_hat = exact_risk(world, f_hat, variant, hyper, noisy=True)
 
-    tol = grid_lipschitz(variant, hyper, world.c, world.delta) * world.delta
+    tol = grid_lipschitz(grid, table, world.delta) * world.delta
     noisy_gap = r_noisy_star - r_noisy_hat
     clean_gap = r_clean_star - r_clean_hat
     noisy_ok = -1e-12 <= noisy_gap <= constants.noisy_gap_bound + tol
@@ -279,8 +319,5 @@ def riskgap_verify(world, variant, hyper):
 
 def label_sum_range(variant, hyper, c, delta):
     """Range of sum_j L(u, j) over the simplex grid (bounded-loss check)."""
-    grid = simplex_grid(c, delta)
-    sums = np.zeros(len(grid))
-    for j in range(c):
-        sums += loss_on_simplex(variant, hyper, grid, j)
+    sums = _loss_table(variant, hyper, simplex_grid(c, delta)).sum(axis=1)
     return float(sums.min()), float(sums.max())

@@ -1,5 +1,6 @@
 """Tests for the risk-gap sandwich verification machinery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,38 @@ class TestSimplexGrid:
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
             theory.simplex_grid(10, 0.005)
+
+    @pytest.mark.parametrize("c,delta", [(2, 0.5), (3, 0.1), (3, 0.02), (5, 0.025), (7, 0.25)])
+    def test_matches_combinations_loop(self, c, delta):
+        # reference: one row per cut set of itertools.combinations, in order
+        parts = int(round(1.0 / delta))
+        ref = np.empty((math.comb(parts + c - 1, c - 1), c))
+        for i, cut in enumerate(itertools.combinations(range(parts + c - 1), c - 1)):
+            prev = -1
+            for j, edge in enumerate(list(cut) + [parts + c - 1]):
+                ref[i, j] = edge - prev - 1
+                prev = edge
+        ref = ref / parts
+        grid = theory.simplex_grid(c, delta)
+        assert grid.shape == ref.shape and grid.dtype == ref.dtype
+        assert grid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c,delta", [(2, 0.1), (3, 0.05), (5, 0.125), (7, 0.25), (60, 0.5)])
+    def test_neighbour_rank_matches_row_lookup(self, c, delta):
+        # at c = 60, parts = 2 a base-3 positional key needs 3**60 > 2**63
+        parts = int(round(1.0 / delta))
+        counts = np.rint(theory.simplex_grid(c, delta) * parts).astype(np.int32)
+        row_of = {tuple(row): i for i, row in enumerate(counts.tolist())}
+        pairs = list(itertools.combinations(range(c), 2))
+        found = list(theory._neighbours(counts))
+        assert len(found) == len(pairs)
+        for (a, b), (src, dst) in zip(pairs, found):
+            np.testing.assert_array_equal(src, np.flatnonzero(counts[:, a] > 0))
+            moved = counts[src].copy()
+            moved[:, a] -= 1
+            moved[:, b] += 1
+            expected = [row_of[tuple(row)] for row in moved.tolist()]
+            np.testing.assert_array_equal(dst, expected)
 
 
 class TestExactRisk:
@@ -207,3 +240,93 @@ class TestBoundedLossSums:
         assert lo == pytest.approx((c - 1) * plateau, abs=1e-6)
         assert hi == pytest.approx(c * plateau, abs=0.01)
         assert hi <= c * plateau + 1e-9
+
+
+def _moved_copy_lipschitz(variant, hyper, c, delta):
+    """The estimator before the loss table: re-evaluate on moved grid copies."""
+    grid = theory.simplex_grid(c, delta)
+    worst = 0.0
+    for label in range(c):
+        base = theory.loss_on_simplex(variant, hyper, grid, label)
+        for a in range(c):
+            movable = grid[:, a] >= delta - 1e-12
+            if not movable.any():
+                continue
+            for b in range(c):
+                if b == a:
+                    continue
+                moved = grid[movable].copy()
+                moved[:, a] -= delta
+                moved[:, b] += delta
+                vals = theory.loss_on_simplex(variant, hyper, moved, label)
+                slope = np.abs(vals - base[movable]) / (2.0 * delta)
+                worst = max(worst, float(slope.max()))
+    return worst
+
+
+def _per_point_loop_verify(world, variant, hyper):
+    """Minimizers, risks and tolerance as found by one grid scan per point."""
+
+    def terms(grid, label, noisy):
+        per_label = np.stack(
+            [theory.loss_on_simplex(variant, hyper, grid, j) for j in range(world.c)], axis=1
+        )
+        if not noisy:
+            return per_label[:, label]
+        others = per_label.sum(axis=1) - per_label[:, label]
+        return (1.0 - world.eta) * per_label[:, label] + world.eta / (world.c - 1.0) * others
+
+    def risk(assignment, noisy):
+        total = 0.0
+        for k, label in enumerate(world.labels):
+            total += float(terms(assignment[k : k + 1], int(label), noisy)[0])
+        return total / len(world.labels)
+
+    grid = theory.simplex_grid(world.c, world.delta)
+    f_star = np.stack([grid[int(np.argmin(terms(grid, int(l), False)))] for l in world.labels])
+    f_hat = np.stack([grid[int(np.argmin(terms(grid, int(l), True)))] for l in world.labels])
+    risks = [risk(f_star, False), risk(f_hat, False), risk(f_star, True), risk(f_hat, True)]
+    tol = _moved_copy_lipschitz(variant, hyper, world.c, world.delta) * world.delta
+    return f_star, f_hat, risks, tol
+
+
+class TestLossTable:
+    @pytest.mark.parametrize("c,delta", [(2, 0.02), (3, 0.05), (5, 0.1)])
+    @pytest.mark.parametrize(
+        "variant,hyper",
+        [
+            ("ce", HyperParams("ce")),
+            ("gce", HyperParams("gce", q=0.5)),
+            ("sl", HyperParams("sl", gamma1=1.0, gamma2=1.0)),
+            ("bi_tempered", HyperParams("bi_tempered", t1=0.5, t2=2.0)),
+            ("polysoft", HyperParams("polysoft", lam=2.0, d=2.0)),
+        ],
+    )
+    def test_lipschitz_matches_moved_copies(self, c, delta, variant, hyper):
+        grid = theory.simplex_grid(c, delta)
+        table = theory._loss_table(variant, hyper, grid)
+        got = theory.grid_lipschitz(grid, table, delta)
+        ref = _moved_copy_lipschitz(variant, hyper, c, delta)
+        assert got > 0.0
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.6])
+    @pytest.mark.parametrize(
+        "variant,hyper",
+        [
+            ("polysoft", HyperParams("polysoft", lam=2.0 * math.log(3.0), d=2.0)),
+            ("polysoft", HyperParams("polysoft", lam=math.log(3.0), d=2.0)),
+            ("bi_tempered", HyperParams("bi_tempered", t1=0.5, t2=2.0)),
+        ],
+    )
+    def test_verify_matches_per_point_loop(self, eta, variant, hyper):
+        # the acceptance worlds: minimizers and risks to the bit
+        world = theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
+        report = theory.riskgap_verify(world, variant, hyper)
+        f_star, f_hat, risks, tol = _per_point_loop_verify(world, variant, hyper)
+        assert report.f_star.tobytes() == f_star.tobytes()
+        assert report.f_hat.tobytes() == f_hat.tobytes()
+        got = [report.clean_risk_star, report.clean_risk_hat,
+               report.noisy_risk_star, report.noisy_risk_hat]
+        assert got == risks
+        assert abs(report.grid_tol - tol) <= 1e-12 * tol
