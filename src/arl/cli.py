@@ -55,36 +55,21 @@ def losscurve_table(hyper, num_classes, points=500):
 
     For the probability-based families the x axis is the correct-class
     probability (residual mass spread uniformly); for the soft-weighting
-    loss it is the cross-entropy value on [0, 3*lam].
+    loss it is the cross-entropy value on [0, 3*lam].  Returns the header
+    and a (points, 4) array of rows.
     """
-    variant = hyper.variant
-    rows = []
-    if variant == "polysoft":
+    header = ["x", "zero_one", "ce", "learned"]
+    if hyper.variant == "polysoft":
         xs = np.linspace(0.0, 3.0 * hyper.lam, points)
-        for x in xs:
-            learned = losses.polysoft(float(x), hyper.lam, hyper.d).value
-            zero_one = 1.0 if x > math.log(2.0) else 0.0
-            rows.append((x, zero_one, x, learned))
-        return ["x", "zero_one", "ce", "learned"], rows
+        learned = losses.polysoft_of_ce(xs, hyper.lam, hyper.d)[0]
+        return header, np.column_stack([xs, xs > math.log(2.0), xs, learned])
 
     xs = np.linspace(0.001, 1.0, points)
-    for p in xs:
-        ce_ref = -math.log(p)
-        zero_one = 1.0 if p < 0.5 else 0.0
-        if variant == "ce":
-            learned = ce_ref
-        elif variant == "gce":
-            learned = (1.0 - p**hyper.q) / hyper.q
-        elif variant == "sl":
-            learned = hyper.gamma1 * ce_ref + hyper.gamma2 * (-hyper.rce_a) * (1.0 - p)
-        elif variant == "bi_tempered":
-            u = np.full(num_classes, (1.0 - p) / (num_classes - 1))
-            u[0] = p
-            learned = float(theory.loss_on_simplex("bi_tempered", hyper, u, 0)[0])
-        else:
-            raise DomainError(f"no loss curve for variant {variant!r}")
-        rows.append((p, zero_one, ce_ref, learned))
-    return ["x", "zero_one", "ce", "learned"], rows
+    probs = np.repeat(((1.0 - xs) / (num_classes - 1))[:, None], num_classes, axis=1)
+    probs[:, 0] = xs
+    ce_ref = losses.loss_values(losses.HyperParams("ce"), probs, 0)
+    learned = losses.loss_values(hyper, probs, 0)
+    return header, np.column_stack([xs, xs < 0.5, ce_ref, learned])
 
 
 def emit_losscurve(hyper, num_classes, path, points=500):
@@ -401,8 +386,7 @@ def _cmd_losscurve(args):
         raise ConfigError(f"manifest not found: {path}")
     with open(path) as fh:
         manifest = json.load(fh)
-    variant = manifest["variant"]
-    base = losses.default_hyper(variant, manifest["classes"]) if variant != "ce" else losses.HyperParams("ce")
+    base = losses.default_hyper(manifest["variant"], manifest["classes"])
     fields = dict(zip(manifest["hyper_names"], manifest["hyper_final"]))
     fields["rce_a"] = manifest.get("rce_a", -4.0)
     hyper = replace(base, **fields)

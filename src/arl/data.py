@@ -8,6 +8,7 @@ diagnostics can compare against ground truth.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,10 +243,14 @@ def load_csv(path):
                 )
             try:
                 feats = [float(v) for v in row[:-1]]
-                label = int(float(row[-1]))
+                label = float(row[-1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((feats, label))
+            if not all(math.isfinite(v) for v in feats):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature")
+            if not label.is_integer():
+                raise DataFormatError(f"{path}:{lineno}: label {row[-1]!r} is not an integer")
+            rows.append((feats, int(label)))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     X = np.array([r[0] for r in rows])

@@ -9,10 +9,18 @@ Five loss families over a c-class softmax (or tempered-softmax) output:
 * ``polysoft``    -- polynomial soft-weighting loss applied on top of the
                      per-sample cross entropy, threshold ``lam`` and order ``d``
 
-Every loss returns its value together with analytic gradients with respect
-to the logits and (where present) its hyperparameters, so the training loop
-never needs autodiff.  A smooth reparameterization maps the constrained
-hyperparameter domains onto unconstrained coordinates for gradient updates.
+Each family's value and analytic logit gradient are written once, as
+batched kernels ``value(P, labels, h) -> (values, shared)`` and
+``grad(P, labels, h, shared)`` on probability rows P, whose hyperparameter
+fields are scalars, one per row, or (K, 1) columns of stacked probes;
+``polysoft_of_ce`` is the soft-weighting formula on cross entropies.
+``batch_loss`` (training, hypergradient probes, metrics) takes values and
+gradients, ``loss_values`` (the theory table, the loss curve, the cross
+entropies of the sample weights) takes values only, and the single-sample
+``ce``, ``gce``, ``rce``, ``sl``, ``bi_tempered``, ``polysoft``,
+``polysoft_weight`` and ``loss_on_logits`` check their inputs, evaluate one
+row and add the hyperparameter gradients.  A smooth reparameterization maps
+the constrained hyperparameter domains onto unconstrained coordinates.
 """
 
 from __future__ import annotations
@@ -173,12 +181,6 @@ def _clamp(p):
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def _onehot(label, c):
-    y = np.zeros(c)
-    y[label] = 1.0
-    return y
-
-
 def softmax(z):
     """Numerically stable softmax over the last axis."""
     z = np.asarray(z, dtype=float)
@@ -191,64 +193,6 @@ def logsumexp(z):
     z = np.asarray(z, dtype=float)
     m = z.max(axis=-1, keepdims=True)
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))).squeeze(-1)
-
-
-# ---------------------------------------------------------------------------
-# softmax-based losses
-# ---------------------------------------------------------------------------
-
-def ce(probs, label):
-    """Cross entropy -log p[label].
-
-    ``grad_logits`` is the usual softmax-composed gradient ``p - y``; it is
-    only meaningful when ``probs`` came from a softmax over those logits.
-    """
-    p = _check_probs(probs)
-    j = _check_label(label, p.shape[0])
-    value = -math.log(_clamp(p[j]))
-    return LossEval(value, p - _onehot(j, p.shape[0]), np.zeros(0))
-
-
-def gce(probs, label, q):
-    """Generalized cross entropy (1 - p[label]^q) / q for q in (0, 1].
-
-    Interpolates between cross entropy (q -> 0) and the mean absolute
-    error 1 - p[label] (q = 1).
-    """
-    if not (np.isfinite(q) and 0.0 < q <= 1.0):
-        raise DomainError(f"q={q!r} outside (0, 1]")
-    p = _check_probs(probs)
-    j = _check_label(label, p.shape[0])
-    pj = float(_clamp(p[j]))
-    pq = pj ** q
-    value = (1.0 - pq) / q
-    grad_logits = pq * (p - _onehot(j, p.shape[0]))
-    dq = -(pq * math.log(pj)) / q - (1.0 - pq) / q**2
-    return LossEval(value, grad_logits, np.array([dq]))
-
-
-def rce(probs, label, rce_a=-4.0):
-    """Reverse cross entropy -rce_a * sum of off-label probabilities."""
-    if not (np.isfinite(rce_a) and rce_a < 0.0):
-        raise DomainError(f"rce_a={rce_a!r} must be negative")
-    p = _check_probs(probs)
-    j = _check_label(label, p.shape[0])
-    value = -rce_a * float(p.sum() - p[j])
-    grad_logits = rce_a * p[j] * (_onehot(j, p.shape[0]) - p)
-    return LossEval(value, grad_logits, np.zeros(0))
-
-
-def sl(probs, label, gamma1, gamma2, rce_a=-4.0):
-    """Symmetric loss gamma1 * ce + gamma2 * rce; linear in both gammas."""
-    if not (np.isfinite(gamma1) and gamma1 >= 0.0):
-        raise DomainError(f"gamma1={gamma1!r} must be nonnegative")
-    if not (np.isfinite(gamma2) and gamma2 >= 0.0):
-        raise DomainError(f"gamma2={gamma2!r} must be nonnegative")
-    e_ce = ce(probs, label)
-    e_rce = rce(probs, label, rce_a)
-    value = gamma1 * e_ce.value + gamma2 * e_rce.value
-    grad_logits = gamma1 * e_ce.grad_logits + gamma2 * e_rce.grad_logits
-    return LossEval(value, grad_logits, np.array([e_ce.value, e_rce.value]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +311,223 @@ def tempered_softmax(z, t2):
     return P[0], float(gamma[0])
 
 
-def _bi_tempered_value_batch(Z, labels, t1, t2):
-    """Per-row values and clamped probabilities, one t1 and t2 per row."""
-    P, _ = _tempered_softmax_batch(Z, t2)
+# ---------------------------------------------------------------------------
+# loss kernels: each family's value and logit gradient, written once
+# ---------------------------------------------------------------------------
+
+# ``labels`` is one label per row of P or one for all rows.  The order of
+# operations is the training path's, which the training bits depend on.
+
+def _on_classes(h):
+    """A hyperparameter (scalar, per row, or (K, 1) when stacked) lifted onto the class axis."""
+    return np.asarray(h)[..., None]
+
+
+def _label_probs(P, labels):
+    """Each row's probability of its label, not clamped."""
+    if np.ndim(labels) == 0:
+        return P[:, labels]  # one label for all rows is a column: no gather
+    return P[np.arange(len(P)), labels]
+
+
+def _ce_value(P, labels, h=None):
+    return -np.log(_clamp(_label_probs(P, labels))), None
+
+
+def _ce_grad(P, labels, h=None, shared=None):
+    """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient."""
+    D = P.copy()
+    D[np.arange(len(P)), labels] -= 1.0
+    return D
+
+
+def _gce_value(P, labels, h):
+    pq = _clamp(_label_probs(P, labels)) ** h.q
+    return (1.0 - pq) / h.q, pq
+
+
+def _gce_grad(P, labels, h, pq):
+    return pq[..., None] * _ce_grad(P, labels)
+
+
+def _sl_value(P, labels, h):
+    """gamma1 * ce + gamma2 * rce; rce is -rce_a times the off-label mass."""
+    pl = _label_probs(P, labels)
+    rce = -h.rce_a * (P.sum(axis=1) - pl)
+    return h.gamma1 * _ce_value(P, labels)[0] + h.gamma2 * rce, pl
+
+
+def _sl_grad(P, labels, h, pl):
+    D = _ce_grad(P, labels)
+    return _on_classes(h.gamma1) * D + _on_classes(h.gamma2) * (
+        _on_classes(h.rce_a) * pl[:, None] * -D
+    )
+
+
+def _bi_tempered_value(P, labels, h):
+    """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
     Pc = _clamp(P)
-    log_pj = np.log(Pc[np.arange(len(labels)), labels])
-    s1 = 1.0 - t1
+    log_pj = np.log(_label_probs(Pc, labels))
+    s1 = 1.0 - h.t1
     near = np.abs(s1) < _T_NEAR_ONE  # the t1 -> 1 limit is the natural log
     s1 = np.where(near, 1.0, s1)
     log_term = np.where(near, log_pj, np.expm1(s1 * log_pj) / s1)
-    tail = (1.0 - (Pc ** (2.0 - t1)[:, None]).sum(axis=1)) / (2.0 - t1)
-    values = -log_term - tail
-    return np.maximum(values, 0.0), Pc
+    tail = (1.0 - (Pc ** _on_classes(2.0 - h.t1)).sum(axis=1)) / (2.0 - h.t1)
+    return np.maximum(-log_term - tail, 0.0), Pc
+
+
+def _bi_tempered_grad(P, labels, h, Pc):
+    """d value / d logits through the implicit normalization of P.
+
+    With S = sum_j p_j^t2 and u = p^t2 / S, the normalization constraint
+    gives d gamma / d z_k = u_k, hence
+    d value / d z_k = g_k - u_k * sum_j g_j with
+    g_j = (dL/dp_j) * p_j^t2 = -1[j = label] p_j^(t2-t1) + p_j^(1-t1+t2).
+    """
+    n = np.arange(len(P))
+    G = Pc ** _on_classes(1.0 - h.t1 + h.t2)
+    G[n, labels] -= Pc[n, labels] ** (h.t2 - h.t1)
+    U = Pc ** _on_classes(h.t2)
+    U /= U.sum(axis=1, keepdims=True)
+    return G - U * G.sum(axis=1, keepdims=True)
+
+
+def polysoft_of_ce(ce, lam, d):
+    """Soft-weighting loss values at cross-entropy values ``ce``, and u.
+
+    u = 1 - ce/lam below the threshold lam and 0 on the plateau, and
+    value = (d-1) lam / d * (1 - u^(d/(d-1))), which is the constant
+    (d-1) lam / d where u = 0.  ``_polysoft_weight`` turns u into the
+    weight d value / d ce.  Inputs are not checked; ``polysoft`` and
+    ``polysoft_weight`` are the checked forms.
+    """
+    u = np.where(ce < lam, 1.0 - ce / lam, 0.0)
+    plateau = (d - 1.0) * lam / d
+    return plateau * (1.0 - u ** (d / (d - 1.0))), u
+
+
+def _polysoft_weight(u, d):
+    """The sample weight u^(d/(d-1) - 1), 0 on the plateau."""
+    return np.where(u > 0.0, u ** (d / (d - 1.0) - 1.0), 0.0)
+
+
+def _polysoft_value(P, labels, h):
+    return polysoft_of_ce(_ce_value(P, labels)[0], h.lam, h.d)
+
+
+def _polysoft_grad(P, labels, h, u):
+    return _polysoft_weight(u, h.d)[..., None] * _ce_grad(P, labels)
+
+
+_FAMILIES = {
+    "ce": (_ce_value, _ce_grad),
+    "gce": (_gce_value, _gce_grad),
+    "sl": (_sl_value, _sl_grad),
+    "bi_tempered": (_bi_tempered_value, _bi_tempered_grad),
+    "polysoft": (_polysoft_value, _polysoft_grad),
+}
+
+
+def _evaluate(variant, P, labels, h):
+    """Values and logit gradients of one family on probability rows."""
+    value, grad = _FAMILIES[variant]
+    values, shared = value(P, labels, h)
+    return values, grad(P, labels, h, shared)
+
+
+def loss_values(hyper, P, labels):
+    """Per-row values of ``hyper``'s family on unchecked probability rows ``P``.
+
+    No gradient is formed.  For ``bi_tempered`` P is the tempered softmax.
+    """
+    return _FAMILIES[hyper.variant][0](P, labels, hyper)[0]
+
+
+def batch_loss(hyper, Z, labels):
+    """Per-sample values and logit gradients for a batch.
+
+    ``Z`` is (n, c), ``labels`` (n,) ints.  Returns ``(values, grads)``
+    with shapes (n,) and (n, c); callers handle the 1/n reduction.  The
+    logits are normalized (softmax, or the tempered softmax for
+    ``bi_tempered``) and handed to the family's kernel.
+
+    ``hyper`` may also be a sequence of K HyperParams of one learnable
+    variant (the hypergradient's probes).  The outputs then gain a leading
+    probe axis, (K, n) and (K, n, c), and the softmax of ``Z`` is computed
+    once for all K; the tempered softmax depends on ``t2``, so
+    ``bi_tempered`` stacks the K probes into one normalization solve over
+    K * n rows, one ``(t1, t2)`` per row.
+    """
+    Z = np.asarray(Z, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    stacked = not isinstance(hyper, HyperParams)
+    hypers = tuple(hyper) if stacked else (hyper,)
+    v = hypers[0].variant
+    if stacked and (not LEARNABLE[v] or any(h.variant != v for h in hypers)):
+        raise DomainError("stacked hyperparameters must share one learnable variant")
+
+    if v == "bi_tempered":
+        K, n = len(hypers), len(labels)
+        rows = SimpleNamespace(
+            t1=np.repeat([h.t1 for h in hypers], n), t2=np.repeat([h.t2 for h in hypers], n)
+        )
+        P, _ = _tempered_softmax_batch(np.tile(Z, (K, 1)), rows.t2)
+        values, grads = _evaluate(v, P, np.tile(labels, K), rows)
+        if not stacked:
+            return values, grads
+        return values.reshape(K, -1), grads.reshape(K, *Z.shape)
+
+    if stacked:
+        # each field as a (K, 1) column, broadcasting against (n,) per-sample arrays
+        hyper = SimpleNamespace(**{
+            name: np.array([getattr(h, name) for h in hypers])[:, None]
+            for name in _FIELDS_READ[v]
+        })
+    return _evaluate(v, softmax(Z), labels, hyper)
+
+
+# ---------------------------------------------------------------------------
+# single-sample API: checked inputs, LossEval outputs, one kernel row each
+# ---------------------------------------------------------------------------
+
+def _checked_row(hyper, probs, label):
+    """Value and logit gradient of one checked probability row."""
+    p = _check_probs(probs)
+    values, grads = _evaluate(hyper.variant, p[None, :], _check_label(label, p.shape[0]), hyper)
+    return float(values[0]), grads[0]
+
+
+def ce(probs, label):
+    """Cross entropy -log p[label].
+
+    ``grad_logits`` is the usual softmax-composed gradient ``p - y``; it is
+    only meaningful when ``probs`` came from a softmax over those logits.
+    """
+    return LossEval(*_checked_row(HyperParams("ce"), probs, label), np.zeros(0))
+
+
+def gce(probs, label, q):
+    """Generalized cross entropy (1 - p[label]^q) / q for q in (0, 1].
+
+    Interpolates between cross entropy (q -> 0) and the mean absolute
+    error 1 - p[label] (q = 1).
+    """
+    value, grad = _checked_row(HyperParams("gce", q=q), probs, label)
+    pj = float(_clamp(np.asarray(probs, dtype=float)[int(label)]))
+    return LossEval(value, grad, np.array([-(pj**q * math.log(pj) + value) / q]))
+
+
+def rce(probs, label, rce_a=-4.0):
+    """Reverse cross entropy -rce_a * sum of off-label probabilities (``sl`` at 0, 1)."""
+    hyper = HyperParams("sl", gamma1=0.0, gamma2=1.0, rce_a=rce_a)
+    return LossEval(*_checked_row(hyper, probs, label), np.zeros(0))
+
+
+def sl(probs, label, gamma1, gamma2, rce_a=-4.0):
+    """Symmetric loss gamma1 * ce + gamma2 * rce; linear in both gammas."""
+    hyper = HyperParams("sl", gamma1=gamma1, gamma2=gamma2, rce_a=rce_a)
+    value, grad = _checked_row(hyper, probs, label)
+    return LossEval(value, grad, np.array([ce(probs, label).value, rce(probs, label, rce_a).value]))
 
 
 def bi_tempered(z, label, t1, t2):
@@ -391,50 +540,19 @@ def bi_tempered(z, label, t1, t2):
     route through the normalization solve is error-prone.  The value and
     its four probes are rows of one normalization solve.
     """
-    if not (np.isfinite(t1) and 0.0 <= t1 < 1.0):
-        raise DomainError(f"t1={t1!r} outside [0, 1)")
-    if not (np.isfinite(t2) and t2 > 1.0):
-        raise DomainError(f"t2={t2!r} must exceed 1")
+    HyperParams("bi_tempered", t1=t1, t2=t2)  # checks t1 and t2
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DomainError("logits must be a vector")
     j = _check_label(label, z.shape[0])
 
     h = 1e-4
-    t1s = np.array([t1, t1 + h, t1 - h, t1, t1])
-    t2s = np.array([t2, t2, t2, t2 + h, t2 - h])
-    labels = np.full(len(t1s), j)
-    values, Pc = _bi_tempered_value_batch(np.tile(z, (len(t1s), 1)), labels, t1s, t2s)
-    grad = _bi_tempered_grad_batch(Pc[:1], labels[:1], t1s[:1], t2s[:1])[0]
+    rows = SimpleNamespace(t1=np.array([t1, t1 + h, t1 - h, t1, t1]),
+                           t2=np.array([t2, t2, t2, t2 + h, t2 - h]))
+    P, _ = _tempered_softmax_batch(np.tile(z, (5, 1)), rows.t2)
+    values, grads = _evaluate("bi_tempered", P, j, rows)
     grad_hyper = np.array([values[1] - values[2], values[3] - values[4]]) / (2 * h)
-    return LossEval(float(values[0]), grad, grad_hyper)
-
-
-def _bi_tempered_grad_batch(Pc, labels, t1, t2):
-    """d value / d logits through the implicit normalization, t1, t2 per row.
-
-    With S = sum_j p_j^t2 and u = p^t2 / S, the normalization constraint
-    gives d gamma / d z_k = u_k, hence
-    d value / d z_k = g_k - u_k * sum_j g_j with
-    g_j = (dL/dp_j) * p_j^t2 = -1[j = label] p_j^(t2-t1) + p_j^(1-t1+t2).
-    """
-    n = np.arange(len(labels))
-    G = Pc ** (1.0 - t1 + t2)[:, None]
-    G[n, labels] -= Pc[n, labels] ** (t2 - t1)
-    U = Pc ** t2[:, None]
-    U /= U.sum(axis=1, keepdims=True)
-    return G - U * G.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# polynomial soft-weighting loss
-# ---------------------------------------------------------------------------
-
-def _polysoft_check(lam, d):
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam={lam!r} must be positive")
-    if not (np.isfinite(d) and d > 1.0):
-        raise DomainError(f"d={d!r} must exceed 1")
+    return LossEval(float(values[0]), grads[0], grad_hyper)
 
 
 def polysoft(ce_value, lam, d):
@@ -446,35 +564,42 @@ def polysoft(ce_value, lam, d):
     ``grad_hyper`` holds the (lam, d) partials; ``grad_logits`` is empty
     because this loss consumes a scalar.
     """
-    _polysoft_check(lam, d)
     ce_value = float(ce_value)
-    if not np.isfinite(ce_value) or ce_value < 0.0:
-        raise DomainError(f"ce_value={ce_value!r} must be a nonnegative real")
-    plateau_frac = (d - 1.0) / d
-    if ce_value >= lam:
-        value = plateau_frac * lam
-        d_lam = plateau_frac
-        d_d = lam / d**2
-    else:
-        u = 1.0 - ce_value / lam
-        r = d / (d - 1.0)
-        ur = u**r
-        value = plateau_frac * lam * (1.0 - ur)
-        d_lam = plateau_frac * (1.0 - ur) - u ** (r - 1.0) * ce_value / lam
-        d_d = lam / d**2 * (1.0 - ur) + lam * ur * math.log(u) / (d * (d - 1.0))
-    return LossEval(value, np.zeros(0), np.array([d_lam, d_d]))
+    weight = polysoft_weight(ce_value, lam, d)  # checks lam, d and ce_value
+    values, us = polysoft_of_ce(np.array([ce_value]), lam, d)
+    value, u = float(values[0]), float(us[0])
+    # d/dlam = (value - weight * ce) / lam and d/dd = (value + lam u^r log u) / (d (d-1))
+    # with r = d/(d-1) and u^r = u * weight, which tends to 0 with u
+    ur_log_u = u * weight * math.log(u) if u > 0.0 else 0.0
+    grad_hyper = [(value - weight * ce_value) / lam, (value + lam * ur_log_u) / (d * (d - 1.0))]
+    return LossEval(value, np.zeros(0), np.array(grad_hyper))
 
 
 def polysoft_weight(ce_value, lam, d):
-    """Implicit sample weight (1 - ce/lam)^(1/(d-1)), 0 beyond the plateau."""
-    _polysoft_check(lam, d)
+    """Implicit sample weight d polysoft / d ce, 0 beyond the plateau."""
+    HyperParams("polysoft", lam=lam, d=d)  # checks lam and d
     ce_value = np.asarray(ce_value, dtype=float)
     if np.any(~np.isfinite(ce_value)) or np.any(ce_value < 0.0):
         raise DomainError("ce_value must be a nonnegative real")
-    inside = ce_value < lam
-    u = np.where(inside, 1.0 - ce_value / lam, 0.0)
-    w = np.where(inside, u ** (1.0 / (d - 1.0)), 0.0)
+    w = _polysoft_weight(polysoft_of_ce(ce_value, lam, d)[1], d)
     return float(w) if w.ndim == 0 else w
+
+
+def loss_on_logits(hyper, z, label):
+    """Single-sample dispatch: full LossEval for ``hyper.variant``."""
+    z = np.asarray(z, dtype=float)
+    v = hyper.variant
+    if v == "bi_tempered":
+        return bi_tempered(z, label, hyper.t1, hyper.t2)
+    p = softmax(z)
+    if v == "ce":
+        return ce(p, label)
+    if v == "gce":
+        return gce(p, label, hyper.q)
+    if v == "sl":
+        return sl(p, label, hyper.gamma1, hyper.gamma2, hyper.rce_a)
+    grad_hyper = polysoft(ce(p, label).value, hyper.lam, hyper.d).grad_hyper
+    return LossEval(*_checked_row(hyper, p, label), grad_hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -575,103 +700,3 @@ def reparam_scale(variant, theta):
         else:
             out[k] = sig
     return out
-
-
-# ---------------------------------------------------------------------------
-# batched dispatch used by the training loop
-# ---------------------------------------------------------------------------
-
-def _on_classes(h):
-    """A hyperparameter (scalar, or (K, 1) when stacked) lifted onto the class axis."""
-    return np.asarray(h)[..., None]
-
-
-def batch_loss(hyper, Z, labels):
-    """Per-sample values and logit gradients for a batch.
-
-    ``Z`` is (n, c), ``labels`` (n,) ints.  Returns ``(values, grads)``
-    with shapes (n,) and (n, c); callers handle the 1/n reduction.
-
-    ``hyper`` may also be a sequence of K HyperParams of one learnable
-    variant (the hypergradient's probes).  The outputs then gain a leading
-    probe axis, (K, n) and (K, n, c), and the softmax of ``Z`` is computed
-    once for all K; the tempered softmax depends on ``t2``, so
-    ``bi_tempered`` stacks the K probes into one normalization solve over
-    K * n rows, one ``t2`` per row.
-    """
-    Z = np.asarray(Z, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n = np.arange(len(labels))
-    stacked = not isinstance(hyper, HyperParams)
-    hypers = tuple(hyper) if stacked else (hyper,)
-    v = hypers[0].variant
-    if stacked:
-        if not LEARNABLE[v] or any(h.variant != v for h in hypers):
-            raise DomainError("stacked hyperparameters must share one learnable variant")
-        # each field as a (K, 1) column, broadcasting against (n,) per-sample arrays
-        hyper = SimpleNamespace(**{
-            name: np.array([getattr(h, name) for h in hypers])[:, None]
-            for name in _FIELDS_READ[v]
-        })
-
-    if v == "bi_tempered":
-        # the K probes are K blocks of rows of one normalization solve
-        K, rows = len(hypers), np.tile(labels, len(hypers))
-        t1 = np.repeat([h.t1 for h in hypers], len(labels))
-        t2 = np.repeat([h.t2 for h in hypers], len(labels))
-        values, Pc = _bi_tempered_value_batch(np.tile(Z, (K, 1)), rows, t1, t2)
-        grads = _bi_tempered_grad_batch(Pc, rows, t1, t2)
-        if not stacked:
-            return values, grads
-        return values.reshape(K, -1), grads.reshape(K, *Z.shape)
-
-    P = softmax(Z)
-    Y = np.zeros_like(P)
-    Y[n, labels] = 1.0
-    pj = np.clip(P[n, labels], PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-    if v == "ce":
-        return -np.log(pj), P - Y
-    if v == "gce":
-        pq = pj**hyper.q
-        return (1.0 - pq) / hyper.q, pq[..., None] * (P - Y)
-    if v == "sl":
-        ce_vals = -np.log(pj)
-        rce_vals = -hyper.rce_a * (P.sum(axis=1) - P[n, labels])
-        values = hyper.gamma1 * ce_vals + hyper.gamma2 * rce_vals
-        grads = _on_classes(hyper.gamma1) * (P - Y) + _on_classes(hyper.gamma2) * (
-            _on_classes(hyper.rce_a) * P[n, labels][:, None] * (Y - P)
-        )
-        return values, grads
-    if v == "polysoft":
-        ce_vals = -np.log(pj)
-        lam, d = hyper.lam, hyper.d
-        inside = ce_vals < lam
-        u = np.where(inside, 1.0 - ce_vals / lam, 0.0)
-        r = d / (d - 1.0)
-        plateau = (d - 1.0) * lam / d
-        values = np.where(inside, plateau * (1.0 - u**r), plateau)
-        weights = np.where(inside, u ** (r - 1.0), 0.0)
-        return values, weights[..., None] * (P - Y)
-    raise DomainError(f"unknown loss variant {v!r}")
-
-
-def loss_on_logits(hyper, z, label):
-    """Single-sample dispatch: full LossEval for ``hyper.variant``."""
-    z = np.asarray(z, dtype=float)
-    v = hyper.variant
-    if v == "bi_tempered":
-        return bi_tempered(z, label, hyper.t1, hyper.t2)
-    p = softmax(z)
-    if v == "ce":
-        return ce(p, label)
-    if v == "gce":
-        return gce(p, label, hyper.q)
-    if v == "sl":
-        return sl(p, label, hyper.gamma1, hyper.gamma2, hyper.rce_a)
-    if v == "polysoft":
-        base = ce(p, label)
-        poly = polysoft(base.value, hyper.lam, hyper.d)
-        weight = polysoft_weight(base.value, hyper.lam, hyper.d)
-        return LossEval(poly.value, weight * base.grad_logits, poly.grad_hyper)
-    raise DomainError(f"unknown loss variant {v!r}")

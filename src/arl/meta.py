@@ -315,10 +315,7 @@ def compute_sample_weights(params, hyper, dataset):
     if hyper.variant != "polysoft":
         raise DomainError("sample weights are defined for the polysoft variant")
     Z = model.forward_logits(params, dataset.X)
-    P = losses.softmax(Z)
-    labels = _labels_of(dataset)
-    pj = np.clip(P[np.arange(len(labels)), labels], losses.PROB_FLOOR, 1.0)
-    ce_vals = -np.log(pj)
+    ce_vals = losses.loss_values(losses.HyperParams("ce"), losses.softmax(Z), _labels_of(dataset))
     return losses.polysoft_weight(ce_vals, hyper.lam, hyper.d)
 
 

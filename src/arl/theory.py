@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .errors import ConfigError, DomainError
-from .losses import PROB_FLOOR
 
 GRID_BUDGET = 10**7
 
@@ -101,8 +101,14 @@ class RiskReport:
         }
 
 
+def _check_variant(variant, hyper):
+    if variant != hyper.variant:
+        raise DomainError(f"variant {variant!r} does not match hyper.variant {hyper.variant!r}")
+
+
 def bound_constants(variant, c, eta, hyper):
     """Evaluate the sandwich-bound constants for polysoft or bi_tempered."""
+    _check_variant(variant, hyper)
     if c < 2:
         raise DomainError("need at least two classes")
     if not 0.0 <= eta <= 1.0 - 1.0 / c:
@@ -166,33 +172,11 @@ def simplex_grid(c, delta):
 def loss_on_simplex(variant, hyper, probs, label):
     """Loss value L(u, label) for rows of probability vectors.
 
-    Vertex entries are clamped by the probability floor before logs and
-    powers, matching how the losses treat near-vertex softmax outputs.
+    The values of ``losses.loss_values``: vertex entries are clamped by the
+    probability floor before logs and powers, as for softmax outputs.
     """
-    U = np.clip(np.atleast_2d(probs), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    uj = U[:, label]
-    if variant == "ce":
-        return -np.log(uj)
-    if variant == "gce":
-        return (1.0 - uj**hyper.q) / hyper.q
-    if variant == "sl":
-        ce_vals = -np.log(uj)
-        rce_vals = -hyper.rce_a * (U.sum(axis=1) - uj)
-        return hyper.gamma1 * ce_vals + hyper.gamma2 * rce_vals
-    if variant == "bi_tempered":
-        t1 = hyper.t1
-        s1 = 1.0 - t1
-        log_term = np.expm1(s1 * np.log(uj)) / s1 if abs(s1) > 1e-8 else np.log(uj)
-        tail = (1.0 - (U ** (2.0 - t1)).sum(axis=1)) / (2.0 - t1)
-        return -log_term - tail
-    if variant == "polysoft":
-        ce_vals = -np.log(uj)
-        lam, d = hyper.lam, hyper.d
-        inside = ce_vals < lam
-        u = np.where(inside, 1.0 - ce_vals / lam, 0.0)
-        plateau = (d - 1.0) * lam / d
-        return np.where(inside, plateau * (1.0 - u ** (d / (d - 1.0))), plateau)
-    raise DomainError(f"unknown loss variant {variant!r}")
+    _check_variant(variant, hyper)
+    return losses.loss_values(hyper, np.atleast_2d(probs), label)
 
 
 def _loss_table(variant, hyper, probs):

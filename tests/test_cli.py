@@ -106,6 +106,17 @@ class TestLosscurveCommand:
         assert np.all(rows["zero_one"][rows["x"] < 0.5] == 1.0)
         assert np.all(rows["zero_one"][rows["x"] >= 0.5] == 0.0)
 
+    def test_ce_run(self, tmp_path):
+        doc = dict(SMALL_RUN, loss={"variant": "ce"})
+        doc["train"] = dict(SMALL_RUN["train"], beta=0.0)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["losscurve", "--checkpoint", str(out), "--out", str(curve)]) == 0
+        rows = np.genfromtxt(curve, delimiter=",", names=True)
+        assert len(rows) == 500
+        np.testing.assert_array_equal(rows["learned"], rows["ce"])
+
     def test_polysoft_plateau_constant(self, tmp_path):
         hyper = losses.HyperParams("polysoft", lam=1.0, d=2.0)
         path = tmp_path / "poly.csv"

@@ -221,3 +221,23 @@ class TestCsv:
         path.write_text("1.0,2.0,0\n1.0,1\n")
         with pytest.raises(DataFormatError, match="columns"):
             data.load_csv(path)
+
+    @pytest.mark.parametrize("feature", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_names_line(self, tmp_path, feature):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0,0\n1.0,2.0,1\n{feature},2.0,1\n")
+        with pytest.raises(DataFormatError, match=r"nonfinite\.csv:3: non-finite"):
+            data.load_csv(path)
+
+    @pytest.mark.parametrize("label", ["1.7", "inf", "nan"])
+    def test_nonintegral_label_names_line(self, tmp_path, label):
+        # "1.7" used to load as class 1
+        path = tmp_path / "fractional.csv"
+        path.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
+        with pytest.raises(DataFormatError, match=r"fractional\.csv:2: label .* not an integer"):
+            data.load_csv(path)
+
+    def test_integral_float_label_loads(self, tmp_path):
+        path = tmp_path / "float_labels.csv"
+        path.write_text("1.0,2.0,0.0\n1.0,2.0,3.0\n")
+        assert data.load_csv(path).label_map == {0: 0, 3: 1}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -569,3 +570,100 @@ class TestBatchedDispatch:
                 ev = L.loss_on_logits(hyper, Z[i], labels[i])
                 assert values[i] == pytest.approx(ev.value, rel=1e-10, abs=1e-12)
                 np.testing.assert_allclose(grads[i], ev.grad_logits, atol=1e-10)
+
+
+def _reference_batch_loss(hyper, Z, labels):
+    """batch_loss with its own per-variant formulas, as before the family kernels."""
+    Z = np.asarray(Z, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n = np.arange(len(labels))
+    stacked = not isinstance(hyper, L.HyperParams)
+    hypers = tuple(hyper) if stacked else (hyper,)
+    v = hypers[0].variant
+    if stacked:
+        hyper = types.SimpleNamespace(**{
+            name: np.array([getattr(h, name) for h in hypers])[:, None]
+            for name in L._FIELDS_READ[v]
+        })
+    on_classes = lambda h: np.asarray(h)[..., None]  # noqa: E731
+
+    if v == "bi_tempered":
+        K, rows = len(hypers), np.tile(labels, len(hypers))
+        t1 = np.repeat([h.t1 for h in hypers], len(labels))
+        t2 = np.repeat([h.t2 for h in hypers], len(labels))
+        P, _ = L._tempered_softmax_batch(np.tile(Z, (K, 1)), t2)
+        Pc = np.clip(P, L.PROB_FLOOR, 1.0 - L.PROB_FLOOR)
+        m = np.arange(len(rows))
+        log_pj = np.log(Pc[m, rows])
+        s1 = 1.0 - t1
+        near = np.abs(s1) < L._T_NEAR_ONE
+        s1 = np.where(near, 1.0, s1)
+        log_term = np.where(near, log_pj, np.expm1(s1 * log_pj) / s1)
+        tail = (1.0 - (Pc ** (2.0 - t1)[:, None]).sum(axis=1)) / (2.0 - t1)
+        values = np.maximum(-log_term - tail, 0.0)
+        G = Pc ** (1.0 - t1 + t2)[:, None]
+        G[m, rows] -= Pc[m, rows] ** (t2 - t1)
+        U = Pc ** t2[:, None]
+        U /= U.sum(axis=1, keepdims=True)
+        grads = G - U * G.sum(axis=1, keepdims=True)
+        if not stacked:
+            return values, grads
+        return values.reshape(K, -1), grads.reshape(K, *Z.shape)
+
+    P = L.softmax(Z)
+    Y = np.zeros_like(P)
+    Y[n, labels] = 1.0
+    pj = np.clip(P[n, labels], L.PROB_FLOOR, 1.0 - L.PROB_FLOOR)
+    if v == "ce":
+        return -np.log(pj), P - Y
+    if v == "gce":
+        pq = pj**hyper.q
+        return (1.0 - pq) / hyper.q, pq[..., None] * (P - Y)
+    if v == "sl":
+        ce_vals = -np.log(pj)
+        rce_vals = -hyper.rce_a * (P.sum(axis=1) - P[n, labels])
+        values = hyper.gamma1 * ce_vals + hyper.gamma2 * rce_vals
+        grads = on_classes(hyper.gamma1) * (P - Y) + on_classes(hyper.gamma2) * (
+            on_classes(hyper.rce_a) * P[n, labels][:, None] * (Y - P)
+        )
+        return values, grads
+    ce_vals = -np.log(pj)
+    lam, d = hyper.lam, hyper.d
+    inside = ce_vals < lam
+    u = np.where(inside, 1.0 - ce_vals / lam, 0.0)
+    r = d / (d - 1.0)
+    plateau = (d - 1.0) * lam / d
+    values = np.where(inside, plateau * (1.0 - u**r), plateau)
+    weights = np.where(inside, u ** (r - 1.0), 0.0)
+    return values, weights[..., None] * (P - Y)
+
+
+def _hypergradient_probes(hyper, fd_eps=1e-3):
+    theta = L.to_unconstrained(hyper)
+    probes = []
+    for k in range(theta.size):
+        step = np.zeros_like(theta)
+        step[k] = fd_eps
+        probes += [L.from_unconstrained(theta + step, hyper),
+                   L.from_unconstrained(theta - step, hyper)]
+    return probes
+
+
+class TestTrainingBits:
+    """The family kernels keep the training path's bits: tolerance zero."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 40.0])
+    def test_batch_loss_matches_reference(self, scale):
+        rng = np.random.default_rng(int(scale) + 47)
+        for c in (2, 3, 5):
+            for _ in range(8):
+                n = int(rng.integers(1, 33))
+                Z = rng.normal(size=(n, c)) * scale
+                labels = rng.integers(c, size=n)
+                for hyper in _hyper_cases(rng) + [L.HyperParams("sl", gamma1=0.7, gamma2=2.0, rce_a=-1.5)]:
+                    cases = [hyper] + ([_hypergradient_probes(hyper)] if hyper.learnable_names else [])
+                    for h in cases:
+                        values, grads = L.batch_loss(h, Z, labels)
+                        ref_values, ref_grads = _reference_batch_loss(h, Z, labels)
+                        assert values.tobytes() == ref_values.tobytes(), (hyper, scale)
+                        assert grads.tobytes() == ref_grads.tobytes(), (hyper, scale)

@@ -8,7 +8,7 @@ import pytest
 
 from arl import theory
 from arl.errors import ConfigError, DomainError
-from arl.losses import HyperParams
+from arl.losses import PROB_FLOOR, HyperParams
 
 
 class TestBoundConstants:
@@ -212,6 +212,18 @@ class TestRiskGap:
         d = report.as_dict()
         assert set(d) >= {"noisy_gap_bound", "grid_tol", "noisy_sandwich_ok"}
 
+    def test_variant_mismatch_raises(self):
+        # a bi_tempered set whose inactive lam and d would pass the polysoft bound
+        h = HyperParams("bi_tempered", lam=2.0 * math.log(3.0), d=2.0)
+        with pytest.raises(DomainError, match="does not match"):
+            theory.riskgap_verify(self.world(0.3), "polysoft", h)
+        with pytest.raises(DomainError, match="does not match"):
+            theory.bound_constants("polysoft", 3, 0.3, h)
+        with pytest.raises(DomainError, match="does not match"):
+            theory.loss_on_simplex("gce", HyperParams("polysoft"), np.full((1, 3), 1 / 3), 0)
+        with pytest.raises(DomainError, match="does not match"):
+            theory.label_sum_range("sl", HyperParams("gce"), 3, 0.1)
+
 
 class TestBoundedLossSums:
     def test_all_families_bounded_on_grid(self):
@@ -330,3 +342,100 @@ class TestLossTable:
                report.noisy_risk_star, report.noisy_risk_hat]
         assert got == risks
         assert abs(report.grid_tol - tol) <= 1e-12 * tol
+
+
+def _reference_loss_on_simplex(variant, hyper, probs, label):
+    """loss_on_simplex with its own formulas, as before the family kernels."""
+    U = np.clip(np.atleast_2d(probs), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    uj = U[:, label]
+    if variant == "ce":
+        return -np.log(uj)
+    if variant == "gce":
+        return (1.0 - uj**hyper.q) / hyper.q
+    if variant == "sl":
+        return hyper.gamma1 * -np.log(uj) + hyper.gamma2 * (-hyper.rce_a * (U.sum(axis=1) - uj))
+    if variant == "bi_tempered":
+        s1 = 1.0 - hyper.t1
+        log_term = np.expm1(s1 * np.log(uj)) / s1 if abs(s1) > 1e-8 else np.log(uj)
+        return -log_term - (1.0 - (U ** (2.0 - hyper.t1)).sum(axis=1)) / (2.0 - hyper.t1)
+    ce_vals = -np.log(uj)
+    inside = ce_vals < hyper.lam
+    u = np.where(inside, 1.0 - ce_vals / hyper.lam, 0.0)
+    plateau = (hyper.d - 1.0) * hyper.lam / hyper.d
+    return np.where(inside, plateau * (1.0 - u ** (hyper.d / (hyper.d - 1.0))), plateau)
+
+
+# the bounds_scan worlds of benchmark seeds 0-4: (variant, labels, eta, hyper), c=5, delta=0.025
+BOUNDS_SCAN_WORLDS = [
+    ("polysoft", [3, 3, 0, 2, 4], 0.3916, {"lam": 4.5651, "d": 3.5746}),
+    ("bi_tempered", [3, 3, 0, 2, 4], 0.3916, {"t1": 0.7807, "t2": 1.8445}),
+    ("polysoft", [1, 4, 0, 2, 0], 0.3973, {"lam": 3.0563, "d": 3.129}),
+    ("bi_tempered", [1, 4, 0, 2, 0], 0.3973, {"t1": 0.6732, "t2": 1.3689}),
+    ("polysoft", [0, 0, 0, 2, 1], 0.5416, {"lam": 3.7652, "d": 2.2703}),
+    ("bi_tempered", [0, 0, 0, 2, 1], 0.5416, {"t1": 0.5636, "t2": 2.2922}),
+    ("polysoft", [1, 4, 4, 1, 2], 0.6496, {"lam": 3.1354, "d": 2.9521}),
+    ("bi_tempered", [1, 4, 4, 1, 2], 0.6496, {"t1": 0.5634, "t2": 2.8359}),
+    ("polysoft", [1, 2, 0, 3, 3], 0.193, {"lam": 1.8235, "d": 2.504}),
+    ("bi_tempered", [1, 2, 0, 3, 3], 0.193, {"t1": 0.7508, "t2": 2.6408}),
+]
+ACCEPTANCE_WORLDS = [
+    (variant, [0, 1, 2, 0], eta, hyper)
+    for eta in (0.1, 0.3, 0.6)
+    for variant, hyper in (
+        ("polysoft", {"lam": 2.0 * math.log(3.0), "d": 2.0}),
+        ("polysoft", {"lam": math.log(3.0), "d": 2.0}),
+        ("bi_tempered", {"t1": 0.5, "t2": 2.0}),
+    )
+]
+
+
+class TestKernelTable:
+    """The theory table is the training kernels' values on the grid rows."""
+
+    @pytest.mark.parametrize("c,delta", [(2, 0.02), (3, 0.02), (5, 0.025)])
+    @pytest.mark.parametrize(
+        "variant,hyper",
+        [
+            ("ce", HyperParams("ce")),
+            ("gce", HyperParams("gce", q=0.5)),
+            ("gce", HyperParams("gce", q=0.3)),
+            ("sl", HyperParams("sl", gamma1=1.0, gamma2=1.0)),
+            ("sl", HyperParams("sl", gamma1=0.4, gamma2=2.5, rce_a=-6.0)),
+            ("bi_tempered", HyperParams("bi_tempered", t1=0.5, t2=2.0)),
+            ("bi_tempered", HyperParams("bi_tempered", t1=0.2, t2=1.3)),
+            ("polysoft", HyperParams("polysoft", lam=2.0, d=2.0)),
+            ("polysoft", HyperParams("polysoft", lam=math.log(3.0), d=2.0)),
+        ],
+    )
+    def test_table_matches_reference(self, c, delta, variant, hyper):
+        grid = theory.simplex_grid(c, delta)
+        floored = np.any((grid < PROB_FLOOR) | (grid > 1.0 - PROB_FLOOR), axis=1)
+        for label in range(c):
+            got = theory.loss_on_simplex(variant, hyper, grid, label)
+            ref = _reference_loss_on_simplex(variant, hyper, grid, label)
+            moved = got != ref
+            if variant == "sl":
+                # training's rce takes the off-label mass unclamped
+                assert not np.any(moved & ~floored)
+                assert np.abs(got - ref).max() <= hyper.gamma2 * -hyper.rce_a * c * PROB_FLOOR
+            elif variant == "bi_tempered":
+                # training clamps at 0 what rounds just below it, at the label's vertex
+                assert moved.sum() == 1 and grid[moved, label] == 1.0
+                assert -1e-16 < ref[moved] < 0.0 and got[moved] == 0.0
+            else:
+                assert not moved.any()
+
+    @pytest.mark.parametrize("variant,labels,eta,hyper", ACCEPTANCE_WORLDS + BOUNDS_SCAN_WORLDS)
+    def test_minimizers_match_reference(self, variant, labels, eta, hyper):
+        c, delta = (3, 0.02) if len(labels) == 4 else (5, 0.025)
+        world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
+        h = HyperParams(variant, **hyper)
+        report = theory.riskgap_verify(world, variant, h)
+        grid = theory.simplex_grid(c, delta)
+        table = np.stack([_reference_loss_on_simplex(variant, h, grid, j) for j in range(c)], axis=1)
+        for k, label in enumerate(world.labels):
+            clean = theory._per_point_terms(table, label, eta, False)
+            noisy = theory._per_point_terms(table, label, eta, True)
+            assert report.f_star[k].tobytes() == grid[int(np.argmin(clean))].tobytes()
+            assert report.f_hat[k].tobytes() == grid[int(np.argmin(noisy))].tobytes()
+        assert report.noisy_sandwich_ok and report.clean_sandwich_ok
