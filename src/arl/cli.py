@@ -35,7 +35,7 @@ FIXED_GRIDS = {
     "gce": {"q": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
     "sl": {"gamma1": [0.1, 1.0, 10.0], "gamma2": [0.1, 1.0, 10.0]},
     "bi_tempered": {"t1": [0.2, 0.5, 0.8], "t2": [1.2, 1.5, 2.0]},
-    "polysoft": {"lam_scale": [0.5, 1.0, 2.0, 4.0], "d": [2.0, 3.0, 5.0]},
+    "polysoft": {"lam": [0.5, 1.0, 2.0, 4.0], "d": [2.0, 3.0, 5.0]},
 }
 
 
@@ -141,28 +141,16 @@ def _fixed_grid_hypers(exp, num_classes):
     variant = exp.loss["variant"]
     if variant == "ce":
         raise ConfigError("the ablation needs a loss variant with hyperparameters")
-    grid_cfg = exp.ablation.get("grid")
+    grid = exp.ablation.get("grid")
+    if not grid:
+        grid = dict(FIXED_GRIDS[variant])
+        if "lam" in grid:
+            grid["lam"] = [s * math.log(num_classes) for s in grid["lam"]]
+    unknown = set(grid) - set(losses.LEARNABLE[variant])
+    if unknown:
+        raise ConfigError(f"ablation.grid keys {sorted(unknown)} not hyperparameters of {variant}")
     base = config_mod.initial_hyper(exp, num_classes)
-    if grid_cfg:
-        names = list(grid_cfg)
-        allowed = set(losses.LEARNABLE[variant])
-        unknown = set(names) - allowed
-        if unknown:
-            raise ConfigError(f"ablation.grid keys {sorted(unknown)} not hyperparameters of {variant}")
-        combos = itertools.product(*(grid_cfg[n] for n in names))
-        return [replace(base, **dict(zip(names, combo))) for combo in combos]
-    spec = FIXED_GRIDS[variant]
-    if variant == "polysoft":
-        return [
-            replace(base, lam=s * math.log(num_classes), d=d)
-            for s in spec["lam_scale"]
-            for d in spec["d"]
-        ]
-    names = list(spec)
-    return [
-        replace(base, **dict(zip(names, combo)))
-        for combo in itertools.product(*(spec[n] for n in names))
-    ]
+    return [replace(base, **dict(zip(grid, combo))) for combo in itertools.product(*grid.values())]
 
 
 def run_ablation(exp, modes, out_dir):
@@ -212,8 +200,9 @@ def run_ablation(exp, modes, out_dir):
         for t, params, hyper in snapshots:
             if t >= total:
                 continue
+            # only the last metrics row is read: skip the rest
             _, rows2 = meta.conventional_train(
-                split.train, split.test, tc, hyper,
+                split.train, split.test, replace(tc, metrics_every=total), hyper,
                 init_params=params, start_iter=t, num_iters=total - t,
             )
             curve.append((t, rows2[-1].test_acc))
@@ -295,21 +284,15 @@ def verify_bounds(exp, out_path=None):
 def gen_data(exp, out_dir):
     """Write the configured dataset (with any noise) to CSV plus manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds_cfg = exp.dataset
-    if "csv" in ds_cfg:
-        clean = data_mod.load_csv(ds_cfg["csv"])
-    else:
-        clean = data_mod.gen_blobs(
-            ds_cfg["n"], ds_cfg["classes"], ds_cfg["dim"], ds_cfg["spread"], ds_cfg["seed"]
-        )
-    noisy = config_mod._apply_noise(clean, exp.noise) if exp.noise["type"] != "none" else clean
+    clean = config_mod.load_dataset(exp)
+    noisy = config_mod.apply_noise(clean, exp.noise)
     data_mod.write_csv(noisy, out_dir / "dataset.csv")
     manifest = {
         "count": len(clean),
         "classes": clean.c,
         "noise": exp.noise["type"],
         "eta": exp.noise["eta"],
-        "seed": ds_cfg["seed"],
+        "seed": exp.dataset["seed"],
         "noise_seed": exp.noise["seed"],
     }
     if exp.noise["type"] != "none":

@@ -8,6 +8,7 @@ unless a stage pins its own.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, replace
 
@@ -28,11 +29,22 @@ def _check_keys(doc, allowed, path):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
 
 
-def _get(doc, key, default, path, types):
-    value = doc.get(key, default)
-    if value is not None and not isinstance(value, types):
-        raise ConfigError(f"'{path}.{key}' has wrong type {type(value).__name__}")
-    return value
+# allowed keys and defaults of the sections that are plain settings
+_DEFAULTS = {
+    "split": {"meta_size": 30, "test_fraction": 1000},
+    "train": {
+        "alpha": 0.3, "beta": 0.3, "batch_n": 100, "batch_m": 30, "iters": 1000,
+        "momentum": 0.0, "decay_steps": [], "decay_factor": 0.1, "metrics_every": 50,
+    },
+    "model": {"hidden": [16], "activation": "tanh"},
+}
+
+
+def _section(doc, name, seed):
+    """Section ``name`` of ``doc`` over its defaults, with its stage seed."""
+    given = doc.get(name, {})
+    _check_keys(given, set(_DEFAULTS[name]) | {"seed"}, name)
+    return {**copy.deepcopy(_DEFAULTS[name]), **given, "seed": seed}
 
 
 @dataclass
@@ -102,11 +114,7 @@ def parse_config(doc, seed_override=None):
         raise ConfigError("hierarchical noise needs 'noise.superclasses'")
     noise["seed"] = stage_seed(doc.get("noise"), 2)
 
-    split = dict(doc.get("split", {}))
-    _check_keys(split, {"meta_size", "test_fraction", "seed"}, "split")
-    split.setdefault("meta_size", 30)
-    split.setdefault("test_fraction", 1000)
-    split["seed"] = stage_seed(doc.get("split"), 3)
+    split = _section(doc, "split", stage_seed(doc.get("split"), 3))
 
     loss = dict(doc.get("loss", {}))
     _check_keys(loss, {"variant", "init", "rce_a"}, "loss")
@@ -117,30 +125,8 @@ def parse_config(doc, seed_override=None):
     init = loss.get("init", {})
     _check_keys(init, set(losses.LEARNABLE[loss["variant"]]), "loss.init")
 
-    train = dict(doc.get("train", {}))
-    _check_keys(
-        train,
-        {"alpha", "beta", "batch_n", "batch_m", "iters", "fd_eps", "momentum",
-         "decay_steps", "decay_factor", "metrics_every", "seed"},
-        "train",
-    )
-    train.setdefault("alpha", 0.3)
-    train.setdefault("beta", 0.3)
-    train.setdefault("batch_n", 100)
-    train.setdefault("batch_m", 30)
-    train.setdefault("iters", 1000)
-    train.setdefault("fd_eps", 1e-3)
-    train.setdefault("momentum", 0.0)
-    train.setdefault("decay_steps", [])
-    train.setdefault("decay_factor", 0.1)
-    train.setdefault("metrics_every", 50)
-    train["seed"] = stage_seed(doc.get("train"), 4)
-
-    model = dict(doc.get("model", {}))
-    _check_keys(model, {"hidden", "activation", "seed"}, "model")
-    model.setdefault("hidden", [16])
-    model.setdefault("activation", "tanh")
-    model["seed"] = stage_seed(doc.get("model"), 5)
+    train = _section(doc, "train", stage_seed(doc.get("train"), 4))
+    model = _section(doc, "model", stage_seed(doc.get("model"), 5))
 
     emit = dict(doc.get("emit", {}))
     _check_keys(emit, {"weights", "losscurve"}, "emit")
@@ -167,23 +153,26 @@ def initial_hyper(exp, num_classes):
     return replace(base, **fields)
 
 
-def build_datasets(exp):
-    """Generate or load, split, and corrupt per the config sections."""
+def load_dataset(exp):
+    """The configured clean dataset: the CSV file, or generated blobs."""
     ds_cfg = exp.dataset
     if "csv" in ds_cfg:
-        clean = data_mod.load_csv(ds_cfg["csv"])
-    else:
-        clean = data_mod.gen_blobs(
-            ds_cfg["n"], ds_cfg["classes"], ds_cfg["dim"], ds_cfg["spread"], ds_cfg["seed"]
-        )
-    split = data_mod.split_meta(
-        clean, exp.split["meta_size"], exp.split["test_fraction"], exp.split["seed"]
+        return data_mod.load_csv(ds_cfg["csv"])
+    return data_mod.gen_blobs(
+        ds_cfg["n"], ds_cfg["classes"], ds_cfg["dim"], ds_cfg["spread"], ds_cfg["seed"]
     )
-    train = _apply_noise(split.train, exp.noise)
-    return data_mod.MetaSplit(train, split.meta, split.test)
 
 
-def _apply_noise(dataset, noise):
+def build_datasets(exp):
+    """Load, split, and corrupt per the config sections."""
+    split = data_mod.split_meta(
+        load_dataset(exp), exp.split["meta_size"], exp.split["test_fraction"], exp.split["seed"]
+    )
+    return data_mod.MetaSplit(apply_noise(split.train, exp.noise), split.meta, split.test)
+
+
+def apply_noise(dataset, noise):
+    """``dataset`` with the configured label noise; unchanged for type none."""
     kind = noise["type"]
     if kind == "none":
         return dataset
@@ -210,7 +199,6 @@ def build_train_config(exp, num_classes):
         batch_m=t["batch_m"],
         max_iters=t["iters"],
         seed=t["seed"],
-        fd_eps=t["fd_eps"],
         init_hyper=initial_hyper(exp, num_classes),
         rce_a=exp.loss["rce_a"],
         momentum=t["momentum"],

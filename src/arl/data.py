@@ -87,35 +87,39 @@ def gen_blobs(n, c, d_in=2, spread=0.3, seed=0):
     return Dataset(X[order], y[order], c)
 
 
-def _clean_labels(dataset):
+def _check_eta(eta):
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"eta={eta!r} outside [0, 1]")
+
+
+def _flip(dataset, eta, seed, exact_count, relabel, **provenance):
+    """Noisy copy of ``dataset``: each label is flipped with probability eta
+    (exactly floor(eta * n) of them with ``exact_count``) to
+    ``relabel(rng, clean labels to flip)``; the clean labels ride along."""
     if isinstance(dataset, NoisyDataset):
-        return dataset.X, dataset.y_clean, dataset.c
-    return dataset.X, dataset.y, dataset.c
-
-
-def _flip_mask(rng, n, eta, exact_count):
+        X, y_clean = dataset.X, dataset.y_clean
+    else:
+        X, y_clean = dataset.X, dataset.y
+    n = len(y_clean)
+    rng = np.random.default_rng(seed)
     if exact_count:
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=int(np.floor(eta * n)), replace=False)] = True
-        return mask
-    return rng.random(n) < eta
+    else:
+        mask = rng.random(n) < eta
+    y_noisy = y_clean.copy()
+    y_noisy[mask] = relabel(rng, y_clean[mask])
+    provenance.update(eta=eta, seed=seed, exact_count=exact_count)
+    return NoisyDataset(X, y_noisy, y_clean.copy(), dataset.c, provenance)
 
 
 def inject_symmetric(dataset, eta, seed=0, exact_count=False):
     """Flip each label with probability eta, uniformly to another class."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta={eta!r} outside [0, 1]")
-    X, y_clean, c = _clean_labels(dataset)
-    rng = np.random.default_rng(seed)
-    y_noisy = y_clean.copy()
-    mask = _flip_mask(rng, len(y_clean), eta, exact_count)
+    _check_eta(eta)
+    c = dataset.c
     # uniform over the c-1 other classes via an offset in 1..c-1
-    offsets = rng.integers(1, c, size=int(mask.sum()))
-    y_noisy[mask] = (y_clean[mask] + offsets) % c
-    return NoisyDataset(
-        X, y_noisy, y_clean.copy(), c,
-        {"noise": "symmetric", "eta": eta, "seed": seed, "exact_count": exact_count},
-    )
+    return _flip(dataset, eta, seed, exact_count,
+                 lambda rng, y: (y + rng.integers(1, c, size=len(y))) % c, noise="symmetric")
 
 
 def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
@@ -124,52 +128,30 @@ def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
     True class j is sent to (j+1) mod c or (j+2) mod c with probability
     eta/2 each; the cyclic rule keeps the construction deterministic.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta={eta!r} outside [0, 1]")
-    X, y_clean, c = _clean_labels(dataset)
+    _check_eta(eta)
+    c = dataset.c
     if c < 3:
         raise ConfigError("asymmetric noise needs at least 3 classes")
-    rng = np.random.default_rng(seed)
-    y_noisy = y_clean.copy()
-    mask = _flip_mask(rng, len(y_clean), eta, exact_count)
-    offsets = rng.integers(1, 3, size=int(mask.sum()))
-    y_noisy[mask] = (y_clean[mask] + offsets) % c
-    return NoisyDataset(
-        X, y_noisy, y_clean.copy(), c,
-        {"noise": "asymmetric", "eta": eta, "seed": seed, "exact_count": exact_count},
-    )
+    return _flip(dataset, eta, seed, exact_count,
+                 lambda rng, y: (y + rng.integers(1, 3, size=len(y))) % c, noise="asymmetric")
 
 
 def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
     """Flip within semantic superclass blocks only."""
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta={eta!r} outside [0, 1]")
-    X, y_clean, c = _clean_labels(dataset)
+    _check_eta(eta)
+    c = dataset.c
     seen = sorted(cls for block in superclasses for cls in block)
     if seen != list(range(c)):
         raise ConfigError(f"superclasses must partition 0..{c - 1}, got {superclasses}")
     if eta > 0 and any(len(block) < 2 for block in superclasses):
         raise ConfigError("every superclass block needs >= 2 classes when eta > 0")
-    block_of = {}
-    for block in superclasses:
-        for cls in block:
-            block_of[cls] = sorted(block)
-    rng = np.random.default_rng(seed)
-    y_noisy = y_clean.copy()
-    mask = _flip_mask(rng, len(y_clean), eta, exact_count)
-    for i in np.flatnonzero(mask):
-        others = [cls for cls in block_of[int(y_clean[i])] if cls != y_clean[i]]
-        y_noisy[i] = others[rng.integers(len(others))]
-    return NoisyDataset(
-        X, y_noisy, y_clean.copy(), c,
-        {
-            "noise": "hierarchical",
-            "eta": eta,
-            "seed": seed,
-            "superclasses": [sorted(b) for b in superclasses],
-            "exact_count": exact_count,
-        },
-    )
+    others = {cls: [o for o in sorted(block) if o != cls] for block in superclasses for cls in block}
+
+    def relabel(rng, y):
+        return [others[label][rng.integers(len(others[label]))] for label in y.tolist()]
+
+    return _flip(dataset, eta, seed, exact_count, relabel, noise="hierarchical",
+                 superclasses=[sorted(b) for b in superclasses])
 
 
 def split_meta(clean, meta_size, test_fraction, seed=0):

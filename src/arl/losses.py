@@ -9,18 +9,20 @@ Five loss families over a c-class softmax (or tempered-softmax) output:
 * ``polysoft``    -- polynomial soft-weighting loss applied on top of the
                      per-sample cross entropy, threshold ``lam`` and order ``d``
 
-Each family's value and analytic logit gradient are written once, as
-batched kernels ``value(P, labels, h) -> (values, shared)`` and
-``grad(P, labels, h, shared)`` on probability rows P, whose hyperparameter
-fields are scalars, one per row, or (K, 1) columns of stacked probes;
-``polysoft_of_ce`` is the soft-weighting formula on cross entropies.
-``batch_loss`` (training, hypergradient probes, metrics) takes values and
-gradients, ``loss_values`` (the theory table, the loss curve, the cross
-entropies of the sample weights) takes values only, and the single-sample
-``ce``, ``gce``, ``rce``, ``sl``, ``bi_tempered``, ``polysoft``,
-``polysoft_weight`` and ``loss_on_logits`` check their inputs, evaluate one
-row and add the hyperparameter gradients.  A smooth reparameterization maps
-the constrained hyperparameter domains onto unconstrained coordinates.
+Each family's value, analytic logit gradient and hyperparameter derivatives
+are written once, as batched kernels ``value(P, labels, h) -> (values,
+shared)``, ``grad(P, labels, h, shared)`` and ``hgrad(P, labels, h, shared)
+-> (dvalues, dgrads)`` on probability rows P, whose hyperparameter fields are
+scalars or one per row; ``polysoft_of_ce`` is the soft-weighting formula on
+cross entropies.  ``batch_loss`` (training, metrics) takes values and
+gradients, ``batch_hgrad`` (the hypergradient) adds their derivatives in
+each learnable field from the same normalization, ``loss_values`` (the
+theory table, the loss curve, the cross entropies of the sample weights)
+takes values only, and the single-sample ``ce``, ``gce``, ``rce``, ``sl``,
+``bi_tempered``, ``polysoft``, ``polysoft_weight`` and ``loss_on_logits``
+check their inputs and evaluate one row, with the value derivatives as
+their hyperparameter gradients.  A smooth reparameterization maps the
+constrained hyperparameter domains onto unconstrained coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,14 +60,6 @@ LEARNABLE = {
     "ce": (),
     "gce": ("q",),
     "sl": ("gamma1", "gamma2"),
-    "bi_tempered": ("t1", "t2"),
-    "polysoft": ("lam", "d"),
-}
-
-_FIELDS_READ = {
-    "ce": (),
-    "gce": ("q",),
-    "sl": ("gamma1", "gamma2", "rce_a"),
     "bi_tempered": ("t1", "t2"),
     "polysoft": ("lam", "d"),
 }
@@ -108,7 +101,7 @@ class HyperParams:
             "d": self.d > 1.0,
             "rce_a": self.rce_a < 0.0,
         }
-        for name in _FIELDS_READ[self.variant]:
+        for name in self.learnable_names + (("rce_a",) if self.variant == "sl" else ()):
             value = getattr(self, name)
             if not math.isfinite(value) or not checks[name]:
                 raise DomainError(
@@ -133,16 +126,7 @@ def default_hyper(variant, num_classes):
     """
     if num_classes < 2:
         raise DomainError("need at least two classes")
-    return HyperParams(
-        variant,
-        q=0.3,
-        gamma1=1.0,
-        gamma2=1.0,
-        t1=0.5,
-        t2=1.5,
-        lam=3.0 * math.log(num_classes),
-        d=3.0,
-    )
+    return HyperParams(variant, lam=3.0 * math.log(num_classes))
 
 
 @dataclass
@@ -235,8 +219,8 @@ def exp_t(x, t):
 def _exp_t_neg_args(X, s):
     """exp_t with s = 1 - t (a scalar or one per row) for arguments X <= 0.
 
-    For t > 1 the base 1 + s*X is >= 1; for t < 1 (reached only by the
-    finite-difference probes around t2) it can hit zero, which is the
+    For t > 1 the base 1 + s*X is >= 1; for t < 1 (rows the solver accepts
+    although no loss domain reaches them) it can hit zero, which is the
     [.]_+ branch of exp_t: log1p(-1) = -inf gives the exact 0, and the
     caller silences its divide warning.  log1p keeps the base exact as
     s -> 0 on both sides of 1.
@@ -312,14 +296,18 @@ def tempered_softmax(z, t2):
 
 
 # ---------------------------------------------------------------------------
-# loss kernels: each family's value and logit gradient, written once
+# loss kernels: each family's value, logit gradient and hyperparameter
+# derivatives, written once
 # ---------------------------------------------------------------------------
 
 # ``labels`` is one label per row of P or one for all rows.  The order of
-# operations is the training path's, which the training bits depend on.
+# operations in ``value`` and ``grad`` is the training path's, which the
+# training bits depend on.  ``hgrad`` returns the derivatives of the values
+# (k, n) and of the logit gradients (k, n, c) in each learnable field, in
+# LEARNABLE order; D = P - Y below.
 
 def _on_classes(h):
-    """A hyperparameter (scalar, per row, or (K, 1) when stacked) lifted onto the class axis."""
+    """A hyperparameter (scalar or one per row) lifted onto the class axis."""
     return np.asarray(h)[..., None]
 
 
@@ -341,6 +329,11 @@ def _ce_grad(P, labels, h=None, shared=None):
     return D
 
 
+def _ce_hgrad(P, labels, h=None, shared=None):
+    """No learnable field: empty derivative stacks."""
+    return np.zeros((0, len(P))), np.zeros((0, *P.shape))
+
+
 def _gce_value(P, labels, h):
     pq = _clamp(_label_probs(P, labels)) ** h.q
     return (1.0 - pq) / h.q, pq
@@ -350,29 +343,56 @@ def _gce_grad(P, labels, h, pq):
     return pq[..., None] * _ce_grad(P, labels)
 
 
-def _sl_value(P, labels, h):
-    """gamma1 * ce + gamma2 * rce; rce is -rce_a times the off-label mass."""
+def _gce_hgrad(P, labels, h, pq):
+    """d/dq of the value, -(pq log p_y + value) / q, and of G = pq D, pq log p_y D."""
+    pq_log = pq * np.log(_clamp(_label_probs(P, labels)))
+    dvalues = -(pq_log + (1.0 - pq) / h.q) / h.q
+    return dvalues[None], pq_log[None, :, None] * _ce_grad(P, labels)
+
+
+def _sl_parts(P, labels, h):
+    """ce, rce (-rce_a times the off-label mass) and the label probabilities."""
     pl = _label_probs(P, labels)
-    rce = -h.rce_a * (P.sum(axis=1) - pl)
-    return h.gamma1 * _ce_value(P, labels)[0] + h.gamma2 * rce, pl
+    return _ce_value(P, labels)[0], -h.rce_a * (P.sum(axis=1) - pl), pl
+
+
+def _rce_grad(D, h, pl):
+    return _on_classes(h.rce_a) * pl[:, None] * -D
+
+
+def _sl_value(P, labels, h):
+    """gamma1 * ce + gamma2 * rce."""
+    ce, rce, pl = _sl_parts(P, labels, h)
+    return h.gamma1 * ce + h.gamma2 * rce, pl
 
 
 def _sl_grad(P, labels, h, pl):
     D = _ce_grad(P, labels)
-    return _on_classes(h.gamma1) * D + _on_classes(h.gamma2) * (
-        _on_classes(h.rce_a) * pl[:, None] * -D
-    )
+    return _on_classes(h.gamma1) * D + _on_classes(h.gamma2) * _rce_grad(D, h, pl)
 
 
-def _bi_tempered_value(P, labels, h):
-    """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
-    Pc = _clamp(P)
+def _sl_hgrad(P, labels, h, pl):
+    """Linear in the gammas: the derivatives are the ce and rce parts."""
+    ce, rce, _ = _sl_parts(P, labels, h)
+    D = _ce_grad(P, labels)
+    return np.stack([ce, rce]), np.stack([D, _rce_grad(D, h, pl)])
+
+
+def _bi_tempered_terms(Pc, labels, h):
+    """log_t1 of the label probabilities, P^(2-t1) and the tail (1 - sum P^(2-t1)) / (2-t1)."""
     log_pj = np.log(_label_probs(Pc, labels))
     s1 = 1.0 - h.t1
     near = np.abs(s1) < _T_NEAR_ONE  # the t1 -> 1 limit is the natural log
     s1 = np.where(near, 1.0, s1)
     log_term = np.where(near, log_pj, np.expm1(s1 * log_pj) / s1)
-    tail = (1.0 - (Pc ** _on_classes(2.0 - h.t1)).sum(axis=1)) / (2.0 - h.t1)
+    Pa = Pc ** _on_classes(2.0 - h.t1)
+    return log_term, Pa, (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
+
+
+def _bi_tempered_value(P, labels, h):
+    """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
+    Pc = _clamp(P)
+    log_term, _, tail = _bi_tempered_terms(Pc, labels, h)
     return np.maximum(-log_term - tail, 0.0), Pc
 
 
@@ -390,6 +410,62 @@ def _bi_tempered_grad(P, labels, h, Pc):
     U = Pc ** _on_classes(h.t2)
     U /= U.sum(axis=1, keepdims=True)
     return G - U * G.sum(axis=1, keepdims=True)
+
+
+def _expm1_excess(x):
+    """(expm1(x) - x) / x^2, with its Taylor series where that cancels; 1/2 at 0."""
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, 1.0, x)
+    series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+    return np.where(small, series, (np.expm1(xs) - xs) / xs**2)
+
+
+def _bi_tempered_hgrad(P, labels, h, Pc):
+    """(t1, t2) derivatives of the values and of G = g - u sum g.
+
+    t1 enters explicitly: with y = (1-t1) log p, d log_t1(p) / dt1 is
+    log^2 p ((1-y) (expm1(y) - y) / y^2 - 1), d tail / dt1 is
+    (sum_j p_j^(2-t1) log p_j + tail) / (2 - t1), and dg/dt1 = -log p * g.
+    t2 moves P: differentiating sum_j exp_t2(z_j - gamma) = 1 at fixed
+    logits gives d log p_j / dt2 = R_j = e_j - p_j^(t2-1) dgamma/dt2, where
+    e_j = (expm1(x_j) - x_j) / (t2-1)^2 with x_j = (t2-1) log p_j, which is
+    log^2 p_j / 2 at t2 = 1, and dgamma/dt2 = sum_j p_j e_j / sum_j p_j^t2.
+    The value then moves by sum_j (dL/dp_j) p_j R_j, and g and u by the
+    chain rule through p together with their explicit t2; R is 0 where
+    the kernels clamp p.
+    """
+    n = np.arange(len(P))
+    t1, t2 = _on_classes(h.t1), _on_classes(h.t2)
+    log_p = np.log(Pc)
+    log_py, py = log_p[n, labels], Pc[n, labels]
+    _, Pa, tail = _bi_tempered_terms(Pc, labels, h)
+
+    y = (1.0 - h.t1) * log_py
+    dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
+    dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
+
+    R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
+    V = Pc**t2
+    S = V.sum(axis=1, keepdims=True)
+    R -= Pc ** (t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
+    R[P != Pc] = 0.0  # a clamped probability does not move
+    dv_t2 = (Pa * R).sum(axis=1) - py ** (1.0 - h.t1) * R[n, labels]
+
+    e1 = 1.0 - t1 + t2
+    A = Pc**e1
+    B = py ** (h.t2 - h.t1)
+    g = A.copy()
+    g[n, labels] -= B
+    U = V / S
+    dg_t1 = -log_p * g
+    dg_t2 = log_p * g + e1 * A * R
+    dg_t2[n, labels] -= (h.t2 - h.t1) * B * R[n, labels]
+    dU = U * (log_p + t2 * R)
+    dU -= U * dU.sum(axis=1, keepdims=True)
+    dG = np.stack([dg_t1, dg_t2])
+    dG -= U * dG.sum(axis=2, keepdims=True)
+    dG[1] -= dU * g.sum(axis=1, keepdims=True)
+    return np.stack([dv_t1, dv_t2]), dG
 
 
 def polysoft_of_ce(ce, lam, d):
@@ -411,6 +487,23 @@ def _polysoft_weight(u, d):
     return np.where(u > 0.0, u ** (d / (d - 1.0) - 1.0), 0.0)
 
 
+def _polysoft_hgrad_of_ce(ce, lam, d):
+    """(lam, d) derivatives of the values and the weights w at cross entropies ce.
+
+    With u = 1 - ce/lam and w = u^(1/(d-1)): d value/d lam =
+    (value - w ce) / lam, d value/d d = (value + lam u w log u) / (d (d-1)),
+    dw/d lam = w / u * ce / ((d-1) lam^2) and dw/d d = -w log u / (d-1)^2.
+    On the plateau (u = 0) w and its derivatives are 0.
+    """
+    values, u = polysoft_of_ce(ce, lam, d)
+    w = _polysoft_weight(u, d)
+    u_safe = np.where(u > 0.0, u, 1.0)  # keeps log u and w / u finite on the plateau
+    log_u = np.log(u_safe)
+    dvalues = [(values - w * ce) / lam, (values + lam * u * w * log_u) / (d * (d - 1.0))]
+    dweights = [w / u_safe * ce / ((d - 1.0) * lam**2), -w * log_u / (d - 1.0) ** 2]
+    return np.stack(dvalues), np.stack(dweights)
+
+
 def _polysoft_value(P, labels, h):
     return polysoft_of_ce(_ce_value(P, labels)[0], h.lam, h.d)
 
@@ -419,20 +512,25 @@ def _polysoft_grad(P, labels, h, u):
     return _polysoft_weight(u, h.d)[..., None] * _ce_grad(P, labels)
 
 
+def _polysoft_hgrad(P, labels, h, u):
+    dvalues, dweights = _polysoft_hgrad_of_ce(_ce_value(P, labels)[0], h.lam, h.d)
+    return dvalues, dweights[..., None] * _ce_grad(P, labels)
+
+
 _FAMILIES = {
-    "ce": (_ce_value, _ce_grad),
-    "gce": (_gce_value, _gce_grad),
-    "sl": (_sl_value, _sl_grad),
-    "bi_tempered": (_bi_tempered_value, _bi_tempered_grad),
-    "polysoft": (_polysoft_value, _polysoft_grad),
+    "ce": (_ce_value, _ce_grad, _ce_hgrad),
+    "gce": (_gce_value, _gce_grad, _gce_hgrad),
+    "sl": (_sl_value, _sl_grad, _sl_hgrad),
+    "bi_tempered": (_bi_tempered_value, _bi_tempered_grad, _bi_tempered_hgrad),
+    "polysoft": (_polysoft_value, _polysoft_grad, _polysoft_hgrad),
 }
 
 
-def _evaluate(variant, P, labels, h):
-    """Values and logit gradients of one family on probability rows."""
-    value, grad = _FAMILIES[variant]
+def _evaluate_hgrad(variant, P, labels, h):
+    """Values, logit gradients, dvalues and dgrads of one family on probability rows."""
+    value, grad, hgrad = _FAMILIES[variant]
     values, shared = value(P, labels, h)
-    return values, grad(P, labels, h, shared)
+    return (values, grad(P, labels, h, shared), *hgrad(P, labels, h, shared))
 
 
 def loss_values(hyper, P, labels):
@@ -443,47 +541,53 @@ def loss_values(hyper, P, labels):
     return _FAMILIES[hyper.variant][0](P, labels, hyper)[0]
 
 
+@dataclass(frozen=True)
+class _TemperedRows:
+    """bi_tempered's (t1, t2) as one value per row of a batch.
+
+    numpy raises an array to a constant power of 2 or 1/2 by square or
+    sqrt, whose last bit can differ from its general power.  With one
+    exponent per row a batch row takes the general power for every
+    (t1, t2), as it does in a batch of rows with differing fields.
+    """
+
+    t1: np.ndarray
+    t2: np.ndarray
+
+
+def _normalized(hyper, Z, labels):
+    """Probability rows of logits ``Z`` (softmax, or the tempered softmax
+    for ``bi_tempered``), the labels as ints and the fields for the kernels."""
+    Z = np.asarray(Z, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if hyper.variant != "bi_tempered":
+        return softmax(Z), labels, hyper
+    rows = _TemperedRows(np.full(len(Z), hyper.t1), np.full(len(Z), hyper.t2))
+    return _tempered_softmax_batch(Z, rows.t2)[0], labels, rows
+
+
 def batch_loss(hyper, Z, labels):
     """Per-sample values and logit gradients for a batch.
 
     ``Z`` is (n, c), ``labels`` (n,) ints.  Returns ``(values, grads)``
     with shapes (n,) and (n, c); callers handle the 1/n reduction.  The
     logits are normalized (softmax, or the tempered softmax for
-    ``bi_tempered``) and handed to the family's kernel.
-
-    ``hyper`` may also be a sequence of K HyperParams of one learnable
-    variant (the hypergradient's probes).  The outputs then gain a leading
-    probe axis, (K, n) and (K, n, c), and the softmax of ``Z`` is computed
-    once for all K; the tempered softmax depends on ``t2``, so
-    ``bi_tempered`` stacks the K probes into one normalization solve over
-    K * n rows, one ``(t1, t2)`` per row.
+    ``bi_tempered``) and handed to the family's kernels.
     """
-    Z = np.asarray(Z, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    stacked = not isinstance(hyper, HyperParams)
-    hypers = tuple(hyper) if stacked else (hyper,)
-    v = hypers[0].variant
-    if stacked and (not LEARNABLE[v] or any(h.variant != v for h in hypers)):
-        raise DomainError("stacked hyperparameters must share one learnable variant")
+    P, labels, h = _normalized(hyper, Z, labels)
+    value, grad, _ = _FAMILIES[hyper.variant]
+    values, shared = value(P, labels, h)
+    return values, grad(P, labels, h, shared)
 
-    if v == "bi_tempered":
-        K, n = len(hypers), len(labels)
-        rows = SimpleNamespace(
-            t1=np.repeat([h.t1 for h in hypers], n), t2=np.repeat([h.t2 for h in hypers], n)
-        )
-        P, _ = _tempered_softmax_batch(np.tile(Z, (K, 1)), rows.t2)
-        values, grads = _evaluate(v, P, np.tile(labels, K), rows)
-        if not stacked:
-            return values, grads
-        return values.reshape(K, -1), grads.reshape(K, *Z.shape)
 
-    if stacked:
-        # each field as a (K, 1) column, broadcasting against (n,) per-sample arrays
-        hyper = SimpleNamespace(**{
-            name: np.array([getattr(h, name) for h in hypers])[:, None]
-            for name in _FIELDS_READ[v]
-        })
-    return _evaluate(v, softmax(Z), labels, hyper)
+def batch_hgrad(hyper, Z, labels):
+    """``batch_loss`` plus its derivatives in each learnable field.
+
+    Returns ``(values, grads, dvalues, dgrads)`` with shapes (n,), (n, c),
+    (k, n) and (k, n, c) for the k fields of ``hyper.learnable_names``;
+    all four come from one normalization of ``Z``.
+    """
+    return _evaluate_hgrad(hyper.variant, *_normalized(hyper, Z, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +595,12 @@ def batch_loss(hyper, Z, labels):
 # ---------------------------------------------------------------------------
 
 def _checked_row(hyper, probs, label):
-    """Value and logit gradient of one checked probability row."""
+    """Value, logit gradient and value derivatives of one checked probability row."""
     p = _check_probs(probs)
-    values, grads = _evaluate(hyper.variant, p[None, :], _check_label(label, p.shape[0]), hyper)
-    return float(values[0]), grads[0]
+    values, grads, dvalues, _ = _evaluate_hgrad(
+        hyper.variant, p[None, :], _check_label(label, p.shape[0]), hyper
+    )
+    return LossEval(float(values[0]), grads[0], dvalues[:, 0])
 
 
 def ce(probs, label):
@@ -503,7 +609,7 @@ def ce(probs, label):
     ``grad_logits`` is the usual softmax-composed gradient ``p - y``; it is
     only meaningful when ``probs`` came from a softmax over those logits.
     """
-    return LossEval(*_checked_row(HyperParams("ce"), probs, label), np.zeros(0))
+    return _checked_row(HyperParams("ce"), probs, label)
 
 
 def gce(probs, label, q):
@@ -512,47 +618,32 @@ def gce(probs, label, q):
     Interpolates between cross entropy (q -> 0) and the mean absolute
     error 1 - p[label] (q = 1).
     """
-    value, grad = _checked_row(HyperParams("gce", q=q), probs, label)
-    pj = float(_clamp(np.asarray(probs, dtype=float)[int(label)]))
-    return LossEval(value, grad, np.array([-(pj**q * math.log(pj) + value) / q]))
+    return _checked_row(HyperParams("gce", q=q), probs, label)
 
 
 def rce(probs, label, rce_a=-4.0):
     """Reverse cross entropy -rce_a * sum of off-label probabilities (``sl`` at 0, 1)."""
-    hyper = HyperParams("sl", gamma1=0.0, gamma2=1.0, rce_a=rce_a)
-    return LossEval(*_checked_row(hyper, probs, label), np.zeros(0))
+    ev = _checked_row(HyperParams("sl", gamma1=0.0, gamma2=1.0, rce_a=rce_a), probs, label)
+    return replace(ev, grad_hyper=np.zeros(0))
 
 
 def sl(probs, label, gamma1, gamma2, rce_a=-4.0):
     """Symmetric loss gamma1 * ce + gamma2 * rce; linear in both gammas."""
-    hyper = HyperParams("sl", gamma1=gamma1, gamma2=gamma2, rce_a=rce_a)
-    value, grad = _checked_row(hyper, probs, label)
-    return LossEval(value, grad, np.array([ce(probs, label).value, rce(probs, label, rce_a).value]))
+    return _checked_row(HyperParams("sl", gamma1=gamma1, gamma2=gamma2, rce_a=rce_a), probs, label)
 
 
 def bi_tempered(z, label, t1, t2):
     """Tempered-log loss of the tempered softmax of ``z``.
 
     value = -log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), a
-    bounded divergence: 0 <= value <= 1/(1-t1).  The logit gradient
-    differentiates through the implicit normalization; the (t1, t2)
-    gradient uses central differences (step 1e-4) since the analytic
-    route through the normalization solve is error-prone.  The value and
-    its four probes are rows of one normalization solve.
+    bounded divergence: 0 <= value <= 1/(1-t1).  The logit gradient and
+    the (t1, t2) gradient differentiate through the implicit normalization.
     """
-    HyperParams("bi_tempered", t1=t1, t2=t2)  # checks t1 and t2
+    hyper = HyperParams("bi_tempered", t1=t1, t2=t2)  # checks t1 and t2
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise DomainError("logits must be a vector")
-    j = _check_label(label, z.shape[0])
-
-    h = 1e-4
-    rows = SimpleNamespace(t1=np.array([t1, t1 + h, t1 - h, t1, t1]),
-                           t2=np.array([t2, t2, t2, t2 + h, t2 - h]))
-    P, _ = _tempered_softmax_batch(np.tile(z, (5, 1)), rows.t2)
-    values, grads = _evaluate("bi_tempered", P, j, rows)
-    grad_hyper = np.array([values[1] - values[2], values[3] - values[4]]) / (2 * h)
-    return LossEval(float(values[0]), grads[0], grad_hyper)
+    return _checked_row(hyper, _tempered_softmax_batch(z[None, :], t2)[0][0], label)
 
 
 def polysoft(ce_value, lam, d):
@@ -565,14 +656,10 @@ def polysoft(ce_value, lam, d):
     because this loss consumes a scalar.
     """
     ce_value = float(ce_value)
-    weight = polysoft_weight(ce_value, lam, d)  # checks lam, d and ce_value
-    values, us = polysoft_of_ce(np.array([ce_value]), lam, d)
-    value, u = float(values[0]), float(us[0])
-    # d/dlam = (value - weight * ce) / lam and d/dd = (value + lam u^r log u) / (d (d-1))
-    # with r = d/(d-1) and u^r = u * weight, which tends to 0 with u
-    ur_log_u = u * weight * math.log(u) if u > 0.0 else 0.0
-    grad_hyper = [(value - weight * ce_value) / lam, (value + lam * ur_log_u) / (d * (d - 1.0))]
-    return LossEval(value, np.zeros(0), np.array(grad_hyper))
+    polysoft_weight(ce_value, lam, d)  # checks lam, d and ce_value
+    ces = np.array([ce_value])
+    dvalues, _ = _polysoft_hgrad_of_ce(ces, lam, d)
+    return LossEval(float(polysoft_of_ce(ces, lam, d)[0][0]), np.zeros(0), dvalues[:, 0])
 
 
 def polysoft_weight(ce_value, lam, d):
@@ -587,19 +674,9 @@ def polysoft_weight(ce_value, lam, d):
 
 def loss_on_logits(hyper, z, label):
     """Single-sample dispatch: full LossEval for ``hyper.variant``."""
-    z = np.asarray(z, dtype=float)
-    v = hyper.variant
-    if v == "bi_tempered":
+    if hyper.variant == "bi_tempered":
         return bi_tempered(z, label, hyper.t1, hyper.t2)
-    p = softmax(z)
-    if v == "ce":
-        return ce(p, label)
-    if v == "gce":
-        return gce(p, label, hyper.q)
-    if v == "sl":
-        return sl(p, label, hyper.gamma1, hyper.gamma2, hyper.rce_a)
-    grad_hyper = polysoft(ce(p, label).value, hyper.lam, hyper.d).grad_hyper
-    return LossEval(*_checked_row(hyper, p, label), grad_hyper)
+    return _checked_row(hyper, softmax(z), label)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +684,20 @@ def loss_on_logits(hyper, z, label):
 # ---------------------------------------------------------------------------
 
 # The reparameterization maps one scalar at a time; math beats numpy's
-# 0-d array overhead several times over on the hypergradient probes.
+# 0-d array overhead several times over on scalars.
+
+# field -> (low, span): low + span * sigmoid(theta) for the bounded fields,
+# low + softplus(theta) where span is None
+_REPARAM = {
+    "q": (EPS_Q, 1.0 - EPS_Q),
+    "t1": (0.0, 1.0 - EPS_T),
+    "t2": (1.0, None),
+    "d": (1.0, None),
+    "gamma1": (0.0, None),
+    "gamma2": (0.0, None),
+    "lam": (0.0, None),
+}
+
 
 def _sigmoid(x):
     if x >= 0:
@@ -648,17 +738,9 @@ def to_unconstrained(h):
     """
     theta = []
     for name in h.learnable_names:
-        v = getattr(h, name)
-        if name == "q":
-            theta.append(_logit((v - EPS_Q) / (1.0 - EPS_Q), name))
-        elif name == "t1":
-            theta.append(_logit(v / (1.0 - EPS_T), name))
-        elif name == "t2":
-            theta.append(_softplus_inv(_positive(v - 1.0, name)))
-        elif name == "d":
-            theta.append(_softplus_inv(_positive(v - 1.0, name)))
-        else:  # gamma1, gamma2, lam
-            theta.append(_softplus_inv(_positive(v, name)))
+        low, span = _REPARAM[name]
+        v = getattr(h, name) - low
+        theta.append(_logit(v / span, name) if span else _softplus_inv(_positive(v, name)))
     return np.array(theta, dtype=float)
 
 
@@ -674,29 +756,17 @@ def from_unconstrained(theta, like):
         )
     updates = {}
     for name, th in zip(names, theta):
-        th = float(th)
-        if name == "q":
-            updates[name] = EPS_Q + (1.0 - EPS_Q) * _sigmoid(th)
-        elif name == "t1":
-            updates[name] = (1.0 - EPS_T) * _sigmoid(th)
-        elif name in ("t2", "d"):
-            updates[name] = 1.0 + _softplus(th)
-        else:
-            updates[name] = _softplus(th)
+        low, span = _REPARAM[name]
+        updates[name] = low + (span * _sigmoid(float(th)) if span else _softplus(float(th)))
     return replace(like, **updates)
 
 
 def reparam_scale(variant, theta):
     """d(constrained)/d(unconstrained) per coordinate, for chain rules."""
     names = LEARNABLE[variant]
-    theta = np.asarray(theta, dtype=float)
     out = np.empty(len(names))
-    for k, (name, th) in enumerate(zip(names, theta)):
+    for k, (name, th) in enumerate(zip(names, np.asarray(theta, dtype=float))):
+        span = _REPARAM[name][1]
         sig = _sigmoid(float(th))
-        if name == "q":
-            out[k] = (1.0 - EPS_Q) * sig * (1.0 - sig)
-        elif name == "t1":
-            out[k] = (1.0 - EPS_T) * sig * (1.0 - sig)
-        else:
-            out[k] = sig
+        out[k] = span * sig * (1.0 - sig) if span else sig
     return out

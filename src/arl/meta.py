@@ -11,16 +11,15 @@ The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
 d L_meta / d theta_k = -alpha * g . J_k, where g is the meta gradient at
 w~ and J_k the mixed partial of the train gradient.  The train gradient
-is backward(w, X, G(theta) / n) for the loss's logit gradient G, and
-backward is linear in G, so g . J_k = <J_w g, dG/dtheta_k> / n.  One
-forward-mode JVP gives the logit tangent J_w g; dG/dtheta_k is a central
-difference of G over theta_k, with all 2k probes evaluated on the fixed
-logits of the batch, so they cost no forward and no backward pass.
+is backward(w, X, G(h) / n) for the loss's logit gradient G, and backward
+is linear in G, so g . J_k = <J_w g, dG/dh_k> / n * dh_k/dtheta_k.  One
+forward-mode JVP gives the logit tangent J_w g, and the loss kernels give
+dG/dh_k in closed form from the same normalization of the train batch's
+logits as the virtual step, so they cost no forward and no backward pass.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ class TrainConfig:
     batch_m: int = 30
     max_iters: int = 1000
     seed: int = 0
-    fd_eps: float = 1e-3
     init_hyper: losses.HyperParams | None = None
     rce_a: float = -4.0
     momentum: float = 0.0
@@ -60,8 +58,6 @@ class TrainConfig:
             raise ConfigError("batch sizes must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.fd_eps <= 0:
-            raise ConfigError("fd_eps must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.metrics_every < 1:
@@ -77,14 +73,12 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Loop state: network parameters, hyperparameters, iteration, rngs."""
+    """Loop state: network parameters, hyperparameters, iteration."""
 
     params: model.MlpParams
     hyper: losses.HyperParams
     theta: np.ndarray
     iteration: int
-    rng_train: np.random.Generator
-    rng_meta: np.random.Generator
 
 
 @dataclass
@@ -104,11 +98,14 @@ def train_grad(params, hyper, X, y, cache=None):
     """
     if cache is None:
         cache = model._forward_cached(params, X)
-    values, G = losses.batch_loss(hyper, cache[0][-1], y)
+    return _backward_mean(params, hyper, X, *losses.batch_loss(hyper, cache[0][-1], y), cache)
+
+
+def _backward_mean(params, hyper, X, values, G, cache):
+    """Mean of the per-sample ``values`` and the gradients of the mean loss."""
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite training loss under {hyper}")
-    grads = model.backward(params, X, G / len(y), cache)
-    return float(values.mean()), grads
+    return float(values.mean()), model.backward(params, X, G / len(values), cache)
 
 
 def meta_ce_grad(params, X, y):
@@ -122,52 +119,33 @@ def virtual_step(params, hyper, X, y, alpha, cache=None):
     return model.sgd_step(params, grads, alpha)
 
 
-def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3, cache=None):
+def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
     """Gradient of the meta cross entropy with respect to theta.
 
-    Returns -alpha * g . J_k per coordinate, with g the meta gradient at
-    the virtual point and J_k the mixed partial of the train gradient in
-    unconstrained coordinates, computed as
-    -alpha / n * <J_w g, (G(theta + eps e_k) - G(theta - eps e_k)) / 2 eps>
-    from the logit gradients G of the 2k probes on the fixed logits.
-    ``cache`` is ``model._forward_cached(params, Xn)`` when the caller
-    already has it.  Exactly zero when alpha = 0 (the virtual point no
-    longer depends on theta).
+    Returns -alpha / n * reparam_scale_k * <J_w g, dG/dh_k> per
+    coordinate, with g the meta gradient at the virtual point, J_w g its
+    logit tangent and dG/dh_k the closed-form derivative of the logit
+    gradients in the k-th learnable field.  The virtual step and dG/dh
+    share one normalization of the batch.  ``cache`` is
+    ``model._forward_cached(params, Xn)`` when the caller already has it.
+    Exactly zero when alpha = 0 (the virtual point no longer depends on
+    theta).
     """
     names = hyper.learnable_names
-    if not names:
-        return np.zeros(0)
-    if alpha == 0.0:
+    if not names or alpha == 0.0:
         return np.zeros(len(names))
-    theta = np.asarray(theta, dtype=float)
-    if np.any(fd_eps < 1e-12 * np.abs(theta)):
-        warnings.warn("fd_eps underflows the theta scale; mixed partials unreliable")
     if cache is None:
         cache = model._forward_cached(params, Xn)
 
-    w_tilde = virtual_step(params, hyper, Xn, yn, alpha, cache)
-    _, g_meta = meta_ce_grad(w_tilde, Xm, ym)
-    tangent = model.jvp(params, cache, g_meta)
-
-    probes = []
-    for k in range(len(names)):
-        step = np.zeros_like(theta)
-        step[k] = fd_eps
-        probes += [losses.from_unconstrained(theta + step, hyper),
-                   losses.from_unconstrained(theta - step, hyper)]
-    values, G = losses.batch_loss(probes, cache[0][-1], yn)
-    finite = np.isfinite(values).all(axis=1)
+    values, G, _, dG = losses.batch_hgrad(hyper, cache[0][-1], yn)
+    _, grads = _backward_mean(params, hyper, Xn, values, G, cache)
+    dG = dG.reshape(len(names), -1)
+    finite = np.isfinite(dG).all(axis=1)
     if not finite.all():
-        raise NumericError(f"non-finite training loss under {probes[finite.argmin()]}")
-    # same order of operations as differencing full train gradients: G
-    # carries train_grad's 1/n, and each coordinate is one dot product
-    G = G / len(yn)
-    tangent = tangent.ravel()
-    out = np.empty(len(names))
-    for k in range(len(names)):
-        mixed = (G[2 * k] - G[2 * k + 1]) / (2.0 * fd_eps)
-        out[k] = -alpha * float(tangent @ mixed.ravel())
-    return out
+        raise NumericError(f"non-finite logit-gradient derivative in {names[finite.argmin()]} under {hyper}")
+    _, g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
+    tangent = model.jvp(params, cache, g_meta).ravel()
+    return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(yn)
 
 
 def meta_update(theta, hypergrad, beta):
@@ -233,34 +211,31 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t = config.alpha * scale
         beta_t = config.beta * scale
-        cache = model._forward_cached(params, Xn)
-
-        if adapt and theta.size and beta_t > 0.0:
-            hg = hypergradient(
-                params, hyper, theta, Xn, yn,
-                meta_set.X[idx_m], meta_set.y[idx_m],
-                alpha_t, config.fd_eps, cache,
-            )
-            theta = meta_update(theta, hg, beta_t)
-            hyper = losses.from_unconstrained(theta, hyper)
-
         try:
-            loss_value, grads = train_grad(params, hyper, Xn, yn, cache)
+            cache = model._forward_cached(params, Xn)
+            if adapt and theta.size and beta_t > 0.0:
+                hg = hypergradient(
+                    params, hyper, theta, Xn, yn,
+                    meta_set.X[idx_m], meta_set.y[idx_m], alpha_t, cache,
+                )
+                theta = meta_update(theta, hg, beta_t)
+                hyper = losses.from_unconstrained(theta, hyper)
+
+            _, grads = train_grad(params, hyper, Xn, yn, cache)
+            if velocity is not None:
+                velocity = model.axpy(grads, config.momentum, velocity)
+                params = model.sgd_step(params, velocity, alpha_t)
+            else:
+                params = model.sgd_step(params, grads, alpha_t)
         except NumericError as exc:
-            raise NumericError(f"diverged at iteration {t}: {exc}") from exc
-        if velocity is not None:
-            velocity = model.axpy(grads, config.momentum, velocity)
-            params = model.sgd_step(params, velocity, alpha_t)
-        else:
-            params = model.sgd_step(params, grads, alpha_t)
+            raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
 
         if t % config.metrics_every == 0 or step == total:
             rows.append(_metrics_row(t, params, hyper, train_set, meta_set, test_set))
             if snapshot_hook is not None:
                 snapshot_hook(t, params.copy(), hyper)
 
-    state = TrainState(params, hyper, theta, start_iter + total, rng_train, rng_meta)
-    return state, rows
+    return TrainState(params, hyper, theta, start_iter + total), rows
 
 
 def arl_train(dataset, meta_set, test_set, config, snapshot_hook=None):

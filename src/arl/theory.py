@@ -86,19 +86,8 @@ class RiskReport:
     clean_slack: float
 
     def as_dict(self):
-        return {
-            "clean_risk_star": self.clean_risk_star,
-            "clean_risk_hat": self.clean_risk_hat,
-            "noisy_risk_star": self.noisy_risk_star,
-            "noisy_risk_hat": self.noisy_risk_hat,
-            "noisy_gap_bound": self.noisy_gap_bound,
-            "clean_gap_bound": self.clean_gap_bound,
-            "grid_tol": self.grid_tol,
-            "noisy_sandwich_ok": bool(self.noisy_sandwich_ok),
-            "clean_sandwich_ok": bool(self.clean_sandwich_ok),
-            "noisy_slack": self.noisy_slack,
-            "clean_slack": self.clean_slack,
-        }
+        """The scalar fields, for JSON reports."""
+        return {k: v for k, v in vars(self).items() if k not in ("f_star", "f_hat")}
 
 
 def _check_variant(variant, hyper):
@@ -289,8 +278,8 @@ def riskgap_verify(world, variant, hyper):
     tol = grid_lipschitz(grid, table, world.delta) * world.delta
     noisy_gap = r_noisy_star - r_noisy_hat
     clean_gap = r_clean_star - r_clean_hat
-    noisy_ok = -1e-12 <= noisy_gap <= constants.noisy_gap_bound + tol
-    clean_ok = constants.clean_gap_bound - tol <= clean_gap <= 1e-12
+    noisy_ok = bool(-1e-12 <= noisy_gap <= constants.noisy_gap_bound + tol)
+    clean_ok = bool(constants.clean_gap_bound - tol <= clean_gap <= 1e-12)
     return RiskReport(
         f_star, f_hat,
         r_clean_star, r_clean_hat, r_noisy_star, r_noisy_hat,

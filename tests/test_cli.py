@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +252,22 @@ class TestDefaultInit:
         assert tc.resolve_hyper(3).lam == pytest.approx(3.0 * math.log(3.0))
         _, rows = meta.arl_train(split.train, split.meta, split.test, tc)
         assert rows[-1].test_acc >= 0.85
+
+
+class TestShippedConfigs:
+    CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+    def test_found(self):
+        assert len(self.CONFIGS) >= 5
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_loads_and_builds(self, path):
+        exp = config_mod.load_config(path)
+        tc = config_mod.build_train_config(exp, exp.dataset["classes"])
+        assert tc.init_hyper.variant == exp.loss["variant"]
+
+    def test_fd_eps_rejected(self, tmp_path):
+        doc = json.loads(self.CONFIGS[0].read_text())
+        doc["train"]["fd_eps"] = 1e-3
+        with pytest.raises(ConfigError, match="fd_eps"):
+            config_mod.load_config(write_config(tmp_path, doc))

@@ -2,8 +2,8 @@
 
 import itertools
 import math
-import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,21 +264,6 @@ class TestNewtonSolve:
             assert np.array_equal(P[i], P_i[0])
             assert gamma[i] == gamma_i[0]
 
-    def test_stacked_probes_match_loop_bitwise(self):
-        # each row's Newton steps are its own, so the tolerance is zero
-        rng = np.random.default_rng(37)
-        Z = rng.normal(size=(16, 3)) * 3.0
-        labels = rng.integers(3, size=16)
-        probes = [L.HyperParams("bi_tempered", t1=t1, t2=t2)
-                  for t1, t2 in [(0.5001, 1.5), (0.4999, 1.5), (0.5, 1.5001), (0.5, 1.4999),
-                                 (0.2, 1.0 + 1e-9), (0.9, 4.0)]]
-        values, grads = L.batch_loss(probes, Z, labels)
-        assert values.shape == (6, 16) and grads.shape == (6, 16, 3)
-        for k, h in enumerate(probes):
-            v_k, g_k = L.batch_loss(h, Z, labels)
-            assert np.array_equal(values[k], v_k)
-            assert np.array_equal(grads[k], g_k)
-
     def test_step_cap_raises_with_context(self, monkeypatch):
         monkeypatch.setattr(L, "_NEWTON_MAX_STEPS", 2)
         Z = np.array([[0.0, -500.0, 1000.0]])
@@ -287,7 +272,8 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("t2", [1.000099, 1.0000995])
     def test_probe_just_below_one(self, t2):
-        # the t2 - 1e-4 probe lands just below 1, where 1 + s*X needs log1p
+        # t2 within 1e-4 of 1: the solve needs log1p and the t2 derivative
+        # its Taylor series
         rng = np.random.default_rng(41)
         for _ in range(200):
             z = rng.normal(size=int(rng.integers(2, 8))) * rng.uniform(0.5, 8.0)
@@ -530,8 +516,8 @@ class TestGradientChecks:
             assert abs(ev.grad_hyper[1] - fd2) <= 1e-12
 
     def test_grad_hyper_bi_tempered(self):
-        # grad_hyper uses step-1e-4 central differences; compare against an
-        # independent evaluation at a different step
+        # grad_hyper is closed form through the normalization; compare it
+        # against central differences of the value
         rng = np.random.default_rng(37)
         for _ in range(30):
             c = int(rng.integers(3, 6))
@@ -577,24 +563,16 @@ def _reference_batch_loss(hyper, Z, labels):
     Z = np.asarray(Z, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n = np.arange(len(labels))
-    stacked = not isinstance(hyper, L.HyperParams)
-    hypers = tuple(hyper) if stacked else (hyper,)
-    v = hypers[0].variant
-    if stacked:
-        hyper = types.SimpleNamespace(**{
-            name: np.array([getattr(h, name) for h in hypers])[:, None]
-            for name in L._FIELDS_READ[v]
-        })
+    v = hyper.variant
     on_classes = lambda h: np.asarray(h)[..., None]  # noqa: E731
 
     if v == "bi_tempered":
-        K, rows = len(hypers), np.tile(labels, len(hypers))
-        t1 = np.repeat([h.t1 for h in hypers], len(labels))
-        t2 = np.repeat([h.t2 for h in hypers], len(labels))
-        P, _ = L._tempered_softmax_batch(np.tile(Z, (K, 1)), t2)
+        # one (t1, t2) per row, as the stacked solve of the previous code took them
+        t1 = np.repeat(hyper.t1, len(labels))
+        t2 = np.repeat(hyper.t2, len(labels))
+        P, _ = L._tempered_softmax_batch(Z, t2)
         Pc = np.clip(P, L.PROB_FLOOR, 1.0 - L.PROB_FLOOR)
-        m = np.arange(len(rows))
-        log_pj = np.log(Pc[m, rows])
+        log_pj = np.log(Pc[n, labels])
         s1 = 1.0 - t1
         near = np.abs(s1) < L._T_NEAR_ONE
         s1 = np.where(near, 1.0, s1)
@@ -602,13 +580,10 @@ def _reference_batch_loss(hyper, Z, labels):
         tail = (1.0 - (Pc ** (2.0 - t1)[:, None]).sum(axis=1)) / (2.0 - t1)
         values = np.maximum(-log_term - tail, 0.0)
         G = Pc ** (1.0 - t1 + t2)[:, None]
-        G[m, rows] -= Pc[m, rows] ** (t2 - t1)
+        G[n, labels] -= Pc[n, labels] ** (t2 - t1)
         U = Pc ** t2[:, None]
         U /= U.sum(axis=1, keepdims=True)
-        grads = G - U * G.sum(axis=1, keepdims=True)
-        if not stacked:
-            return values, grads
-        return values.reshape(K, -1), grads.reshape(K, *Z.shape)
+        return values, G - U * G.sum(axis=1, keepdims=True)
 
     P = L.softmax(Z)
     Y = np.zeros_like(P)
@@ -638,17 +613,6 @@ def _reference_batch_loss(hyper, Z, labels):
     return values, weights[..., None] * (P - Y)
 
 
-def _hypergradient_probes(hyper, fd_eps=1e-3):
-    theta = L.to_unconstrained(hyper)
-    probes = []
-    for k in range(theta.size):
-        step = np.zeros_like(theta)
-        step[k] = fd_eps
-        probes += [L.from_unconstrained(theta + step, hyper),
-                   L.from_unconstrained(theta - step, hyper)]
-    return probes
-
-
 class TestTrainingBits:
     """The family kernels keep the training path's bits: tolerance zero."""
 
@@ -660,10 +624,96 @@ class TestTrainingBits:
                 n = int(rng.integers(1, 33))
                 Z = rng.normal(size=(n, c)) * scale
                 labels = rng.integers(c, size=n)
-                for hyper in _hyper_cases(rng) + [L.HyperParams("sl", gamma1=0.7, gamma2=2.0, rce_a=-1.5)]:
-                    cases = [hyper] + ([_hypergradient_probes(hyper)] if hyper.learnable_names else [])
-                    for h in cases:
-                        values, grads = L.batch_loss(h, Z, labels)
-                        ref_values, ref_grads = _reference_batch_loss(h, Z, labels)
-                        assert values.tobytes() == ref_values.tobytes(), (hyper, scale)
-                        assert grads.tobytes() == ref_grads.tobytes(), (hyper, scale)
+                # constant exponents of 2: 1 - t1 + t2 at the bi_tempered default, and t2
+                extra = [L.HyperParams("sl", gamma1=0.7, gamma2=2.0, rce_a=-1.5),
+                         L.HyperParams("bi_tempered"), L.HyperParams("bi_tempered", t1=0.5, t2=2.0)]
+                for hyper in _hyper_cases(rng) + extra:
+                    values, grads = L.batch_loss(hyper, Z, labels)
+                    ref_values, ref_grads = _reference_batch_loss(hyper, Z, labels)
+                    assert values.tobytes() == ref_values.tobytes(), (hyper, scale)
+                    assert grads.tobytes() == ref_grads.tobytes(), (hyper, scale)
+
+
+def _fd_in_field(hyper, name, Z, labels, step):
+    """Central differences of batch_loss's values and gradients in one field."""
+    x = getattr(hyper, name)
+    up = L.batch_loss(replace(hyper, **{name: x + step}), Z, labels)
+    dn = L.batch_loss(replace(hyper, **{name: x - step}), Z, labels)
+    return (up[0] - dn[0]) / (2 * step), (up[1] - dn[1]) / (2 * step)
+
+
+def _scaled_err(got, fd, f):
+    """|got - fd| relative to |fd| + |f|: the rounding of a difference
+    quotient scales with the size of the function f it differences."""
+    return np.linalg.norm(got - fd) / max(np.linalg.norm(fd) + np.linalg.norm(f), 1e-12)
+
+
+class TestHgrad:
+    """Closed-form hyperparameter derivatives against central differences."""
+
+    BOUNDS = {"gce": 1e-8, "sl": 1e-10, "bi_tempered": 1e-8, "polysoft": 1e-6}
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(53)
+        worst = dict.fromkeys(self.BOUNDS, 0.0)
+        for _ in range(200):
+            c = int(rng.choice([2, 3, 5, 10]))
+            Z = rng.normal(size=(6, c)) * rng.uniform(0.3, 10.0)
+            labels = rng.integers(c, size=6)
+            for hyper in _hyper_cases(rng)[1:]:
+                v = hyper.variant
+                values, grads, dvalues, dgrads = L.batch_hgrad(hyper, Z, labels)
+                assert dvalues.shape == (2 if v != "gce" else 1, 6)
+                assert dgrads.shape == dvalues.shape + (c,)
+                keep = np.ones(6, dtype=bool)
+                if v == "polysoft":  # the derivatives in lam jump at the kink ce = lam
+                    ce_vals, _ = L.batch_loss(L.HyperParams("ce"), Z, labels)
+                    keep = np.abs(ce_vals - hyper.lam) >= 1e-3 * hyper.lam
+                    if not keep.any():
+                        continue
+                for k, name in enumerate(hyper.learnable_names):
+                    fd_values, fd_grads = _fd_in_field(hyper, name, Z, labels, 1e-5)
+                    worst[v] = max(
+                        worst[v],
+                        _scaled_err(dvalues[k][keep], fd_values[keep], values[keep]),
+                        _scaled_err(dgrads[k][keep], fd_grads[keep], grads[keep]),
+                    )
+        for v, bound in self.BOUNDS.items():
+            assert worst[v] <= bound, (v, worst[v])
+
+    def test_ce_has_none(self):
+        Z = np.random.default_rng(54).normal(size=(4, 3))
+        _, _, dvalues, dgrads = L.batch_hgrad(L.HyperParams("ce"), Z, [0, 1, 2, 0])
+        assert dvalues.shape == (0, 4) and dgrads.shape == (0, 4, 3)
+
+    def test_bi_tempered_t2_near_one(self):
+        rng = np.random.default_rng(55)
+        for _ in range(100):
+            c = int(rng.choice([2, 3, 5, 10]))
+            Z = rng.normal(size=(6, c)) * rng.uniform(0.3, 10.0)
+            labels = rng.integers(c, size=6)
+            hyper = L.HyperParams("bi_tempered", t1=float(rng.uniform(0.1, 0.8)), t2=1.0 + 1e-6)
+            values, grads, dvalues, dgrads = L.batch_hgrad(hyper, Z, labels)
+            # a step below t2 - 1 rounds 100 times worse than 1e-5
+            fd_values, fd_grads = _fd_in_field(hyper, "t2", Z, labels, 1e-7)
+            assert _scaled_err(dvalues[1], fd_values, values) <= 1e-6
+            assert _scaled_err(dgrads[1], fd_grads, grads) <= 1e-6
+            # either side of the edge of the softmax branch (|t2 - 1| < _T_NEAR_ONE)
+            newton = L.batch_hgrad(replace(hyper, t2=1.0 + 1.5 * L._T_NEAR_ONE), Z, labels)
+            softmax = L.batch_hgrad(replace(hyper, t2=1.0 + 0.5 * L._T_NEAR_ONE), Z, labels)
+            for got, want in zip(newton[2:], softmax[2:]):
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
+                assert rel_err(got, want) <= 1e-6
+
+    @pytest.mark.parametrize("d", [1.01, 1.5, 2.0, 3.0, 6.0, 1e3])
+    def test_polysoft_u_one_ulp_above_zero(self, d):
+        for lam in (0.5, 1.0, 3.3):
+            ce_value = np.nextafter(lam, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, u = L.polysoft_of_ce(np.array([ce_value]), lam, d)
+                dvalues, dweights = L._polysoft_hgrad_of_ce(np.array([ce_value]), lam, d)
+                ev = L.polysoft(ce_value, lam, d)
+            assert 0.0 < u[0] <= 2.0 * np.finfo(float).eps
+            assert np.all(np.isfinite(dvalues)) and np.all(np.isfinite(dweights))
+            np.testing.assert_array_equal(ev.grad_hyper, dvalues[:, 0])

@@ -114,7 +114,7 @@ class TestHypergradient:
                     -alpha * scale[1] * float(g @ model.flatten(g_rce)),
                 ]
             )
-            assert rel_err(got, want) <= 1e-6
+            assert rel_err(got, want) <= 1e-12
 
     def test_matches_pipeline_fd_all_families(self):
         # independent oracle: differentiate meta-loss(virtual(theta)) end
@@ -157,20 +157,19 @@ class TestHypergradient:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "polysoft"])
     def test_matches_full_gradient_probes(self, variant, activation):
-        # reference: every probe is a full train gradient, dotted with the
-        # flattened meta gradient; the JVP route must agree to rounding
-        def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha, fd_eps=1e-3):
+        # reference: the mixed partial of each field is the full train
+        # gradient backward(dG/dh_k / n), dotted with the flattened meta
+        # gradient; the JVP route must agree to rounding
+        def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha):
             w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
             _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
             g = model.flatten(g_meta)
+            _, _, _, dG = losses.batch_hgrad(hyper, model.forward_logits(p, Xn), yn)
+            scale = losses.reparam_scale(hyper.variant, theta)
             out = np.empty(theta.size)
             for k in range(theta.size):
-                e = np.zeros_like(theta)
-                e[k] = fd_eps
-                _, up = meta.train_grad(p, losses.from_unconstrained(theta + e, hyper), Xn, yn)
-                _, dn = meta.train_grad(p, losses.from_unconstrained(theta - e, hyper), Xn, yn)
-                mixed = (model.flatten(up) - model.flatten(dn)) / (2.0 * fd_eps)
-                out[k] = -alpha * float(g @ mixed)
+                mixed = model.flatten(model.backward(p, Xn, dG[k] / len(yn)))
+                out[k] = -alpha * scale[k] * float(g @ mixed)
             return out
 
         rng = np.random.default_rng(8)
@@ -183,21 +182,20 @@ class TestHypergradient:
             want = reference(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
             assert rel_err(got, want) <= 1e-9, (variant, activation, trial)
 
-    def test_nonfinite_probe_loss_names_hyper(self, monkeypatch):
+    def test_nonfinite_derivative_names_field(self, monkeypatch):
         rng = np.random.default_rng(9)
         hyper = losses.HyperParams("sl", gamma1=0.8, gamma2=1.2)
         p = model.init_mlp([2, 6, 3], seed=7)
         Xn, yn, Xm, ym = make_batches(rng)
-        real = losses.batch_loss
+        real = losses.batch_hgrad
 
         def poisoned(h, Z, labels):
-            values, grads = real(h, Z, labels)
-            if not isinstance(h, losses.HyperParams):  # the stacked probes
-                values[2, 0] = np.nan
-            return values, grads
+            values, grads, dvalues, dgrads = real(h, Z, labels)
+            dgrads[1, 0, 0] = np.nan
+            return values, grads, dvalues, dgrads
 
-        monkeypatch.setattr(losses, "batch_loss", poisoned)
-        with pytest.raises(NumericError, match=r"gamma1=.*gamma2="):
+        monkeypatch.setattr(losses, "batch_hgrad", poisoned)
+        with pytest.raises(NumericError, match=r"in gamma2 under .*gamma1=.*gamma2="):
             meta.hypergradient(p, hyper, losses.to_unconstrained(hyper), Xn, yn, Xm, ym, 0.3)
 
 
@@ -383,6 +381,23 @@ class TestOptionalKnobs:
         before = np.mean([d for t, d in moved if t <= 30])
         after = np.mean([d for t, d in moved if t > 30])
         assert after < 0.3 * before
+
+    def test_nonfinite_derivative_names_iteration_and_theta(self, monkeypatch):
+        train, meta_set, test = small_problem(seed=30)
+        config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=10, seed=31)
+        real, calls = losses.batch_hgrad, [0]
+
+        def poisoned(h, Z, labels):
+            out = real(h, Z, labels)
+            calls[0] += 1
+            if calls[0] == 3:  # one call per iteration
+                out[3][0, 0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(losses, "batch_hgrad", poisoned)
+        with pytest.raises(NumericError, match=r"iteration 3 \(theta=\[.*\], .*q=.*derivative in q"):
+            meta.arl_train(train, meta_set, test, config)
 
     def test_divergence_aborts_with_iteration(self):
         train, meta_set, test = small_problem(seed=24)
