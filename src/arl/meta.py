@@ -27,6 +27,8 @@ import numpy as np
 from . import losses, model
 from .errors import ConfigError, DomainError, NumericError
 
+_CE = losses.HyperParams("ce")  # the meta objective; frozen, so built once
+
 
 @dataclass
 class TrainConfig:
@@ -110,13 +112,13 @@ def _backward_mean(params, hyper, X, values, G, cache):
 
 def meta_ce_grad(params, X, y):
     """Mean clean-data cross entropy and gradients (the meta objective)."""
-    return train_grad(params, losses.HyperParams("ce"), X, y)
+    return train_grad(params, _CE, X, y)
 
 
 def virtual_step(params, hyper, X, y, alpha, cache=None):
     """One-step lookahead w - alpha * grad_w L_train; ``params`` untouched."""
     _, grads = train_grad(params, hyper, X, y, cache)
-    return model.sgd_step(params, grads, alpha)
+    return model.sgd_step(params, grads.vec, alpha)
 
 
 def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
@@ -143,7 +145,7 @@ def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
     finite = np.isfinite(dG).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite logit-gradient derivative in {names[finite.argmin()]} under {hyper}")
-    _, g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
+    _, g_meta = meta_ce_grad(model.sgd_step(params, grads.vec, alpha), Xm, ym)
     tangent = model.jvp(params, cache, g_meta).ravel()
     return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(yn)
 
@@ -169,7 +171,7 @@ def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
     train_vals, _ = losses.batch_loss(hyper, Z, _labels_of(train_set))
     if meta_set is not None:
         Zm = model.forward_logits(params, meta_set.X)
-        meta_vals, _ = losses.batch_loss(losses.HyperParams("ce"), Zm, meta_set.y)
+        meta_vals, _ = losses.batch_loss(_CE, Zm, meta_set.y)
         meta_loss = float(meta_vals.mean())
     else:
         meta_loss = float("nan")
@@ -193,13 +195,13 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
     rng_meta = np.random.default_rng([config.seed, 23, start_iter])
 
     theta = losses.to_unconstrained(hyper) if hyper.learnable_names else np.zeros(0)
-    velocity = model.zeros_like(params) if config.momentum > 0 else None
+    velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
     labels = _labels_of(train_set)
     total = config.max_iters if num_iters is None else num_iters
     rows = []
 
     if snapshot_hook is not None:
-        snapshot_hook(start_iter, params.copy(), hyper)
+        snapshot_hook(start_iter, params, hyper)
 
     for step in range(1, total + 1):
         t = start_iter + step
@@ -223,17 +225,19 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
 
             _, grads = train_grad(params, hyper, Xn, yn, cache)
             if velocity is not None:
-                velocity = model.axpy(grads, config.momentum, velocity)
+                velocity = grads.vec + config.momentum * velocity
                 params = model.sgd_step(params, velocity, alpha_t)
             else:
-                params = model.sgd_step(params, grads, alpha_t)
-        except NumericError as exc:
+                params = model.sgd_step(params, grads.vec, alpha_t)
+        except (NumericError, DomainError) as exc:
+            # a meta step can carry theta so far that a hyperparameter
+            # rounds onto its domain boundary (d = 1 + softplus -> 1.0)
             raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
 
         if t % config.metrics_every == 0 or step == total:
             rows.append(_metrics_row(t, params, hyper, train_set, meta_set, test_set))
             if snapshot_hook is not None:
-                snapshot_hook(t, params.copy(), hyper)
+                snapshot_hook(t, params, hyper)
 
     return TrainState(params, hyper, theta, start_iter + total), rows
 
@@ -275,7 +279,7 @@ def conventional_train(dataset, test_set, config, hyper, meta_set=None,
             [dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed
         )
     return _run_loop(
-        dataset, meta_set, test_set, config, hyper, init_params.copy(),
+        dataset, meta_set, test_set, config, hyper, init_params,
         adapt=False, start_iter=start_iter, num_iters=num_iters,
     )
 
@@ -290,7 +294,7 @@ def compute_sample_weights(params, hyper, dataset):
     if hyper.variant != "polysoft":
         raise DomainError("sample weights are defined for the polysoft variant")
     Z = model.forward_logits(params, dataset.X)
-    ce_vals = losses.loss_values(losses.HyperParams("ce"), losses.softmax(Z), _labels_of(dataset))
+    ce_vals = losses.loss_values(_CE, losses.softmax(Z), _labels_of(dataset))
     return losses.polysoft_weight(ce_vals, hyper.lam, hyper.d)
 
 

@@ -1,14 +1,17 @@
 """Small fully connected classifier with hand-derived backprop.
 
 The architecture is a fixed affine + activation stack, so reverse-mode
-gradients are written out directly; no autodiff tape.  All math is in
-float64 and every operation is a pure function of its inputs.
+gradients are written out directly; no autodiff tape.  A parameter set,
+and a gradient with respect to one, is a single read-only float64 vector
+laid out layer by layer (W0, b0, W1, b1, ...), which is also the
+checkpoint format.  All math is in float64 and every operation is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,38 +20,62 @@ from .errors import ConfigError, NumericError, ShapeError
 ACTIVATIONS = ("tanh", "relu")
 
 
-@dataclass
+@functools.lru_cache(maxsize=16, typed=True)
+def _layout(activation, *sizes):
+    """Per-layer (weight slice, weight shape, bias slice) of the flat vector, and its length.
+
+    The one check of ``sizes`` and ``activation``; cached, so a step that
+    builds parameters of a known shape repeats none of it.  The sizes are
+    separate arguments so that the typed cache keeps a float 8.0 from a
+    checkpoint sidecar apart from the int 8 it equals.
+    """
+    if len(sizes) < 2 or any(type(s) is not int or s < 1 for s in sizes):
+        raise ConfigError(f"invalid layer sizes {list(sizes)}")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    layers, at = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = at + fan_in * fan_out
+        layers.append((slice(at, end), (fan_in, fan_out), slice(end, end + fan_out)))
+        at = end + fan_out
+    return tuple(layers), at
+
+
 class MlpParams:
-    """Per-layer weight matrices and bias vectors."""
+    """One read-only parameter vector with per-layer views.
 
-    weights: list
-    biases: list
-    sizes: list
-    activation: str
+    ``vec`` holds W0, b0, W1, b1, ... (weights row-major); ``weights[l]``
+    and ``biases[l]`` are views into it.  The constructor takes ``vec``
+    over and marks it read-only, so parameter sets can be shared, as
+    snapshots or as the start of another run, without copies.
+    """
 
-    def copy(self):
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.sizes),
-            self.activation,
-        )
+    def __init__(self, vec, sizes, activation):
+        sizes = tuple(sizes)
+        layers, total = _layout(activation, *sizes)
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        if vec.shape != (total,):
+            raise ShapeError(
+                f"parameter vector of shape {vec.shape} != ({total},) for sizes {list(sizes)}"
+            )
+        vec.setflags(write=False)
+        self.vec = vec
+        self.sizes = sizes
+        self.activation = activation
+        self.weights = [vec[w].reshape(shape) for w, shape, _ in layers]
+        self.biases = [vec[b] for _, _, b in layers]
 
 
 def init_mlp(sizes, activation="tanh", seed=0):
     """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases."""
-    sizes = [int(s) for s in sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigError(f"invalid layer sizes {sizes}")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
+    sizes = tuple(int(s) for s in sizes)
+    layers, total = _layout(activation, *sizes)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    vec = np.zeros(total)
+    for w, (fan_in, fan_out), _ in layers:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, sizes, activation)
+        vec[w] = rng.uniform(-bound, bound, size=fan_in * fan_out)
+    return MlpParams(vec, sizes, activation)
 
 
 def _act(x, kind):
@@ -98,9 +125,10 @@ def forward_logits(params, X):
 def backward(params, X, grad_logits_batch, cache=None):
     """Exact gradients of sum_i <logits_i, g_i> with respect to the parameters.
 
-    Callers bake any 1/N loss reduction into ``grad_logits_batch``.
-    ``cache`` is ``_forward_cached(params, X)`` when the caller already
-    has it; otherwise the forward pass is recomputed here.
+    Returned as an ``MlpParams`` in the layout of ``params``.  Callers
+    bake any 1/N loss reduction into ``grad_logits_batch``.  ``cache`` is
+    ``_forward_cached(params, X)`` when the caller already has it;
+    otherwise the forward pass is recomputed here.
     """
     X = np.asarray(X, dtype=float)
     G = np.asarray(grad_logits_batch, dtype=float)
@@ -111,17 +139,15 @@ def backward(params, X, grad_logits_batch, cache=None):
             f"gradient width {G.shape[1]} != model output {params.sizes[-1]}"
         )
     pres, posts = _forward_cached(params, X) if cache is None else cache
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    parts = []  # b_L, W_L, ..., b_0, W_0: reversed at the end
     delta = G
     for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = posts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        parts += [delta.sum(axis=0), (posts[l].T @ delta).ravel()]
         if l > 0:
             delta = (delta @ params.weights[l].T) * _act_grad(
                 pres[l - 1], posts[l], params.activation
             )
-    return MlpParams(grads_w, grads_b, list(params.sizes), params.activation)
+    return MlpParams(np.concatenate(parts[::-1]), params.sizes, params.activation)
 
 
 def jvp(params, cache, direction):
@@ -129,9 +155,9 @@ def jvp(params, cache, direction):
 
     Forward mode over the cached forward pass of ``params`` (Pearlmutter's
     R-operator).  Because ``backward`` is linear in its logit gradient,
-    sum_i <G_i, jvp_i> == flatten(direction) . flatten(backward(params, X, G)).
+    sum_i <G_i, jvp_i> == direction.vec . backward(params, X, G).vec.
     """
-    if [w.shape for w in direction.weights] != [w.shape for w in params.weights]:
+    if direction.sizes != params.sizes:
         raise ShapeError("direction does not match the parameter shapes")
     pres, posts = cache
     dw, db = direction.weights, direction.biases
@@ -142,74 +168,26 @@ def jvp(params, cache, direction):
     return tangent
 
 
-def sgd_step(params, grads, alpha):
-    """params - alpha * grads, elementwise."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in sgd_step")
-    return MlpParams(
-        [w - alpha * g for w, g in zip(params.weights, grads.weights)],
-        [b - alpha * g for b, g in zip(params.biases, grads.biases)],
-        list(params.sizes),
-        params.activation,
-    )
-
-
-def axpy(params, scale, other):
-    """params + scale * other, used for momentum buffers."""
-    return MlpParams(
-        [w + scale * o for w, o in zip(params.weights, other.weights)],
-        [b + scale * o for b, o in zip(params.biases, other.biases)],
-        list(params.sizes),
-        params.activation,
-    )
-
-
-def zeros_like(params):
-    return MlpParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        list(params.sizes),
-        params.activation,
-    )
-
-
-def flatten(params):
-    """All parameters (or gradients) as one float64 vector, layer by layer."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def unflatten(vector, sizes, activation):
-    vector = np.asarray(vector, dtype=float)
-    weights, biases = [], []
-    at = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(vector[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
-        at += fan_in * fan_out
-        biases.append(vector[at : at + fan_out].copy())
-        at += fan_out
-    if at != vector.size:
-        raise ShapeError(f"checkpoint has {vector.size} values, expected {at}")
-    return MlpParams(weights, biases, list(sizes), activation)
+def sgd_step(params, step, alpha):
+    """params - alpha * step, with ``step`` a vector in the layout of ``params.vec``."""
+    if not np.isfinite(step).all():
+        raise NumericError("non-finite gradient in sgd_step")
+    return MlpParams(params.vec - alpha * step, params.sizes, params.activation)
 
 
 def save_checkpoint(params, path):
     """Flat little-endian float64 array plus a JSON sidecar with the shape."""
-    flatten(params).astype("<f8").tofile(path)
+    params.vec.astype("<f8").tofile(path)
     sidecar = {"sizes": list(params.sizes), "activation": params.activation}
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
 
 
 def load_checkpoint(path):
+    """Parameters saved by ``save_checkpoint``; the sidecar and the length are checked."""
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
-    vector = np.fromfile(path, dtype="<f8")
-    return unflatten(vector, sidecar["sizes"], sidecar["activation"])
+    return MlpParams(np.fromfile(path, dtype="<f8"), sidecar["sizes"], sidecar["activation"])
 
 
 def predict(params, X):

@@ -168,11 +168,11 @@ def loss_on_simplex(variant, hyper, probs, label):
     return losses.loss_values(hyper, np.atleast_2d(probs), label)
 
 
-def _loss_table(variant, hyper, probs):
+def _loss_table(hyper, probs):
     """The (rows, c) table of L(u, j) for every row u of probs and label j."""
     table = np.empty(probs.shape)
     for j in range(probs.shape[1]):
-        table[:, j] = loss_on_simplex(variant, hyper, probs, j)
+        table[:, j] = losses.loss_values(hyper, probs, j)
     return table
 
 
@@ -193,12 +193,17 @@ def exact_risk(world, assignment, variant, hyper, noisy):
     clean label with probability 1 - eta, otherwise uniform over the
     other classes.
     """
+    _check_variant(variant, hyper)
+    return _exact_risk(world, assignment, hyper, noisy)
+
+
+def _exact_risk(world, assignment, hyper, noisy):
     A = np.atleast_2d(np.asarray(assignment, dtype=float))
     if A.shape != (len(world.labels), world.c):
         raise DomainError(f"assignment shape {A.shape} does not match the world")
     if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("assignments must be probability vectors")
-    terms = _per_point_terms(_loss_table(variant, hyper, A), world.labels, world.eta, noisy)
+    terms = _per_point_terms(_loss_table(hyper, A), world.labels, world.eta, noisy)
     total = 0.0
     for term in terms.tolist():
         total += term
@@ -259,9 +264,9 @@ def riskgap_verify(world, variant, hyper):
     global minimizers decompose into per-point grid scans; points sharing
     a label share their minimizers.
     """
-    constants = bound_constants(variant, world.c, world.eta, hyper)
+    constants = bound_constants(variant, world.c, world.eta, hyper)  # checks variant
     grid = simplex_grid(world.c, world.delta)
-    table = _loss_table(variant, hyper, grid)
+    table = _loss_table(hyper, grid)
     K = len(world.labels)
     f_star = np.empty((K, world.c))
     f_hat = np.empty((K, world.c))
@@ -270,10 +275,10 @@ def riskgap_verify(world, variant, hyper):
         f_star[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, False)))]
         f_hat[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, True)))]
 
-    r_clean_star = exact_risk(world, f_star, variant, hyper, noisy=False)
-    r_clean_hat = exact_risk(world, f_hat, variant, hyper, noisy=False)
-    r_noisy_star = exact_risk(world, f_star, variant, hyper, noisy=True)
-    r_noisy_hat = exact_risk(world, f_hat, variant, hyper, noisy=True)
+    r_clean_star = _exact_risk(world, f_star, hyper, noisy=False)
+    r_clean_hat = _exact_risk(world, f_hat, hyper, noisy=False)
+    r_noisy_star = _exact_risk(world, f_star, hyper, noisy=True)
+    r_noisy_hat = _exact_risk(world, f_hat, hyper, noisy=True)
 
     tol = grid_lipschitz(grid, table, world.delta) * world.delta
     noisy_gap = r_noisy_star - r_noisy_hat
@@ -292,5 +297,6 @@ def riskgap_verify(world, variant, hyper):
 
 def label_sum_range(variant, hyper, c, delta):
     """Range of sum_j L(u, j) over the simplex grid (bounded-loss check)."""
-    sums = _loss_table(variant, hyper, simplex_grid(c, delta)).sum(axis=1)
+    _check_variant(variant, hyper)
+    sums = _loss_table(hyper, simplex_grid(c, delta)).sum(axis=1)
     return float(sums.min()), float(sums.max())

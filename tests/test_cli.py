@@ -81,6 +81,21 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_domain_exit_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # a meta step that pushes d onto its boundary is a divergence (3),
+        # not a config error (2)
+        real, calls = meta.hypergradient, [0]
+
+        def huge_at_third(*args):
+            calls[0] += 1
+            return np.array([0.0, 1e3]) if calls[0] == 3 else real(*args)
+
+        monkeypatch.setattr(meta, "hypergradient", huge_at_third)
+        cfg = write_config(tmp_path, dict(SMALL_RUN, loss={"variant": "polysoft"}))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "iteration 3" in err and "d=1.0" in err
+
     def test_weights_emitted_for_polysoft(self, tmp_path):
         doc = dict(SMALL_RUN)
         doc["loss"] = {"variant": "polysoft", "init": {"lam": 3.0, "d": 3.0}}

@@ -46,7 +46,7 @@ class TestVirtualStep:
         p = model.init_mlp([2, 6, 3], seed=1)
         Xn, yn, _, _ = make_batches(rng)
         q = meta.virtual_step(p, losses.HyperParams("gce", q=0.5), Xn, yn, 0.0)
-        for a, b in zip(model.flatten(q), model.flatten(p)):
+        for a, b in zip(q.vec, p.vec):
             assert a == b
 
     def test_ce_variant_is_sgd_step(self):
@@ -55,8 +55,8 @@ class TestVirtualStep:
         Xn, yn, _, _ = make_batches(rng)
         got = meta.virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.2)
         _, grads = meta.train_grad(p, losses.HyperParams("ce"), Xn, yn)
-        want = model.sgd_step(p, grads, 0.2)
-        np.testing.assert_array_equal(model.flatten(got), model.flatten(want))
+        want = model.sgd_step(p, grads.vec, 0.2)
+        np.testing.assert_array_equal(got.vec, want.vec)
 
     def test_step_norm_identity(self):
         rng = np.random.default_rng(2)
@@ -65,17 +65,15 @@ class TestVirtualStep:
         hyper = losses.HyperParams("gce", q=0.5)
         _, grads = meta.train_grad(p, hyper, Xn, yn)
         moved = meta.virtual_step(p, hyper, Xn, yn, 0.3)
-        assert np.linalg.norm(
-            model.flatten(moved) - model.flatten(p)
-        ) == pytest.approx(0.3 * np.linalg.norm(model.flatten(grads)))
+        assert np.linalg.norm(moved.vec - p.vec) == pytest.approx(0.3 * np.linalg.norm(grads.vec))
 
     def test_original_untouched(self):
         rng = np.random.default_rng(3)
         p = model.init_mlp([2, 6, 3], seed=4)
-        before = model.flatten(p).copy()
+        before = p.vec.copy()
         Xn, yn, _, _ = make_batches(rng)
         meta.virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.5)
-        np.testing.assert_array_equal(model.flatten(p), before)
+        np.testing.assert_array_equal(p.vec, before)
 
 
 class TestHypergradient:
@@ -104,14 +102,14 @@ class TestHypergradient:
 
             w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
             _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
-            g = model.flatten(g_meta)
+            g = g_meta.vec
             _, g_ce = meta.train_grad(p, losses.HyperParams("sl", gamma1=1.0, gamma2=0.0), Xn, yn)
             _, g_rce = meta.train_grad(p, losses.HyperParams("sl", gamma1=0.0, gamma2=1.0), Xn, yn)
             scale = losses.reparam_scale("sl", theta)
             want = np.array(
                 [
-                    -alpha * scale[0] * float(g @ model.flatten(g_ce)),
-                    -alpha * scale[1] * float(g @ model.flatten(g_rce)),
+                    -alpha * scale[0] * float(g @ g_ce.vec),
+                    -alpha * scale[1] * float(g @ g_rce.vec),
                 ]
             )
             assert rel_err(got, want) <= 1e-12
@@ -163,12 +161,12 @@ class TestHypergradient:
         def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha):
             w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
             _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
-            g = model.flatten(g_meta)
+            g = g_meta.vec
             _, _, _, dG = losses.batch_hgrad(hyper, model.forward_logits(p, Xn), yn)
             scale = losses.reparam_scale(hyper.variant, theta)
             out = np.empty(theta.size)
             for k in range(theta.size):
-                mixed = model.flatten(model.backward(p, Xn, dG[k] / len(yn)))
+                mixed = model.backward(p, Xn, dG[k] / len(yn)).vec
                 out[k] = -alpha * scale[k] * float(g @ mixed)
             return out
 
@@ -236,9 +234,7 @@ class TestArlTrain:
         state, rows = meta.arl_train(train, meta_set, test, config)
         hyper = config.resolve_hyper(3)
         state2, rows2 = meta.conventional_train(train, test, config, hyper, meta_set=meta_set)
-        np.testing.assert_array_equal(
-            model.flatten(state.params), model.flatten(state2.params)
-        )
+        np.testing.assert_array_equal(state.params.vec, state2.params.vec)
         assert rows[0] == rows2[0]
 
     def test_ce_variant_matches_plain_training(self):
@@ -249,9 +245,7 @@ class TestArlTrain:
         state2, rows2 = meta.conventional_train(
             train, test, config, losses.HyperParams("ce"), meta_set=meta_set
         )
-        np.testing.assert_array_equal(
-            model.flatten(state.params), model.flatten(state2.params)
-        )
+        np.testing.assert_array_equal(state.params.vec, state2.params.vec)
         assert rows == rows2
 
     def test_deterministic_metrics(self, tmp_path):
@@ -305,6 +299,22 @@ class TestArlTrain:
         meta.arl_train(train, meta_set, test, config,
                        snapshot_hook=lambda t, p, h: seen.append(t))
         assert seen == [0, 50, 100]
+
+    def test_snapshots_shared_read_only(self):
+        # snapshots share the loop's buffers, uncopied; neither the run
+        # going on nor a continuation from a snapshot may change them
+        train, meta_set, test = small_problem(seed=14)
+        config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=100, seed=15, metrics_every=50)
+        seen = []
+        meta.arl_train(train, meta_set, test, config,
+                       snapshot_hook=lambda t, p, h: seen.append((t, p, h, p.vec.copy())))
+        t, p, h, _ = seen[1]
+        meta.conventional_train(train, test, config, h, init_params=p, start_iter=t, num_iters=20)
+        for _, p, _, at_hook in seen:
+            np.testing.assert_array_equal(p.vec, at_hook)
+            with pytest.raises(ValueError):
+                p.weights[0][0, 0] = 1.0
 
 
 class TestForwardCount:
@@ -360,7 +370,30 @@ class TestOptionalKnobs:
                                     batch_m=10, max_iters=40, seed=21, momentum=0.9)
         s0, _ = meta.arl_train(train, meta_set, test, base)
         s1, _ = meta.arl_train(train, meta_set, test, with_mom)
-        assert not np.allclose(model.flatten(s0.params), model.flatten(s1.params))
+        assert not np.allclose(s0.params.vec, s1.params.vec)
+
+    def test_momentum_matches_per_layer_heavy_ball(self):
+        # reference: v_l = g_l + m v_l and w_l -= alpha v_l on separate
+        # per-layer arrays, over the loop's own train-batch stream
+        train, meta_set, test = small_problem(seed=20)
+        config = meta.TrainConfig("ce", alpha=0.2, beta=0.0, batch_n=32,
+                                  batch_m=10, max_iters=40, seed=21, momentum=0.9)
+        state, _ = meta.arl_train(train, meta_set, test, config)
+
+        p = model.init_mlp([train.X.shape[1], 16, 3], seed=21)
+        layers = [a.copy() for w, b in zip(p.weights, p.biases) for a in (w, b)]
+        velocity = [np.zeros_like(a) for a in layers]
+        hyper = config.resolve_hyper(3)
+        rng = np.random.default_rng([21, 17, 0])
+        for _ in range(40):
+            idx = rng.choice(len(train), size=32, replace=False)
+            q = model.MlpParams(np.concatenate([a.ravel() for a in layers]), p.sizes, p.activation)
+            _, grads = meta.train_grad(q, hyper, train.X[idx], train.y_noisy[idx])
+            g = [a for w, b in zip(grads.weights, grads.biases) for a in (w, b)]
+            for l in range(len(layers)):
+                velocity[l] = g[l] + 0.9 * velocity[l]
+                layers[l] = layers[l] - 0.2 * velocity[l]
+        np.testing.assert_array_equal(state.params.vec, np.concatenate([a.ravel() for a in layers]))
 
     def test_step_decay_shrinks_updates(self):
         train, meta_set, test = small_problem(seed=22)
@@ -372,7 +405,7 @@ class TestOptionalKnobs:
         prev = {"w": None}
 
         def hook(t, params, hyper):
-            flat = model.flatten(params)
+            flat = params.vec
             if prev["w"] is not None:
                 moved.append((t, np.linalg.norm(flat - prev["w"])))
             prev["w"] = flat
@@ -397,6 +430,21 @@ class TestOptionalKnobs:
 
         monkeypatch.setattr(losses, "batch_hgrad", poisoned)
         with pytest.raises(NumericError, match=r"iteration 3 \(theta=\[.*\], .*q=.*derivative in q"):
+            meta.arl_train(train, meta_set, test, config)
+
+    def test_domain_exit_names_iteration(self, monkeypatch):
+        # a meta step large enough that d = 1 + softplus(theta_d) rounds to 1
+        train, meta_set, test = small_problem(seed=32)
+        config = meta.TrainConfig("polysoft", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=10, seed=33)
+        real, calls = meta.hypergradient, [0]
+
+        def huge_at_third(*args):
+            calls[0] += 1
+            return np.array([0.0, 1e3]) if calls[0] == 3 else real(*args)
+
+        monkeypatch.setattr(meta, "hypergradient", huge_at_third)
+        with pytest.raises(NumericError, match=r"iteration 3 \(theta=\[.*\], .*\): d=1\.0 outside"):
             meta.arl_train(train, meta_set, test, config)
 
     def test_divergence_aborts_with_iteration(self):

@@ -1,5 +1,7 @@
 """Tests for the MLP: forward, hand-derived backprop, SGD, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,15 +22,15 @@ def mean_loss_of_params(params, hyper, X, y):
 
 def fd_param_grad(params, f, h=1e-6):
     """Central finite differences over every weight and bias entry."""
-    flat = model.flatten(params)
+    flat = params.vec
     g = np.zeros_like(flat)
     for k in range(flat.size):
         up, down = flat.copy(), flat.copy()
         up[k] += h
         down[k] -= h
         g[k] = (
-            f(model.unflatten(up, params.sizes, params.activation))
-            - f(model.unflatten(down, params.sizes, params.activation))
+            f(model.MlpParams(up, params.sizes, params.activation))
+            - f(model.MlpParams(down, params.sizes, params.activation))
         ) / (2 * h)
     return g
 
@@ -56,12 +58,28 @@ class TestInit:
         with pytest.raises(ConfigError):
             model.init_mlp([3, 2], activation="gelu")
 
+    def test_vector_layout(self):
+        # W0, b0, W1, b1, ... with weights row-major: the checkpoint format
+        p = model.init_mlp([4, 8, 8, 2], seed=2)
+        parts = [a.ravel() for w, b in zip(p.weights, p.biases) for a in (w, b)]
+        np.testing.assert_array_equal(p.vec, np.concatenate(parts))
+        assert all(np.shares_memory(a, p.vec) for a in p.weights + p.biases)
+
+    def test_read_only(self):
+        p = model.init_mlp([2, 4, 3], seed=3)
+        for target in (p.vec, p.weights[1], p.biases[0]):
+            with pytest.raises(ValueError):
+                target[0] = 1.0
+
+    def test_wrong_length(self):
+        with pytest.raises(ShapeError):
+            model.MlpParams(np.zeros(10), [2, 4, 3], "tanh")
+
 
 class TestForward:
     def test_zero_params_uniform(self):
         p = model.init_mlp([2, 4, 3], seed=0)
-        for w in p.weights:
-            w[:] = 0.0
+        p = model.MlpParams(np.zeros_like(p.vec), p.sizes, p.activation)
         Z = model.forward_logits(p, np.random.default_rng(0).normal(size=(5, 2)))
         np.testing.assert_array_equal(Z, 0.0)
         np.testing.assert_allclose(losses.softmax(Z), 1.0 / 3.0)
@@ -93,7 +111,7 @@ class TestBackward:
     def test_zero_upstream(self):
         p = model.init_mlp([2, 6, 3], seed=7)
         g = model.backward(p, np.ones((4, 2)), np.zeros((4, 3)))
-        assert all(np.all(w == 0) for w in g.weights + g.biases)
+        assert np.all(g.vec == 0)
 
     def test_matches_fd(self):
         rng = np.random.default_rng(11)
@@ -101,7 +119,7 @@ class TestBackward:
             p = model.init_mlp([3, 6, 4], activation=activation, seed=13)
             X = rng.normal(size=(5, 3))
             G = rng.normal(size=(5, 4))
-            got = model.flatten(model.backward(p, X, G))
+            got = model.backward(p, X, G).vec
             want = fd_param_grad(
                 p, lambda q: float((model.forward_logits(q, X) * G).sum())
             )
@@ -112,10 +130,8 @@ class TestBackward:
         p = model.init_mlp([2, 5, 3], seed=19)
         x = rng.normal(size=(1, 2))
         g = rng.normal(size=(1, 3))
-        single = model.flatten(model.backward(p, x, g))
-        stacked = model.flatten(
-            model.backward(p, np.vstack([x, x]), np.vstack([g / 2, g / 2]))
-        )
+        single = model.backward(p, x, g).vec
+        stacked = model.backward(p, np.vstack([x, x]), np.vstack([g / 2, g / 2])).vec
         np.testing.assert_allclose(stacked, single, atol=1e-14)
 
     def test_end_to_end_each_family(self):
@@ -133,7 +149,7 @@ class TestBackward:
         for hyper in cases:
             Z = model.forward_logits(p, X)
             _, G = losses.batch_loss(hyper, Z, y)
-            got = model.flatten(model.backward(p, X, G / len(y)))
+            got = model.backward(p, X, G / len(y)).vec
             want = fd_param_grad(p, lambda q: mean_loss_of_params(q, hyper, X, y))
             assert rel_err(got, want) <= 1e-5, hyper.variant
 
@@ -157,15 +173,14 @@ class TestJvp:
         rng = np.random.default_rng(41)
         p = model.init_mlp([3, *hidden, 4], activation=activation, seed=43)
         X = rng.normal(size=(9, 3))
-        direction = model.unflatten(
-            rng.normal(size=model.flatten(p).size), p.sizes, p.activation
-        )
+        direction = model.MlpParams(rng.normal(size=p.vec.size), p.sizes, p.activation)
         got = model.jvp(p, model._forward_cached(p, X), direction)
+        def logits_at(step):
+            moved = model.MlpParams(p.vec + step * direction.vec, p.sizes, p.activation)
+            return model.forward_logits(moved, X)
+
         h = 1e-6
-        want = (
-            model.forward_logits(model.axpy(p, h, direction), X)
-            - model.forward_logits(model.axpy(p, -h, direction), X)
-        ) / (2 * h)
+        want = (logits_at(h) - logits_at(-h)) / (2 * h)
         assert got.shape == (9, 4)
         assert rel_err(got, want) <= 1e-7
 
@@ -177,7 +192,7 @@ class TestJvp:
         direction = model.init_mlp([2, 6, 3], seed=59)
         cache = model._forward_cached(p, X)
         lhs = float((G * model.jvp(p, cache, direction)).sum())
-        rhs = float(model.flatten(direction) @ model.flatten(model.backward(p, X, G, cache)))
+        rhs = float(direction.vec @ model.backward(p, X, G, cache).vec)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_shape_mismatch(self):
@@ -185,33 +200,38 @@ class TestJvp:
         cache = model._forward_cached(p, np.ones((4, 2)))
         with pytest.raises(ShapeError):
             model.jvp(p, cache, model.init_mlp([2, 5, 3], seed=61))
+        # a direction of the same length but another layout
+        p = model.init_mlp([3, 2], seed=62)
+        cache = model._forward_cached(p, np.ones((4, 3)))
+        with pytest.raises(ShapeError):
+            model.jvp(p, cache, model.init_mlp([1, 4], seed=62))
 
 
 class TestSgd:
     def test_zero_step(self):
         p = model.init_mlp([2, 4, 2], seed=1)
-        q = model.sgd_step(p, p, 0.0)
+        q = model.sgd_step(p, p.vec, 0.0)
         for a, b in zip(q.weights, p.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_full_step_to_zero(self):
         p = model.init_mlp([2, 4, 2], seed=2)
-        q = model.sgd_step(p, p, 1.0)
+        q = model.sgd_step(p, p.vec, 1.0)
         # biases start at zero, so everything lands at zero
-        assert all(np.all(w == 0) for w in q.weights + q.biases)
+        assert np.all(q.vec == 0)
 
     def test_two_steps_sum(self):
         p = model.init_mlp([2, 4, 2], seed=3)
         g = model.init_mlp([2, 4, 2], seed=4)
-        once = model.sgd_step(model.sgd_step(p, g, 0.1), g, 0.2)
-        summed = model.sgd_step(p, g, 0.3)
+        once = model.sgd_step(model.sgd_step(p, g.vec, 0.1), g.vec, 0.2)
+        summed = model.sgd_step(p, g.vec, 0.3)
         for a, b in zip(once.weights, summed.weights):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_nonfinite_grads(self):
         p = model.init_mlp([2, 4, 2], seed=5)
-        g = p.copy()
-        g.weights[0][0, 0] = np.nan
+        g = p.vec.copy()
+        g[0] = np.nan  # weights[0][0, 0]
         with pytest.raises(NumericError):
             model.sgd_step(p, g, 0.1)
 
@@ -226,7 +246,7 @@ class TestTrainingSanity:
             idx = rng.choice(len(blobs), size=32, replace=False)
             Z = model.forward_logits(p, blobs.X[idx])
             _, G = losses.batch_loss(hyper, Z, blobs.y[idx])
-            p = model.sgd_step(p, model.backward(p, blobs.X[idx], G / len(idx)), 0.5)
+            p = model.sgd_step(p, model.backward(p, blobs.X[idx], G / len(idx)).vec, 0.5)
         assert model.accuracy(p, blobs.X, blobs.y) >= 0.99
 
 
@@ -239,3 +259,25 @@ class TestCheckpoint:
         assert q.sizes == p.sizes and q.activation == "relu"
         for a, b in zip(q.weights + q.biases, p.weights + p.biases):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            {"sizes": [3, 8, 4], "activation": "gelu"},
+            {"sizes": [3, 8.0, 4], "activation": "relu"},
+            {"sizes": [100], "activation": "relu"},
+        ],
+    )
+    def test_bad_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "ckpt.bin"
+        model.save_checkpoint(model.init_mlp([3, 8, 4], activation="relu", seed=31), path)
+        (tmp_path / "ckpt.bin.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ConfigError):
+            model.load_checkpoint(path)
+
+    def test_truncated(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        model.save_checkpoint(model.init_mlp([3, 8, 4], seed=31), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ShapeError):
+            model.load_checkpoint(path)

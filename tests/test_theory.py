@@ -316,7 +316,7 @@ class TestLossTable:
     )
     def test_lipschitz_matches_moved_copies(self, c, delta, variant, hyper):
         grid = theory.simplex_grid(c, delta)
-        table = theory._loss_table(variant, hyper, grid)
+        table = theory._loss_table(hyper, grid)
         got = theory.grid_lipschitz(grid, table, delta)
         ref = _moved_copy_lipschitz(variant, hyper, c, delta)
         assert got > 0.0
