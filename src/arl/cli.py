@@ -138,19 +138,13 @@ def run_experiment(exp, out_dir):
 
 
 def _fixed_grid_hypers(exp, num_classes):
-    variant = exp.loss["variant"]
-    if variant == "ce":
-        raise ConfigError("the ablation needs a loss variant with hyperparameters")
-    grid = exp.ablation.get("grid")
+    grid = exp.ablation["grid"]
     if not grid:
-        grid = dict(FIXED_GRIDS[variant])
+        grid = dict(FIXED_GRIDS[exp.loss["variant"]])
         if "lam" in grid:
             grid["lam"] = [s * math.log(num_classes) for s in grid["lam"]]
-    unknown = set(grid) - set(losses.LEARNABLE[variant])
-    if unknown:
-        raise ConfigError(f"ablation.grid keys {sorted(unknown)} not hyperparameters of {variant}")
-    base = config_mod.initial_hyper(exp, num_classes)
-    return [replace(base, **dict(zip(grid, combo))) for combo in itertools.product(*grid.values())]
+    return [config_mod.initial_hyper(exp, num_classes, **dict(zip(grid, combo)))
+            for combo in itertools.product(*grid.values())]
 
 
 def run_ablation(exp, modes, out_dir):
@@ -165,6 +159,8 @@ def run_ablation(exp, modes, out_dir):
     for mode in modes:
         if mode not in known:
             raise ConfigError(f"unknown ablation mode {mode!r}")
+    if "fixed" in modes and exp.loss["variant"] == "ce":
+        raise ConfigError("ablation mode 'fixed' needs a 'loss.variant' with hyperparameters")
     out_dir.mkdir(parents=True, exist_ok=True)
     split = config_mod.build_datasets(exp)
     tc = config_mod.build_train_config(exp, split.train.c)
@@ -249,30 +245,20 @@ def _write_ablation_csv(curves, modes, path):
 def verify_bounds(exp, out_path=None):
     """Risk-gap sandwich reports for the configured noise rates."""
     t = exp.theory
-    c = t.get("classes", 3)
-    delta = t.get("delta", 0.02)
-    etas = t.get("etas", [0.1, 0.3, 0.6])
-    labels = t.get("world_labels", [k % c for k in range(4)])
-    variant = t.get("variant", "polysoft")
-    hyper_fields = t.get("hyper", {})
-    base = losses.default_hyper(variant, c) if variant in ("polysoft", "bi_tempered") else None
-    if base is None:
-        raise ConfigError(f"verify-bounds supports polysoft and bi_tempered, not {variant!r}")
-    hyper = replace(base, **hyper_fields)
-
     reports = {}
     all_ok = True
-    for eta in etas:
-        world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
-        report = theory.riskgap_verify(world, variant, hyper)
+    for eta in t["etas"]:
+        world = theory.FiniteWorld(t["world_labels"], t["classes"], t["delta"], eta)
+        # raises a DomainError for a variant without bound constants
+        report = theory.riskgap_verify(world, t["variant"], t["hyper"])
         reports[f"eta={eta:g}"] = report.as_dict()
         all_ok = all_ok and report.noisy_sandwich_ok and report.clean_sandwich_ok
     payload = {
-        "variant": variant,
-        "classes": c,
-        "delta": delta,
-        "world_labels": list(map(int, labels)),
-        "hyper": {n: getattr(hyper, n) for n in hyper.learnable_names},
+        "variant": t["variant"],
+        "classes": t["classes"],
+        "delta": t["delta"],
+        "world_labels": list(map(int, t["world_labels"])),
+        "hyper": {n: getattr(t["hyper"], n) for n in t["hyper"].learnable_names},
         "reports": reports,
         "all_inequalities_hold": bool(all_ok),
     }
@@ -337,21 +323,13 @@ def _build_parser():
 
 def _cmd_train(args):
     exp = config_mod.load_config(args.config, args.seed)
-    _require_files(exp)
     manifest = run_experiment(exp, Path(args.out))
     print(f"final test accuracy {manifest['final_test_acc']:.4f} -> {args.out}")
     return EXIT_OK
 
 
-def _require_files(exp):
-    csv = exp.dataset.get("csv")
-    if csv is not None and not Path(csv).exists():
-        raise ConfigError(f"dataset csv not found: {csv}")
-
-
 def _cmd_ablate(args):
     exp = config_mod.load_config(args.config, args.seed)
-    _require_files(exp)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise ConfigError("no ablation modes given")
@@ -365,15 +343,8 @@ def _cmd_losscurve(args):
     path = Path(args.checkpoint)
     if path.is_dir():
         path = path / "manifest.json"
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    base = losses.default_hyper(manifest["variant"], manifest["classes"])
-    fields = dict(zip(manifest["hyper_names"], manifest["hyper_final"]))
-    fields["rce_a"] = manifest.get("rce_a", -4.0)
-    hyper = replace(base, **fields)
-    emit_losscurve(hyper, manifest["classes"], args.out)
+    hyper, num_classes = config_mod.load_run_hyper(path)
+    emit_losscurve(hyper, num_classes, args.out)
     print(f"loss curve -> {args.out}")
     return EXIT_OK
 
@@ -387,7 +358,6 @@ def _cmd_verify(args):
 
 def _cmd_gen_data(args):
     exp = config_mod.load_config(args.config)
-    _require_files(exp)
     manifest = gen_data(exp, Path(args.out))
     print(f"wrote {manifest['count']} samples ({manifest['classes']} classes) -> {args.out}")
     return EXIT_OK

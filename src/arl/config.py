@@ -1,50 +1,96 @@
 """Experiment configuration: one strict JSON document per run.
 
 Unknown keys anywhere in the document are errors so that a typo in a
-hyperparameter name cannot silently fall back to a default.  Seeds for
-the data/noise/split/train/model stages derive from one master seed
-unless a stage pins its own.
+hyperparameter name cannot silently fall back to a default, and every
+key and value is checked when the document is parsed, before any data
+is loaded or any run starts.  Seeds for the data/noise/split/train/model
+stages derive from one master seed unless a stage pins its own.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 from . import data as data_mod
 from . import losses
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .meta import TrainConfig
-
-_SECTIONS = {
-    "seed", "dataset", "noise", "split", "loss", "train", "model",
-    "emit", "ablation", "theory",
-}
 
 
 def _check_keys(doc, allowed, path):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{path}' must be a JSON object")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
 
 
-# allowed keys and defaults of the sections that are plain settings
+_IS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+}
+_IS["a list of integers"] = lambda v: isinstance(v, list) and all(map(_IS["an integer"], v))
+_IS["a list of numbers"] = lambda v: isinstance(v, list) and all(map(_IS["a number"], v))
+
+# the type of each setting and hyperparameter; a key has one type in every section
+_TYPES = {key: what for what, keys in (
+    ("an integer", "seed n classes dim meta_size batch_n batch_m iters metrics_every"),
+    ("a number", "spread eta test_fraction rce_a alpha beta momentum decay_factor delta"),
+    ("a number", "q gamma1 gamma2 t1 t2 lam d"),
+    ("a list of integers", "decay_steps hidden world_labels"),
+    ("a list of numbers", "etas"),
+    ("a string", "csv generator type variant activation"),
+    ("true or false", "exact_count weights losscurve"),
+) for key in keys.split()}
+
+
+def _check_types(section, path):
+    for key, value in section.items():
+        if key in _TYPES and not _IS[_TYPES[key]](value):
+            raise ConfigError(f"'{path}.{key}' must be {_TYPES[key]}, got {value!r}")
+
+
+# allowed keys and defaults of each section; None marks a key without a default
 _DEFAULTS = {
+    "dataset": dict.fromkeys(("generator", "n", "classes", "dim", "spread", "csv")),
+    "noise": {"type": "none", "eta": 0.0, "superclasses": None, "exact_count": False},
     "split": {"meta_size": 30, "test_fraction": 1000},
+    "loss": {"variant": "gce", "init": {}, "rce_a": -4.0},
     "train": {
         "alpha": 0.3, "beta": 0.3, "batch_n": 100, "batch_m": 30, "iters": 1000,
         "momentum": 0.0, "decay_steps": [], "decay_factor": 0.1, "metrics_every": 50,
     },
     "model": {"hidden": [16], "activation": "tanh"},
+    "emit": {"weights": None, "losscurve": True},
+    "ablation": {"grid": {}},
+    "theory": {"classes": 3, "etas": [0.1, 0.3, 0.6], "delta": 0.02, "world_labels": None,
+               "variant": "polysoft", "hyper": {}},
 }
+# the sections with a stage seed, and its offset from the master seed
+_SEED_OFFSETS = {"dataset": 1, "noise": 2, "split": 3, "train": 4, "model": 5}
 
 
-def _section(doc, name, seed):
-    """Section ``name`` of ``doc`` over its defaults, with its stage seed."""
+def _section(doc, name, master, keep_pinned):
+    """Section ``name`` of ``doc`` over its defaults, type-checked.
+
+    A stage's seed is ``master`` plus its offset, unless the section pins
+    its own and ``keep_pinned``.
+    """
     given = doc.get(name, {})
-    _check_keys(given, set(_DEFAULTS[name]) | {"seed"}, name)
-    return {**copy.deepcopy(_DEFAULTS[name]), **given, "seed": seed}
+    seeded = name in _SEED_OFFSETS
+    _check_keys(given, set(_DEFAULTS[name]) | ({"seed"} if seeded else set()), name)
+    section = {k: v for k, v in copy.deepcopy(_DEFAULTS[name]).items() if v is not None}
+    section.update(given)
+    if seeded and not (keep_pinned and "seed" in given):
+        section["seed"] = master + _SEED_OFFSETS[name]
+    _check_types(section, name)
+    return section
 
 
 @dataclass
@@ -60,37 +106,42 @@ class ExperimentConfig:
     train: dict
     model: dict
     emit: dict
-    ablation: dict = field(default_factory=dict)
-    theory: dict = field(default_factory=dict)
+    ablation: dict
+    theory: dict
+
+
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
 
 
 def load_config(path, seed_override=None):
+    return parse_config(_read_json(path, "config file"), seed_override)
+
+
+def build_hyper(variant, fields, num_classes, path, rce_a=-4.0):
+    """The one builder: ``fields`` over ``losses.default_hyper``, keys and values checked."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    return parse_config(doc, seed_override)
+        base = losses.default_hyper(variant, num_classes)
+        _check_keys(fields, base.learnable_names, path)
+        _check_types(fields, path)
+        return replace(base, rce_a=rce_a, **fields)
+    except DomainError as exc:
+        raise ConfigError(f"'{path}': {exc}")
 
 
 def parse_config(doc, seed_override=None):
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys(doc, _SECTIONS, "$")
+    _check_keys(doc, {"seed", *_DEFAULTS}, "$")
     master = seed_override if seed_override is not None else doc.get("seed", 0)
     if not isinstance(master, int):
         raise ConfigError("'seed' must be an integer")
-    override = seed_override is not None
-
-    def stage_seed(section, offset):
-        if not override and isinstance(section, dict) and "seed" in section:
-            return section["seed"]
-        return master + offset
-
-    dataset = dict(doc.get("dataset", {}))
-    _check_keys(dataset, {"generator", "n", "classes", "dim", "spread", "csv", "seed"}, "dataset")
+    sections = {name: _section(doc, name, master, seed_override is None) for name in _DEFAULTS}
+    dataset, noise, loss, theory = (sections[k] for k in ("dataset", "noise", "loss", "theory"))
     if "csv" in dataset and "generator" in dataset:
         raise ConfigError("'dataset' takes either 'generator' or 'csv', not both")
     if "csv" not in dataset:
@@ -101,62 +152,62 @@ def parse_config(doc, seed_override=None):
         dataset.setdefault("classes", 3)
         dataset.setdefault("dim", 2)
         dataset.setdefault("spread", 0.4)
-    dataset["seed"] = stage_seed(doc.get("dataset"), 1)
 
-    noise = dict(doc.get("noise", {}))
-    _check_keys(noise, {"type", "eta", "superclasses", "exact_count", "seed"}, "noise")
-    noise.setdefault("type", "none")
     if noise["type"] not in ("none", "symmetric", "asymmetric", "hierarchical"):
         raise ConfigError(f"unknown noise type {noise['type']!r}")
-    noise.setdefault("eta", 0.0)
-    noise.setdefault("exact_count", False)
     if noise["type"] == "hierarchical" and "superclasses" not in noise:
         raise ConfigError("hierarchical noise needs 'noise.superclasses'")
-    noise["seed"] = stage_seed(doc.get("noise"), 2)
 
-    split = _section(doc, "split", stage_seed(doc.get("split"), 3))
-
-    loss = dict(doc.get("loss", {}))
-    _check_keys(loss, {"variant", "init", "rce_a"}, "loss")
-    loss.setdefault("variant", "gce")
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")
-    loss.setdefault("rce_a", -4.0)
-    init = loss.get("init", {})
-    _check_keys(init, set(losses.LEARNABLE[loss["variant"]]), "loss.init")
+    sections["emit"].setdefault("weights", loss["variant"] == "polysoft")
 
-    train = _section(doc, "train", stage_seed(doc.get("train"), 4))
-    model = _section(doc, "model", stage_seed(doc.get("model"), 5))
+    # the class count of a CSV dataset is known only once it is loaded;
+    # only lam's default 3 log(c) depends on it, inside its domain for any c >= 2
+    variant, init, rce_a = loss["variant"], loss["init"], loss["rce_a"]
+    build_hyper(variant, init, 2, "loss.init", rce_a)
+    grid = sections["ablation"]["grid"]
+    _check_keys(grid, losses.LEARNABLE[variant], "ablation.grid")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"'ablation.grid.{key}' must be a non-empty list")
+    for combo in itertools.product(*grid.values()):
+        build_hyper(variant, {**init, **dict(zip(grid, combo))}, 2, "ablation.grid", rce_a)
 
-    emit = dict(doc.get("emit", {}))
-    _check_keys(emit, {"weights", "losscurve"}, "emit")
-    emit.setdefault("weights", loss["variant"] == "polysoft")
-    emit.setdefault("losscurve", True)
+    if theory["classes"] < 2:
+        raise ConfigError("'theory.classes' must be at least 2")
+    theory.setdefault("world_labels", [k % theory["classes"] for k in range(4)])
+    theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
+                                  "theory.hyper")
 
-    ablation = dict(doc.get("ablation", {}))
-    _check_keys(ablation, {"modes", "grid"}, "ablation")
-
-    theory = dict(doc.get("theory", {}))
-    _check_keys(theory, {"classes", "etas", "delta", "world_labels", "variant", "hyper"}, "theory")
-
-    return ExperimentConfig(
-        raw=doc, seed=master, dataset=dataset, noise=noise, split=split,
-        loss=loss, train=train, model=model, emit=emit,
-        ablation=ablation, theory=theory,
-    )
+    return ExperimentConfig(raw=doc, seed=master, **sections)
 
 
-def initial_hyper(exp, num_classes):
-    base = losses.default_hyper(exp.loss["variant"], num_classes)
-    fields = dict(exp.loss.get("init", {}))
-    fields["rce_a"] = exp.loss["rce_a"]
-    return replace(base, **fields)
+def initial_hyper(exp, num_classes, **overrides):
+    """``loss.init`` with ``overrides`` (one ablation grid point) over the defaults."""
+    fields = {**exp.loss["init"], **overrides}
+    return build_hyper(exp.loss["variant"], fields, num_classes, "loss.init", exp.loss["rce_a"])
+
+
+def load_run_hyper(path):
+    """The final hyperparameters and class count that a run's manifest.json records."""
+    manifest = _read_json(path, "manifest")
+    for key in ("variant", "classes", "hyper_names", "hyper_final"):
+        if key not in manifest:
+            raise ConfigError(f"manifest {path} lacks '{key}'")
+    _check_types({"classes": manifest["classes"]}, "manifest")
+    fields = dict(zip(manifest["hyper_names"], manifest["hyper_final"]))
+    hyper = build_hyper(manifest["variant"], fields, manifest["classes"], "manifest.hyper_final",
+                        manifest.get("rce_a", -4.0))
+    return hyper, manifest["classes"]
 
 
 def load_dataset(exp):
     """The configured clean dataset: the CSV file, or generated blobs."""
     ds_cfg = exp.dataset
     if "csv" in ds_cfg:
+        if not Path(ds_cfg["csv"]).exists():
+            raise ConfigError(f"dataset csv not found: {ds_cfg['csv']}")
         return data_mod.load_csv(ds_cfg["csv"])
     return data_mod.gen_blobs(
         ds_cfg["n"], ds_cfg["classes"], ds_cfg["dim"], ds_cfg["spread"], ds_cfg["seed"]

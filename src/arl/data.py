@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class NoisyDataset:
     y_noisy: np.ndarray
     y_clean: np.ndarray
     c: int
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.y_noisy)
@@ -92,7 +91,7 @@ def _check_eta(eta):
         raise DomainError(f"eta={eta!r} outside [0, 1]")
 
 
-def _flip(dataset, eta, seed, exact_count, relabel, **provenance):
+def _flip(dataset, eta, seed, exact_count, relabel):
     """Noisy copy of ``dataset``: each label is flipped with probability eta
     (exactly floor(eta * n) of them with ``exact_count``) to
     ``relabel(rng, clean labels to flip)``; the clean labels ride along."""
@@ -109,8 +108,7 @@ def _flip(dataset, eta, seed, exact_count, relabel, **provenance):
         mask = rng.random(n) < eta
     y_noisy = y_clean.copy()
     y_noisy[mask] = relabel(rng, y_clean[mask])
-    provenance.update(eta=eta, seed=seed, exact_count=exact_count)
-    return NoisyDataset(X, y_noisy, y_clean.copy(), dataset.c, provenance)
+    return NoisyDataset(X, y_noisy, y_clean.copy(), dataset.c)
 
 
 def inject_symmetric(dataset, eta, seed=0, exact_count=False):
@@ -119,7 +117,7 @@ def inject_symmetric(dataset, eta, seed=0, exact_count=False):
     c = dataset.c
     # uniform over the c-1 other classes via an offset in 1..c-1
     return _flip(dataset, eta, seed, exact_count,
-                 lambda rng, y: (y + rng.integers(1, c, size=len(y))) % c, noise="symmetric")
+                 lambda rng, y: (y + rng.integers(1, c, size=len(y))) % c)
 
 
 def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
@@ -133,7 +131,7 @@ def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
     if c < 3:
         raise ConfigError("asymmetric noise needs at least 3 classes")
     return _flip(dataset, eta, seed, exact_count,
-                 lambda rng, y: (y + rng.integers(1, 3, size=len(y))) % c, noise="asymmetric")
+                 lambda rng, y: (y + rng.integers(1, 3, size=len(y))) % c)
 
 
 def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
@@ -150,8 +148,7 @@ def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
     def relabel(rng, y):
         return [others[label][rng.integers(len(others[label]))] for label in y.tolist()]
 
-    return _flip(dataset, eta, seed, exact_count, relabel, noise="hierarchical",
-                 superclasses=[sorted(b) for b in superclasses])
+    return _flip(dataset, eta, seed, exact_count, relabel)
 
 
 def split_meta(clean, meta_size, test_fraction, seed=0):
@@ -194,7 +191,6 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
         clean.y[train_idx].copy(),
         clean.y[train_idx].copy(),
         clean.c,
-        {"noise": "none", "eta": 0.0, "seed": seed},
     )
     meta = Dataset(clean.X[meta_idx], clean.y[meta_idx].copy(), clean.c)
     test = Dataset(clean.X[test_idx], clean.y[test_idx].copy(), clean.c)

@@ -206,24 +206,20 @@ def exp_t(x, t):
     x = np.asarray(x, dtype=float)
     if abs(t - 1.0) < _T_NEAR_ONE:
         out = np.exp(x)
-        return float(out) if out.ndim == 0 else out
-    s = 1.0 - t
-    base = 1.0 + s * x
-    out = np.empty_like(x)
-    pos = base > 0.0
-    out[pos] = np.exp(np.log1p(s * x[pos]) / s)
-    out[~pos] = 0.0 if t < 1.0 else np.inf
+    else:
+        with np.errstate(divide="ignore"):
+            out = _exp_t_neg_args(x, 1.0 - t)
     return float(out) if out.ndim == 0 else out
 
 
 def _exp_t_neg_args(X, s):
-    """exp_t with s = 1 - t (a scalar or one per row) for arguments X <= 0.
+    """exp_t with s = 1 - t (a scalar or one per row), t away from 1.
 
-    For t > 1 the base 1 + s*X is >= 1; for t < 1 (rows the solver accepts
-    although no loss domain reaches them) it can hit zero, which is the
-    [.]_+ branch of exp_t: log1p(-1) = -inf gives the exact 0, and the
-    caller silences its divide warning.  log1p keeps the base exact as
-    s -> 0 on both sides of 1.
+    Where the base 1 + s*X is <= 0, log1p(-1) = -inf gives the [.]_+
+    branch: the exact 0 for t < 1 and the +inf sentinel for t > 1; the
+    caller silences its divide warning.  The solver's arguments are <= 0,
+    so for t > 1 its base is >= 1.  log1p keeps the base exact as s -> 0
+    on both sides of 1.
     """
     return np.exp(np.log1p(np.maximum(s * X, -1.0)) / s)
 

@@ -272,7 +272,6 @@ def conventional_train(dataset, test_set, config, hyper, meta_set=None,
     adaptation.  ``init_params``/``start_iter`` support continuing from a
     snapshot of another run.
     """
-    hyper.validate()
     if init_params is None:
         model_seed = config.seed if config.model_seed is None else config.model_seed
         init_params = model.init_mlp(

@@ -112,14 +112,8 @@ def _forward_cached(params, X):
 
 
 def forward_logits(params, X):
-    """Logits for a batch of feature rows (softmax applied by the loss)."""
-    X = np.asarray(X, dtype=float)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
-    pres, _ = _forward_cached(params, X)
-    logits = pres[-1]
-    return logits[0] if squeeze else logits
+    """Logits for a 2-D batch of feature rows (softmax applied by the loss)."""
+    return _forward_cached(params, X)[0][-1]
 
 
 def backward(params, X, grad_logits_batch, cache=None):
@@ -187,12 +181,11 @@ def load_checkpoint(path):
     """Parameters saved by ``save_checkpoint``; the sidecar and the length are checked."""
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
+    for key in ("sizes", "activation"):
+        if key not in sidecar:
+            raise ConfigError(f"checkpoint sidecar {path}.json lacks '{key}'")
     return MlpParams(np.fromfile(path, dtype="<f8"), sidecar["sizes"], sidecar["activation"])
 
 
-def predict(params, X):
-    return np.argmax(forward_logits(params, X), axis=-1)
-
-
 def accuracy(params, X, y):
-    return float(np.mean(predict(params, X) == np.asarray(y)))
+    return float(np.mean(np.argmax(forward_logits(params, X), axis=-1) == np.asarray(y)))

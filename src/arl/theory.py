@@ -109,8 +109,6 @@ def bound_constants(variant, c, eta, hyper):
         )
     if variant == "polysoft":
         lam, d = hyper.lam, hyper.d
-        if d <= 1.0:
-            raise DomainError("polysoft bound needs d > 1")
         if lam < math.log(c) - 1e-12:
             raise DomainError(
                 f"polysoft bound needs lam >= log(c) = {math.log(c):.6f}, got {lam}"
@@ -120,10 +118,6 @@ def bound_constants(variant, c, eta, hyper):
         return BoundConstants(a, a_prime, variant, c, eta)
     if variant == "bi_tempered":
         t1 = hyper.t1
-        if not 0.0 <= t1 < 1.0:
-            raise DomainError("bi_tempered bound needs 0 <= t1 < 1")
-        if not hyper.t2 > 1.0:
-            raise DomainError("bi_tempered bound needs t2 > 1")
         tail = (c - c**t1) / ((1.0 - t1) * (2.0 - t1))
         a = eta / (1.0 - t1) - eta * tail / (c - 1.0)
         a_prime = eta * tail / denom - eta * (c - 1.0) / ((1.0 - t1) * denom)

@@ -145,6 +145,27 @@ class TestLosscurveCommand:
         assert cli.main(["losscurve", "--checkpoint", str(tmp_path), "--out",
                          str(tmp_path / "c.csv")]) == 2
 
+    @pytest.mark.parametrize("key", ["variant", "classes", "hyper_names", "hyper_final"])
+    def test_manifest_missing_key(self, tmp_path, capsys, key):
+        manifest = {"variant": "gce", "classes": 3, "hyper_names": ["q"], "hyper_final": [0.5]}
+        del manifest[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["losscurve", "--checkpoint", str(tmp_path), "--out",
+                         str(tmp_path / "c.csv")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, final, key", [
+        (["lam"], [0.5], "lam"),
+        (["q"], [2.0], "q"),
+        (["q"], ["0.5"], "q"),
+    ])
+    def test_manifest_bad_hyper(self, tmp_path, capsys, names, final, key):
+        manifest = {"variant": "gce", "classes": 3, "hyper_names": names, "hyper_final": final}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["losscurve", "--checkpoint", str(tmp_path), "--out",
+                         str(tmp_path / "c.csv")]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestVerifyBoundsCommand:
     def test_json_report(self, tmp_path, capsys):
@@ -223,6 +244,53 @@ class TestAblateCommand:
                          "--out", str(tmp_path / "a")]) == 2
 
 
+def _never_train(*args, **kwargs):
+    raise AssertionError("training started before the config was fully checked")
+
+
+class TestChecksBeforeTraining:
+    SL_RUN = dict(SMALL_RUN, loss={"variant": "sl"})
+
+    @pytest.mark.parametrize("patch, modes, key", [
+        ({"ablation": {"grid": {"gama1": [0.1, 1.0]}}}, "fixed,adaptive", "gama1"),
+        ({"ablation": {"grid": {"gamma1": [0.1, -1.0]}}}, "fixed,adaptive", "gamma1"),
+        ({"ablation": {"grid": {"gamma1": 1.0}}}, "fixed,adaptive", "ablation.grid.gamma1"),
+        ({"ablation": {"grid": {"gamma1": []}}}, "fixed,adaptive", "ablation.grid.gamma1"),
+        ({"loss": {"variant": "ce"}}, "adaptive,fixed", "loss.variant"),
+        ({"theory": {"hyper": {"lamb": 2.0}}}, "adaptive", "lamb"),
+        ({"theory": {"hyper": {"q": 0.5}}}, "adaptive", "q"),
+        ({"ablation": {"modes": ["fixed"]}}, "fixed", "modes"),
+    ], ids=["grid-key", "grid-domain", "grid-scalar", "grid-empty", "ce-fixed",
+            "theory-key", "theory-not-learned", "ablation-modes"])
+    def test_ablate_exits_2_untrained(self, tmp_path, capsys, monkeypatch, patch, modes, key):
+        monkeypatch.setattr(meta, "arl_train", _never_train)
+        monkeypatch.setattr(meta, "conventional_train", _never_train)
+        cfg = write_config(tmp_path, dict(self.SL_RUN, **patch))
+        assert cli.main(["ablate", "--config", str(cfg), "--modes", modes,
+                         "--out", str(tmp_path / "a")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "iters", 20.0),
+        ("train", "batch_n", "16"),
+        ("model", "hidden", 16),
+        ("theory", "classes", 3.0),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, monkeypatch, section, key, value):
+        monkeypatch.setattr(meta, "arl_train", _never_train)
+        doc = dict(SMALL_RUN, **{section: dict(SMALL_RUN.get(section, {}), **{key: value})})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_theory_defaults_resolved(self):
+        theory = config_mod.parse_config(dict(SMALL_RUN)).theory
+        assert theory["classes"] == 3 and theory["etas"] == [0.1, 0.3, 0.6]
+        assert theory["delta"] == 0.02 and theory["world_labels"] == [0, 1, 2, 0]
+        assert theory["variant"] == "polysoft"
+        assert theory["hyper"] == losses.default_hyper("polysoft", 3)
+
+
 class TestConfigParsing:
     def test_seed_override_rederives_stages(self):
         exp1 = config_mod.parse_config(dict(SMALL_RUN), seed_override=7)
@@ -270,7 +338,18 @@ class TestDefaultInit:
 
 
 class TestShippedConfigs:
-    CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    ROOT = Path(__file__).resolve().parent.parent
+    CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+    def test_readme_commands_parse(self):
+        readme = (self.ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("arl ")]
+        assert len(lines) >= 5
+        for line in lines:
+            args = cli._build_parser().parse_args(line.split()[1:])
+            if hasattr(args, "config"):
+                config_mod.load_config(self.ROOT / args.config)
 
     def test_found(self):
         assert len(self.CONFIGS) >= 5

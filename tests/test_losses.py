@@ -159,6 +159,34 @@ class TestTemperedMath:
     def test_exp_t_zero_branch(self):
         assert L.exp_t(-3.0, 0.5) == 0.0
 
+    def test_exp_t_matches_masked_formula_bitwise(self):
+        # the former exp_t: log1p where the base 1 + (1-t) x is positive,
+        # an explicit 0 (t < 1) or +inf (t > 1) where it is not
+        def masked(x, t):
+            if abs(t - 1.0) < 1e-8:
+                return np.exp(x)
+            s = 1.0 - t
+            out = np.empty_like(x)
+            pos = 1.0 + s * x > 0.0
+            out[pos] = np.exp(np.log1p(s * x[pos]) / s)
+            out[~pos] = 0.0 if t < 1.0 else np.inf
+            return out
+
+        mags = np.geomspace(1e-300, 1e308, 400)
+        common = np.concatenate([-mags, [0.0], mags, np.linspace(-50.0, 50.0, 1001)])
+        # 1 - t a power of two puts the base exactly at 0 on x = -1/(1-t)
+        exact = [0.0, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0, 9.0]
+        ts = np.concatenate([np.linspace(0.0, 10.0, 201), exact, [1.0 - 1e-9, 1.0 + 1e-6]])
+        for t in ts:
+            xs = common
+            if t != 1.0:  # the base's zero and its neighbours
+                edge = -1.0 / (1.0 - t)
+                xs = np.concatenate([xs, [edge, np.nextafter(edge, -np.inf),
+                                          np.nextafter(edge, np.inf)]])
+            with np.errstate(over="ignore"):
+                got, want = L.exp_t(xs, t), masked(xs, t)
+            assert got.tobytes() == want.tobytes(), t
+
     def test_roundtrip(self):
         ts = list(np.linspace(0.0, 0.9, 7)) + list(np.linspace(1.1, 3.0, 7))
         for t in ts:

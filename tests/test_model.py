@@ -90,7 +90,7 @@ class TestForward:
         X = rng.normal(size=(6, 3))
         Z = model.forward_logits(p, X)
         for i in range(6):
-            np.testing.assert_allclose(model.forward_logits(p, X[i]), Z[i])
+            np.testing.assert_allclose(model.forward_logits(p, X[i:i + 1]), Z[i:i + 1])
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -266,6 +266,8 @@ class TestCheckpoint:
             {"sizes": [3, 8, 4], "activation": "gelu"},
             {"sizes": [3, 8.0, 4], "activation": "relu"},
             {"sizes": [100], "activation": "relu"},
+            {"activation": "relu"},
+            {"sizes": [3, 8, 4]},
         ],
     )
     def test_bad_sidecar(self, tmp_path, sidecar):
