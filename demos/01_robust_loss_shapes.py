@@ -15,29 +15,28 @@ from arl import cli, losses
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
+CE = losses.HyperParams("ce")
+GCE = losses.HyperParams("gce", q=0.7)
+SL = losses.HyperParams("sl", gamma1=1.0, gamma2=1.0)
+BI_TEMPERED = losses.HyperParams("bi_tempered", t1=0.5, t2=1.5)
+POLYSOFT = losses.HyperParams("polysoft", lam=math.log(3), d=2.0)
+
 print("Per-sample loss at a few correct-class probabilities (c = 3):")
 print(f"{'p':>6} {'ce':>8} {'gce q=.7':>9} {'sl 1,1':>8} {'bi-tem':>8} {'poly':>8}")
 for p in (0.9, 0.6, 1 / 3, 0.1, 0.01):
-    probs = np.array([p, (1 - p) / 2, (1 - p) / 2])
-    z = np.log(probs)  # logits reproducing these probabilities under softmax
+    probs = np.array([[p, (1 - p) / 2, (1 - p) / 2]])
+    z = np.log(probs[0])  # logits reproducing these probabilities under softmax
     row = [
-        losses.ce(probs, 0).value,
-        losses.gce(probs, 0, q=0.7).value,
-        losses.sl(probs, 0, 1.0, 1.0).value,
-        losses.bi_tempered(z, 0, t1=0.5, t2=1.5).value,
-        losses.polysoft(-math.log(p), lam=math.log(3), d=2.0).value,
+        *(losses.loss_values(hyper, probs, 0)[0] for hyper in (CE, GCE, SL)),
+        losses.loss_on_logits(BI_TEMPERED, z, 0).value,  # on the tempered softmax of z
+        losses.polysoft_of_ce(-math.log(p), POLYSOFT.lam, POLYSOFT.d)[0],
     ]
     print(f"{p:>6.3f} " + " ".join(f"{v:>8.4f}" for v in row))
 
 print("\nEvery family is bounded except plain cross entropy; the robust")
 print("losses flatten for badly fit samples instead of letting them dominate.")
 
-for hyper in (
-    losses.HyperParams("gce", q=0.7),
-    losses.HyperParams("sl", gamma1=1.0, gamma2=1.0),
-    losses.HyperParams("bi_tempered", t1=0.5, t2=1.5),
-    losses.HyperParams("polysoft", lam=math.log(3), d=2.0),
-):
+for hyper in (GCE, SL, BI_TEMPERED, POLYSOFT):
     path = OUT / f"losscurve_{hyper.variant}.csv"
     cli.emit_losscurve(hyper, num_classes=3, path=path)
     print(f"wrote {path}")

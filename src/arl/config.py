@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import data as data_mod
-from . import losses
+from . import losses, model
 from .errors import ConfigError, DomainError
 from .meta import TrainConfig
 
@@ -34,17 +34,26 @@ _IS = {
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "true or false": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),  # of hyperparameter values, checked by build_hyper
 }
 _IS["a list of integers"] = lambda v: isinstance(v, list) and all(map(_IS["an integer"], v))
 _IS["a list of numbers"] = lambda v: isinstance(v, list) and all(map(_IS["a number"], v))
+_IS["a list of strings"] = lambda v: isinstance(v, list) and all(map(_IS["a string"], v))
+_IS["a list of lists of integers"] = (
+    lambda v: isinstance(v, list) and all(map(_IS["a list of integers"], v))
+)
 
-# the type of each setting and hyperparameter; a key has one type in every section
+# the type of each setting, hyperparameter and manifest field; a key has one
+# type in every section
 _TYPES = {key: what for what, keys in (
     ("an integer", "seed n classes dim meta_size batch_n batch_m iters metrics_every"),
     ("a number", "spread eta test_fraction rce_a alpha beta momentum decay_factor delta"),
     ("a number", "q gamma1 gamma2 t1 t2 lam d"),
     ("a list of integers", "decay_steps hidden world_labels"),
+    ("a list of lists of integers", "superclasses"),
     ("a list of numbers", "etas"),
+    ("a list", "hyper_final"),
+    ("a list of strings", "hyper_names"),
     ("a string", "csv generator type variant activation"),
     ("true or false", "exact_count weights losscurve"),
 ) for key in keys.split()}
@@ -161,11 +170,15 @@ def parse_config(doc, seed_override=None):
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")
     sections["emit"].setdefault("weights", loss["variant"] == "polysoft")
+    exp = ExperimentConfig(raw=doc, seed=master, **sections)
 
-    # the class count of a CSV dataset is known only once it is loaded;
-    # only lam's default 3 log(c) depends on it, inside its domain for any c >= 2
+    # the run's own builders check loss.init and the train and model ranges.
+    # A CSV dataset's dimension and class count are known only once it is
+    # loaded; only lam's default 3 log(c) depends on c, in its domain for any c >= 2
+    build_train_config(exp, 2)
+    model._layout(exp.model["activation"], dataset.get("dim", 1), *exp.model["hidden"],
+                  dataset.get("classes", 2))
     variant, init, rce_a = loss["variant"], loss["init"], loss["rce_a"]
-    build_hyper(variant, init, 2, "loss.init", rce_a)
     grid = sections["ablation"]["grid"]
     _check_keys(grid, losses.LEARNABLE[variant], "ablation.grid")
     for key, values in grid.items():
@@ -179,8 +192,7 @@ def parse_config(doc, seed_override=None):
     theory.setdefault("world_labels", [k % theory["classes"] for k in range(4)])
     theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
                                   "theory.hyper")
-
-    return ExperimentConfig(raw=doc, seed=master, **sections)
+    return exp
 
 
 def initial_hyper(exp, num_classes, **overrides):
@@ -192,10 +204,13 @@ def initial_hyper(exp, num_classes, **overrides):
 def load_run_hyper(path):
     """The final hyperparameters and class count that a run's manifest.json records."""
     manifest = _read_json(path, "manifest")
-    for key in ("variant", "classes", "hyper_names", "hyper_final"):
+    needed = ("variant", "classes", "hyper_names", "hyper_final")
+    for key in needed:
         if key not in manifest:
             raise ConfigError(f"manifest {path} lacks '{key}'")
-    _check_types({"classes": manifest["classes"]}, "manifest")
+    _check_types({k: manifest[k] for k in (*needed, "rce_a") if k in manifest}, "manifest")
+    if len(manifest["hyper_names"]) != len(manifest["hyper_final"]):
+        raise ConfigError(f"manifest {path}: 'hyper_names' and 'hyper_final' differ in length")
     fields = dict(zip(manifest["hyper_names"], manifest["hyper_final"]))
     hyper = build_hyper(manifest["variant"], fields, manifest["classes"], "manifest.hyper_final",
                         manifest.get("rce_a", -4.0))
@@ -251,7 +266,6 @@ def build_train_config(exp, num_classes):
         max_iters=t["iters"],
         seed=t["seed"],
         init_hyper=initial_hyper(exp, num_classes),
-        rce_a=exp.loss["rce_a"],
         momentum=t["momentum"],
         decay_steps=tuple(t["decay_steps"]),
         decay_factor=t["decay_factor"],

@@ -16,13 +16,12 @@ shared)``, ``grad(P, labels, h, shared)`` and ``hgrad(P, labels, h, shared)
 scalars or one per row; ``polysoft_of_ce`` is the soft-weighting formula on
 cross entropies.  ``batch_loss`` (training, metrics) takes values and
 gradients, ``batch_hgrad`` (the hypergradient) adds their derivatives in
-each learnable field from the same normalization, ``loss_values`` (the
+each learnable field from the same normalization, and ``loss_values`` (the
 theory table, the loss curve, the cross entropies of the sample weights)
-takes values only, and the single-sample ``ce``, ``gce``, ``rce``, ``sl``,
-``bi_tempered``, ``polysoft``, ``polysoft_weight`` and ``loss_on_logits``
-check their inputs and evaluate one row, with the value derivatives as
-their hyperparameter gradients.  A smooth reparameterization maps the
-constrained hyperparameter domains onto unconstrained coordinates.
+takes values only.  ``loss_on_logits`` is the one checked single-row entry
+point, ``polysoft_weight`` the checked sample weight of a cross entropy.  A
+smooth reparameterization maps the constrained hyperparameter domains onto
+unconstrained coordinates.
 """
 
 from __future__ import annotations
@@ -133,25 +132,13 @@ def default_hyper(variant, num_classes):
 class LossEval:
     """Loss value with its gradients.
 
-    ``grad_logits`` is the derivative with respect to the c logits (empty
-    for the scalar-input ``polysoft``); ``grad_hyper`` lines up with the
-    variant's learnable hyperparameters.
+    ``grad_logits`` is the derivative with respect to the c logits;
+    ``grad_hyper`` lines up with the variant's learnable hyperparameters.
     """
 
     value: float
     grad_logits: np.ndarray
     grad_hyper: np.ndarray
-
-
-def _check_probs(p):
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise DomainError("probabilities must be a vector of length >= 2")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("probabilities must be finite")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-8:
-        raise DomainError("probabilities must be nonnegative and sum to 1")
-    return p
 
 
 def _check_label(label, c):
@@ -470,8 +457,8 @@ def polysoft_of_ce(ce, lam, d):
     u = 1 - ce/lam below the threshold lam and 0 on the plateau, and
     value = (d-1) lam / d * (1 - u^(d/(d-1))), which is the constant
     (d-1) lam / d where u = 0.  ``_polysoft_weight`` turns u into the
-    weight d value / d ce.  Inputs are not checked; ``polysoft`` and
-    ``polysoft_weight`` are the checked forms.
+    weight d value / d ce.  Inputs are not checked; ``polysoft_weight`` is
+    the checked form.
     """
     u = np.where(ce < lam, 1.0 - ce / lam, 0.0)
     plateau = (d - 1.0) * lam / d
@@ -520,13 +507,6 @@ _FAMILIES = {
     "bi_tempered": (_bi_tempered_value, _bi_tempered_grad, _bi_tempered_hgrad),
     "polysoft": (_polysoft_value, _polysoft_grad, _polysoft_hgrad),
 }
-
-
-def _evaluate_hgrad(variant, P, labels, h):
-    """Values, logit gradients, dvalues and dgrads of one family on probability rows."""
-    value, grad, hgrad = _FAMILIES[variant]
-    values, shared = value(P, labels, h)
-    return (values, grad(P, labels, h, shared), *hgrad(P, labels, h, shared))
 
 
 def loss_values(hyper, P, labels):
@@ -583,79 +563,10 @@ def batch_hgrad(hyper, Z, labels):
     (k, n) and (k, n, c) for the k fields of ``hyper.learnable_names``;
     all four come from one normalization of ``Z``.
     """
-    return _evaluate_hgrad(hyper.variant, *_normalized(hyper, Z, labels))
-
-
-# ---------------------------------------------------------------------------
-# single-sample API: checked inputs, LossEval outputs, one kernel row each
-# ---------------------------------------------------------------------------
-
-def _checked_row(hyper, probs, label):
-    """Value, logit gradient and value derivatives of one checked probability row."""
-    p = _check_probs(probs)
-    values, grads, dvalues, _ = _evaluate_hgrad(
-        hyper.variant, p[None, :], _check_label(label, p.shape[0]), hyper
-    )
-    return LossEval(float(values[0]), grads[0], dvalues[:, 0])
-
-
-def ce(probs, label):
-    """Cross entropy -log p[label].
-
-    ``grad_logits`` is the usual softmax-composed gradient ``p - y``; it is
-    only meaningful when ``probs`` came from a softmax over those logits.
-    """
-    return _checked_row(HyperParams("ce"), probs, label)
-
-
-def gce(probs, label, q):
-    """Generalized cross entropy (1 - p[label]^q) / q for q in (0, 1].
-
-    Interpolates between cross entropy (q -> 0) and the mean absolute
-    error 1 - p[label] (q = 1).
-    """
-    return _checked_row(HyperParams("gce", q=q), probs, label)
-
-
-def rce(probs, label, rce_a=-4.0):
-    """Reverse cross entropy -rce_a * sum of off-label probabilities (``sl`` at 0, 1)."""
-    ev = _checked_row(HyperParams("sl", gamma1=0.0, gamma2=1.0, rce_a=rce_a), probs, label)
-    return replace(ev, grad_hyper=np.zeros(0))
-
-
-def sl(probs, label, gamma1, gamma2, rce_a=-4.0):
-    """Symmetric loss gamma1 * ce + gamma2 * rce; linear in both gammas."""
-    return _checked_row(HyperParams("sl", gamma1=gamma1, gamma2=gamma2, rce_a=rce_a), probs, label)
-
-
-def bi_tempered(z, label, t1, t2):
-    """Tempered-log loss of the tempered softmax of ``z``.
-
-    value = -log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), a
-    bounded divergence: 0 <= value <= 1/(1-t1).  The logit gradient and
-    the (t1, t2) gradient differentiate through the implicit normalization.
-    """
-    hyper = HyperParams("bi_tempered", t1=t1, t2=t2)  # checks t1 and t2
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise DomainError("logits must be a vector")
-    return _checked_row(hyper, _tempered_softmax_batch(z[None, :], t2)[0][0], label)
-
-
-def polysoft(ce_value, lam, d):
-    """Polynomial soft-weighting loss of a cross-entropy value.
-
-    value = (d-1) lam / d * [1 - (1 - ce/lam)^(d/(d-1))] for ce < lam,
-    constant (d-1) lam / d beyond.  Its derivative in ce equals
-    ``polysoft_weight`` everywhere (left limit 0 at ce = lam).
-    ``grad_hyper`` holds the (lam, d) partials; ``grad_logits`` is empty
-    because this loss consumes a scalar.
-    """
-    ce_value = float(ce_value)
-    polysoft_weight(ce_value, lam, d)  # checks lam, d and ce_value
-    ces = np.array([ce_value])
-    dvalues, _ = _polysoft_hgrad_of_ce(ces, lam, d)
-    return LossEval(float(polysoft_of_ce(ces, lam, d)[0][0]), np.zeros(0), dvalues[:, 0])
+    P, labels, h = _normalized(hyper, Z, labels)
+    value, grad, hgrad = _FAMILIES[hyper.variant]
+    values, shared = value(P, labels, h)
+    return (values, grad(P, labels, h, shared), *hgrad(P, labels, h, shared))
 
 
 def polysoft_weight(ce_value, lam, d):
@@ -669,10 +580,16 @@ def polysoft_weight(ce_value, lam, d):
 
 
 def loss_on_logits(hyper, z, label):
-    """Single-sample dispatch: full LossEval for ``hyper.variant``."""
-    if hyper.variant == "bi_tempered":
-        return bi_tempered(z, label, hyper.t1, hyper.t2)
-    return _checked_row(hyper, softmax(z), label)
+    """The one checked single-row entry point: ``batch_hgrad`` on one row.
+
+    ``z`` is a finite vector of c >= 2 logits, normalized as the variant
+    takes it; ``grad_hyper`` holds the value derivatives.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or z.shape[0] < 2 or not np.all(np.isfinite(z)):
+        raise DomainError("logits must be a finite vector of length >= 2")
+    values, grads, dvalues, _ = batch_hgrad(hyper, z[None, :], [_check_label(label, len(z))])
+    return LossEval(float(values[0]), grads[0], dvalues[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ logits as the virtual step, so they cost no forward and no backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class TrainConfig:
     max_iters: int = 1000
     seed: int = 0
     init_hyper: losses.HyperParams | None = None
-    rce_a: float = -4.0
     momentum: float = 0.0
     decay_steps: tuple = ()
     decay_factor: float = 0.1
@@ -70,7 +69,7 @@ class TrainConfig:
             if self.init_hyper.variant != self.variant:
                 raise ConfigError("init_hyper variant does not match config")
             return self.init_hyper
-        return replace(losses.default_hyper(self.variant, num_classes), rce_a=self.rce_a)
+        return losses.default_hyper(self.variant, num_classes)
 
 
 @dataclass

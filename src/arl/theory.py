@@ -152,16 +152,6 @@ def simplex_grid(c, delta):
     return np.column_stack([counts, left]) / parts
 
 
-def loss_on_simplex(variant, hyper, probs, label):
-    """Loss value L(u, label) for rows of probability vectors.
-
-    The values of ``losses.loss_values``: vertex entries are clamped by the
-    probability floor before logs and powers, as for softmax outputs.
-    """
-    _check_variant(variant, hyper)
-    return losses.loss_values(hyper, np.atleast_2d(probs), label)
-
-
 def _loss_table(hyper, probs):
     """The (rows, c) table of L(u, j) for every row u of probs and label j."""
     table = np.empty(probs.shape)

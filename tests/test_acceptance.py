@@ -7,6 +7,7 @@ each criterion is a deterministic function of the code.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,43 +112,41 @@ class TestAcceptance:
                 fd = fd_grad(lambda zz: losses.loss_on_logits(hyper, zz, label).value, z)
                 assert rel_err(ev.grad_logits, fd) <= 1e-5, variant
 
+                # the value at other hyperparameters, on this sample's softmax row
+                p = losses.softmax(z)[None, :]
+                value_at = lambda **f: losses.loss_values(replace(hyper, **f), p, label)[0]  # noqa: E731
                 if variant == "gce":
-                    fd_h = fd_grad(
-                        lambda v: losses.gce(losses.softmax(z), label, v[0]).value,
-                        np.array([hyper.q]),
-                    )
+                    fd_h = fd_grad(lambda v: value_at(q=v[0]), np.array([hyper.q]))
                     assert rel_err(ev.grad_hyper, fd_h) <= 1e-5
                 elif variant == "polysoft":
-                    base = losses.ce(losses.softmax(z), label).value
+                    base = losses.loss_values(losses.HyperParams("ce"), p, label)[0]
                     fd_h = fd_grad(
-                        lambda v: losses.polysoft(base, v[0], v[1]).value,
+                        lambda v: losses.polysoft_of_ce(base, v[0], v[1])[0],
                         np.array([hyper.lam, hyper.d]),
                     )
                     assert rel_err(ev.grad_hyper, fd_h) <= 1e-5
                 elif variant == "bi_tempered":
                     h = 3e-5
+                    on_z = lambda **f: losses.loss_on_logits(replace(hyper, **f), z, label).value  # noqa: E731
                     fd_h = np.array(
                         [
-                            (losses.bi_tempered(z, label, hyper.t1 + h, hyper.t2).value
-                             - losses.bi_tempered(z, label, hyper.t1 - h, hyper.t2).value) / (2 * h),
-                            (losses.bi_tempered(z, label, hyper.t1, hyper.t2 + h).value
-                             - losses.bi_tempered(z, label, hyper.t1, hyper.t2 - h).value) / (2 * h),
+                            (on_z(t1=hyper.t1 + h) - on_z(t1=hyper.t1 - h)) / (2 * h),
+                            (on_z(t2=hyper.t2 + h) - on_z(t2=hyper.t2 - h)) / (2 * h),
                         ]
                     )
                     assert rel_err(ev.grad_hyper, fd_h) <= 1e-5
                 elif variant == "sl":
                     # linear in the gammas: a wide central step is exact
-                    p = losses.softmax(z)
                     step = 0.5
                     for k, (lo, hi) in enumerate(
                         (
-                            (losses.sl(p, label, hyper.gamma1 - step, hyper.gamma2),
-                             losses.sl(p, label, hyper.gamma1 + step, hyper.gamma2)),
-                            (losses.sl(p, label, hyper.gamma1, hyper.gamma2 - step),
-                             losses.sl(p, label, hyper.gamma1, hyper.gamma2 + step)),
+                            (value_at(gamma1=hyper.gamma1 - step),
+                             value_at(gamma1=hyper.gamma1 + step)),
+                            (value_at(gamma2=hyper.gamma2 - step),
+                             value_at(gamma2=hyper.gamma2 + step)),
                         )
                     ):
-                        fd_k = (hi.value - lo.value) / (2 * step)
+                        fd_k = (hi - lo) / (2 * step)
                         assert abs(ev.grad_hyper[k] - fd_k) <= 1e-12
         elapsed = time.time() - t0
         assert elapsed < 30.0
@@ -280,9 +279,7 @@ class TestAcceptance:
                 state, _ = meta.arl_train(
                     train, split.meta, split.test, desk_config("polysoft", seed, POLY_INIT)
                 )
-                vals = np.array(
-                    [losses.polysoft(x, state.hyper.lam, state.hyper.d).value for x in grid]
-                )
+                vals = losses.polysoft_of_ce(grid, state.hyper.lam, state.hyper.d)[0]
                 points.append(meta.flattening_point(grid, vals))
             means.append(float(np.mean(points)))
         assert means[0] >= means[1] >= means[2], means

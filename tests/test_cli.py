@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arl import cli, config as config_mod, losses, meta
+from arl import cli, config as config_mod, data, losses, meta
 from arl.errors import ConfigError
 
 SMALL_RUN = {
@@ -166,6 +166,20 @@ class TestLosscurveCommand:
                          str(tmp_path / "c.csv")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch, key", [
+        ({"variant": "sl", "hyper_names": ["gamma1", "gamma2"], "hyper_final": [1.0, 1.0],
+          "rce_a": "x"}, "manifest.rce_a"),
+        ({"hyper_names": "q"}, "manifest.hyper_names"),
+        ({"hyper_final": 0.5}, "manifest.hyper_final"),
+        ({"hyper_final": []}, "differ in length"),
+    ], ids=["rce_a", "hyper_names", "hyper_final", "lengths"])
+    def test_manifest_mistyped(self, tmp_path, capsys, patch, key):
+        manifest = {"variant": "gce", "classes": 3, "hyper_names": ["q"], "hyper_final": [0.5]}
+        (tmp_path / "manifest.json").write_text(json.dumps(dict(manifest, **patch)))
+        assert cli.main(["losscurve", "--checkpoint", str(tmp_path), "--out",
+                         str(tmp_path / "c.csv")]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestVerifyBoundsCommand:
     def test_json_report(self, tmp_path, capsys):
@@ -248,6 +262,10 @@ def _never_train(*args, **kwargs):
     raise AssertionError("training started before the config was fully checked")
 
 
+def _never_load(*args, **kwargs):
+    raise AssertionError("data loaded before the config was fully checked")
+
+
 class TestChecksBeforeTraining:
     SL_RUN = dict(SMALL_RUN, loss={"variant": "sl"})
 
@@ -282,6 +300,29 @@ class TestChecksBeforeTraining:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "alpha", -1),
+        ("train", "batch_n", 0),
+        ("train", "momentum", 1.0),
+        ("train", "metrics_every", 0),
+        ("model", "hidden", [0]),
+        ("model", "activation", "gelu"),
+    ])
+    def test_out_of_range_exits_2_unloaded(self, tmp_path, monkeypatch, section, key, value):
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, **{section: dict(SMALL_RUN.get(section, {}), **{key: value})})
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_superclasses_type_checked(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, noise={"type": "hierarchical", "eta": 0.2, "superclasses": 3})
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(tmp_path / "r")]) == 2
+        assert "noise.superclasses" in capsys.readouterr().err
 
     def test_theory_defaults_resolved(self):
         theory = config_mod.parse_config(dict(SMALL_RUN)).theory

@@ -482,7 +482,7 @@ class TestFlatteningPoint:
     def test_polysoft_curve(self):
         # slope of the lam=1, d=2 curve is 1 - ce, crossing 0.05 at 0.95
         grid = np.linspace(0.0, 3.0, 1201)
-        vals = np.array([losses.polysoft(x, 1.0, 2.0).value for x in grid])
+        vals = losses.polysoft_of_ce(grid, 1.0, 2.0)[0]
         fp = meta.flattening_point(grid, vals)
         assert fp == pytest.approx(0.95, abs=0.01)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arl import theory
+from arl import losses, theory
 from arl.errors import ConfigError, DomainError
 from arl.losses import PROB_FLOOR, HyperParams
 
@@ -159,7 +159,7 @@ class TestExactRisk:
             labels = np.where(flip, (label + offs) % 3, label)
             per_label = np.array(
                 [
-                    float(theory.loss_on_simplex("bi_tempered", h, f[k : k + 1], j)[0])
+                    float(losses.loss_values(h, f[k : k + 1], j)[0])
                     for j in range(3)
                 ]
             )
@@ -220,8 +220,6 @@ class TestRiskGap:
         with pytest.raises(DomainError, match="does not match"):
             theory.bound_constants("polysoft", 3, 0.3, h)
         with pytest.raises(DomainError, match="does not match"):
-            theory.loss_on_simplex("gce", HyperParams("polysoft"), np.full((1, 3), 1 / 3), 0)
-        with pytest.raises(DomainError, match="does not match"):
             theory.label_sum_range("sl", HyperParams("gce"), 3, 0.1)
 
 
@@ -259,7 +257,7 @@ def _moved_copy_lipschitz(variant, hyper, c, delta):
     grid = theory.simplex_grid(c, delta)
     worst = 0.0
     for label in range(c):
-        base = theory.loss_on_simplex(variant, hyper, grid, label)
+        base = losses.loss_values(hyper, grid, label)
         for a in range(c):
             movable = grid[:, a] >= delta - 1e-12
             if not movable.any():
@@ -270,7 +268,7 @@ def _moved_copy_lipschitz(variant, hyper, c, delta):
                 moved = grid[movable].copy()
                 moved[:, a] -= delta
                 moved[:, b] += delta
-                vals = theory.loss_on_simplex(variant, hyper, moved, label)
+                vals = losses.loss_values(hyper, moved, label)
                 slope = np.abs(vals - base[movable]) / (2.0 * delta)
                 worst = max(worst, float(slope.max()))
     return worst
@@ -281,7 +279,7 @@ def _per_point_loop_verify(world, variant, hyper):
 
     def terms(grid, label, noisy):
         per_label = np.stack(
-            [theory.loss_on_simplex(variant, hyper, grid, j) for j in range(world.c)], axis=1
+            [losses.loss_values(hyper, grid, j) for j in range(world.c)], axis=1
         )
         if not noisy:
             return per_label[:, label]
@@ -344,8 +342,8 @@ class TestLossTable:
         assert abs(report.grid_tol - tol) <= 1e-12 * tol
 
 
-def _reference_loss_on_simplex(variant, hyper, probs, label):
-    """loss_on_simplex with its own formulas, as before the family kernels."""
+def _reference_loss_values(variant, hyper, probs, label):
+    """The theory table's values with their own formulas, as before the family kernels."""
     U = np.clip(np.atleast_2d(probs), PROB_FLOOR, 1.0 - PROB_FLOOR)
     uj = U[:, label]
     if variant == "ce":
@@ -411,8 +409,8 @@ class TestKernelTable:
         grid = theory.simplex_grid(c, delta)
         floored = np.any((grid < PROB_FLOOR) | (grid > 1.0 - PROB_FLOOR), axis=1)
         for label in range(c):
-            got = theory.loss_on_simplex(variant, hyper, grid, label)
-            ref = _reference_loss_on_simplex(variant, hyper, grid, label)
+            got = losses.loss_values(hyper, grid, label)
+            ref = _reference_loss_values(variant, hyper, grid, label)
             moved = got != ref
             if variant == "sl":
                 # training's rce takes the off-label mass unclamped
@@ -432,7 +430,7 @@ class TestKernelTable:
         h = HyperParams(variant, **hyper)
         report = theory.riskgap_verify(world, variant, h)
         grid = theory.simplex_grid(c, delta)
-        table = np.stack([_reference_loss_on_simplex(variant, h, grid, j) for j in range(c)], axis=1)
+        table = np.stack([_reference_loss_values(variant, h, grid, j) for j in range(c)], axis=1)
         for k, label in enumerate(world.labels):
             clean = theory._per_point_terms(table, label, eta, False)
             noisy = theory._per_point_terms(table, label, eta, True)
