@@ -1,8 +1,8 @@
 """Synthetic datasets, label-noise injectors, and CSV ingestion.
 
 Noise is injected sample-wise i.i.d. with probability eta (an exact-count
-mode exists behind a flag); the clean labels always ride along so that
-diagnostics can compare against ground truth.
+mode exists behind a flag) into the labels ``y`` a run trains on; the true
+labels ``y_clean`` ride along so diagnostics can compare against them.
 """
 
 from __future__ import annotations
@@ -18,39 +18,34 @@ from .errors import ConfigError, DataFormatError, DomainError
 
 @dataclass
 class Dataset:
-    """Feature matrix with clean labels in {0..c-1}."""
+    """Features with training labels ``y`` and true labels ``y_clean`` in {0..c-1}.
+
+    ``y_clean`` defaults to ``y`` itself: a dataset is clean until a noise injector flips ``y``.
+    """
 
     X: np.ndarray
     y: np.ndarray
     c: int
     label_map: dict | None = None
+    y_clean: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.y_clean is None:
+            self.y_clean = self.y
 
     def __len__(self):
         return len(self.y)
 
-
-@dataclass
-class NoisyDataset:
-    """Features with corrupted labels; the clean ones stay hidden alongside."""
-
-    X: np.ndarray
-    y_noisy: np.ndarray
-    y_clean: np.ndarray
-    c: int
-
-    def __len__(self):
-        return len(self.y_noisy)
-
     @property
     def flip_mask(self):
-        return self.y_noisy != self.y_clean
+        return self.y != self.y_clean
 
 
 @dataclass
 class MetaSplit:
     """Noisy training data plus small clean meta and clean test sets."""
 
-    train: NoisyDataset
+    train: Dataset
     meta: Dataset
     test: Dataset
 
@@ -93,12 +88,9 @@ def _check_eta(eta):
 
 def _flip(dataset, eta, seed, exact_count, relabel):
     """Noisy copy of ``dataset``: each label is flipped with probability eta
-    (exactly floor(eta * n) of them with ``exact_count``) to
+    (exactly floor(eta * n) of them with ``exact_count``) from ``y_clean`` to
     ``relabel(rng, clean labels to flip)``; the clean labels ride along."""
-    if isinstance(dataset, NoisyDataset):
-        X, y_clean = dataset.X, dataset.y_clean
-    else:
-        X, y_clean = dataset.X, dataset.y
+    y_clean = dataset.y_clean
     n = len(y_clean)
     rng = np.random.default_rng(seed)
     if exact_count:
@@ -108,7 +100,7 @@ def _flip(dataset, eta, seed, exact_count, relabel):
         mask = rng.random(n) < eta
     y_noisy = y_clean.copy()
     y_noisy[mask] = relabel(rng, y_clean[mask])
-    return NoisyDataset(X, y_noisy, y_clean.copy(), dataset.c)
+    return Dataset(dataset.X, y_noisy, dataset.c, y_clean=y_clean.copy())
 
 
 def inject_symmetric(dataset, eta, seed=0, exact_count=False):
@@ -156,14 +148,16 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
 
     ``test_fraction`` is a fraction in (0, 1) or an absolute count.  The
     meta set is stratified (meta_size/c per class) whenever it divides
-    evenly; the train part is returned as a NoisyDataset with eta = 0 so a
-    noise injector can rewrite its labels in place of the clean copies.
+    evenly.  All three parts are clean datasets; a noise injector flips
+    the train part's labels afterwards.
     """
     n = len(clean)
     if isinstance(test_fraction, float) and 0.0 < test_fraction < 1.0:
         test_size = int(round(test_fraction * n))
-    else:
+    elif float(test_fraction).is_integer():
         test_size = int(test_fraction)
+    else:
+        raise ConfigError(f"test_fraction={test_fraction!r} is neither a fraction in (0, 1) nor a count")
     if meta_size < 1 or test_size < 1 or meta_size + test_size >= n:
         raise ConfigError(
             f"infeasible split: n={n}, meta={meta_size}, test={test_size}"
@@ -186,12 +180,7 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
         meta_idx = rest[:meta_size]
     train_idx = np.setdiff1d(rest, meta_idx, assume_unique=True)
 
-    train = NoisyDataset(
-        clean.X[train_idx],
-        clean.y[train_idx].copy(),
-        clean.y[train_idx].copy(),
-        clean.c,
-    )
+    train = Dataset(clean.X[train_idx], clean.y[train_idx].copy(), clean.c)
     meta = Dataset(clean.X[meta_idx], clean.y[meta_idx].copy(), clean.c)
     test = Dataset(clean.X[test_idx], clean.y[test_idx].copy(), clean.c)
     return MetaSplit(train, meta, test)
@@ -240,9 +229,8 @@ def load_csv(path):
 
 
 def write_csv(dataset, path):
-    """Inverse of load_csv for clean datasets (noisy labels if present)."""
-    y = dataset.y_noisy if isinstance(dataset, NoisyDataset) else dataset.y
+    """Inverse of load_csv: the features and the training labels ``y``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for feats, label in zip(dataset.X, y):
+        for feats, label in zip(dataset.X, dataset.y):
             writer.writerow([f"{v:.9g}" for v in feats] + [int(label)])

@@ -170,16 +170,20 @@ def logsumexp(z):
 # tempered math
 # ---------------------------------------------------------------------------
 
+def _log_t_of_log(log_x, t):
+    """log_t from log x, ``t`` a scalar or an array: expm1((1-t) log x) / (1-t), log x near t = 1."""
+    s = 1.0 - np.asarray(t, dtype=float)
+    near = np.abs(s) < _T_NEAR_ONE
+    s = np.where(near, 1.0, s)
+    return np.where(near, log_x, np.expm1(s * log_x) / s)
+
+
 def log_t(x, t):
     """Tempered logarithm (x^(1-t) - 1) / (1 - t); natural log at t = 1."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("log_t requires x > 0")
-    if abs(t - 1.0) < _T_NEAR_ONE:
-        out = np.log(x)
-    else:
-        s = 1.0 - t
-        out = np.expm1(s * np.log(x)) / s
+    out = _log_t_of_log(np.log(x), t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -363,12 +367,8 @@ def _sl_hgrad(P, labels, h, pl):
 
 def _bi_tempered_terms(Pc, labels, h):
     """log_t1 of the label probabilities, P^(2-t1) and the tail (1 - sum P^(2-t1)) / (2-t1)."""
-    log_pj = np.log(_label_probs(Pc, labels))
-    s1 = 1.0 - h.t1
-    near = np.abs(s1) < _T_NEAR_ONE  # the t1 -> 1 limit is the natural log
-    s1 = np.where(near, 1.0, s1)
-    log_term = np.where(near, log_pj, np.expm1(s1 * log_pj) / s1)
     Pa = Pc ** _on_classes(2.0 - h.t1)
+    log_term = _log_t_of_log(np.log(_label_probs(Pc, labels)), h.t1)
     return log_term, Pa, (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
 
 

@@ -11,7 +11,7 @@ The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
 d L_meta / d theta_k = -alpha * g . J_k, where g is the meta gradient at
 w~ and J_k the mixed partial of the train gradient.  The train gradient
-is backward(w, X, G(h) / n) for the loss's logit gradient G, and backward
+is backward(w, cache, G(h) / n) for the loss's logit gradient G, and backward
 is linear in G, so g . J_k = <J_w g, dG/dh_k> / n * dh_k/dtheta_k.  One
 forward-mode JVP gives the logit tangent J_w g, and the loss kernels give
 dG/dh_k in closed form from the same normalization of the train batch's
@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.metrics_every < 1:
             raise ConfigError("metrics_every must be >= 1")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ConfigError("decay_factor must lie in (0, 1]")
 
     def resolve_hyper(self, num_classes):
         if self.init_hyper is not None:
@@ -78,7 +80,6 @@ class TrainState:
 
     params: model.MlpParams
     hyper: losses.HyperParams
-    theta: np.ndarray
     iteration: int
 
 
@@ -92,32 +93,32 @@ class MetricsRow:
 
 
 def train_grad(params, hyper, X, y, cache=None):
-    """Mean robust-loss value and its parameter gradients on a batch.
+    """Mean robust-loss value and its parameter gradient vector on a batch.
 
     ``cache`` is ``model._forward_cached(params, X)`` when the caller
     already has it; otherwise the forward pass runs here, once.
     """
     if cache is None:
         cache = model._forward_cached(params, X)
-    return _backward_mean(params, hyper, X, *losses.batch_loss(hyper, cache[0][-1], y), cache)
+    return _backward_mean(params, hyper, *losses.batch_loss(hyper, cache[0][-1], y), cache)
 
 
-def _backward_mean(params, hyper, X, values, G, cache):
-    """Mean of the per-sample ``values`` and the gradients of the mean loss."""
+def _backward_mean(params, hyper, values, G, cache):
+    """Mean of the per-sample ``values`` and the gradient vector of the mean loss."""
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite training loss under {hyper}")
-    return float(values.mean()), model.backward(params, X, G / len(values), cache)
+    return float(values.mean()), model.backward(params, cache, G / len(values))
 
 
 def meta_ce_grad(params, X, y):
-    """Mean clean-data cross entropy and gradients (the meta objective)."""
+    """Mean clean-data cross entropy and its gradient vector (the meta objective)."""
     return train_grad(params, _CE, X, y)
 
 
 def virtual_step(params, hyper, X, y, alpha, cache=None):
     """One-step lookahead w - alpha * grad_w L_train; ``params`` untouched."""
     _, grads = train_grad(params, hyper, X, y, cache)
-    return model.sgd_step(params, grads.vec, alpha)
+    return model.sgd_step(params, grads, alpha)
 
 
 def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
@@ -139,12 +140,12 @@ def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
         cache = model._forward_cached(params, Xn)
 
     values, G, _, dG = losses.batch_hgrad(hyper, cache[0][-1], yn)
-    _, grads = _backward_mean(params, hyper, Xn, values, G, cache)
+    _, grads = _backward_mean(params, hyper, values, G, cache)
     dG = dG.reshape(len(names), -1)
     finite = np.isfinite(dG).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite logit-gradient derivative in {names[finite.argmin()]} under {hyper}")
-    _, g_meta = meta_ce_grad(model.sgd_step(params, grads.vec, alpha), Xm, ym)
+    _, g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
     tangent = model.jvp(params, cache, g_meta).ravel()
     return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(yn)
 
@@ -157,17 +158,13 @@ def meta_update(theta, hypergrad, beta):
     return np.asarray(theta, dtype=float) - beta * hypergrad
 
 
-def _labels_of(dataset):
-    return dataset.y_noisy if hasattr(dataset, "y_noisy") else dataset.y
-
-
 def _step_scale(t, decay_steps, decay_factor):
     return decay_factor ** sum(1 for s in decay_steps if t >= s)
 
 
 def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
     Z = model.forward_logits(params, train_set.X)
-    train_vals, _ = losses.batch_loss(hyper, Z, _labels_of(train_set))
+    train_vals, _ = losses.batch_loss(hyper, Z, train_set.y)
     if meta_set is not None:
         Zm = model.forward_logits(params, meta_set.X)
         meta_vals, _ = losses.batch_loss(_CE, Zm, meta_set.y)
@@ -193,9 +190,9 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
     rng_train = np.random.default_rng([config.seed, 17, start_iter])
     rng_meta = np.random.default_rng([config.seed, 23, start_iter])
 
-    theta = losses.to_unconstrained(hyper) if hyper.learnable_names else np.zeros(0)
+    # only an adapting loop reparameterizes: a fixed run may sit on a domain boundary
+    theta = losses.to_unconstrained(hyper) if adapt and hyper.learnable_names else np.zeros(0)
     velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
-    labels = _labels_of(train_set)
     total = config.max_iters if num_iters is None else num_iters
     rows = []
 
@@ -205,7 +202,7 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
     for step in range(1, total + 1):
         t = start_iter + step
         idx_n = rng_train.choice(n_train, size=config.batch_n, replace=False)
-        Xn, yn = train_set.X[idx_n], labels[idx_n]
+        Xn, yn = train_set.X[idx_n], train_set.y[idx_n]
         if meta_set is not None:
             idx_m = rng_meta.choice(len(meta_set), size=min(config.batch_m, len(meta_set)), replace=False)
 
@@ -214,7 +211,7 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         beta_t = config.beta * scale
         try:
             cache = model._forward_cached(params, Xn)
-            if adapt and theta.size and beta_t > 0.0:
+            if theta.size and beta_t > 0.0:
                 hg = hypergradient(
                     params, hyper, theta, Xn, yn,
                     meta_set.X[idx_m], meta_set.y[idx_m], alpha_t, cache,
@@ -224,10 +221,10 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
 
             _, grads = train_grad(params, hyper, Xn, yn, cache)
             if velocity is not None:
-                velocity = grads.vec + config.momentum * velocity
+                velocity = grads + config.momentum * velocity
                 params = model.sgd_step(params, velocity, alpha_t)
             else:
-                params = model.sgd_step(params, grads.vec, alpha_t)
+                params = model.sgd_step(params, grads, alpha_t)
         except (NumericError, DomainError) as exc:
             # a meta step can carry theta so far that a hyperparameter
             # rounds onto its domain boundary (d = 1 + softplus -> 1.0)
@@ -238,7 +235,13 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
             if snapshot_hook is not None:
                 snapshot_hook(t, params, hyper)
 
-    return TrainState(params, hyper, theta, start_iter + total), rows
+    return TrainState(params, hyper, start_iter + total), rows
+
+
+def _init_params(dataset, config):
+    """The initial network: seeded by ``config.model_seed``, else by ``config.seed``."""
+    model_seed = config.seed if config.model_seed is None else config.model_seed
+    return model.init_mlp([dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed)
 
 
 def arl_train(dataset, meta_set, test_set, config, snapshot_hook=None):
@@ -250,14 +253,9 @@ def arl_train(dataset, meta_set, test_set, config, snapshot_hook=None):
     """
     if meta_set is None:
         raise ConfigError("arl_train needs a clean meta set")
-    c = dataset.c
-    hyper = config.resolve_hyper(c)
-    model_seed = config.seed if config.model_seed is None else config.model_seed
-    params = model.init_mlp(
-        [dataset.X.shape[1], *config.hidden, c], config.activation, model_seed
-    )
+    hyper = config.resolve_hyper(dataset.c)
     return _run_loop(
-        dataset, meta_set, test_set, config, hyper, params,
+        dataset, meta_set, test_set, config, hyper, _init_params(dataset, config),
         adapt=True, snapshot_hook=snapshot_hook,
     )
 
@@ -272,10 +270,7 @@ def conventional_train(dataset, test_set, config, hyper, meta_set=None,
     snapshot of another run.
     """
     if init_params is None:
-        model_seed = config.seed if config.model_seed is None else config.model_seed
-        init_params = model.init_mlp(
-            [dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed
-        )
+        init_params = _init_params(dataset, config)
     return _run_loop(
         dataset, meta_set, test_set, config, hyper, init_params,
         adapt=False, start_iter=start_iter, num_iters=num_iters,
@@ -292,7 +287,7 @@ def compute_sample_weights(params, hyper, dataset):
     if hyper.variant != "polysoft":
         raise DomainError("sample weights are defined for the polysoft variant")
     Z = model.forward_logits(params, dataset.X)
-    ce_vals = losses.loss_values(_CE, losses.softmax(Z), _labels_of(dataset))
+    ce_vals = losses.loss_values(_CE, losses.softmax(Z), dataset.y)
     return losses.polysoft_weight(ce_vals, hyper.lam, hyper.d)
 
 

@@ -1,11 +1,12 @@
 """Small fully connected classifier with hand-derived backprop.
 
 The architecture is a fixed affine + activation stack, so reverse-mode
-gradients are written out directly; no autodiff tape.  A parameter set,
-and a gradient with respect to one, is a single read-only float64 vector
-laid out layer by layer (W0, b0, W1, b1, ...), which is also the
-checkpoint format.  All math is in float64 and every operation is a pure
-function of its inputs.
+gradients are written out directly; no autodiff tape.  A parameter set
+is an ``MlpParams``: one read-only float64 vector laid out layer by layer
+(W0, b0, W1, b1, ...), which is also the checkpoint format, with
+per-layer views.  A gradient or a direction is a plain vector in the same
+layout.  All math is in float64 and every operation is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -116,23 +117,17 @@ def forward_logits(params, X):
     return _forward_cached(params, X)[0][-1]
 
 
-def backward(params, X, grad_logits_batch, cache=None):
-    """Exact gradients of sum_i <logits_i, g_i> with respect to the parameters.
+def backward(params, cache, grad_logits_batch):
+    """Exact gradient of sum_i <logits_i, g_i> with respect to the parameters.
 
-    Returned as an ``MlpParams`` in the layout of ``params``.  Callers
-    bake any 1/N loss reduction into ``grad_logits_batch``.  ``cache`` is
-    ``_forward_cached(params, X)`` when the caller already has it;
-    otherwise the forward pass is recomputed here.
+    ``cache`` is ``_forward_cached(params, X)``; the result is one vector in
+    the layout of ``params.vec``.  Callers bake any 1/N loss reduction into
+    ``grad_logits_batch``.
     """
-    X = np.asarray(X, dtype=float)
+    pres, posts = cache
     G = np.asarray(grad_logits_batch, dtype=float)
-    if X.ndim != 2 or G.ndim != 2 or X.shape[0] != G.shape[0]:
-        raise ShapeError("X and grad_logits_batch must be matching batches")
-    if G.shape[1] != params.sizes[-1]:
-        raise ShapeError(
-            f"gradient width {G.shape[1]} != model output {params.sizes[-1]}"
-        )
-    pres, posts = _forward_cached(params, X) if cache is None else cache
+    if G.shape != pres[-1].shape:
+        raise ShapeError(f"logit gradient of shape {G.shape} != cached logits {pres[-1].shape}")
     parts = []  # b_L, W_L, ..., b_0, W_0: reversed at the end
     delta = G
     for l in range(len(params.weights) - 1, -1, -1):
@@ -141,20 +136,22 @@ def backward(params, X, grad_logits_batch, cache=None):
             delta = (delta @ params.weights[l].T) * _act_grad(
                 pres[l - 1], posts[l], params.activation
             )
-    return MlpParams(np.concatenate(parts[::-1]), params.sizes, params.activation)
+    return np.concatenate(parts[::-1])
 
 
 def jvp(params, cache, direction):
-    """Logit tangent J_w g: the derivative of the logits along ``direction``.
+    """Logit tangent J_w g: the derivative of the logits along the vector ``direction``.
 
     Forward mode over the cached forward pass of ``params`` (Pearlmutter's
     R-operator).  Because ``backward`` is linear in its logit gradient,
-    sum_i <G_i, jvp_i> == direction.vec . backward(params, X, G).vec.
+    sum_i <G_i, jvp_i> == direction . backward(params, cache, G).
     """
-    if direction.sizes != params.sizes:
-        raise ShapeError("direction does not match the parameter shapes")
+    layers, total = _layout(params.activation, *params.sizes)
+    if np.shape(direction) != (total,):
+        raise ShapeError(f"direction of shape {np.shape(direction)} != ({total},) parameters")
     pres, posts = cache
-    dw, db = direction.weights, direction.biases
+    dw = [direction[w].reshape(shape) for w, shape, _ in layers]
+    db = [direction[b] for _, _, b in layers]
     tangent = posts[0] @ dw[0] + db[0]  # of pres[0]; the features are fixed
     for l in range(1, len(params.weights)):
         d_post = tangent * _act_grad(pres[l - 1], posts[l], params.activation)

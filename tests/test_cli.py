@@ -308,6 +308,8 @@ class TestChecksBeforeTraining:
         ("train", "metrics_every", 0),
         ("model", "hidden", [0]),
         ("model", "activation", "gelu"),
+        ("train", "decay_factor", -1.0),
+        ("train", "decay_factor", 0.0),
     ])
     def test_out_of_range_exits_2_unloaded(self, tmp_path, monkeypatch, section, key, value):
         monkeypatch.setattr(data, "gen_blobs", _never_load)

@@ -45,7 +45,7 @@ class TestSymmetric:
     def test_eta_zero_identity(self):
         ds = data.gen_blobs(100, 3, seed=3)
         noisy = data.inject_symmetric(ds, 0.0, seed=1)
-        np.testing.assert_array_equal(noisy.y_noisy, noisy.y_clean)
+        np.testing.assert_array_equal(noisy.y, noisy.y_clean)
         np.testing.assert_array_equal(noisy.y_clean, ds.y)
 
     def test_flip_fraction_binomial(self):
@@ -60,7 +60,7 @@ class TestSymmetric:
         noisy = data.inject_symmetric(ds, 0.4, seed=7)
         flipped = noisy.flip_mask
         # pool the offsets (target - true, mod c), which are uniform on 1..9
-        offsets = (noisy.y_noisy[flipped] - noisy.y_clean[flipped]) % 10
+        offsets = (noisy.y[flipped] - noisy.y_clean[flipped]) % 10
         counts = np.bincount(offsets, minlength=10)[1:]
         expected = counts.sum() / 9.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -94,19 +94,19 @@ class TestAsymmetric:
     def test_eta_zero_identity(self):
         ds = data.gen_blobs(100, 4, seed=13)
         noisy = data.inject_asymmetric(ds, 0.0, seed=1)
-        np.testing.assert_array_equal(noisy.y_noisy, noisy.y_clean)
+        np.testing.assert_array_equal(noisy.y, noisy.y_clean)
 
     def test_targets_designated_only(self):
         ds = data.gen_blobs(5000, 5, d_in=5, seed=14)
         noisy = data.inject_asymmetric(ds, 0.4, seed=15)
         flipped = noisy.flip_mask
-        offsets = (noisy.y_noisy[flipped] - noisy.y_clean[flipped]) % 5
+        offsets = (noisy.y[flipped] - noisy.y_clean[flipped]) % 5
         assert set(np.unique(offsets)) <= {1, 2}
 
     def test_equal_target_split(self):
         ds = data.gen_blobs(20000, 5, d_in=5, seed=16)
         noisy = data.inject_asymmetric(ds, 0.4, seed=17)
-        offsets = (noisy.y_noisy[noisy.flip_mask] - noisy.y_clean[noisy.flip_mask]) % 5
+        offsets = (noisy.y[noisy.flip_mask] - noisy.y_clean[noisy.flip_mask]) % 5
         n1 = int((offsets == 1).sum())
         total = offsets.size
         assert abs(n1 - total / 2) <= 3 * np.sqrt(total * 0.25)
@@ -124,18 +124,18 @@ class TestHierarchical:
         noisy = data.inject_hierarchical(ds, 0.5, blocks, seed=20)
         for block in blocks:
             members = np.isin(noisy.y_clean, block)
-            assert np.all(np.isin(noisy.y_noisy[members], block))
+            assert np.all(np.isin(noisy.y[members], block))
 
     def test_eta_zero(self):
         ds = data.gen_blobs(100, 4, seed=21)
         noisy = data.inject_hierarchical(ds, 0.0, [[0, 1], [2, 3]], seed=2)
-        np.testing.assert_array_equal(noisy.y_noisy, noisy.y_clean)
+        np.testing.assert_array_equal(noisy.y, noisy.y_clean)
 
     def test_within_block_uniform(self):
         ds = data.gen_blobs(30000, 4, d_in=4, seed=22)
         noisy = data.inject_hierarchical(ds, 0.5, [[0, 1, 2, 3]], seed=23)
         flipped = noisy.flip_mask & (noisy.y_clean == 0)
-        counts = np.bincount(noisy.y_noisy[flipped], minlength=4)[1:]
+        counts = np.bincount(noisy.y[flipped], minlength=4)[1:]
         expected = counts.sum() / 3.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 <= CHI2_999[2]
@@ -185,6 +185,23 @@ class TestSplit:
         ds = data.gen_blobs(100, 2, seed=34)
         with pytest.raises(ConfigError):
             data.split_meta(ds, 80, 0.5)
+
+    def test_nonintegral_count_rejected(self):
+        ds = data.gen_blobs(100, 2, seed=34)
+        with pytest.raises(ConfigError, match="test_fraction=2.5"):
+            data.split_meta(ds, 30, 2.5)
+
+    def test_parts_clean_until_injected(self):
+        ds = data.gen_blobs(300, 3, seed=36)
+        split = data.split_meta(ds, 30, 0.2, seed=37)
+        for part in (split.train, split.meta, split.test):
+            assert part.y_clean is part.y and not part.flip_mask.any()
+        noisy = data.inject_symmetric(split.train, 0.5, seed=38)
+        assert noisy.flip_mask.any()
+        # a second injector flips from the clean labels, not the noisy ones
+        again = data.inject_symmetric(noisy, 0.0, seed=39)
+        np.testing.assert_array_equal(again.y, split.train.y)
+        assert not again.flip_mask.any()
 
 
 class TestCsv:

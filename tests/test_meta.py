@@ -1,5 +1,7 @@
 """Tests for the bilevel loop: virtual step, hypergradient, training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ class TestVirtualStep:
         Xn, yn, _, _ = make_batches(rng)
         got = meta.virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.2)
         _, grads = meta.train_grad(p, losses.HyperParams("ce"), Xn, yn)
-        want = model.sgd_step(p, grads.vec, 0.2)
+        want = model.sgd_step(p, grads, 0.2)
         np.testing.assert_array_equal(got.vec, want.vec)
 
     def test_step_norm_identity(self):
@@ -65,7 +67,7 @@ class TestVirtualStep:
         hyper = losses.HyperParams("gce", q=0.5)
         _, grads = meta.train_grad(p, hyper, Xn, yn)
         moved = meta.virtual_step(p, hyper, Xn, yn, 0.3)
-        assert np.linalg.norm(moved.vec - p.vec) == pytest.approx(0.3 * np.linalg.norm(grads.vec))
+        assert np.linalg.norm(moved.vec - p.vec) == pytest.approx(0.3 * np.linalg.norm(grads))
 
     def test_original_untouched(self):
         rng = np.random.default_rng(3)
@@ -101,15 +103,14 @@ class TestHypergradient:
             got = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
 
             w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
-            _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
-            g = g_meta.vec
+            _, g = meta.meta_ce_grad(w_tilde, Xm, ym)
             _, g_ce = meta.train_grad(p, losses.HyperParams("sl", gamma1=1.0, gamma2=0.0), Xn, yn)
             _, g_rce = meta.train_grad(p, losses.HyperParams("sl", gamma1=0.0, gamma2=1.0), Xn, yn)
             scale = losses.reparam_scale("sl", theta)
             want = np.array(
                 [
-                    -alpha * scale[0] * float(g @ g_ce.vec),
-                    -alpha * scale[1] * float(g @ g_rce.vec),
+                    -alpha * scale[0] * float(g @ g_ce),
+                    -alpha * scale[1] * float(g @ g_rce),
                 ]
             )
             assert rel_err(got, want) <= 1e-12
@@ -160,13 +161,12 @@ class TestHypergradient:
         # gradient; the JVP route must agree to rounding
         def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha):
             w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
-            _, g_meta = meta.meta_ce_grad(w_tilde, Xm, ym)
-            g = g_meta.vec
+            _, g = meta.meta_ce_grad(w_tilde, Xm, ym)
             _, _, _, dG = losses.batch_hgrad(hyper, model.forward_logits(p, Xn), yn)
             scale = losses.reparam_scale(hyper.variant, theta)
             out = np.empty(theta.size)
             for k in range(theta.size):
-                mixed = model.backward(p, Xn, dG[k] / len(yn)).vec
+                mixed = model.backward(p, model._forward_cached(p, Xn), dG[k] / len(yn))
                 out[k] = -alpha * scale[k] * float(g @ mixed)
             return out
 
@@ -279,6 +279,15 @@ class TestArlTrain:
         _, rows = meta.arl_train(train, meta_set, test, config)
         assert [r.iteration for r in rows] == [50, 100, 120]
 
+    def test_fixed_run_at_boundary_never_reparameterizes(self):
+        # q = 1.0 is a valid gce value but the boundary of its logit coordinate
+        train, meta_set, test = small_problem(seed=34)
+        config = meta.TrainConfig("gce", alpha=0.2, batch_n=32, batch_m=10, max_iters=5, seed=35)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, _ = meta.conventional_train(train, test, config, losses.HyperParams("gce", q=1.0))
+        assert state.hyper.q == 1.0
+
     def test_empty_meta_rejected(self):
         train, meta_set, test = small_problem(seed=12)
         config = meta.TrainConfig("gce", batch_n=32, batch_m=10, max_iters=5)
@@ -388,7 +397,8 @@ class TestOptionalKnobs:
         for _ in range(40):
             idx = rng.choice(len(train), size=32, replace=False)
             q = model.MlpParams(np.concatenate([a.ravel() for a in layers]), p.sizes, p.activation)
-            _, grads = meta.train_grad(q, hyper, train.X[idx], train.y_noisy[idx])
+            _, grads = meta.train_grad(q, hyper, train.X[idx], train.y[idx])
+            grads = model.MlpParams(grads, q.sizes, q.activation)
             g = [a for w, b in zip(grads.weights, grads.biases) for a in (w, b)]
             for l in range(len(layers)):
                 velocity[l] = g[l] + 0.9 * velocity[l]
@@ -465,7 +475,7 @@ class TestSampleWeights:
         Z = model.forward_logits(params, train.X)
         P = losses.softmax(Z)
         for i in range(0, len(train), 37):
-            ce_i = -np.log(P[i, train.y_noisy[i]])
+            ce_i = -np.log(P[i, train.y[i]])
             assert got[i] == pytest.approx(
                 losses.polysoft_weight(float(ce_i), 1.2, 2.5), abs=1e-12
             )

@@ -110,8 +110,8 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream(self):
         p = model.init_mlp([2, 6, 3], seed=7)
-        g = model.backward(p, np.ones((4, 2)), np.zeros((4, 3)))
-        assert np.all(g.vec == 0)
+        g = model.backward(p, model._forward_cached(p, np.ones((4, 2))), np.zeros((4, 3)))
+        assert np.all(g == 0)
 
     def test_matches_fd(self):
         rng = np.random.default_rng(11)
@@ -119,7 +119,7 @@ class TestBackward:
             p = model.init_mlp([3, 6, 4], activation=activation, seed=13)
             X = rng.normal(size=(5, 3))
             G = rng.normal(size=(5, 4))
-            got = model.backward(p, X, G).vec
+            got = model.backward(p, model._forward_cached(p, X), G)
             want = fd_param_grad(
                 p, lambda q: float((model.forward_logits(q, X) * G).sum())
             )
@@ -130,8 +130,8 @@ class TestBackward:
         p = model.init_mlp([2, 5, 3], seed=19)
         x = rng.normal(size=(1, 2))
         g = rng.normal(size=(1, 3))
-        single = model.backward(p, x, g).vec
-        stacked = model.backward(p, np.vstack([x, x]), np.vstack([g / 2, g / 2])).vec
+        single = model.backward(p, model._forward_cached(p, x), g)
+        stacked = model.backward(p, model._forward_cached(p, np.vstack([x, x])), np.vstack([g / 2, g / 2]))
         np.testing.assert_allclose(stacked, single, atol=1e-14)
 
     def test_end_to_end_each_family(self):
@@ -149,21 +149,16 @@ class TestBackward:
         for hyper in cases:
             Z = model.forward_logits(p, X)
             _, G = losses.batch_loss(hyper, Z, y)
-            got = model.backward(p, X, G / len(y)).vec
+            got = model.backward(p, model._forward_cached(p, X), G / len(y))
             want = fd_param_grad(p, lambda q: mean_loss_of_params(q, hyper, X, y))
             assert rel_err(got, want) <= 1e-5, hyper.variant
 
-
-    def test_cached_forward_bitwise_equal(self):
-        rng = np.random.default_rng(31)
-        for activation in ("tanh", "relu"):
-            p = model.init_mlp([3, 8, 5, 4], activation=activation, seed=37)
-            X = rng.normal(size=(7, 3))
-            G = rng.normal(size=(7, 4))
-            cached = model.backward(p, X, G, model._forward_cached(p, X))
-            fresh = model.backward(p, X, G)
-            for a, b in zip(cached.weights + cached.biases, fresh.weights + fresh.biases):
-                np.testing.assert_array_equal(a, b)
+    def test_shape_mismatch(self):
+        p = model.init_mlp([2, 6, 3], seed=31)
+        cache = model._forward_cached(p, np.ones((4, 2)))
+        for G in (np.zeros((5, 3)), np.zeros((4, 2)), np.zeros(12)):
+            with pytest.raises(ShapeError):
+                model.backward(p, cache, G)
 
 
 class TestJvp:
@@ -173,10 +168,10 @@ class TestJvp:
         rng = np.random.default_rng(41)
         p = model.init_mlp([3, *hidden, 4], activation=activation, seed=43)
         X = rng.normal(size=(9, 3))
-        direction = model.MlpParams(rng.normal(size=p.vec.size), p.sizes, p.activation)
+        direction = rng.normal(size=p.vec.size)
         got = model.jvp(p, model._forward_cached(p, X), direction)
         def logits_at(step):
-            moved = model.MlpParams(p.vec + step * direction.vec, p.sizes, p.activation)
+            moved = model.MlpParams(p.vec + step * direction, p.sizes, p.activation)
             return model.forward_logits(moved, X)
 
         h = 1e-6
@@ -189,22 +184,17 @@ class TestJvp:
         p = model.init_mlp([2, 6, 3], seed=53)
         X = rng.normal(size=(5, 2))
         G = rng.normal(size=(5, 3))
-        direction = model.init_mlp([2, 6, 3], seed=59)
+        direction = model.init_mlp([2, 6, 3], seed=59).vec
         cache = model._forward_cached(p, X)
         lhs = float((G * model.jvp(p, cache, direction)).sum())
-        rhs = float(direction.vec @ model.backward(p, X, G, cache).vec)
+        rhs = float(direction @ model.backward(p, cache, G))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_shape_mismatch(self):
         p = model.init_mlp([2, 6, 3], seed=61)
         cache = model._forward_cached(p, np.ones((4, 2)))
         with pytest.raises(ShapeError):
-            model.jvp(p, cache, model.init_mlp([2, 5, 3], seed=61))
-        # a direction of the same length but another layout
-        p = model.init_mlp([3, 2], seed=62)
-        cache = model._forward_cached(p, np.ones((4, 3)))
-        with pytest.raises(ShapeError):
-            model.jvp(p, cache, model.init_mlp([1, 4], seed=62))
+            model.jvp(p, cache, model.init_mlp([2, 5, 3], seed=61).vec)
 
 
 class TestSgd:
@@ -246,7 +236,7 @@ class TestTrainingSanity:
             idx = rng.choice(len(blobs), size=32, replace=False)
             Z = model.forward_logits(p, blobs.X[idx])
             _, G = losses.batch_loss(hyper, Z, blobs.y[idx])
-            p = model.sgd_step(p, model.backward(p, blobs.X[idx], G / len(idx)).vec, 0.5)
+            p = model.sgd_step(p, model.backward(p, model._forward_cached(p, blobs.X[idx]), G / len(idx)), 0.5)
         assert model.accuracy(p, blobs.X, blobs.y) >= 0.99
 
 
