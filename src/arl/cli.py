@@ -183,38 +183,38 @@ def run_ablation(exp, modes, out_dir):
                 "hyper": list(map(float, state.hyper.learnable_values())),
             }
 
+    # the fixed grid and opt1 start at 0 with the config's network and train in lockstep
+    grid = _fixed_grid_hypers(exp, split.train.c) if "fixed" in modes else []
+    from_zero = grid + ([state.hyper] if "opt1" in modes else [])
+    trained = meta.conventional_runs(
+        split.train, split.test, tc, [(hyper, None, 0) for hyper in from_zero])
+
     if "opt1" in modes:
-        _, rows1 = meta.conventional_train(split.train, split.test, tc, state.hyper)
-        curves["opt1"] = [(r.iteration, r.test_acc) for r in rows1]
+        curves["opt1"] = trained[-1][1]
         summary["opt1"] = {
-            "final_acc": rows1[-1].test_acc,
+            "final_acc": curves["opt1"][-1][1],
             "hyper": list(map(float, state.hyper.learnable_values())),
         }
 
     if "opt2" in modes:
-        curve = []
-        for t, params, hyper in snapshots:
-            if t >= total:
-                continue
-            # only the last metrics row is read: skip the rest
-            _, rows2 = meta.conventional_train(
-                split.train, split.test, replace(tc, metrics_every=total), hyper,
-                init_params=params, start_iter=t, num_iters=total - t,
-            )
-            curve.append((t, rows2[-1].test_acc))
+        # one continuation from each adaptive snapshot before the end, in
+        # lockstep; only each run's last row is read, so skip the rest
+        resumed = [(hyper, params, t) for t, params, hyper in snapshots if t < total]
+        continued = meta.conventional_runs(
+            split.train, split.test, replace(tc, metrics_every=total), resumed)
+        curve = [(t, c[-1][1]) for (_, _, t), (_, c) in zip(resumed, continued)]
         curves["opt2"] = curve
         summary["opt2"] = {"final_acc": curve[-1][1], "hyper": None}
 
     if "fixed" in modes:
-        best_acc, best_hyper, best_rows = -1.0, None, None
-        for cand in _fixed_grid_hypers(exp, split.train.c):
-            st, rows_f = meta.conventional_train(split.train, split.test, tc, cand)
-            val_acc = model.accuracy(st.params, split.meta.X, split.meta.y)
+        best_acc, best_hyper, best_curve = -1.0, None, None
+        for cand, (params, curve) in zip(grid, trained):
+            val_acc = model.accuracy(params, split.meta.X, split.meta.y)
             if val_acc > best_acc:
-                best_acc, best_hyper, best_rows = val_acc, cand, rows_f
-        curves["fixed"] = [(r.iteration, r.test_acc) for r in best_rows]
+                best_acc, best_hyper, best_curve = val_acc, cand, curve
+        curves["fixed"] = best_curve
         summary["fixed"] = {
-            "final_acc": best_rows[-1].test_acc,
+            "final_acc": best_curve[-1][1],
             "hyper": list(map(float, best_hyper.learnable_values())),
             "validation_acc": best_acc,
         }

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import losses, model
 from .errors import ConfigError, DomainError
-from .meta import TrainConfig
+from .meta import TrainConfig, _RangeError
 
 
 def _check_keys(doc, allowed, path):
@@ -173,9 +173,17 @@ def parse_config(doc, seed_override=None):
     exp = ExperimentConfig(raw=doc, seed=master, **sections)
 
     # the run's own builders check loss.init and the train and model ranges.
-    # A CSV dataset's dimension and class count are known only once it is
-    # loaded; only lam's default 3 log(c) depends on c, in its domain for any c >= 2
-    build_train_config(exp, 2)
+    # A CSV dataset's size, dimension and class count are known only once it
+    # is loaded; only lam's default 3 log(c) depends on c, in its domain for any c >= 2
+    try:
+        build_train_config(exp, 2)
+    except _RangeError as exc:
+        key = "iters" if exc.field == "max_iters" else exc.field
+        raise ConfigError(f"'train.{key}': {exc}") from None
+    try:
+        data_mod._test_size(sections["split"]["test_fraction"], 0)
+    except ConfigError as exc:
+        raise ConfigError(f"'split.test_fraction': {exc}") from None
     model._layout(exp.model["activation"], dataset.get("dim", 1), *exp.model["hidden"],
                   dataset.get("classes", 2))
     variant, init, rce_a = loss["variant"], loss["init"], loss["rce_a"]

@@ -143,6 +143,17 @@ def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
     return _flip(dataset, eta, seed, exact_count, relabel)
 
 
+def _test_size(test_fraction, n):
+    """The test-set size of ``n`` samples: ``test_fraction`` of them if it
+    lies in (0, 1), else ``test_fraction`` itself, which must be a positive count."""
+    if isinstance(test_fraction, float) and 0.0 < test_fraction < 1.0:
+        return int(round(test_fraction * n))
+    if float(test_fraction).is_integer() and test_fraction >= 1:
+        return int(test_fraction)
+    raise ConfigError(
+        f"test_fraction={test_fraction!r} is neither a fraction in (0, 1) nor a positive count")
+
+
 def split_meta(clean, meta_size, test_fraction, seed=0):
     """Disjoint train/meta/test split of a clean dataset.
 
@@ -152,12 +163,7 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
     the train part's labels afterwards.
     """
     n = len(clean)
-    if isinstance(test_fraction, float) and 0.0 < test_fraction < 1.0:
-        test_size = int(round(test_fraction * n))
-    elif float(test_fraction).is_integer():
-        test_size = int(test_fraction)
-    else:
-        raise ConfigError(f"test_fraction={test_fraction!r} is neither a fraction in (0, 1) nor a count")
+    test_size = _test_size(test_fraction, n)
     if meta_size < 1 or test_size < 1 or meta_size + test_size >= n:
         raise ConfigError(
             f"infeasible split: n={n}, meta={meta_size}, test={test_size}"

@@ -30,6 +30,27 @@ from .errors import ConfigError, DomainError, NumericError
 _CE = losses.HyperParams("ce")  # the meta objective; frozen, so built once
 
 
+class _RangeError(ConfigError):
+    """A ``TrainConfig`` field out of its range; ``field`` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+# the range of each ranged TrainConfig field: (check, requirement)
+_RANGES = {
+    "alpha": (lambda v: v >= 0, "be nonnegative"),
+    "beta": (lambda v: v >= 0, "be nonnegative"),
+    "batch_n": (lambda v: v >= 1, "be >= 1"),
+    "batch_m": (lambda v: v >= 1, "be >= 1"),
+    "max_iters": (lambda v: v >= 1, "be >= 1"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "metrics_every": (lambda v: v >= 1, "be >= 1"),
+    "decay_factor": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Step sizes, batch sizes, iteration budget, and seeds for one run."""
@@ -53,18 +74,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in losses.VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("step sizes must be nonnegative")
-        if self.batch_n < 1 or self.batch_m < 1:
-            raise ConfigError("batch sizes must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.metrics_every < 1:
-            raise ConfigError("metrics_every must be >= 1")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ConfigError("decay_factor must lie in (0, 1]")
+        for name, (ok, what) in _RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise _RangeError(name, f"{name} must {what}, got {value!r}")
 
     def resolve_hyper(self, num_classes):
         if self.init_hyper is not None:
@@ -175,8 +188,8 @@ def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
     return MetricsRow(t, float(train_vals.mean()), meta_loss, acc, tuple(hyper.learnable_values()))
 
 
-def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
-              snapshot_hook=None, start_iter=0, num_iters=None):
+def _check_sizes(train_set, meta_set, test_set, config, adapt):
+    """Non-empty datasets, and batches no larger than the sets they come from."""
     n_train = len(train_set)
     if n_train == 0 or len(test_set) == 0 or (meta_set is not None and len(meta_set) == 0):
         raise ConfigError("datasets must be non-empty")
@@ -184,6 +197,12 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         raise ConfigError(f"batch_n={config.batch_n} exceeds training set size {n_train}")
     if adapt and config.batch_m > len(meta_set):
         raise ConfigError(f"batch_m={config.batch_m} exceeds meta set size {len(meta_set)}")
+
+
+def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
+              snapshot_hook=None, start_iter=0, num_iters=None):
+    _check_sizes(train_set, meta_set, test_set, config, adapt)
+    n_train = len(train_set)
 
     # separate streams so meta-batch draws never perturb train batching;
     # a run that skips meta updates is then bitwise identical to plain SGD
@@ -203,15 +222,16 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         t = start_iter + step
         idx_n = rng_train.choice(n_train, size=config.batch_n, replace=False)
         Xn, yn = train_set.X[idx_n], train_set.y[idx_n]
-        if meta_set is not None:
-            idx_m = rng_meta.choice(len(meta_set), size=min(config.batch_m, len(meta_set)), replace=False)
 
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t = config.alpha * scale
         beta_t = config.beta * scale
         try:
             cache = model._forward_cached(params, Xn)
+            # the decay scale never grows, so drawing the meta batch only
+            # for a meta step leaves every draw that is used where it was
             if theta.size and beta_t > 0.0:
+                idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
                 hg = hypergradient(
                     params, hyper, theta, Xn, yn,
                     meta_set.X[idx_m], meta_set.y[idx_m], alpha_t, cache,
@@ -275,6 +295,87 @@ def conventional_train(dataset, test_set, config, hyper, meta_set=None,
         dataset, meta_set, test_set, config, hyper, init_params,
         adapt=False, start_iter=start_iter, num_iters=num_iters,
     )
+
+
+def conventional_runs(train_set, test_set, config, runs):
+    """R fixed-hyperparameter runs in lockstep, each as its ``conventional_train``.
+
+    ``runs`` holds ``(hyper, init_params, start_iter)`` triples; a run
+    with ``init_params`` None starts from the config's initial network.
+    Every run ends at ``config.max_iters``, and a run joins the loop at
+    its own start.  The started runs' parameters are one (R, P) stack, so
+    a step is one stacked forward, one loss call per run, one stacked
+    backward and one SGD step.  Runs with one start share one train-batch
+    stream, drawn once per step; each run sees the batches and gives the
+    bits of its serial ``conventional_train``.  Returns one
+    ``(params, curve)`` per run, in order, with ``curve`` the
+    ``(iteration, test_acc)`` pairs at the config's metrics cadence and
+    at the last iteration.
+    """
+    _check_sizes(train_set, None, test_set, config, adapt=False)
+    if not runs:
+        return []
+    order = sorted(range(len(runs)), key=lambda r: runs[r][2])
+    hypers = [runs[r][0] for r in order]
+    starts = [runs[r][2] for r in order]
+    first = _init_params(train_set, config)
+    inits = [first if runs[r][1] is None else runs[r][1] for r in order]
+    sizes, activation = first.sizes, first.activation
+    for p in inits:
+        if (p.sizes, p.activation) != (sizes, activation):
+            raise ConfigError(f"lockstep runs need one network shape, got {list(p.sizes)} {p.activation}")
+
+    n = config.batch_n
+    streams = {s: np.random.default_rng([config.seed, 17, s]) for s in starts}
+    stack = model.MlpParams(np.empty((0, first.vec.size)), sizes, activation)
+    velocity = np.zeros_like(stack.vec) if config.momentum > 0 else None
+    curves = [[] for _ in order]
+    k = 0  # runs started so far: the first k in start order
+    for t in range(starts[0] + 1, config.max_iters + 1):
+        joined = k
+        while k < len(order) and starts[k] < t:
+            k += 1
+        if k > joined:
+            stack = model.MlpParams(
+                np.concatenate([stack.vec, [p.vec for p in inits[joined:k]]]), sizes, activation)
+            if velocity is not None:
+                velocity = np.concatenate([velocity, np.zeros((k - joined, stack.vec.shape[1]))])
+        draws = {s: streams[s].choice(len(train_set), size=n, replace=False)
+                 for s in dict.fromkeys(starts[:k])}
+        idx = np.stack([draws[s] for s in starts[:k]])
+
+        alpha_t = config.alpha * _step_scale(t, config.decay_steps, config.decay_factor)
+        cache = model._forward_cached(stack, train_set.X[idx])
+        Z, y = cache[0][-1], train_set.y[idx]
+        G = np.empty_like(Z)
+        try:
+            for r in range(k):
+                values, G[r] = losses.batch_loss(hypers[r], Z[r], y[r])
+                if not np.all(np.isfinite(values)):
+                    raise NumericError("non-finite training loss")
+        except (NumericError, DomainError) as exc:
+            raise NumericError(
+                f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {exc}") from exc
+        step = model.backward(stack, cache, G / n)
+        if velocity is not None:
+            velocity = step = step + config.momentum * velocity
+        try:
+            stack = model.sgd_step(stack, step, alpha_t)
+        except NumericError as exc:
+            r = int(np.isfinite(step).all(axis=1).argmin())
+            raise NumericError(
+                f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {exc}") from exc
+
+        if t % config.metrics_every == 0 or t == config.max_iters:
+            for r in range(k):
+                run = model.MlpParams(stack.vec[r], sizes, activation)
+                curves[r].append((t, model.accuracy(run, test_set.X, test_set.y)))
+
+    results = [None] * len(runs)
+    for pos, r in enumerate(order):
+        params = model.MlpParams(stack.vec[pos], sizes, activation) if pos < k else inits[pos]
+        results[r] = (params, curves[pos])
+    return results
 
 
 def compute_sample_weights(params, hyper, dataset):

@@ -5,8 +5,12 @@ gradients are written out directly; no autodiff tape.  A parameter set
 is an ``MlpParams``: one read-only float64 vector laid out layer by layer
 (W0, b0, W1, b1, ...), which is also the checkpoint format, with
 per-layer views.  A gradient or a direction is a plain vector in the same
-layout.  All math is in float64 and every operation is a pure function of
-its inputs.
+layout.  R networks of one shape can train as one stack: an (R, P)
+``MlpParams`` holds one such vector per row, and the forward pass, the
+backward pass and the SGD step take (R, n, .) batches and (R, P)
+gradients, each run's slice computed as its own unstacked pass would.
+All math is in float64 and every operation is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -43,28 +47,31 @@ def _layout(activation, *sizes):
 
 
 class MlpParams:
-    """One read-only parameter vector with per-layer views.
+    """One read-only parameter vector, or a stack of them, with per-layer views.
 
     ``vec`` holds W0, b0, W1, b1, ... (weights row-major); ``weights[l]``
     and ``biases[l]`` are views into it.  The constructor takes ``vec``
     over and marks it read-only, so parameter sets can be shared, as
-    snapshots or as the start of another run, without copies.
+    snapshots or as the start of another run, without copies.  A stack
+    ``vec`` of shape (R, P) holds R networks, one per row; its views are
+    (R, fan_in, fan_out) weights and (R, 1, fan_out) biases.
     """
 
     def __init__(self, vec, sizes, activation):
         sizes = tuple(sizes)
         layers, total = _layout(activation, *sizes)
         vec = np.ascontiguousarray(vec, dtype=np.float64)
-        if vec.shape != (total,):
+        if vec.ndim not in (1, 2) or vec.shape[-1] != total:
             raise ShapeError(
-                f"parameter vector of shape {vec.shape} != ({total},) for sizes {list(sizes)}"
+                f"parameter vector of shape {vec.shape} != ([R,] {total}) for sizes {list(sizes)}"
             )
         vec.setflags(write=False)
         self.vec = vec
         self.sizes = sizes
         self.activation = activation
-        self.weights = [vec[w].reshape(shape) for w, shape, _ in layers]
-        self.biases = [vec[b] for _, _, b in layers]
+        lead = vec.shape[:-1]
+        self.weights = [vec[..., w].reshape(lead + shape) for w, shape, _ in layers]
+        self.biases = [vec[:, None, b] if lead else vec[b] for _, _, b in layers]
 
 
 def init_mlp(sizes, activation="tanh", seed=0):
@@ -94,11 +101,13 @@ def _forward_cached(params, X):
 
     Returns the cache ``(pres, posts)``: per-layer pre-activations and
     layer inputs, with ``posts[0]`` the features and ``pres[-1]`` the logits.
+    Stacked ``params`` of R networks take an (R, n, d) batch, one per run.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.sizes[0]:
+    lead = params.vec.shape[:-1]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != params.sizes[0]:
         raise ShapeError(
-            f"feature batch of shape {X.shape} != (n, {params.sizes[0]}) model input"
+            f"feature batch of shape {X.shape} != ({'R, ' * len(lead)}n, {params.sizes[0]}) model input"
         )
     pres, posts = [], [X]
     h = X
@@ -121,22 +130,23 @@ def backward(params, cache, grad_logits_batch):
     """Exact gradient of sum_i <logits_i, g_i> with respect to the parameters.
 
     ``cache`` is ``_forward_cached(params, X)``; the result is one vector in
-    the layout of ``params.vec``.  Callers bake any 1/N loss reduction into
-    ``grad_logits_batch``.
+    the layout of ``params.vec`` (one row per run for stacked ``params``).
+    Callers bake any 1/N loss reduction into ``grad_logits_batch``.
     """
     pres, posts = cache
     G = np.asarray(grad_logits_batch, dtype=float)
     if G.shape != pres[-1].shape:
         raise ShapeError(f"logit gradient of shape {G.shape} != cached logits {pres[-1].shape}")
+    flat = params.vec.shape[:-1] + (-1,)
     parts = []  # b_L, W_L, ..., b_0, W_0: reversed at the end
     delta = G
     for l in range(len(params.weights) - 1, -1, -1):
-        parts += [delta.sum(axis=0), (posts[l].T @ delta).ravel()]
+        parts += [delta.sum(axis=-2), (posts[l].swapaxes(-1, -2) @ delta).reshape(flat)]
         if l > 0:
-            delta = (delta @ params.weights[l].T) * _act_grad(
+            delta = (delta @ params.weights[l].swapaxes(-1, -2)) * _act_grad(
                 pres[l - 1], posts[l], params.activation
             )
-    return np.concatenate(parts[::-1])
+    return np.concatenate(parts[::-1], axis=-1)
 
 
 def jvp(params, cache, direction):
@@ -160,7 +170,7 @@ def jvp(params, cache, direction):
 
 
 def sgd_step(params, step, alpha):
-    """params - alpha * step, with ``step`` a vector in the layout of ``params.vec``."""
+    """params - alpha * step, with ``step`` shaped like ``params.vec``."""
     if not np.isfinite(step).all():
         raise NumericError("non-finite gradient in sgd_step")
     return MlpParams(params.vec - alpha * step, params.sizes, params.activation)

@@ -283,6 +283,7 @@ class TestChecksBeforeTraining:
     def test_ablate_exits_2_untrained(self, tmp_path, capsys, monkeypatch, patch, modes, key):
         monkeypatch.setattr(meta, "arl_train", _never_train)
         monkeypatch.setattr(meta, "conventional_train", _never_train)
+        monkeypatch.setattr(meta, "conventional_runs", _never_train)
         cfg = write_config(tmp_path, dict(self.SL_RUN, **patch))
         assert cli.main(["ablate", "--config", str(cfg), "--modes", modes,
                          "--out", str(tmp_path / "a")]) == 2
@@ -318,6 +319,26 @@ class TestChecksBeforeTraining:
         assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
                          "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, says", [
+        ("train", "iters", 0, "'train.iters': max_iters must be >= 1, got 0"),
+        ("train", "alpha", -1, "'train.alpha': alpha must be nonnegative, got -1"),
+        ("train", "beta", -0.5, "'train.beta'"),
+        ("train", "batch_m", 0, "'train.batch_m'"),
+        ("train", "momentum", 1.0, "'train.momentum'"),
+        ("train", "decay_factor", 0.0, "'train.decay_factor'"),
+        ("split", "test_fraction", 2.5, "'split.test_fraction': test_fraction=2.5"),
+        ("split", "test_fraction", 0, "'split.test_fraction': test_fraction=0"),
+    ])
+    def test_range_error_names_key_unloaded(self, tmp_path, capsys, monkeypatch,
+                                            section, key, value, says):
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, **{section: dict(SMALL_RUN.get(section, {}), **{key: value})})
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert says in capsys.readouterr().err
 
     def test_superclasses_type_checked(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(data, "gen_blobs", _never_load)

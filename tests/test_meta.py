@@ -466,6 +466,93 @@ class TestOptionalKnobs:
                 meta.arl_train(train, meta_set, test, config)
 
 
+class TestConventionalRuns:
+    """The lockstep runs give the bits of their serial ``conventional_train``."""
+
+    GRIDS = {
+        "gce": [{"q": q} for q in (0.2, 0.5, 0.9)],
+        "sl": [{"gamma1": g1, "gamma2": g2} for g1 in (0.1, 10.0) for g2 in (0.1, 1.0)],
+        "polysoft": [{"lam": lam, "d": d} for lam in (1.0, 2.0) for d in (2.0, 3.0)],
+        "bi_tempered": [{"t1": 0.2, "t2": 1.2}, {"t1": 0.8, "t2": 2.0}],
+        "ce": [],
+    }
+
+    @staticmethod
+    def serial(train, test, config, hyper, init_params, start):
+        state, rows = meta.conventional_train(
+            train, test, config, hyper, init_params=init_params, start_iter=start,
+            num_iters=config.max_iters - start,
+        )
+        return state.params, [(r.iteration, r.test_acc) for r in rows]
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"momentum": 0.9, "decay_steps": (12,), "hidden": (8, 8), "activation": "relu"},
+    ], ids=["plain", "momentum-decay-relu"])
+    @pytest.mark.parametrize("variant", ["ce", "gce", "sl", "polysoft", "bi_tempered"])
+    def test_matches_serial_runs(self, variant, knobs):
+        train, meta_set, test = small_problem(seed=40)
+        config = meta.TrainConfig(variant, alpha=0.5, beta=0.5, batch_n=16, batch_m=10,
+                                  max_iters=30, seed=41, metrics_every=7, **knobs)
+        snapshots = []
+        state, _ = meta.arl_train(train, meta_set, test, config,
+                                  snapshot_hook=lambda t, p, h: snapshots.append((t, p, h)))
+        # a grid and an opt1 run from 0, and a staircase of continuations
+        # with two runs at one start and one that starts at the end
+        runs = [(losses.HyperParams(variant, **fields), None, 0) for fields in self.GRIDS[variant]]
+        runs.append((state.hyper, None, 0))
+        runs += [(h, p, t) for t, p, h in snapshots] + [(snapshots[1][2], snapshots[1][1], 7)]
+        got = meta.conventional_runs(train, test, config, runs)
+        assert len(got) == len(runs)
+        for (hyper, init, start), (params, curve) in zip(runs, got):
+            want_params, want_curve = self.serial(train, test, config, hyper, init, start)
+            np.testing.assert_array_equal(params.vec, want_params.vec)
+            assert curve == want_curve
+
+    def test_nonfinite_loss_names_run_and_iteration(self, monkeypatch):
+        train, _, test = small_problem(seed=42)
+        config = meta.TrainConfig("sl", alpha=0.2, batch_n=16, max_iters=10, seed=43)
+        bad = losses.HyperParams("sl", gamma1=10.0, gamma2=0.1)
+        real, calls = losses.batch_loss, [0]
+
+        def poisoned(h, Z, labels):
+            values, G = real(h, Z, labels)
+            if h == bad:
+                calls[0] += 1
+                if calls[0] == 4:  # one call per iteration
+                    values = values.copy()
+                    values[2] = np.nan
+            return values, G
+
+        monkeypatch.setattr(losses, "batch_loss", poisoned)
+        runs = [(losses.HyperParams("sl"), None, 0), (bad, None, 0), (losses.HyperParams("sl"), None, 2)]
+        with pytest.raises(NumericError, match=r"iteration 4 \(run from 0, .*gamma1=10\.0, "
+                                               r"gamma2=0\.1.*\): non-finite training loss"):
+            meta.conventional_runs(train, test, config, runs)
+
+    def test_nonfinite_gradient_names_run(self, monkeypatch):
+        train, _, test = small_problem(seed=44)
+        config = meta.TrainConfig("gce", alpha=0.2, batch_n=16, max_iters=10, seed=45)
+        real = model.backward
+
+        def poisoned(params, cache, G):
+            grads = real(params, cache, G)
+            if grads.shape[0] == 3:  # once the run from 5 has joined
+                grads[2, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(model, "backward", poisoned)
+        runs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.5, 0), (0.7, 5))]
+        with pytest.raises(NumericError, match=r"iteration 6 \(run from 5, .*q=0\.7.*non-finite gradient"):
+            meta.conventional_runs(train, test, config, runs)
+
+    def test_checks_shared_with_serial_loop(self):
+        train, _, test = small_problem(seed=46)
+        config = meta.TrainConfig("gce", batch_n=10_000, max_iters=5)
+        with pytest.raises(ConfigError, match="batch_n=10000 exceeds"):
+            meta.conventional_runs(train, test, config, [(losses.HyperParams("gce"), None, 0)])
+
+
 class TestSampleWeights:
     def test_matches_manual(self):
         train, meta_set, test = small_problem(seed=16)

@@ -226,6 +226,37 @@ class TestSgd:
             model.sgd_step(p, g, 0.1)
 
 
+class TestStack:
+    """An (R, P) stack computes each row as its own unstacked network, bit for bit."""
+
+    @pytest.mark.parametrize("activation, hidden", [("tanh", (16,)), ("relu", (8, 8))])
+    def test_rows_match_unstacked(self, activation, hidden):
+        rng = np.random.default_rng(71)
+        nets = [model.init_mlp([2, *hidden, 3], activation, seed=s) for s in range(4)]
+        stack = model.MlpParams(np.stack([p.vec for p in nets]), nets[0].sizes, activation)
+        X = rng.normal(size=(4, 16, 2))
+        G = rng.normal(size=(4, 16, 3))
+        cache = model._forward_cached(stack, X)
+        grads = model.backward(stack, cache, G)
+        moved = model.sgd_step(stack, grads, 0.3)
+        for r, p in enumerate(nets):
+            np.testing.assert_array_equal(stack.weights[1][r], p.weights[1])
+            np.testing.assert_array_equal(stack.biases[0][r, 0], p.biases[0])
+            one = model._forward_cached(p, X[r])
+            np.testing.assert_array_equal(cache[0][-1][r], one[0][-1])
+            np.testing.assert_array_equal(grads[r], model.backward(p, one, G[r]))
+            np.testing.assert_array_equal(moved.vec[r], p.vec - 0.3 * grads[r])
+
+    def test_batch_stack_mismatch(self):
+        nets = [model.init_mlp([2, 6, 3], seed=s) for s in range(3)]
+        stack = model.MlpParams(np.stack([p.vec for p in nets]), nets[0].sizes, "tanh")
+        for X in (np.zeros((2, 5, 2)), np.zeros((5, 2)), np.zeros((3, 5, 4))):
+            with pytest.raises(ShapeError):
+                model._forward_cached(stack, X)
+        with pytest.raises(ShapeError):
+            model.MlpParams(np.zeros((2, 3, nets[0].vec.size)), nets[0].sizes, "tanh")
+
+
 class TestTrainingSanity:
     def test_separable_blobs_reach_99(self):
         blobs = data.gen_blobs(200, 2, d_in=2, spread=0.15, seed=0)
