@@ -94,8 +94,8 @@ def _dataset_summary(split, noise):
 
 def run_experiment(exp, out_dir):
     """Train once and write metrics.csv, checkpoint, and manifest.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = config_mod.build_datasets(exp)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tc = config_mod.build_train_config(exp, split.train.c)
     state, rows = meta.arl_train(split.train, split.meta, split.test, tc)
 
@@ -161,8 +161,8 @@ def run_ablation(exp, modes, out_dir):
             raise ConfigError(f"unknown ablation mode {mode!r}")
     if "fixed" in modes and exp.loss["variant"] == "ce":
         raise ConfigError("ablation mode 'fixed' needs a 'loss.variant' with hyperparameters")
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = config_mod.build_datasets(exp)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tc = config_mod.build_train_config(exp, split.train.c)
     total = tc.max_iters
 

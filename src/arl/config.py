@@ -184,6 +184,8 @@ def parse_config(doc, seed_override=None):
         data_mod._test_size(sections["split"]["test_fraction"], 0)
     except ConfigError as exc:
         raise ConfigError(f"'split.test_fraction': {exc}") from None
+    if sections["split"]["meta_size"] < 1:
+        raise ConfigError(f"'split.meta_size' must be >= 1, got {sections['split']['meta_size']}")
     model._layout(exp.model["activation"], dataset.get("dim", 1), *exp.model["hidden"],
                   dataset.get("classes", 2))
     variant, init, rce_a = loss["variant"], loss["init"], loss["rce_a"]
@@ -238,7 +240,16 @@ def load_dataset(exp):
 
 
 def build_datasets(exp):
-    """Load, split, and corrupt per the config sections."""
+    """Load, split, and corrupt per the config sections.
+
+    A generated dataset's size is in the document, so its split is checked
+    before the data is made; ``gen-data``, which does not split, never asks.
+    """
+    if "n" in exp.dataset:
+        try:
+            data_mod._split_test_size(exp.dataset["n"], exp.split["meta_size"], exp.split["test_fraction"])
+        except ConfigError as exc:
+            raise ConfigError(f"'split.meta_size' and 'split.test_fraction': {exc}") from None
     split = data_mod.split_meta(
         load_dataset(exp), exp.split["meta_size"], exp.split["test_fraction"], exp.split["seed"]
     )

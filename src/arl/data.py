@@ -154,6 +154,16 @@ def _test_size(test_fraction, n):
         f"test_fraction={test_fraction!r} is neither a fraction in (0, 1) nor a positive count")
 
 
+def _split_test_size(n, meta_size, test_fraction):
+    """The test-set size of a split of ``n`` samples that leaves every part non-empty."""
+    test_size = _test_size(test_fraction, n)
+    if meta_size < 1 or test_size < 1 or meta_size + test_size >= n:
+        raise ConfigError(
+            f"infeasible split: n={n}, meta={meta_size}, test={test_size}"
+        )
+    return test_size
+
+
 def split_meta(clean, meta_size, test_fraction, seed=0):
     """Disjoint train/meta/test split of a clean dataset.
 
@@ -163,11 +173,7 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
     the train part's labels afterwards.
     """
     n = len(clean)
-    test_size = _test_size(test_fraction, n)
-    if meta_size < 1 or test_size < 1 or meta_size + test_size >= n:
-        raise ConfigError(
-            f"infeasible split: n={n}, meta={meta_size}, test={test_size}"
-        )
+    test_size = _split_test_size(n, meta_size, test_fraction)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     test_idx = order[:test_size]

@@ -12,13 +12,17 @@ Five loss families over a c-class softmax (or tempered-softmax) output:
 Each family's value, analytic logit gradient and hyperparameter derivatives
 are written once, as batched kernels ``value(P, labels, h) -> (values,
 shared)``, ``grad(P, labels, h, shared)`` and ``hgrad(P, labels, h, shared)
--> (dvalues, dgrads)`` on probability rows P, whose hyperparameter fields are
-scalars or one per row; ``polysoft_of_ce`` is the soft-weighting formula on
-cross entropies.  ``batch_loss`` (training, metrics) takes values and
-gradients, ``batch_hgrad`` (the hypergradient) adds their derivatives in
-each learnable field from the same normalization, and ``loss_values`` (the
-theory table, the loss curve, the cross entropies of the sample weights)
-takes values only.  ``loss_on_logits`` is the one checked single-row entry
+-> (dvalues, dgrads)`` on probability rows P; ``polysoft_of_ce`` is the
+soft-weighting formula on cross entropies.  A kernel reads its
+hyperparameter fields from a ``HyperParams`` (scalars) or from a
+``_RowFields`` record (one value per row), so one call can serve the
+stacked rows of runs with different fields.  Powers with a per-row exponent
+go through ``_pow``, which gives the bits numpy gives for a scalar exponent.
+``batch_loss`` (training, metrics) takes values and gradients,
+``batch_hgrad`` (the hypergradient) adds their derivatives in each learnable
+field from the same normalization, and ``loss_values`` (the theory table,
+the loss curve, the cross entropies of the sample weights) takes values
+only.  ``loss_on_logits`` is the one checked single-row entry
 point, ``polysoft_weight`` the checked sample weight of a cross entropy.  A
 smooth reparameterization maps the constrained hyperparameter domains onto
 unconstrained coordinates.
@@ -287,7 +291,8 @@ def tempered_softmax(z, t2):
 # derivatives, written once
 # ---------------------------------------------------------------------------
 
-# ``labels`` is one label per row of P or one for all rows.  The order of
+# ``labels`` is one label per row of P, one for all rows, or a (k, 1) column
+# of labels, which gives (k, rows) values, one row of values per label.  The order of
 # operations in ``value`` and ``grad`` is the training path's, which the
 # training bits depend on.  ``hgrad`` returns the derivatives of the values
 # (k, n) and of the logit gradients (k, n, c) in each learnable field, in
@@ -296,6 +301,31 @@ def tempered_softmax(z, t2):
 def _on_classes(h):
     """A hyperparameter (scalar or one per row) lifted onto the class axis."""
     return np.asarray(h)[..., None]
+
+
+# numpy raises to a scalar exponent of -1, 1/2 or 2 by these ops, whose last
+# bit can differ from its general power; an exponent array of more than one
+# element always takes the general power
+_SCALAR_POWERS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
+
+
+def _pow(x, e):
+    """x ** e with ``e`` a scalar or one per row: the bits of a scalar exponent.
+
+    A scalar ``e`` is plain ``x ** e``.  An array ``e`` (rows, or a column
+    broadcast over classes) takes the general power, and rows whose exponent
+    is one of numpy's special scalar exponents take its op instead, so a row
+    gets the same bits stacked with other runs' rows as alone.
+    """
+    if np.ndim(e) == 0:
+        return x ** e
+    out = x ** e
+    for special, op in _SCALAR_POWERS:
+        hit = e == special
+        if hit.any():
+            hit = np.broadcast_to(hit, out.shape)
+            out[hit] = op(np.broadcast_to(x, out.shape)[hit])
+    return out
 
 
 def _label_probs(P, labels):
@@ -322,7 +352,7 @@ def _ce_hgrad(P, labels, h=None, shared=None):
 
 
 def _gce_value(P, labels, h):
-    pq = _clamp(_label_probs(P, labels)) ** h.q
+    pq = _pow(_clamp(_label_probs(P, labels)), h.q)
     return (1.0 - pq) / h.q, pq
 
 
@@ -462,12 +492,12 @@ def polysoft_of_ce(ce, lam, d):
     """
     u = np.where(ce < lam, 1.0 - ce / lam, 0.0)
     plateau = (d - 1.0) * lam / d
-    return plateau * (1.0 - u ** (d / (d - 1.0))), u
+    return plateau * (1.0 - _pow(u, d / (d - 1.0))), u
 
 
 def _polysoft_weight(u, d):
     """The sample weight u^(d/(d-1) - 1), 0 on the plateau."""
-    return np.where(u > 0.0, u ** (d / (d - 1.0) - 1.0), 0.0)
+    return np.where(u > 0.0, _pow(u, d / (d - 1.0) - 1.0), 0.0)
 
 
 def _polysoft_hgrad_of_ce(ce, lam, d):
@@ -517,18 +547,22 @@ def loss_values(hyper, P, labels):
     return _FAMILIES[hyper.variant][0](P, labels, hyper)[0]
 
 
-@dataclass(frozen=True)
-class _TemperedRows:
-    """bi_tempered's (t1, t2) as one value per row of a batch.
+class _RowFields:
+    """The learnable fields and ``rce_a``, one value per row of a batch.
 
-    numpy raises an array to a constant power of 2 or 1/2 by square or
-    sqrt, whose last bit can differ from its general power.  With one
-    exponent per row a batch row takes the general power for every
-    (t1, t2), as it does in a batch of rows with differing fields.
+    ``_RowFields(hypers, rows)`` gives each of ``hypers`` (one variant)
+    ``rows`` consecutive rows, so one kernel call serves the stacked batches
+    of runs with different fields.  bi_tempered takes its fields this way in
+    every batch: it raises to its exponents by the general power, also for
+    the values at which a scalar exponent would take numpy's special ops.
+    A one-row batch is the exception: numpy takes its (1, 1) exponent as a
+    scalar.
     """
 
-    t1: np.ndarray
-    t2: np.ndarray
+    def __init__(self, hypers, rows):
+        self.variant = hypers[0].variant
+        for name in LEARNABLE[self.variant] + ("rce_a",):
+            setattr(self, name, np.array([getattr(h, name) for h in hypers]).repeat(rows))
 
 
 def _normalized(hyper, Z, labels):
@@ -538,17 +572,20 @@ def _normalized(hyper, Z, labels):
     labels = np.asarray(labels, dtype=int)
     if hyper.variant != "bi_tempered":
         return softmax(Z), labels, hyper
-    rows = _TemperedRows(np.full(len(Z), hyper.t1), np.full(len(Z), hyper.t2))
-    return _tempered_softmax_batch(Z, rows.t2)[0], labels, rows
+    if isinstance(hyper, HyperParams):
+        hyper = _RowFields([hyper], len(Z))
+    return _tempered_softmax_batch(Z, hyper.t2)[0], labels, hyper
 
 
 def batch_loss(hyper, Z, labels):
     """Per-sample values and logit gradients for a batch.
 
-    ``Z`` is (n, c), ``labels`` (n,) ints.  Returns ``(values, grads)``
+    ``Z`` is (n, c), ``labels`` (n,) ints and ``hyper`` a ``HyperParams``
+    or a ``_RowFields`` record of n rows.  Returns ``(values, grads)``
     with shapes (n,) and (n, c); callers handle the 1/n reduction.  The
     logits are normalized (softmax, or the tempered softmax for
-    ``bi_tempered``) and handed to the family's kernels.
+    ``bi_tempered``) and handed to the family's kernels.  A row gets the
+    same bits from a record as from its own ``HyperParams``.
     """
     P, labels, h = _normalized(hyper, Z, labels)
     value, grad, _ = _FAMILIES[hyper.variant]

@@ -303,11 +303,14 @@ def conventional_runs(train_set, test_set, config, runs):
     ``runs`` holds ``(hyper, init_params, start_iter)`` triples; a run
     with ``init_params`` None starts from the config's initial network.
     Every run ends at ``config.max_iters``, and a run joins the loop at
-    its own start.  The started runs' parameters are one (R, P) stack, so
-    a step is one stacked forward, one loss call per run, one stacked
-    backward and one SGD step.  Runs with one start share one train-batch
-    stream, drawn once per step; each run sees the batches and gives the
-    bits of its serial ``conventional_train``.  Returns one
+    its own start.  The runs share one loss variant.  The started runs'
+    parameters are one (R, P) stack and their fields one per-row record,
+    rebuilt when runs join, so a step is one stacked forward, one loss call
+    over all the stacked rows, one stacked backward and one SGD step.  Runs
+    with one start share one train-batch stream, drawn once per step; each
+    run sees the batches and gives the bits of its serial
+    ``conventional_train`` (bi_tempered at ``batch_n`` 1 excepted: see
+    ``losses._RowFields``).  Returns one
     ``(params, curve)`` per run, in order, with ``curve`` the
     ``(iteration, test_acc)`` pairs at the config's metrics cadence and
     at the last iteration.
@@ -324,6 +327,11 @@ def conventional_runs(train_set, test_set, config, runs):
     for p in inits:
         if (p.sizes, p.activation) != (sizes, activation):
             raise ConfigError(f"lockstep runs need one network shape, got {list(p.sizes)} {p.activation}")
+    if len({h.variant for h in hypers}) > 1:
+        raise ConfigError(f"lockstep runs need one loss variant, got {sorted({h.variant for h in hypers})}")
+
+    def diverged(r, what):
+        return NumericError(f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {what}")
 
     n = config.batch_n
     streams = {s: np.random.default_rng([config.seed, 17, s]) for s in starts}
@@ -338,6 +346,7 @@ def conventional_runs(train_set, test_set, config, runs):
         if k > joined:
             stack = model.MlpParams(
                 np.concatenate([stack.vec, [p.vec for p in inits[joined:k]]]), sizes, activation)
+            fields = losses._RowFields(hypers[:k], n)
             if velocity is not None:
                 velocity = np.concatenate([velocity, np.zeros((k - joined, stack.vec.shape[1]))])
         draws = {s: streams[s].choice(len(train_set), size=n, replace=False)
@@ -347,24 +356,20 @@ def conventional_runs(train_set, test_set, config, runs):
         alpha_t = config.alpha * _step_scale(t, config.decay_steps, config.decay_factor)
         cache = model._forward_cached(stack, train_set.X[idx])
         Z, y = cache[0][-1], train_set.y[idx]
-        G = np.empty_like(Z)
         try:
-            for r in range(k):
-                values, G[r] = losses.batch_loss(hypers[r], Z[r], y[r])
-                if not np.all(np.isfinite(values)):
-                    raise NumericError("non-finite training loss")
+            values, G = losses.batch_loss(fields, Z.reshape(k * n, -1), y.ravel())
         except (NumericError, DomainError) as exc:
-            raise NumericError(
-                f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {exc}") from exc
-        step = model.backward(stack, cache, G / n)
+            raise diverged(_run_at_fault(hypers[:k], Z, y), exc) from exc
+        finite = np.isfinite(values).reshape(k, n).all(axis=1)
+        if not finite.all():
+            raise diverged(int(finite.argmin()), "non-finite training loss")
+        step = model.backward(stack, cache, G.reshape(Z.shape) / n)
         if velocity is not None:
             velocity = step = step + config.momentum * velocity
         try:
             stack = model.sgd_step(stack, step, alpha_t)
         except NumericError as exc:
-            r = int(np.isfinite(step).all(axis=1).argmin())
-            raise NumericError(
-                f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {exc}") from exc
+            raise diverged(int(np.isfinite(step).all(axis=1).argmin()), exc) from exc
 
         if t % config.metrics_every == 0 or t == config.max_iters:
             for r in range(k):
@@ -376,6 +381,20 @@ def conventional_runs(train_set, test_set, config, runs):
         params = model.MlpParams(stack.vec[pos], sizes, activation) if pos < k else inits[pos]
         results[r] = (params, curves[pos])
     return results
+
+
+def _run_at_fault(hypers, Z, y):
+    """The first run whose own loss call fails, as the stacked call failed.
+
+    Each row is normalized and checked on its own, so a failure of the
+    stacked call is a failure of one of its runs.
+    """
+    for r, hyper in enumerate(hypers):
+        try:
+            losses.batch_loss(hyper, Z[r], y[r])
+        except (NumericError, DomainError):
+            return r
+    raise AssertionError("a stacked loss call failed where no run fails alone")
 
 
 def compute_sample_weights(params, hyper, dataset):

@@ -340,6 +340,20 @@ class TestChecksBeforeTraining:
         assert not out.exists()
         assert says in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, split, says", [
+        (200, {"meta_size": 0, "test_fraction": 50}, "'split.meta_size' must be >= 1, got 0"),
+        (200, {"meta_size": 30, "test_fraction": 170}, "'split.meta_size' and 'split.test_fraction'"),
+        (200, {"meta_size": 30, "test_fraction": 0.001}, "meta=30, test=0"),
+    ], ids=["no-meta", "no-train", "no-test"])
+    def test_infeasible_split_names_key_unloaded(self, tmp_path, capsys, monkeypatch, n, split, says):
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, dataset=dict(SMALL_RUN["dataset"], n=n), split=split)
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert says in capsys.readouterr().err
+
     def test_superclasses_type_checked(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(data, "gen_blobs", _never_load)
         doc = dict(SMALL_RUN, noise={"type": "hierarchical", "eta": 0.2, "superclasses": 3})

@@ -791,3 +791,88 @@ class TestHgrad:
                 dvalues, dweights = L._polysoft_hgrad_of_ce(np.array([ce_value]), lam, d)
             assert 0.0 < u[0] <= 2.0 * np.finfo(float).eps
             assert np.all(np.isfinite(dvalues)) and np.all(np.isfinite(dweights))
+
+
+# numpy's special scalar exponents (it takes reciprocal, sqrt and square
+# there) and exponents that it raises by its general power
+SPECIAL_EXPONENTS = (-1.0, 0.5, 2.0)
+ORDINARY_EXPONENTS = (-2.0, -0.5, 0.0, 0.25, 1.0, 1.5, 3.0, 4.0, 1.0 / 3.0)
+
+
+class TestPow:
+    """``_pow`` with per-row exponents gives the bits of a scalar exponent.
+
+    If a numpy upgrade changes the exponents it takes by special ops, a
+    per-row exponent no longer matches and these tests fail first.
+    """
+
+    @pytest.mark.parametrize("e", SPECIAL_EXPONENTS + ORDINARY_EXPONENTS)
+    def test_rows(self, e):
+        x = np.random.default_rng(60).uniform(size=20_000)
+        assert np.array_equal(L._pow(x, np.full(len(x), e)), x ** float(e))
+        assert np.array_equal(L._pow(x, e), x ** float(e))
+
+    @pytest.mark.parametrize("e", SPECIAL_EXPONENTS + ORDINARY_EXPONENTS)
+    def test_columns_over_classes(self, e):
+        X = np.random.default_rng(61).uniform(size=(8000, 3))
+        assert np.array_equal(L._pow(X, np.full((len(X), 1), e)), X ** float(e))
+
+    def test_mixed_exponents(self):
+        rng = np.random.default_rng(62)
+        exponents = np.array(SPECIAL_EXPONENTS + ORDINARY_EXPONENTS)
+        X = rng.uniform(size=(6000, 3))
+        e = rng.choice(exponents, size=(len(X), 1))
+        got = L._pow(X, e)
+        for v in exponents:
+            rows = e[:, 0] == v
+            assert np.array_equal(got[rows], X[rows] ** float(v)), v
+
+
+class TestRowFields:
+    """One call over stacked runs' rows, each run with its own fields,
+    gives every run the bits of its own scalar-field call."""
+
+    RUNS = {
+        "ce": [{}, {}],
+        # q = 0.5 raises by sqrt; q = 1 by the general power of 1
+        "gce": [{"q": q} for q in (0.2, 0.5, 1.0, 0.7)],
+        "sl": [{"gamma1": 0.1, "gamma2": 1.0}, {"gamma1": 10.0, "gamma2": 0.1, "rce_a": -2.0},
+               {"gamma1": 1.0, "gamma2": 0.0}],
+        # d = 1.5, 2 and 3 make an exponent d/(d-1) or 1/(d-1) of 2 or 1/2
+        "polysoft": [{"lam": lam, "d": d} for lam in (1.0, 2.2) for d in (1.5, 2.0, 3.0, 1.7)],
+        # 1 - t1 + t2 = 2 at the default (0.5, 1.5); t2 = 2
+        "bi_tempered": [{"t1": 0.5, "t2": 1.5}, {"t1": 0.8, "t2": 2.0}, {"t1": 0.5, "t2": 2.0},
+                        {"t1": 0.0, "t2": 3.0}],
+    }
+
+    @pytest.mark.parametrize("variant", list(RUNS))
+    def test_one_call_matches_per_run_calls(self, variant):
+        rng = np.random.default_rng(63)
+        hypers = [L.HyperParams(variant, **fields) for fields in self.RUNS[variant]]
+        k = len(hypers)
+        for c, n, scale in ((3, 16, 1.0), (2, 5, 10.0), (5, 30, 4.0)):
+            Z = rng.normal(size=(k, n, c)) * scale
+            y = rng.integers(c, size=(k, n))
+            fields = L._RowFields(hypers, n)
+            values, G = L.batch_loss(fields, Z.reshape(k * n, c), y.ravel())
+            stacked = L.batch_hgrad(fields, Z.reshape(k * n, c), y.ravel())
+            for r, hyper in enumerate(hypers):
+                rows = slice(r * n, (r + 1) * n)
+                want_values, want_G = L.batch_loss(hyper, Z[r], y[r])
+                assert values[rows].tobytes() == want_values.tobytes(), (hyper, c)
+                assert G[rows].tobytes() == want_G.tobytes(), (hyper, c)
+                want = L.batch_hgrad(hyper, Z[r], y[r])
+                got = (stacked[0][rows], stacked[1][rows], stacked[2][:, rows], stacked[3][:, rows])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (hyper, c)
+
+    @pytest.mark.parametrize("variant", list(RUNS))
+    def test_label_column_is_per_label_calls(self, variant):
+        # a (c, 1) column of labels gives one row of values per label
+        rng = np.random.default_rng(64)
+        hyper = L.HyperParams(variant, **self.RUNS[variant][-1])
+        P = L.softmax(rng.normal(size=(50, 4)) * 3.0)
+        table = L.loss_values(hyper, P, np.arange(4)[:, None])
+        assert table.shape == (4, 50)
+        for j in range(4):
+            assert table[j].tobytes() == L.loss_values(hyper, P, j).tobytes(), j

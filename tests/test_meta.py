@@ -517,17 +517,59 @@ class TestConventionalRuns:
 
         def poisoned(h, Z, labels):
             values, G = real(h, Z, labels)
-            if h == bad:
-                calls[0] += 1
-                if calls[0] == 4:  # one call per iteration
-                    values = values.copy()
-                    values[2] = np.nan
+            calls[0] += 1
+            if calls[0] == 4:  # one call per iteration over the stacked rows
+                rows = slice(config.batch_n, 2 * config.batch_n)  # run 1's rows
+                assert (h.gamma1[rows] == bad.gamma1).all()
+                values = values.copy()
+                values[rows.start + 2] = np.nan
             return values, G
 
         monkeypatch.setattr(losses, "batch_loss", poisoned)
         runs = [(losses.HyperParams("sl"), None, 0), (bad, None, 0), (losses.HyperParams("sl"), None, 2)]
         with pytest.raises(NumericError, match=r"iteration 4 \(run from 0, .*gamma1=10\.0, "
                                                r"gamma2=0\.1.*\): non-finite training loss"):
+            meta.conventional_runs(train, test, config, runs)
+
+    def test_one_loss_call_per_step(self, monkeypatch):
+        train, _, test = small_problem(seed=47)
+        config = meta.TrainConfig("polysoft", alpha=0.2, batch_n=16, max_iters=12, seed=48,
+                                  metrics_every=5)
+        real, calls = losses.batch_loss, []
+
+        def counted(h, Z, labels):
+            calls.append(len(Z))
+            return real(h, Z, labels)
+
+        monkeypatch.setattr(losses, "batch_loss", counted)
+        runs = [(losses.HyperParams("polysoft", d=d), None, start)
+                for d, start in ((2.0, 3), (3.0, 3), (1.5, 7), (2.5, 12))]
+        meta.conventional_runs(train, test, config, runs)
+        # steps 4..12, each one call over the rows of the runs started so far
+        assert calls == [2 * 16] * 4 + [3 * 16] * 5
+
+    def test_raising_loss_names_its_run(self, monkeypatch):
+        train, _, test = small_problem(seed=49)
+        config = meta.TrainConfig("bi_tempered", alpha=0.2, batch_n=16, max_iters=10, seed=50)
+        real, calls = model._forward_cached, [0]
+
+        def poisoned(params, X):
+            cache = real(params, X)
+            calls[0] += 1
+            if calls[0] == 3:
+                cache[0][-1][1, 4, 0] = np.inf  # a logit of run 1 at iteration 3
+            return cache
+
+        monkeypatch.setattr(model, "_forward_cached", poisoned)
+        runs = [(losses.HyperParams("bi_tempered", t1=t1), None, 0) for t1 in (0.2, 0.7, 0.4)]
+        with pytest.raises(NumericError, match=r"iteration 3 \(run from 0, .*t1=0\.7.*\): logits must be finite"):
+            meta.conventional_runs(train, test, config, runs)
+
+    def test_one_variant(self):
+        train, _, test = small_problem(seed=51)
+        config = meta.TrainConfig("gce", batch_n=16, max_iters=5)
+        runs = [(losses.HyperParams("gce"), None, 0), (losses.HyperParams("sl"), None, 0)]
+        with pytest.raises(ConfigError, match="one loss variant"):
             meta.conventional_runs(train, test, config, runs)
 
     def test_nonfinite_gradient_names_run(self, monkeypatch):
