@@ -10,21 +10,23 @@ Five loss families over a c-class softmax (or tempered-softmax) output:
                      per-sample cross entropy, threshold ``lam`` and order ``d``
 
 Each family's value, analytic logit gradient and hyperparameter derivatives
-are written once, as batched kernels ``value(P, labels, h) -> (values,
-shared)``, ``grad(P, labels, h, shared)`` and ``hgrad(P, labels, h, shared)
--> (dvalues, dgrads)`` on probability rows P; ``polysoft_of_ce`` is the
-soft-weighting formula on cross entropies.  A kernel reads its
-hyperparameter fields from a ``HyperParams`` (scalars) or from a
-``_RowFields`` record (one value per row), so one call can serve the
-stacked rows of runs with different fields.  Powers with a per-row exponent
-go through ``_pow``, which gives the bits numpy gives for a scalar exponent.
-``batch_loss`` (training, metrics) takes values and gradients,
-``batch_hgrad`` (the hypergradient) adds their derivatives in each learnable
-field from the same normalization, and ``loss_values`` (the theory table,
-the loss curve, the cross entropies of the sample weights) takes values
-only.  ``loss_on_logits`` is the one checked single-row entry
-point, ``polysoft_weight`` the checked sample weight of a cross entropy.  A
-smooth reparameterization maps the constrained hyperparameter domains onto
+are written once, as batched kernels on a ``_Batch`` record b, one
+normalization of a batch: ``value(b, h) -> (values, shared)``, ``grad(b,
+h, shared)`` and ``hgrad(b, h, shared) -> (dvalues, dgrads)``, ``shared``
+carrying the terms they share; ``polysoft_of_ce`` is the soft-weighting
+formula on cross entropies.  A kernel reads its hyperparameter fields from
+a ``HyperParams`` (scalars) or from a ``_RowFields`` record (one value per
+row), so one call can serve the stacked rows of runs with different
+fields.  Powers with a per-row exponent go through ``_pow``, which gives
+the bits numpy gives for a scalar exponent.  On the record of
+``normalize``, ``batch_loss`` (training) takes values and gradients,
+``batch_hgrad`` (the hypergradient) adds their derivatives in each
+learnable field and ``batch_values`` (the metrics rows) takes values only;
+``loss_values`` (the theory table, the loss curve, the cross entropies of
+the sample weights) takes values on bare probability rows.
+``loss_on_logits`` is the one checked single-row entry point,
+``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
+reparameterization maps the constrained hyperparameter domains onto
 unconstrained coordinates.
 """
 
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,7 +239,8 @@ def _tempered_softmax_batch(Z, t2):
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise DomainError("logits must be finite")
-    t2 = np.broadcast_to(np.asarray(t2, dtype=float), Z.shape[:1])
+    # a fresh (rows,) array: numpy takes an all-stride-0 exponent of 2 as a scalar (square)
+    t2 = np.full(Z.shape[:1], t2, dtype=float)
     near = np.abs(t2 - 1.0) < _T_NEAR_ONE
     if near.all():
         return softmax(Z), np.atleast_1d(logsumexp(Z))
@@ -291,12 +295,51 @@ def tempered_softmax(z, t2):
 # derivatives, written once
 # ---------------------------------------------------------------------------
 
-# ``labels`` is one label per row of P, one for all rows, or a (k, 1) column
-# of labels, which gives (k, rows) values, one row of values per label.  The order of
+# ``b.labels`` is one label per row of P, one for all rows, or a (k, 1)
+# column of labels, which gives (k, rows) values, one row of values per
+# label.  Where ``hgrad`` reads a term that ``grad`` forms, ``grad`` adds it
+# to ``shared``; ``batch_hgrad`` calls ``grad`` first.  The order of
 # operations in ``value`` and ``grad`` is the training path's, which the
 # training bits depend on.  ``hgrad`` returns the derivatives of the values
 # (k, n) and of the logit gradients (k, n, c) in each learnable field, in
 # LEARNABLE order; D = P - Y below.
+
+class _Batch:
+    """One normalization of a batch, the record the kernels read.
+
+    The probability rows P (softmax, or the tempered softmax for
+    ``bi_tempered``), the labels and the row index; the label
+    probabilities, their clamp, the cross entropies and D = P - Y are each
+    computed on first use, once.  No loss field enters, so a softmax
+    family's record serves at moved fields; a ``bi_tempered`` record holds
+    the solve at one t2.  Its arrays are shared, never written.
+    """
+
+    def __init__(self, P, labels):
+        self.P, self.labels, self.rows = P, labels, np.arange(len(P))
+
+    @cached_property
+    def py(self):
+        """Each row's probability of its label, not clamped."""
+        if np.ndim(self.labels) == 0:
+            return self.P[:, self.labels]  # one label for all rows is a column: no gather
+        return self.P[self.rows, self.labels]
+
+    @cached_property
+    def pyc(self):
+        return _clamp(self.py)
+
+    @cached_property
+    def ce(self):
+        return -np.log(self.pyc)
+
+    @cached_property
+    def D(self):
+        """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient."""
+        D = self.P.copy()
+        D[self.rows, self.labels] -= 1.0
+        return D
+
 
 def _on_classes(h):
     """A hyperparameter (scalar or one per row) lifted onto the class axis."""
@@ -328,88 +371,62 @@ def _pow(x, e):
     return out
 
 
-def _label_probs(P, labels):
-    """Each row's probability of its label, not clamped."""
-    if np.ndim(labels) == 0:
-        return P[:, labels]  # one label for all rows is a column: no gather
-    return P[np.arange(len(P)), labels]
+def _ce_value(b, h=None):
+    return b.ce, None
 
 
-def _ce_value(P, labels, h=None):
-    return -np.log(_clamp(_label_probs(P, labels))), None
+def _ce_grad(b, h=None, shared=None):
+    return b.D
 
 
-def _ce_grad(P, labels, h=None, shared=None):
-    """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient."""
-    D = P.copy()
-    D[np.arange(len(P)), labels] -= 1.0
-    return D
-
-
-def _ce_hgrad(P, labels, h=None, shared=None):
+def _ce_hgrad(b, h=None, shared=None):
     """No learnable field: empty derivative stacks."""
-    return np.zeros((0, len(P))), np.zeros((0, *P.shape))
+    return np.zeros((0, len(b.P))), np.zeros((0, *b.P.shape))
 
 
-def _gce_value(P, labels, h):
-    pq = _pow(_clamp(_label_probs(P, labels)), h.q)
+def _gce_value(b, h):
+    pq = _pow(b.pyc, h.q)
     return (1.0 - pq) / h.q, pq
 
 
-def _gce_grad(P, labels, h, pq):
-    return pq[..., None] * _ce_grad(P, labels)
+def _gce_grad(b, h, pq):
+    return pq[..., None] * b.D
 
 
-def _gce_hgrad(P, labels, h, pq):
+def _gce_hgrad(b, h, pq):
     """d/dq of the value, -(pq log p_y + value) / q, and of G = pq D, pq log p_y D."""
-    pq_log = pq * np.log(_clamp(_label_probs(P, labels)))
+    pq_log = pq * -b.ce
     dvalues = -(pq_log + (1.0 - pq) / h.q) / h.q
-    return dvalues[None], pq_log[None, :, None] * _ce_grad(P, labels)
+    return dvalues[None], pq_log[None, :, None] * b.D
 
 
-def _sl_parts(P, labels, h):
-    """ce, rce (-rce_a times the off-label mass) and the label probabilities."""
-    pl = _label_probs(P, labels)
-    return _ce_value(P, labels)[0], -h.rce_a * (P.sum(axis=1) - pl), pl
+def _sl_value(b, h):
+    """gamma1 * ce + gamma2 * rce, rce being -rce_a times the off-label mass."""
+    rce = -h.rce_a * (b.P.sum(axis=1) - b.py)
+    return h.gamma1 * b.ce + h.gamma2 * rce, {"rce": rce}
 
 
-def _rce_grad(D, h, pl):
-    return _on_classes(h.rce_a) * pl[:, None] * -D
+def _sl_grad(b, h, shared):
+    shared["rce_grad"] = rce_grad = _on_classes(h.rce_a) * b.py[:, None] * -b.D
+    return _on_classes(h.gamma1) * b.D + _on_classes(h.gamma2) * rce_grad
 
 
-def _sl_value(P, labels, h):
-    """gamma1 * ce + gamma2 * rce."""
-    ce, rce, pl = _sl_parts(P, labels, h)
-    return h.gamma1 * ce + h.gamma2 * rce, pl
-
-
-def _sl_grad(P, labels, h, pl):
-    D = _ce_grad(P, labels)
-    return _on_classes(h.gamma1) * D + _on_classes(h.gamma2) * _rce_grad(D, h, pl)
-
-
-def _sl_hgrad(P, labels, h, pl):
+def _sl_hgrad(b, h, shared):
     """Linear in the gammas: the derivatives are the ce and rce parts."""
-    ce, rce, _ = _sl_parts(P, labels, h)
-    D = _ce_grad(P, labels)
-    return np.stack([ce, rce]), np.stack([D, _rce_grad(D, h, pl)])
+    return np.stack([b.ce, shared["rce"]]), np.stack([b.D, shared["rce_grad"]])
 
 
-def _bi_tempered_terms(Pc, labels, h):
-    """log_t1 of the label probabilities, P^(2-t1) and the tail (1 - sum P^(2-t1)) / (2-t1)."""
-    Pa = Pc ** _on_classes(2.0 - h.t1)
-    log_term = _log_t_of_log(np.log(_label_probs(Pc, labels)), h.t1)
-    return log_term, Pa, (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
-
-
-def _bi_tempered_value(P, labels, h):
+def _bi_tempered_value(b, h):
     """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
-    Pc = _clamp(P)
-    log_term, _, tail = _bi_tempered_terms(Pc, labels, h)
-    return np.maximum(-log_term - tail, 0.0), Pc
+    Pc = _clamp(b.P)
+    log_py = np.log(b.pyc)
+    Pa = Pc ** _on_classes(2.0 - h.t1)
+    tail = (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
+    values = np.maximum(-_log_t_of_log(log_py, h.t1) - tail, 0.0)
+    return values, {"Pc": Pc, "log_py": log_py, "Pa": Pa, "tail": tail}
 
 
-def _bi_tempered_grad(P, labels, h, Pc):
+def _bi_tempered_grad(b, h, shared):
     """d value / d logits through the implicit normalization of P.
 
     With S = sum_j p_j^t2 and u = p^t2 / S, the normalization constraint
@@ -417,12 +434,16 @@ def _bi_tempered_grad(P, labels, h, Pc):
     d value / d z_k = g_k - u_k * sum_j g_j with
     g_j = (dL/dp_j) * p_j^t2 = -1[j = label] p_j^(t2-t1) + p_j^(1-t1+t2).
     """
-    n = np.arange(len(P))
-    G = Pc ** _on_classes(1.0 - h.t1 + h.t2)
-    G[n, labels] -= Pc[n, labels] ** (h.t2 - h.t1)
-    U = Pc ** _on_classes(h.t2)
-    U /= U.sum(axis=1, keepdims=True)
-    return G - U * G.sum(axis=1, keepdims=True)
+    Pc = shared["Pc"]
+    A = Pc ** _on_classes(1.0 - h.t1 + h.t2)
+    B = b.pyc ** (h.t2 - h.t1)
+    g = A.copy()
+    g[b.rows, b.labels] -= B
+    V = Pc ** _on_classes(h.t2)
+    S = V.sum(axis=1, keepdims=True)
+    U = V / S
+    shared.update(A=A, B=B, g=g, S=S, U=U)
+    return g - U * g.sum(axis=1, keepdims=True)
 
 
 def _expm1_excess(x):
@@ -433,7 +454,7 @@ def _expm1_excess(x):
     return np.where(small, series, (np.expm1(xs) - xs) / xs**2)
 
 
-def _bi_tempered_hgrad(P, labels, h, Pc):
+def _bi_tempered_hgrad(b, h, shared):
     """(t1, t2) derivatives of the values and of G = g - u sum g.
 
     t1 enters explicitly: with y = (1-t1) log p, d log_t1(p) / dt1 is
@@ -447,29 +468,22 @@ def _bi_tempered_hgrad(P, labels, h, Pc):
     chain rule through p together with their explicit t2; R is 0 where
     the kernels clamp p.
     """
-    n = np.arange(len(P))
+    n, labels = b.rows, b.labels
     t1, t2 = _on_classes(h.t1), _on_classes(h.t2)
+    Pc, log_py, Pa, tail = shared["Pc"], shared["log_py"], shared["Pa"], shared["tail"]
+    A, B, g, S, U = shared["A"], shared["B"], shared["g"], shared["S"], shared["U"]
     log_p = np.log(Pc)
-    log_py, py = log_p[n, labels], Pc[n, labels]
-    _, Pa, tail = _bi_tempered_terms(Pc, labels, h)
 
     y = (1.0 - h.t1) * log_py
     dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
     dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
 
     R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
-    V = Pc**t2
-    S = V.sum(axis=1, keepdims=True)
     R -= Pc ** (t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
-    R[P != Pc] = 0.0  # a clamped probability does not move
-    dv_t2 = (Pa * R).sum(axis=1) - py ** (1.0 - h.t1) * R[n, labels]
+    R[b.P != Pc] = 0.0  # a clamped probability does not move
+    dv_t2 = (Pa * R).sum(axis=1) - b.pyc ** (1.0 - h.t1) * R[n, labels]
 
     e1 = 1.0 - t1 + t2
-    A = Pc**e1
-    B = py ** (h.t2 - h.t1)
-    g = A.copy()
-    g[n, labels] -= B
-    U = V / S
     dg_t1 = -log_p * g
     dg_t2 = log_p * g + e1 * A * R
     dg_t2[n, labels] -= (h.t2 - h.t1) * B * R[n, labels]
@@ -500,16 +514,15 @@ def _polysoft_weight(u, d):
     return np.where(u > 0.0, _pow(u, d / (d - 1.0) - 1.0), 0.0)
 
 
-def _polysoft_hgrad_of_ce(ce, lam, d):
+def _polysoft_hgrad_of_ce(ce, lam, d, values, u, w):
     """(lam, d) derivatives of the values and the weights w at cross entropies ce.
 
-    With u = 1 - ce/lam and w = u^(1/(d-1)): d value/d lam =
+    ``values``, ``u`` and ``w`` are ``polysoft_of_ce`` and ``_polysoft_weight``
+    at ce.  With u = 1 - ce/lam and w = u^(1/(d-1)): d value/d lam =
     (value - w ce) / lam, d value/d d = (value + lam u w log u) / (d (d-1)),
     dw/d lam = w / u * ce / ((d-1) lam^2) and dw/d d = -w log u / (d-1)^2.
     On the plateau (u = 0) w and its derivatives are 0.
     """
-    values, u = polysoft_of_ce(ce, lam, d)
-    w = _polysoft_weight(u, d)
     u_safe = np.where(u > 0.0, u, 1.0)  # keeps log u and w / u finite on the plateau
     log_u = np.log(u_safe)
     dvalues = [(values - w * ce) / lam, (values + lam * u * w * log_u) / (d * (d - 1.0))]
@@ -517,17 +530,19 @@ def _polysoft_hgrad_of_ce(ce, lam, d):
     return np.stack(dvalues), np.stack(dweights)
 
 
-def _polysoft_value(P, labels, h):
-    return polysoft_of_ce(_ce_value(P, labels)[0], h.lam, h.d)
+def _polysoft_value(b, h):
+    values, u = polysoft_of_ce(b.ce, h.lam, h.d)
+    return values, {"values": values, "u": u}
 
 
-def _polysoft_grad(P, labels, h, u):
-    return _polysoft_weight(u, h.d)[..., None] * _ce_grad(P, labels)
+def _polysoft_grad(b, h, shared):
+    shared["w"] = w = _polysoft_weight(shared["u"], h.d)
+    return w[..., None] * b.D
 
 
-def _polysoft_hgrad(P, labels, h, u):
-    dvalues, dweights = _polysoft_hgrad_of_ce(_ce_value(P, labels)[0], h.lam, h.d)
-    return dvalues, dweights[..., None] * _ce_grad(P, labels)
+def _polysoft_hgrad(b, h, shared):
+    dvalues, dweights = _polysoft_hgrad_of_ce(b.ce, h.lam, h.d, shared["values"], shared["u"], shared["w"])
+    return dvalues, dweights[..., None] * b.D
 
 
 _FAMILIES = {
@@ -542,9 +557,10 @@ _FAMILIES = {
 def loss_values(hyper, P, labels):
     """Per-row values of ``hyper``'s family on unchecked probability rows ``P``.
 
-    No gradient is formed.  For ``bi_tempered`` P is the tempered softmax.
+    No gradient is formed, and the kernels read the fields as given.  For
+    ``bi_tempered`` P is the tempered softmax.
     """
-    return _FAMILIES[hyper.variant][0](P, labels, hyper)[0]
+    return _FAMILIES[hyper.variant][0](_Batch(P, labels), hyper)[0]
 
 
 class _RowFields:
@@ -565,45 +581,51 @@ class _RowFields:
             setattr(self, name, np.array([getattr(h, name) for h in hypers]).repeat(rows))
 
 
-def _normalized(hyper, Z, labels):
-    """Probability rows of logits ``Z`` (softmax, or the tempered softmax
-    for ``bi_tempered``), the labels as ints and the fields for the kernels."""
+def normalize(hyper, Z, labels):
+    """The ``_Batch`` record of logits ``Z`` (n, c) and ``labels`` (n,) ints:
+    the softmax, or for ``bi_tempered`` the tempered softmax at ``hyper``'s t2."""
     Z = np.asarray(Z, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if hyper.variant != "bi_tempered":
-        return softmax(Z), labels, hyper
-    if isinstance(hyper, HyperParams):
-        hyper = _RowFields([hyper], len(Z))
-    return _tempered_softmax_batch(Z, hyper.t2)[0], labels, hyper
+    P = _tempered_softmax_batch(Z, hyper.t2)[0] if hyper.variant == "bi_tempered" else softmax(Z)
+    return _Batch(P, np.asarray(labels, dtype=int))
 
 
-def batch_loss(hyper, Z, labels):
-    """Per-sample values and logit gradients for a batch.
+def _fields(hyper, batch):
+    """The fields the kernels read: bi_tempered's one per row (see ``_RowFields``)."""
+    if hyper.variant == "bi_tempered" and isinstance(hyper, HyperParams):
+        return _RowFields([hyper], len(batch.P))
+    return hyper
 
-    ``Z`` is (n, c), ``labels`` (n,) ints and ``hyper`` a ``HyperParams``
-    or a ``_RowFields`` record of n rows.  Returns ``(values, grads)``
-    with shapes (n,) and (n, c); callers handle the 1/n reduction.  The
-    logits are normalized (softmax, or the tempered softmax for
-    ``bi_tempered``) and handed to the family's kernels.  A row gets the
-    same bits from a record as from its own ``HyperParams``.
+
+def batch_values(hyper, batch):
+    """``batch_loss``'s values alone: no gradient is formed."""
+    return _FAMILIES[hyper.variant][0](batch, _fields(hyper, batch))[0]
+
+
+def batch_loss(hyper, batch):
+    """Per-sample values and logit gradients of a ``normalize`` record.
+
+    ``hyper`` is a ``HyperParams`` or a ``_RowFields`` record of n rows.
+    Returns ``(values, grads)`` with shapes (n,) and (n, c); callers handle
+    the 1/n reduction.  A row gets the same bits from a record of fields
+    as from its own ``HyperParams``.
     """
-    P, labels, h = _normalized(hyper, Z, labels)
+    h = _fields(hyper, batch)
     value, grad, _ = _FAMILIES[hyper.variant]
-    values, shared = value(P, labels, h)
-    return values, grad(P, labels, h, shared)
+    values, shared = value(batch, h)
+    return values, grad(batch, h, shared)
 
 
-def batch_hgrad(hyper, Z, labels):
+def batch_hgrad(hyper, batch):
     """``batch_loss`` plus its derivatives in each learnable field.
 
     Returns ``(values, grads, dvalues, dgrads)`` with shapes (n,), (n, c),
     (k, n) and (k, n, c) for the k fields of ``hyper.learnable_names``;
-    all four come from one normalization of ``Z``.
+    the kernels compute each term they share once.
     """
-    P, labels, h = _normalized(hyper, Z, labels)
+    h = _fields(hyper, batch)
     value, grad, hgrad = _FAMILIES[hyper.variant]
-    values, shared = value(P, labels, h)
-    return (values, grad(P, labels, h, shared), *hgrad(P, labels, h, shared))
+    values, shared = value(batch, h)
+    return (values, grad(batch, h, shared), *hgrad(batch, h, shared))
 
 
 def polysoft_weight(ce_value, lam, d):
@@ -625,7 +647,8 @@ def loss_on_logits(hyper, z, label):
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.shape[0] < 2 or not np.all(np.isfinite(z)):
         raise DomainError("logits must be a finite vector of length >= 2")
-    values, grads, dvalues, _ = batch_hgrad(hyper, z[None, :], [_check_label(label, len(z))])
+    batch = normalize(hyper, z[None, :], [_check_label(label, len(z))])
+    values, grads, dvalues, _ = batch_hgrad(hyper, batch)
     return LossEval(float(values[0]), grads[0], dvalues[:, 0])
 
 
@@ -704,11 +727,14 @@ def from_unconstrained(theta, like):
         raise DomainError(
             f"expected {len(names)} coordinates for {like.variant!r}, got {np.shape(theta)}"
         )
-    updates = {}
-    for name, th in zip(names, theta):
+    hyper = object.__new__(HyperParams)  # like's fields, then the new ones, then the check
+    fields = hyper.__dict__
+    fields.update(like.__dict__)
+    for name, th in zip(names, np.asarray(theta, dtype=float).tolist()):
         low, span = _REPARAM[name]
-        updates[name] = low + (span * _sigmoid(float(th)) if span else _softplus(float(th)))
-    return replace(like, **updates)
+        fields[name] = low + (span * _sigmoid(th) if span else _softplus(th))
+    hyper.validate()
+    return hyper
 
 
 def reparam_scale(variant, theta):

@@ -5,7 +5,8 @@ the unconstrained hyperparameter coordinates theta by descending the meta
 cross entropy through a one-step-lookahead (virtual) parameter update,
 then takes the actual SGD step under the freshly updated loss.  The
 virtual step, the hypergradient and the actual step all run on one
-cached forward pass of the train batch.
+cached forward pass of the train batch and, for the softmax families, on
+one normalization of its logits.
 
 The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
@@ -105,62 +106,62 @@ class MetricsRow:
     hyper_values: tuple
 
 
-def train_grad(params, hyper, X, y, cache=None):
-    """Mean robust-loss value and its parameter gradient vector on a batch.
-
-    ``cache`` is ``model._forward_cached(params, X)`` when the caller
-    already has it; otherwise the forward pass runs here, once.
-    """
-    if cache is None:
-        cache = model._forward_cached(params, X)
-    return _backward_mean(params, hyper, *losses.batch_loss(hyper, cache[0][-1], y), cache)
+def train_grad(params, hyper, cache, batch):
+    """Gradient vector of the mean robust loss of a batch: its forward ``cache`` and record."""
+    return _backward_mean(params, hyper, *losses.batch_loss(hyper, batch), cache)
 
 
 def _backward_mean(params, hyper, values, G, cache):
-    """Mean of the per-sample ``values`` and the gradient vector of the mean loss."""
+    """Gradient vector of the mean of the per-sample ``values``, which must be finite."""
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite training loss under {hyper}")
-    return float(values.mean()), model.backward(params, cache, G / len(values))
+    return model.backward(params, cache, G / len(values))
 
 
 def meta_ce_grad(params, X, y):
-    """Mean clean-data cross entropy and its gradient vector (the meta objective)."""
-    return train_grad(params, _CE, X, y)
+    """Gradient vector of the mean clean cross entropy (the meta objective), from P - Y alone."""
+    cache = model._forward_cached(params, X)
+    D = losses.normalize(_CE, cache[0][-1], y).D
+    if not np.isfinite(D).all():
+        raise NumericError("non-finite meta cross-entropy gradient")
+    return model.backward(params, cache, D / len(D))
 
 
-def virtual_step(params, hyper, X, y, alpha, cache=None):
-    """One-step lookahead w - alpha * grad_w L_train; ``params`` untouched."""
-    _, grads = train_grad(params, hyper, X, y, cache)
-    return model.sgd_step(params, grads, alpha)
+# A logit-gradient derivative past this in one row fails the step: the desk
+# runs stay below 5, and polysoft's dw/dlam grows like u^(1/(d-1) - 1) as a
+# cross entropy nears lam from below, to 2e7 at d = 3 one ulp below the kink.
+_DG_BOUND = 1e4
 
 
-def hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha, cache=None):
+def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
     """Gradient of the meta cross entropy with respect to theta.
 
     Returns -alpha / n * reparam_scale_k * <J_w g, dG/dh_k> per
     coordinate, with g the meta gradient at the virtual point, J_w g its
     logit tangent and dG/dh_k the closed-form derivative of the logit
-    gradients in the k-th learnable field.  The virtual step and dG/dh
-    share one normalization of the batch.  ``cache`` is
-    ``model._forward_cached(params, Xn)`` when the caller already has it.
-    Exactly zero when alpha = 0 (the virtual point no longer depends on
-    theta).
+    gradients in the k-th learnable field.  ``cache`` is the train batch's
+    ``model._forward_cached`` pass and ``batch`` its ``losses.normalize``
+    record, which the virtual step and dG/dh share.  Exactly zero when
+    alpha = 0 (the virtual point no longer depends on theta).  A row's
+    dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.
     """
     names = hyper.learnable_names
     if not names or alpha == 0.0:
         return np.zeros(len(names))
-    if cache is None:
-        cache = model._forward_cached(params, Xn)
 
-    values, G, _, dG = losses.batch_hgrad(hyper, cache[0][-1], yn)
-    _, grads = _backward_mean(params, hyper, values, G, cache)
+    values, G, _, dG = losses.batch_hgrad(hyper, batch)
+    grads = _backward_mean(params, hyper, values, G, cache)
     dG = dG.reshape(len(names), -1)
-    finite = np.isfinite(dG).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"non-finite logit-gradient derivative in {names[finite.argmin()]} under {hyper}")
-    _, g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
+    peak = np.abs(dG).max(axis=1)
+    if not (peak <= _DG_BOUND).all():  # NaN fails too
+        k = int(np.argmin(peak <= _DG_BOUND))
+        row = int(np.abs(dG[k]).argmax()) // batch.P.shape[1]
+        what = f"bound {_DG_BOUND:g} passed by a {peak[k]:.3g}" if np.isfinite(peak[k]) else "non-finite"
+        raise NumericError(f"{what} logit-gradient derivative in {names[k]} under {hyper} "
+                           f"at train row {row} (ce={float(batch.ce[row])!r})")
+    g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
     tangent = model.jvp(params, cache, g_meta).ravel()
-    return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(yn)
+    return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(values)
 
 
 def meta_update(theta, hypergrad, beta):
@@ -176,16 +177,15 @@ def _step_scale(t, decay_steps, decay_factor):
 
 
 def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
-    Z = model.forward_logits(params, train_set.X)
-    train_vals, _ = losses.batch_loss(hyper, Z, train_set.y)
-    if meta_set is not None:
-        Zm = model.forward_logits(params, meta_set.X)
-        meta_vals, _ = losses.batch_loss(_CE, Zm, meta_set.y)
-        meta_loss = float(meta_vals.mean())
-    else:
-        meta_loss = float("nan")
+    """Mean train and meta loss values, test accuracy and fields: no gradient."""
+    def mean_loss(h, dataset):
+        Z = model.forward_logits(params, dataset.X)
+        return float(losses.batch_values(h, losses.normalize(h, Z, dataset.y)).mean())
+
+    train_loss = mean_loss(hyper, train_set)
+    meta_loss = float("nan") if meta_set is None else mean_loss(_CE, meta_set)
     acc = model.accuracy(params, test_set.X, test_set.y)
-    return MetricsRow(t, float(train_vals.mean()), meta_loss, acc, tuple(hyper.learnable_values()))
+    return MetricsRow(t, train_loss, meta_loss, acc, tuple(hyper.learnable_values()))
 
 
 def _check_sizes(train_set, meta_set, test_set, config, adapt):
@@ -228,18 +228,21 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
         beta_t = config.beta * scale
         try:
             cache = model._forward_cached(params, Xn)
+            batch = losses.normalize(hyper, cache[0][-1], yn)
             # the decay scale never grows, so drawing the meta batch only
             # for a meta step leaves every draw that is used where it was
             if theta.size and beta_t > 0.0:
                 idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
                 hg = hypergradient(
-                    params, hyper, theta, Xn, yn,
-                    meta_set.X[idx_m], meta_set.y[idx_m], alpha_t, cache,
+                    params, hyper, theta, cache, batch,
+                    meta_set.X[idx_m], meta_set.y[idx_m], alpha_t,
                 )
                 theta = meta_update(theta, hg, beta_t)
                 hyper = losses.from_unconstrained(theta, hyper)
+                if hyper.variant == "bi_tempered":  # its normalization moved with t2
+                    batch = losses.normalize(hyper, cache[0][-1], yn)
 
-            _, grads = train_grad(params, hyper, Xn, yn, cache)
+            grads = train_grad(params, hyper, cache, batch)
             if velocity is not None:
                 velocity = grads + config.momentum * velocity
                 params = model.sgd_step(params, velocity, alpha_t)
@@ -357,7 +360,7 @@ def conventional_runs(train_set, test_set, config, runs):
         cache = model._forward_cached(stack, train_set.X[idx])
         Z, y = cache[0][-1], train_set.y[idx]
         try:
-            values, G = losses.batch_loss(fields, Z.reshape(k * n, -1), y.ravel())
+            values, G = losses.batch_loss(fields, losses.normalize(fields, Z.reshape(k * n, -1), y.ravel()))
         except (NumericError, DomainError) as exc:
             raise diverged(_run_at_fault(hypers[:k], Z, y), exc) from exc
         finite = np.isfinite(values).reshape(k, n).all(axis=1)
@@ -391,7 +394,7 @@ def _run_at_fault(hypers, Z, y):
     """
     for r, hyper in enumerate(hypers):
         try:
-            losses.batch_loss(hyper, Z[r], y[r])
+            losses.batch_loss(hyper, losses.normalize(hyper, Z[r], y[r]))
         except (NumericError, DomainError):
             return r
     raise AssertionError("a stacked loss call failed where no run fails alone")

@@ -202,22 +202,26 @@ class TestAcceptance:
                 ym = rng.integers(3, size=12)
                 if variant == "polysoft":
                     Z = model.forward_logits(params, Xn)
-                    ce_vals, _ = losses.batch_loss(losses.HyperParams("ce"), Z, yn)
+                    ce_vals = losses.normalize(losses.HyperParams("ce"), Z, yn).ce
                     while np.min(np.abs(ce_vals - hyper.lam)) < 0.02:
                         hyper = losses.HyperParams("polysoft", lam=hyper.lam * 1.07, d=hyper.d)
                 theta = losses.to_unconstrained(hyper)
                 alpha = 0.3
 
+                cache = model._forward_cached(params, Xn)
+                batch = losses.normalize(hyper, cache[0][-1], yn)
                 assert np.all(
-                    meta.hypergradient(params, hyper, theta, Xn, yn, Xm, ym, 0.0) == 0.0
+                    meta.hypergradient(params, hyper, theta, cache, batch, Xm, ym, 0.0) == 0.0
                 )
-                got = meta.hypergradient(params, hyper, theta, Xn, yn, Xm, ym, alpha)
+                got = meta.hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha)
 
                 def pipeline(th):
+                    # the meta cross entropy after the virtual step at th
                     h = losses.from_unconstrained(th, hyper)
-                    w = meta.virtual_step(params, h, Xn, yn, alpha)
-                    value, _ = meta.meta_ce_grad(w, Xm, ym)
-                    return value
+                    h_batch = losses.normalize(h, cache[0][-1], yn)
+                    w = model.sgd_step(params, meta.train_grad(params, h, cache, h_batch), alpha)
+                    ce = losses.HyperParams("ce")
+                    return losses.batch_values(ce, losses.normalize(ce, model.forward_logits(w, Xm), ym)).mean()
 
                 fd = np.zeros_like(theta)
                 for k in range(theta.size):

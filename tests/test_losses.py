@@ -38,6 +38,16 @@ def value(hyper, p, label):
     return float(L.loss_values(hyper, np.asarray(p, dtype=float)[None, :], label)[0])
 
 
+def batch_loss(hyper, Z, labels):
+    """``L.batch_loss`` on a fresh normalization of the logits ``Z``."""
+    return L.batch_loss(hyper, L.normalize(hyper, Z, labels))
+
+
+def batch_hgrad(hyper, Z, labels):
+    """``L.batch_hgrad`` on a fresh normalization of the logits ``Z``."""
+    return L.batch_hgrad(hyper, L.normalize(hyper, Z, labels))
+
+
 def rce(rce_a=-4.0):
     """Reverse cross entropy: sl at gammas (0, 1)."""
     return L.HyperParams("sl", gamma1=0.0, gamma2=1.0, rce_a=rce_a)
@@ -601,7 +611,7 @@ class TestBatchedDispatch:
         Z = rng.normal(size=(12, 5)) * 2.0
         labels = rng.integers(5, size=12)
         for hyper in _hyper_cases(rng):
-            values, grads = L.batch_loss(hyper, Z, labels)
+            values, grads = batch_loss(hyper, Z, labels)
             for i in range(12):
                 ev = L.loss_on_logits(hyper, Z[i], labels[i])
                 assert values[i] == pytest.approx(ev.value, rel=1e-10, abs=1e-12)
@@ -616,7 +626,7 @@ class TestBatchedDispatch:
             Z = rng.normal(size=(6, c)) * rng.uniform(0.5, 8.0)
             labels = rng.integers(c, size=6)
             for hyper in _hyper_cases(rng):
-                values, grads, dvalues, _ = L.batch_hgrad(hyper, Z, labels)
+                values, grads, dvalues, _ = batch_hgrad(hyper, Z, labels)
                 tol = 1e-15 if hyper.variant == "bi_tempered" else 0.0
                 for i in range(len(Z)):
                     ev = L.loss_on_logits(hyper, Z[i], labels[i])
@@ -704,7 +714,7 @@ class TestTrainingBits:
                 extra = [L.HyperParams("sl", gamma1=0.7, gamma2=2.0, rce_a=-1.5),
                          L.HyperParams("bi_tempered"), L.HyperParams("bi_tempered", t1=0.5, t2=2.0)]
                 for hyper in _hyper_cases(rng) + extra:
-                    values, grads = L.batch_loss(hyper, Z, labels)
+                    values, grads = batch_loss(hyper, Z, labels)
                     ref_values, ref_grads = _reference_batch_loss(hyper, Z, labels)
                     assert values.tobytes() == ref_values.tobytes(), (hyper, scale)
                     assert grads.tobytes() == ref_grads.tobytes(), (hyper, scale)
@@ -713,8 +723,8 @@ class TestTrainingBits:
 def _fd_in_field(hyper, name, Z, labels, step):
     """Central differences of batch_loss's values and gradients in one field."""
     x = getattr(hyper, name)
-    up = L.batch_loss(replace(hyper, **{name: x + step}), Z, labels)
-    dn = L.batch_loss(replace(hyper, **{name: x - step}), Z, labels)
+    up = batch_loss(replace(hyper, **{name: x + step}), Z, labels)
+    dn = batch_loss(replace(hyper, **{name: x - step}), Z, labels)
     return (up[0] - dn[0]) / (2 * step), (up[1] - dn[1]) / (2 * step)
 
 
@@ -738,12 +748,12 @@ class TestHgrad:
             labels = rng.integers(c, size=6)
             for hyper in _hyper_cases(rng)[1:]:
                 v = hyper.variant
-                values, grads, dvalues, dgrads = L.batch_hgrad(hyper, Z, labels)
+                values, grads, dvalues, dgrads = batch_hgrad(hyper, Z, labels)
                 assert dvalues.shape == (2 if v != "gce" else 1, 6)
                 assert dgrads.shape == dvalues.shape + (c,)
                 keep = np.ones(6, dtype=bool)
                 if v == "polysoft":  # the derivatives in lam jump at the kink ce = lam
-                    ce_vals, _ = L.batch_loss(L.HyperParams("ce"), Z, labels)
+                    ce_vals, _ = batch_loss(L.HyperParams("ce"), Z, labels)
                     keep = np.abs(ce_vals - hyper.lam) >= 1e-3 * hyper.lam
                     if not keep.any():
                         continue
@@ -759,7 +769,7 @@ class TestHgrad:
 
     def test_ce_has_none(self):
         Z = np.random.default_rng(54).normal(size=(4, 3))
-        _, _, dvalues, dgrads = L.batch_hgrad(L.HyperParams("ce"), Z, [0, 1, 2, 0])
+        _, _, dvalues, dgrads = batch_hgrad(L.HyperParams("ce"), Z, [0, 1, 2, 0])
         assert dvalues.shape == (0, 4) and dgrads.shape == (0, 4, 3)
 
     def test_bi_tempered_t2_near_one(self):
@@ -769,14 +779,14 @@ class TestHgrad:
             Z = rng.normal(size=(6, c)) * rng.uniform(0.3, 10.0)
             labels = rng.integers(c, size=6)
             hyper = L.HyperParams("bi_tempered", t1=float(rng.uniform(0.1, 0.8)), t2=1.0 + 1e-6)
-            values, grads, dvalues, dgrads = L.batch_hgrad(hyper, Z, labels)
+            values, grads, dvalues, dgrads = batch_hgrad(hyper, Z, labels)
             # a step below t2 - 1 rounds 100 times worse than 1e-5
             fd_values, fd_grads = _fd_in_field(hyper, "t2", Z, labels, 1e-7)
             assert _scaled_err(dvalues[1], fd_values, values) <= 1e-6
             assert _scaled_err(dgrads[1], fd_grads, grads) <= 1e-6
             # either side of the edge of the softmax branch (|t2 - 1| < _T_NEAR_ONE)
-            newton = L.batch_hgrad(replace(hyper, t2=1.0 + 1.5 * L._T_NEAR_ONE), Z, labels)
-            softmax = L.batch_hgrad(replace(hyper, t2=1.0 + 0.5 * L._T_NEAR_ONE), Z, labels)
+            newton = batch_hgrad(replace(hyper, t2=1.0 + 1.5 * L._T_NEAR_ONE), Z, labels)
+            softmax = batch_hgrad(replace(hyper, t2=1.0 + 0.5 * L._T_NEAR_ONE), Z, labels)
             for got, want in zip(newton[2:], softmax[2:]):
                 assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
                 assert rel_err(got, want) <= 1e-6
@@ -787,8 +797,9 @@ class TestHgrad:
             ce_value = np.nextafter(lam, 0.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, u = L.polysoft_of_ce(np.array([ce_value]), lam, d)
-                dvalues, dweights = L._polysoft_hgrad_of_ce(np.array([ce_value]), lam, d)
+                values, u = L.polysoft_of_ce(np.array([ce_value]), lam, d)
+                w = L._polysoft_weight(u, d)
+                dvalues, dweights = L._polysoft_hgrad_of_ce(np.array([ce_value]), lam, d, values, u, w)
             assert 0.0 < u[0] <= 2.0 * np.finfo(float).eps
             assert np.all(np.isfinite(dvalues)) and np.all(np.isfinite(dweights))
 
@@ -854,14 +865,14 @@ class TestRowFields:
             Z = rng.normal(size=(k, n, c)) * scale
             y = rng.integers(c, size=(k, n))
             fields = L._RowFields(hypers, n)
-            values, G = L.batch_loss(fields, Z.reshape(k * n, c), y.ravel())
-            stacked = L.batch_hgrad(fields, Z.reshape(k * n, c), y.ravel())
+            values, G = batch_loss(fields, Z.reshape(k * n, c), y.ravel())
+            stacked = batch_hgrad(fields, Z.reshape(k * n, c), y.ravel())
             for r, hyper in enumerate(hypers):
                 rows = slice(r * n, (r + 1) * n)
-                want_values, want_G = L.batch_loss(hyper, Z[r], y[r])
+                want_values, want_G = batch_loss(hyper, Z[r], y[r])
                 assert values[rows].tobytes() == want_values.tobytes(), (hyper, c)
                 assert G[rows].tobytes() == want_G.tobytes(), (hyper, c)
-                want = L.batch_hgrad(hyper, Z[r], y[r])
+                want = batch_hgrad(hyper, Z[r], y[r])
                 got = (stacked[0][rows], stacked[1][rows], stacked[2][:, rows], stacked[3][:, rows])
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), (hyper, c)
@@ -876,3 +887,36 @@ class TestRowFields:
         assert table.shape == (4, 50)
         for j in range(4):
             assert table[j].tobytes() == L.loss_values(hyper, P, j).tobytes(), j
+
+
+class TestOneNormalization:
+    """Evaluations that share one normalization record give the bits of
+    fresh ones, from ``HyperParams`` fields and from a ``_RowFields`` record."""
+
+    # bi_tempered moves t1 alone: its record holds the solve at one t2
+    MOVED = {"ce": {}, "gce": {"q": 0.35}, "sl": {"gamma1": 0.4, "gamma2": 2.5},
+             "polysoft": {"lam": 1.3, "d": 2.0}, "bi_tempered": {"t1": 0.3}}
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    @pytest.mark.parametrize("variant", list(TestRowFields.RUNS))
+    def test_shared_record_bits(self, variant, scale):
+        rng = np.random.default_rng(65)
+        hypers = [L.HyperParams(variant, **fields) for fields in TestRowFields.RUNS[variant]]
+        moved = [replace(h, **self.MOVED[variant]) for h in hypers]
+        n, c = 16, 3
+        Z = rng.normal(size=(len(hypers) * n, c)) * scale
+        y = rng.integers(c, size=len(Z))
+        cases = [(h, m, Z[:n], y[:n]) for h, m in zip(hypers, moved)]
+        cases.append((L._RowFields(hypers, n), L._RowFields(moved, n), Z, y))
+        for h, m, Zc, yc in cases:
+            batch = L.normalize(h, Zc, yc)
+            values, grads, _, _ = L.batch_hgrad(h, batch)
+            want_values, want_grads = batch_loss(h, Zc, yc)
+            assert values.tobytes() == want_values.tobytes(), h
+            assert grads.tobytes() == want_grads.tobytes(), h
+            assert L.batch_values(h, L.normalize(h, Zc, yc)).tobytes() == want_values.tobytes(), h
+            # the same record at moved fields, after the evaluations above
+            got, want = L.batch_hgrad(m, batch), batch_hgrad(m, Zc, yc)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), m
+            assert L.batch_values(m, batch).tobytes() == want[0].tobytes(), m

@@ -1,5 +1,6 @@
 """Tests for the bilevel loop: virtual step, hypergradient, training."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,28 @@ def make_batches(rng, c=3, n=40, m=12):
     Xm = rng.normal(size=(m, 2)) * 1.5
     ym = rng.integers(c, size=m)
     return Xn, yn, Xm, ym
+
+
+def train_batch(p, hyper, Xn, yn):
+    """The train batch's forward cache and the normalization record of its logits."""
+    cache = model._forward_cached(p, Xn)
+    return cache, losses.normalize(hyper, cache[0][-1], yn)
+
+
+def virtual_step(p, hyper, Xn, yn, alpha):
+    """The one-step lookahead w - alpha * grad_w L_train, as the hypergradient takes it."""
+    return model.sgd_step(p, meta.train_grad(p, hyper, *train_batch(p, hyper, Xn, yn)), alpha)
+
+
+def hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha):
+    """``meta.hypergradient`` on the train batch's forward cache and record."""
+    return meta.hypergradient(p, hyper, theta, *train_batch(p, hyper, Xn, yn), Xm, ym, alpha)
+
+
+def meta_loss(p, Xm, ym):
+    """The meta objective: the mean clean cross entropy."""
+    ce = losses.HyperParams("ce")
+    return losses.batch_values(ce, losses.normalize(ce, model.forward_logits(p, Xm), ym)).mean()
 
 
 def random_hyper(rng, variant):
@@ -47,7 +70,7 @@ class TestVirtualStep:
         rng = np.random.default_rng(0)
         p = model.init_mlp([2, 6, 3], seed=1)
         Xn, yn, _, _ = make_batches(rng)
-        q = meta.virtual_step(p, losses.HyperParams("gce", q=0.5), Xn, yn, 0.0)
+        q = virtual_step(p, losses.HyperParams("gce", q=0.5), Xn, yn, 0.0)
         for a, b in zip(q.vec, p.vec):
             assert a == b
 
@@ -55,8 +78,9 @@ class TestVirtualStep:
         rng = np.random.default_rng(1)
         p = model.init_mlp([2, 6, 3], seed=2)
         Xn, yn, _, _ = make_batches(rng)
-        got = meta.virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.2)
-        _, grads = meta.train_grad(p, losses.HyperParams("ce"), Xn, yn)
+        ce = losses.HyperParams("ce")
+        got = virtual_step(p, ce, Xn, yn, 0.2)
+        grads = meta.train_grad(p, ce, *train_batch(p, ce, Xn, yn))
         want = model.sgd_step(p, grads, 0.2)
         np.testing.assert_array_equal(got.vec, want.vec)
 
@@ -65,8 +89,8 @@ class TestVirtualStep:
         p = model.init_mlp([2, 6, 3], seed=3)
         Xn, yn, _, _ = make_batches(rng)
         hyper = losses.HyperParams("gce", q=0.5)
-        _, grads = meta.train_grad(p, hyper, Xn, yn)
-        moved = meta.virtual_step(p, hyper, Xn, yn, 0.3)
+        grads = meta.train_grad(p, hyper, *train_batch(p, hyper, Xn, yn))
+        moved = virtual_step(p, hyper, Xn, yn, 0.3)
         assert np.linalg.norm(moved.vec - p.vec) == pytest.approx(0.3 * np.linalg.norm(grads))
 
     def test_original_untouched(self):
@@ -74,7 +98,7 @@ class TestVirtualStep:
         p = model.init_mlp([2, 6, 3], seed=4)
         before = p.vec.copy()
         Xn, yn, _, _ = make_batches(rng)
-        meta.virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.5)
+        virtual_step(p, losses.HyperParams("ce"), Xn, yn, 0.5)
         np.testing.assert_array_equal(p.vec, before)
 
 
@@ -86,7 +110,7 @@ class TestHypergradient:
             theta = losses.to_unconstrained(hyper)
             p = model.init_mlp([2, 6, 3], seed=5)
             Xn, yn, Xm, ym = make_batches(rng)
-            hg = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha=0.0)
+            hg = hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha=0.0)
             assert np.all(hg == 0.0)
 
     def test_sl_matches_analytic_mixed_partial(self):
@@ -100,12 +124,14 @@ class TestHypergradient:
             p = model.init_mlp([2, 6, 3], seed=10 + trial)
             Xn, yn, Xm, ym = make_batches(rng)
             alpha = 0.25
-            got = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
+            got = hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
 
-            w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
-            _, g = meta.meta_ce_grad(w_tilde, Xm, ym)
-            _, g_ce = meta.train_grad(p, losses.HyperParams("sl", gamma1=1.0, gamma2=0.0), Xn, yn)
-            _, g_rce = meta.train_grad(p, losses.HyperParams("sl", gamma1=0.0, gamma2=1.0), Xn, yn)
+            w_tilde = virtual_step(p, hyper, Xn, yn, alpha)
+            g = meta.meta_ce_grad(w_tilde, Xm, ym)
+            h_ce = losses.HyperParams("sl", gamma1=1.0, gamma2=0.0)
+            g_ce = meta.train_grad(p, h_ce, *train_batch(p, h_ce, Xn, yn))
+            h_rce = losses.HyperParams("sl", gamma1=0.0, gamma2=1.0)
+            g_rce = meta.train_grad(p, h_rce, *train_batch(p, h_rce, Xn, yn))
             scale = losses.reparam_scale("sl", theta)
             want = np.array(
                 [
@@ -130,20 +156,19 @@ class TestHypergradient:
                     # lam; keep the state away from it so both difference
                     # quotients estimate the same (existing) derivative
                     Z = model.forward_logits(p, Xn)
-                    ce_vals, _ = losses.batch_loss(losses.HyperParams("ce"), Z, yn)
+                    ce_vals = losses.normalize(losses.HyperParams("ce"), Z, yn).ce
                     while np.min(np.abs(ce_vals - hyper.lam)) < 0.02:
                         hyper = losses.HyperParams(
                             "polysoft", lam=hyper.lam * 1.07, d=hyper.d
                         )
                 theta = losses.to_unconstrained(hyper)
                 alpha = 0.3
-                got = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
+                got = hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
 
                 def pipeline(th):
                     h = losses.from_unconstrained(th, hyper)
-                    w = meta.virtual_step(p, h, Xn, yn, alpha)
-                    value, _ = meta.meta_ce_grad(w, Xm, ym)
-                    return value
+                    w = virtual_step(p, h, Xn, yn, alpha)
+                    return meta_loss(w, Xm, ym)
 
                 fd = np.zeros_like(theta)
                 h_step = 1e-4
@@ -160,9 +185,9 @@ class TestHypergradient:
         # gradient backward(dG/dh_k / n), dotted with the flattened meta
         # gradient; the JVP route must agree to rounding
         def reference(p, hyper, theta, Xn, yn, Xm, ym, alpha):
-            w_tilde = meta.virtual_step(p, hyper, Xn, yn, alpha)
-            _, g = meta.meta_ce_grad(w_tilde, Xm, ym)
-            _, _, _, dG = losses.batch_hgrad(hyper, model.forward_logits(p, Xn), yn)
+            w_tilde = virtual_step(p, hyper, Xn, yn, alpha)
+            g = meta.meta_ce_grad(w_tilde, Xm, ym)
+            _, _, _, dG = losses.batch_hgrad(hyper, train_batch(p, hyper, Xn, yn)[1])
             scale = losses.reparam_scale(hyper.variant, theta)
             out = np.empty(theta.size)
             for k in range(theta.size):
@@ -176,7 +201,7 @@ class TestHypergradient:
             theta = losses.to_unconstrained(hyper)
             p = model.init_mlp([2, 16, 3], activation=activation, seed=200 + trial)
             Xn, yn, Xm, ym = make_batches(rng)
-            got = meta.hypergradient(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
+            got = hypergradient(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
             want = reference(p, hyper, theta, Xn, yn, Xm, ym, 0.7)
             assert rel_err(got, want) <= 1e-9, (variant, activation, trial)
 
@@ -187,14 +212,32 @@ class TestHypergradient:
         Xn, yn, Xm, ym = make_batches(rng)
         real = losses.batch_hgrad
 
-        def poisoned(h, Z, labels):
-            values, grads, dvalues, dgrads = real(h, Z, labels)
+        def poisoned(h, batch):
+            values, grads, dvalues, dgrads = real(h, batch)
             dgrads[1, 0, 0] = np.nan
             return values, grads, dvalues, dgrads
 
         monkeypatch.setattr(losses, "batch_hgrad", poisoned)
         with pytest.raises(NumericError, match=r"in gamma2 under .*gamma1=.*gamma2="):
-            meta.hypergradient(p, hyper, losses.to_unconstrained(hyper), Xn, yn, Xm, ym, 0.3)
+            hypergradient(p, hyper, losses.to_unconstrained(hyper), Xn, yn, Xm, ym, 0.3)
+
+
+class TestPolysoftKink:
+    def test_one_ulp_below_the_kink_fails_loudly(self):
+        # dw/dlam grows like u^(1/(d-1) - 1) as u = 1 - ce/lam -> 0+
+        rng = np.random.default_rng(56)
+        p = model.init_mlp([2, 6, 3], seed=57)
+        Xn, yn, Xm, ym = make_batches(rng)
+        cache = model._forward_cached(p, Xn)
+        ce0 = float(losses.normalize(losses.HyperParams("ce"), cache[0][-1], yn).ce[0])
+        lam = float(np.nextafter(ce0, np.inf))  # ce0 = lam (1 - ulp)
+        assert 0.0 < 1.0 - ce0 / lam <= 2.0 * np.finfo(float).eps
+        hyper = losses.HyperParams("polysoft", lam=lam, d=3.0)
+        batch = losses.normalize(hyper, cache[0][-1], yn)
+        with pytest.raises(NumericError, match=rf"bound .* passed by a .* derivative in lam under .*"
+                                               rf"lam={re.escape(repr(lam))}, d=3\.0.* at train row 0 "
+                                               rf"\(ce={re.escape(repr(ce0))}\)"):
+            meta.hypergradient(p, hyper, losses.to_unconstrained(hyper), cache, batch, Xm, ym, 0.3)
 
 
 class TestMetaUpdate:
@@ -370,6 +413,64 @@ class TestForwardCount:
         assert counts["metrics"] == 3 * len(rows)
 
 
+class TestNormalizationCount:
+    """A bilevel step normalizes each batch once; a metrics row forms no gradient."""
+
+    @staticmethod
+    def count_in_steps(monkeypatch, name):
+        """Calls of ``losses.<name>`` outside the metrics rows."""
+        real, metrics_row = getattr(losses, name), meta._metrics_row
+        counts, in_metrics = [0], [False]
+
+        def counted(*args):
+            counts[0] += not in_metrics[0]
+            return real(*args)
+
+        def flagged_metrics_row(*args):
+            in_metrics[0] = True
+            try:
+                return metrics_row(*args)
+            finally:
+                in_metrics[0] = False
+
+        monkeypatch.setattr(losses, name, counted)
+        monkeypatch.setattr(meta, "_metrics_row", flagged_metrics_row)
+        return counts
+
+    @pytest.mark.parametrize("variant, name", [
+        ("gce", "softmax"), ("sl", "softmax"), ("polysoft", "softmax"),
+        ("bi_tempered", "_tempered_softmax_batch"),
+    ])
+    def test_two_per_iteration(self, monkeypatch, variant, name):
+        # softmax: the train batch and the meta batch; bi_tempered solves
+        # the train batch again at its moved t2
+        train, meta_set, test = small_problem(seed=52)
+        counts = self.count_in_steps(monkeypatch, name)
+        config = meta.TrainConfig(variant, alpha=0.2, beta=0.5, batch_n=16,
+                                  batch_m=10, max_iters=7, seed=53, metrics_every=3)
+        meta.arl_train(train, meta_set, test, config)
+        assert counts[0] == 2 * 7
+
+    def test_metrics_row_forms_no_gradient(self, monkeypatch):
+        train, meta_set, test = small_problem(seed=54)
+        calls = []
+
+        def recorded(f):
+            def wrapper(*args):
+                calls.append(f.__name__)
+                return f(*args)
+            return wrapper
+
+        for variant, (value, grad, hgrad) in list(losses._FAMILIES.items()):
+            monkeypatch.setitem(losses._FAMILIES, variant, (value, recorded(grad), recorded(hgrad)))
+        monkeypatch.setattr(model, "backward", recorded(model.backward))
+        params = model.init_mlp([2, 16, 3], seed=55)
+        for variant in losses.VARIANTS:
+            row = meta._metrics_row(10, params, losses.HyperParams(variant), train, meta_set, test)
+            assert np.isfinite(row.train_loss) and np.isfinite(row.meta_loss)
+        assert calls == []
+
+
 class TestOptionalKnobs:
     def test_momentum_changes_trajectory(self):
         train, meta_set, test = small_problem(seed=20)
@@ -397,7 +498,7 @@ class TestOptionalKnobs:
         for _ in range(40):
             idx = rng.choice(len(train), size=32, replace=False)
             q = model.MlpParams(np.concatenate([a.ravel() for a in layers]), p.sizes, p.activation)
-            _, grads = meta.train_grad(q, hyper, train.X[idx], train.y[idx])
+            grads = meta.train_grad(q, hyper, *train_batch(q, hyper, train.X[idx], train.y[idx]))
             grads = model.MlpParams(grads, q.sizes, q.activation)
             g = [a for w, b in zip(grads.weights, grads.biases) for a in (w, b)]
             for l in range(len(layers)):
@@ -431,8 +532,8 @@ class TestOptionalKnobs:
                                   batch_m=10, max_iters=10, seed=31)
         real, calls = losses.batch_hgrad, [0]
 
-        def poisoned(h, Z, labels):
-            out = real(h, Z, labels)
+        def poisoned(h, batch):
+            out = real(h, batch)
             calls[0] += 1
             if calls[0] == 3:  # one call per iteration
                 out[3][0, 0, 0] = np.inf
@@ -515,8 +616,8 @@ class TestConventionalRuns:
         bad = losses.HyperParams("sl", gamma1=10.0, gamma2=0.1)
         real, calls = losses.batch_loss, [0]
 
-        def poisoned(h, Z, labels):
-            values, G = real(h, Z, labels)
+        def poisoned(h, batch):
+            values, G = real(h, batch)
             calls[0] += 1
             if calls[0] == 4:  # one call per iteration over the stacked rows
                 rows = slice(config.batch_n, 2 * config.batch_n)  # run 1's rows
@@ -537,9 +638,9 @@ class TestConventionalRuns:
                                   metrics_every=5)
         real, calls = losses.batch_loss, []
 
-        def counted(h, Z, labels):
-            calls.append(len(Z))
-            return real(h, Z, labels)
+        def counted(h, batch):
+            calls.append(len(batch.P))
+            return real(h, batch)
 
         monkeypatch.setattr(losses, "batch_loss", counted)
         runs = [(losses.HyperParams("polysoft", d=d), None, start)

@@ -16,7 +16,7 @@ def rel_err(a, b):
 
 def mean_loss_of_params(params, hyper, X, y):
     Z = model.forward_logits(params, X)
-    values, _ = losses.batch_loss(hyper, Z, y)
+    values, _ = losses.batch_loss(hyper, losses.normalize(hyper, Z, y))
     return values.mean()
 
 
@@ -148,7 +148,7 @@ class TestBackward:
         y = rng.integers(3, size=10)
         for hyper in cases:
             Z = model.forward_logits(p, X)
-            _, G = losses.batch_loss(hyper, Z, y)
+            _, G = losses.batch_loss(hyper, losses.normalize(hyper, Z, y))
             got = model.backward(p, model._forward_cached(p, X), G / len(y))
             want = fd_param_grad(p, lambda q: mean_loss_of_params(q, hyper, X, y))
             assert rel_err(got, want) <= 1e-5, hyper.variant
@@ -266,7 +266,7 @@ class TestTrainingSanity:
         for _ in range(500):
             idx = rng.choice(len(blobs), size=32, replace=False)
             Z = model.forward_logits(p, blobs.X[idx])
-            _, G = losses.batch_loss(hyper, Z, blobs.y[idx])
+            _, G = losses.batch_loss(hyper, losses.normalize(hyper, Z, blobs.y[idx]))
             p = model.sgd_step(p, model.backward(p, model._forward_cached(p, blobs.X[idx]), G / len(idx)), 0.5)
         assert model.accuracy(p, blobs.X, blobs.y) >= 0.99
 
