@@ -1,7 +1,8 @@
 """Seeded experiment runner and figure-data emitters.
 
 Subcommands: ``train`` (one adaptive run with artifacts), ``ablate``
-(fixed / opt1 / opt2 / adaptive comparison), ``losscurve`` (sample a
+(fixed / opt1 / opt2 / adaptive comparison: one adaptive run, then every
+conventional run in one lockstep call), ``losscurve`` (sample a
 learned loss on a grid), ``verify-bounds`` (risk-gap sandwich report),
 ``gen-data`` (write a synthetic dataset to CSV).
 
@@ -16,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +74,11 @@ def losscurve_table(hyper, num_classes, points=500):
 
 def emit_losscurve(hyper, num_classes, path, points=500):
     header, rows = losscurve_table(hyper, num_classes, points)
+    row = ",".join(["%.9g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        for values in rows.tolist():
+            fh.write(row % tuple(values))
 
 
 def _dataset_summary(split, noise):
@@ -153,7 +154,9 @@ def run_ablation(exp, modes, out_dir):
     fixed: grid search with the meta set as validation; opt1: retrain
     from scratch with the adaptive run's final hyperparameters; opt2:
     continue conventionally from each adaptive snapshot; adaptive: the
-    bilevel run itself.
+    bilevel run itself.  The conventional runs train in one lockstep call.
+    Only the written points are evaluated, plus each grid candidate on the
+    meta set.
     """
     known = ("fixed", "opt1", "opt2", "adaptive")
     for mode in modes:
@@ -164,57 +167,50 @@ def run_ablation(exp, modes, out_dir):
     split = config_mod.build_datasets(exp)
     out_dir.mkdir(parents=True, exist_ok=True)
     tc = config_mod.build_train_config(exp, split.train.c)
-    total = tc.max_iters
 
-    curves = {}
-    summary = {}
+    def curve(snapshots):  # the test accuracy at each (t, params, ...) snapshot
+        return [(t, model.accuracy(params, split.test.X, split.test.y)) for t, params, *_ in snapshots]
 
-    need_adaptive = bool({"adaptive", "opt1", "opt2"} & set(modes))
-    snapshots = []
-    if need_adaptive:
-        state, rows = meta.arl_train(
-            split.train, split.meta, split.test, tc,
-            snapshot_hook=lambda t, p, h: snapshots.append((t, p, h)),
-        )
+    curves, summary, snapshots = {}, {}, []
+    if {"adaptive", "opt1", "opt2"} & set(modes):
+        state, snapshots = meta.adaptive_run(split.train, split.meta, tc)
         if "adaptive" in modes:
-            curves["adaptive"] = [(r.iteration, r.test_acc) for r in rows]
+            curves["adaptive"] = curve(snapshots[1:])
             summary["adaptive"] = {
-                "final_acc": rows[-1].test_acc,
+                "final_acc": curves["adaptive"][-1][1],
                 "hyper": list(map(float, state.hyper.learnable_values())),
             }
 
-    # the fixed grid and opt1 start at 0 with the config's network and train in lockstep
+    # the fixed grid and opt1 start at 0 with the config's network; the opt2
+    # continuations join at their snapshots; all train in one lockstep call
     grid = _fixed_grid_hypers(exp, split.train.c) if "fixed" in modes else []
-    from_zero = grid + ([state.hyper] if "opt1" in modes else [])
-    trained = meta.conventional_runs(
-        split.train, split.test, tc, [(hyper, None, 0) for hyper in from_zero])
+    opt1 = [(state.hyper, None, 0)] if "opt1" in modes else []
+    opt2 = [(hyper, params, t) for t, params, hyper in snapshots
+            if "opt2" in modes and t < tc.max_iters]
+    runs = [(hyper, None, 0) for hyper in grid] + opt1 + opt2
+    trained = iter(meta.conventional_runs(split.train, tc, runs) if runs else [])
+    fixed = [next(trained) for _ in grid]
 
-    if "opt1" in modes:
-        curves["opt1"] = trained[-1][1]
+    if opt1:
+        curves["opt1"] = curve(next(trained)[1])
         summary["opt1"] = {
             "final_acc": curves["opt1"][-1][1],
             "hyper": list(map(float, state.hyper.learnable_values())),
         }
 
-    if "opt2" in modes:
-        # one continuation from each adaptive snapshot before the end, in
-        # lockstep; only each run's last row is read, so skip the rest
-        resumed = [(hyper, params, t) for t, params, hyper in snapshots if t < total]
-        continued = meta.conventional_runs(
-            split.train, split.test, replace(tc, metrics_every=total), resumed)
-        curve = [(t, c[-1][1]) for (_, _, t), (_, c) in zip(resumed, continued)]
-        curves["opt2"] = curve
-        summary["opt2"] = {"final_acc": curve[-1][1], "hyper": None}
+    if opt2:
+        curves["opt2"] = curve((t, params) for (_, _, t), (params, _) in zip(opt2, trained))
+        summary["opt2"] = {"final_acc": curves["opt2"][-1][1], "hyper": None}
 
-    if "fixed" in modes:
-        best_acc, best_hyper, best_curve = -1.0, None, None
-        for cand, (params, curve) in zip(grid, trained):
+    if grid:
+        best_acc, best_hyper, best_snapshots = -1.0, None, None
+        for cand, (params, run_snapshots) in zip(grid, fixed):
             val_acc = model.accuracy(params, split.meta.X, split.meta.y)
             if val_acc > best_acc:
-                best_acc, best_hyper, best_curve = val_acc, cand, curve
-        curves["fixed"] = best_curve
+                best_acc, best_hyper, best_snapshots = val_acc, cand, run_snapshots
+        curves["fixed"] = curve(best_snapshots)
         summary["fixed"] = {
-            "final_acc": best_curve[-1][1],
+            "final_acc": curves["fixed"][-1][1],
             "hyper": list(map(float, best_hyper.learnable_values())),
             "validation_acc": best_acc,
         }

@@ -156,7 +156,8 @@ def _check_label(label, c):
 
 
 def _clamp(p):
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    # np.clip's bits; its wrapper costs about 3 us a call on small arrays
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def softmax(z):

@@ -17,6 +17,9 @@ is linear in G, so g . J_k = <J_w g, dG/dh_k> / n * dh_k/dtheta_k.  One
 forward-mode JVP gives the logit tangent J_w g, and the loss kernels give
 dG/dh_k in closed form from the same normalization of the train batch's
 logits as the virtual step, so they cost no forward and no backward pass.
+
+Training evaluates nothing: the loops return read-only parameter snapshots
+at the metrics cadence, and each caller evaluates only what it keeps.
 """
 
 from __future__ import annotations
@@ -189,9 +192,9 @@ def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
 
 
 def _check_sizes(train_set, meta_set, test_set, config, adapt):
-    """Non-empty datasets, and batches no larger than the sets they come from."""
+    """Non-empty datasets (a None meta or test set goes unchecked), and batches within their sets."""
     n_train = len(train_set)
-    if n_train == 0 or len(test_set) == 0 or (meta_set is not None and len(meta_set) == 0):
+    if n_train == 0 or any(s is not None and len(s) == 0 for s in (meta_set, test_set)):
         raise ConfigError("datasets must be non-empty")
     if config.batch_n > n_train:
         raise ConfigError(f"batch_n={config.batch_n} exceeds training set size {n_train}")
@@ -199,9 +202,13 @@ def _check_sizes(train_set, meta_set, test_set, config, adapt):
         raise ConfigError(f"batch_m={config.batch_m} exceeds meta set size {len(meta_set)}")
 
 
-def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
-              snapshot_hook=None, start_iter=0, num_iters=None):
-    _check_sizes(train_set, meta_set, test_set, config, adapt)
+def _run_loop(train_set, meta_set, config, hyper, params, adapt, start_iter=0, num_iters=None):
+    """The serial loop's final state and ``(t, params, hyper)`` snapshots, unevaluated.
+
+    Snapshots are taken at the start, every ``config.metrics_every``
+    iterations and at the end; each holds the step's own read-only vector.
+    """
+    _check_sizes(train_set, meta_set, None, config, adapt)
     n_train = len(train_set)
 
     # separate streams so meta-batch draws never perturb train batching;
@@ -213,10 +220,7 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
     theta = losses.to_unconstrained(hyper) if adapt and hyper.learnable_names else np.zeros(0)
     velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
     total = config.max_iters if num_iters is None else num_iters
-    rows = []
-
-    if snapshot_hook is not None:
-        snapshot_hook(start_iter, params, hyper)
+    snapshots = [(start_iter, params, hyper)]
 
     for step in range(1, total + 1):
         t = start_iter + step
@@ -254,11 +258,9 @@ def _run_loop(train_set, meta_set, test_set, config, hyper, params, adapt,
             raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
 
         if t % config.metrics_every == 0 or step == total:
-            rows.append(_metrics_row(t, params, hyper, train_set, meta_set, test_set))
-            if snapshot_hook is not None:
-                snapshot_hook(t, params, hyper)
+            snapshots.append((t, params, hyper))
 
-    return TrainState(params, hyper, start_iter + total), rows
+    return TrainState(params, hyper, start_iter + total), snapshots
 
 
 def _init_params(dataset, config):
@@ -267,40 +269,46 @@ def _init_params(dataset, config):
     return model.init_mlp([dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed)
 
 
-def arl_train(dataset, meta_set, test_set, config, snapshot_hook=None):
+def adaptive_run(dataset, meta_set, config):
     """Adaptive robust-loss training: alternating theta and w updates.
 
-    ``dataset`` carries (possibly noisy) training labels; ``meta_set`` and
-    ``test_set`` are clean.  Returns the final state plus metrics recorded
-    at the configured cadence and at the last iteration.
+    ``dataset`` carries (possibly noisy) training labels and ``meta_set``
+    is clean.  Returns the final state and the loop's ``(t, params, hyper)``
+    snapshots (see ``_run_loop``), evaluating none of them.
     """
     if meta_set is None:
-        raise ConfigError("arl_train needs a clean meta set")
+        raise ConfigError("adaptive training needs a clean meta set")
     hyper = config.resolve_hyper(dataset.c)
-    return _run_loop(
-        dataset, meta_set, test_set, config, hyper, _init_params(dataset, config),
-        adapt=True, snapshot_hook=snapshot_hook,
-    )
+    return _run_loop(dataset, meta_set, config, hyper, _init_params(dataset, config), adapt=True)
+
+
+def arl_train(dataset, meta_set, test_set, config):
+    """``adaptive_run``'s final state and a metrics row per snapshot after the start."""
+    _check_sizes(dataset, meta_set, test_set, config, adapt=False)  # the loop checks the batches
+    state, snapshots = adaptive_run(dataset, meta_set, config)
+    return state, [_metrics_row(t, p, h, dataset, meta_set, test_set) for t, p, h in snapshots[1:]]
 
 
 def conventional_train(dataset, test_set, config, hyper, meta_set=None,
                        init_params=None, start_iter=0, num_iters=None):
-    """Fixed-hyperparameter SGD under the same batching scheme.
+    """Fixed-hyperparameter SGD under the same batching scheme, with its metrics rows.
 
     With the same config and seed this consumes the identical train-batch
     stream as ``arl_train``, so comparisons isolate the hyperparameter
     adaptation.  ``init_params``/``start_iter`` support continuing from a
     snapshot of another run.
     """
+    _check_sizes(dataset, meta_set, test_set, config, adapt=False)
     if init_params is None:
         init_params = _init_params(dataset, config)
-    return _run_loop(
-        dataset, meta_set, test_set, config, hyper, init_params,
+    state, snapshots = _run_loop(
+        dataset, meta_set, config, hyper, init_params,
         adapt=False, start_iter=start_iter, num_iters=num_iters,
     )
+    return state, [_metrics_row(t, p, h, dataset, meta_set, test_set) for t, p, h in snapshots[1:]]
 
 
-def conventional_runs(train_set, test_set, config, runs):
+def conventional_runs(train_set, config, runs):
     """R fixed-hyperparameter runs in lockstep, each as its ``conventional_train``.
 
     ``runs`` holds ``(hyper, init_params, start_iter)`` triples; a run
@@ -313,12 +321,12 @@ def conventional_runs(train_set, test_set, config, runs):
     with one start share one train-batch stream, drawn once per step; each
     run sees the batches and gives the bits of its serial
     ``conventional_train`` (bi_tempered at ``batch_n`` 1 excepted: see
-    ``losses._RowFields``).  Returns one
-    ``(params, curve)`` per run, in order, with ``curve`` the
-    ``(iteration, test_acc)`` pairs at the config's metrics cadence and
-    at the last iteration.
+    ``losses._RowFields``).  Returns one ``(params, snapshots)`` per run,
+    in order, with ``snapshots`` the ``(t, params)`` pairs at the config's
+    metrics cadence and at the last iteration, each a row view of that
+    step's read-only stack.  Nothing is evaluated.
     """
-    _check_sizes(train_set, None, test_set, config, adapt=False)
+    _check_sizes(train_set, None, None, config, adapt=False)
     if not runs:
         return []
     order = sorted(range(len(runs)), key=lambda r: runs[r][2])
@@ -340,7 +348,7 @@ def conventional_runs(train_set, test_set, config, runs):
     streams = {s: np.random.default_rng([config.seed, 17, s]) for s in starts}
     stack = model.MlpParams(np.empty((0, first.vec.size)), sizes, activation)
     velocity = np.zeros_like(stack.vec) if config.momentum > 0 else None
-    curves = [[] for _ in order]
+    snapshots = [[] for _ in order]
     k = 0  # runs started so far: the first k in start order
     for t in range(starts[0] + 1, config.max_iters + 1):
         joined = k
@@ -376,13 +384,11 @@ def conventional_runs(train_set, test_set, config, runs):
 
         if t % config.metrics_every == 0 or t == config.max_iters:
             for r in range(k):
-                run = model.MlpParams(stack.vec[r], sizes, activation)
-                curves[r].append((t, model.accuracy(run, test_set.X, test_set.y)))
+                snapshots[r].append((t, model.MlpParams(stack.vec[r], sizes, activation)))
 
     results = [None] * len(runs)
-    for pos, r in enumerate(order):
-        params = model.MlpParams(stack.vec[pos], sizes, activation) if pos < k else inits[pos]
-        results[r] = (params, curves[pos])
+    for pos, r in enumerate(order):  # a run that trained has its end as its last snapshot
+        results[r] = (snapshots[pos][-1][1] if snapshots[pos] else inits[pos], snapshots[pos])
     return results
 
 
@@ -430,21 +436,18 @@ def flattening_point(ce_grid, loss_values, threshold=0.05):
 def write_metrics_csv(rows, path):
     """Stable CSV: iter,train_loss,meta_loss,test_acc,hyper_1,..."""
     k = len(rows[0].hyper_values) if rows else 0
-    header = ["iter", "train_loss", "meta_loss", "test_acc"] + [
-        f"hyper_{i + 1}" for i in range(k)
-    ]
+    header = ["iter", "train_loss", "meta_loss", "test_acc"] + [f"hyper_{i + 1}" for i in range(k)]
+    row = ",".join(["%d"] + ["%.9g"] * (3 + k)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
-            cells = [str(r.iteration)] + [
-                f"{v:.9g}" for v in (r.train_loss, r.meta_loss, r.test_acc, *r.hyper_values)
-            ]
-            fh.write(",".join(cells) + "\n")
+            fh.write(row % (r.iteration, r.train_loss, r.meta_loss, r.test_acc, *r.hyper_values))
 
 
 def write_weights_csv(weights, flip_mask, path):
     """Stable CSV: sample_id,is_clean,weight."""
     with open(path, "w") as fh:
         fh.write("sample_id,is_clean,weight\n")
-        for i, (w, flipped) in enumerate(zip(weights, flip_mask)):
-            fh.write(f"{i},{0 if flipped else 1},{w:.9g}\n")
+        clean = np.logical_not(flip_mask).tolist()
+        for row in zip(range(len(clean)), clean, np.asarray(weights).tolist()):
+            fh.write("%d,%d,%.9g\n" % row)

@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arl import cli, config as config_mod, data, losses, meta
+from arl import cli, config as config_mod, data, losses, meta, model
 from arl.errors import ConfigError
 
 SMALL_RUN = {
@@ -258,6 +259,105 @@ class TestAblateCommand:
                          "--out", str(tmp_path / "a")]) == 2
 
 
+class TestAblationOracle:
+    """Each mode's artifacts against an explicit serial computation."""
+
+    DOC = {
+        "seed": 5,
+        "dataset": {"n": 500, "classes": 3, "spread": 0.45},
+        "noise": {"type": "symmetric", "eta": 0.4},
+        "split": {"meta_size": 30, "test_fraction": 150},
+        "loss": {"variant": "sl"},
+        "train": {"alpha": 0.5, "beta": 0.5, "batch_n": 16, "batch_m": 30, "iters": 40,
+                  "metrics_every": 10},
+        "ablation": {"grid": {"gamma1": [0.1, 1.0, 10.0], "gamma2": [1.0]}},
+    }
+    MODES = ["fixed", "opt1", "opt2", "adaptive"]
+
+    @classmethod
+    def serial(cls):
+        """Curves and summaries from ``arl_train`` and one ``conventional_train`` per run."""
+        exp = config_mod.parse_config(cls.DOC)
+        split = config_mod.build_datasets(exp)
+        tc = config_mod.build_train_config(exp, split.train.c)
+        train, meta_set, test = split.train, split.meta, split.test
+
+        def conventional(hyper, init=None, start=0):
+            state, rows = meta.conventional_train(train, test, tc, hyper, init_params=init,
+                                                  start_iter=start, num_iters=tc.max_iters - start)
+            return state.params, [(r.iteration, r.test_acc) for r in rows]
+
+        state, rows = meta.arl_train(train, meta_set, test, tc)
+        final = list(map(float, state.hyper.learnable_values()))
+        curves = {"adaptive": [(r.iteration, r.test_acc) for r in rows]}
+        summary = {"adaptive": {"final_acc": rows[-1].test_acc, "hyper": final}}
+
+        best = None
+        for hyper in cli._fixed_grid_hypers(exp, train.c):
+            params, curve = conventional(hyper)
+            val_acc = model.accuracy(params, meta_set.X, meta_set.y)
+            if best is None or val_acc > best[0]:
+                best = (val_acc, hyper, curve)
+        curves["fixed"] = best[2]
+        summary["fixed"] = {"final_acc": best[2][-1][1], "validation_acc": best[0],
+                            "hyper": list(map(float, best[1].learnable_values()))}
+
+        curves["opt1"] = conventional(state.hyper)[1]
+        summary["opt1"] = {"final_acc": curves["opt1"][-1][1], "hyper": final}
+
+        # the adaptive state at t is that of an adaptive run t iterations long
+        opt2 = [(0, conventional(tc.init_hyper)[1][-1][1])]
+        for t in range(tc.metrics_every, tc.max_iters, tc.metrics_every):
+            at_t, _ = meta.arl_train(train, meta_set, test, replace(tc, max_iters=t))
+            opt2.append((t, conventional(at_t.hyper, at_t.params, t)[1][-1][1]))
+        curves["opt2"] = opt2
+        summary["opt2"] = {"final_acc": opt2[-1][1], "hyper": None}
+        return curves, summary
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return self.serial()
+
+    @pytest.mark.parametrize("modes", [MODES, ["opt2"], ["fixed"], ["adaptive"]],
+                             ids=["all", "opt2", "fixed", "adaptive"])
+    def test_matches_serial(self, tmp_path, monkeypatch, expected, modes):
+        curves, summary = expected
+        lockstep, calls = meta.conventional_runs, []
+        monkeypatch.setattr(meta, "conventional_runs", lambda *a: calls.append(a) or lockstep(*a))
+        payload = cli.run_ablation(config_mod.parse_config(self.DOC), modes, tmp_path)
+        assert len(calls) == (modes != ["adaptive"])
+
+        lookup = {m: dict(curves[m]) for m in modes}
+        lines = [",".join(["iter", *modes])]
+        for t in sorted({t for m in modes for t in lookup[m]}):
+            cells = [f"{lookup[m][t]:.9g}" if t in lookup[m] else "" for m in modes]
+            lines.append(",".join([str(t), *cells]))
+        assert (tmp_path / "ablation.csv").read_text() == "\n".join(lines) + "\n"
+        assert payload["modes"] == {m: summary[m] for m in modes}
+        assert json.loads((tmp_path / "ablation_summary.json").read_text()) == payload
+
+    def test_evaluates_only_what_it_writes(self, tmp_path, monkeypatch, expected):
+        curves, _ = expected
+        counts = {"conventional_runs": 0, "_metrics_row": 0, "accuracy": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(meta, "conventional_runs")
+        counted(meta, "_metrics_row")
+        counted(model, "accuracy")
+        cli.run_ablation(config_mod.parse_config(self.DOC), self.MODES, tmp_path)
+        grid = len(cli._fixed_grid_hypers(config_mod.parse_config(self.DOC), 3))
+        points = sum(len(curves[m]) for m in ("adaptive", "fixed", "opt1"))
+        assert counts == {"conventional_runs": 1, "_metrics_row": 0,
+                          "accuracy": points + len(curves["opt2"]) + grid}
+
+
 def _never_train(*args, **kwargs):
     raise AssertionError("training started before the config was fully checked")
 
@@ -281,8 +381,7 @@ class TestChecksBeforeTraining:
     ], ids=["grid-key", "grid-domain", "grid-scalar", "grid-empty", "ce-fixed",
             "theory-key", "theory-not-learned", "ablation-modes"])
     def test_ablate_exits_2_untrained(self, tmp_path, capsys, monkeypatch, patch, modes, key):
-        monkeypatch.setattr(meta, "arl_train", _never_train)
-        monkeypatch.setattr(meta, "conventional_train", _never_train)
+        monkeypatch.setattr(meta, "adaptive_run", _never_train)
         monkeypatch.setattr(meta, "conventional_runs", _never_train)
         cfg = write_config(tmp_path, dict(self.SL_RUN, **patch))
         assert cli.main(["ablate", "--config", str(cfg), "--modes", modes,
@@ -296,7 +395,7 @@ class TestChecksBeforeTraining:
         ("theory", "classes", 3.0),
     ])
     def test_mistyped_value_exits_2(self, tmp_path, capsys, monkeypatch, section, key, value):
-        monkeypatch.setattr(meta, "arl_train", _never_train)
+        monkeypatch.setattr(meta, "adaptive_run", _never_train)
         doc = dict(SMALL_RUN, **{section: dict(SMALL_RUN.get(section, {}), **{key: value})})
         cfg = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2

@@ -839,6 +839,19 @@ class TestPow:
             assert np.array_equal(got[rows], X[rows] ** float(v)), v
 
 
+class TestClamp:
+    def test_bits_of_clip(self):
+        lo, hi = L.PROB_FLOOR, 1.0 - L.PROB_FLOOR
+        edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi, np.nextafter(lo, 0), np.nextafter(lo, 1),
+                 np.nextafter(hi, 0), np.nextafter(hi, 2), 0.5, 1.0, -1.0, 2.0]
+        rng = np.random.default_rng(63)
+        p = np.concatenate([edges, rng.uniform(-0.5, 1.5, size=500_000),
+                            rng.uniform(0.0, 1e-11, size=500_000)])
+        got, want = L._clamp(p), np.clip(p, lo, hi)
+        assert got.tobytes() == want.tobytes()  # NaN and the sign of zero included
+        assert L._clamp(p.reshape(-1, 5)).tobytes() == want.tobytes()
+
+
 class TestRowFields:
     """One call over stacked runs' rows, each run with its own fields,
     gives every run the bits of its own scalar-field call."""

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from arl import data, losses, meta, model
+from arl import cli, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
 
 
@@ -343,14 +343,25 @@ class TestArlTrain:
         with pytest.raises(ConfigError):
             meta.arl_train(train, meta_set, test, config)
 
-    def test_snapshot_hook_called_at_cadence(self):
+    def test_snapshots_at_cadence(self):
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=100, seed=15, metrics_every=50)
-        seen = []
-        meta.arl_train(train, meta_set, test, config,
-                       snapshot_hook=lambda t, p, h: seen.append(t))
-        assert seen == [0, 50, 100]
+        _, snapshots = meta.adaptive_run(train, meta_set, config)
+        assert [t for t, _, _ in snapshots] == [0, 50, 100]
+
+    def test_rows_are_metrics_of_snapshots(self, monkeypatch):
+        # arl_train is adaptive_run plus one metrics row per snapshot after the start
+        train, meta_set, test = small_problem(seed=14)
+        config = meta.TrainConfig("sl", alpha=0.2, beta=0.5, batch_n=32,
+                                  batch_m=10, max_iters=23, seed=15, metrics_every=5)
+        state, snapshots = meta.adaptive_run(train, meta_set, config)
+        rows = [meta._metrics_row(t, p, h, train, meta_set, test) for t, p, h in snapshots[1:]]
+        calls = []
+        monkeypatch.setattr(meta, "adaptive_run", lambda *a: calls.append(a) or (state, snapshots))
+        assert meta.arl_train(train, meta_set, test, config) == (state, rows)
+        assert len(calls) == 1
+        assert [r.iteration for r in rows] == [5, 10, 15, 20, 23]
 
     def test_snapshots_shared_read_only(self):
         # snapshots share the loop's buffers, uncopied; neither the run
@@ -358,13 +369,13 @@ class TestArlTrain:
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=100, seed=15, metrics_every=50)
-        seen = []
-        meta.arl_train(train, meta_set, test, config,
-                       snapshot_hook=lambda t, p, h: seen.append((t, p, h, p.vec.copy())))
-        t, p, h, _ = seen[1]
+        state, snapshots = meta.adaptive_run(train, meta_set, config)
+        assert snapshots[-1][1] is state.params
+        at_return = [p.vec.copy() for _, p, _ in snapshots]
+        t, p, h = snapshots[1]
         meta.conventional_train(train, test, config, h, init_params=p, start_iter=t, num_iters=20)
-        for _, p, _, at_hook in seen:
-            np.testing.assert_array_equal(p.vec, at_hook)
+        for (_, p, _), vec in zip(snapshots, at_return):
+            np.testing.assert_array_equal(p.vec, vec)
             with pytest.raises(ValueError):
                 p.weights[0][0, 0] = 1.0
 
@@ -512,16 +523,9 @@ class TestOptionalKnobs:
                                   batch_m=10, max_iters=60, seed=23,
                                   decay_steps=(30,), decay_factor=0.1,
                                   metrics_every=10)
-        moved = []
-        prev = {"w": None}
-
-        def hook(t, params, hyper):
-            flat = params.vec
-            if prev["w"] is not None:
-                moved.append((t, np.linalg.norm(flat - prev["w"])))
-            prev["w"] = flat
-
-        meta.arl_train(train, meta_set, test, config, snapshot_hook=hook)
+        _, snapshots = meta.adaptive_run(train, meta_set, config)
+        moved = [(t, np.linalg.norm(p.vec - prev.vec))
+                 for (_, prev, _), (t, p, _) in zip(snapshots, snapshots[1:])]
         before = np.mean([d for t, d in moved if t <= 30])
         after = np.mean([d for t, d in moved if t > 30])
         assert after < 0.3 * before
@@ -586,6 +590,10 @@ class TestConventionalRuns:
         )
         return state.params, [(r.iteration, r.test_acc) for r in rows]
 
+    @staticmethod
+    def accuracies(snapshots, test):
+        return [(t, model.accuracy(p, test.X, test.y)) for t, p in snapshots]
+
     @pytest.mark.parametrize("knobs", [
         {},
         {"momentum": 0.9, "decay_steps": (12,), "hidden": (8, 8), "activation": "relu"},
@@ -595,20 +603,35 @@ class TestConventionalRuns:
         train, meta_set, test = small_problem(seed=40)
         config = meta.TrainConfig(variant, alpha=0.5, beta=0.5, batch_n=16, batch_m=10,
                                   max_iters=30, seed=41, metrics_every=7, **knobs)
-        snapshots = []
-        state, _ = meta.arl_train(train, meta_set, test, config,
-                                  snapshot_hook=lambda t, p, h: snapshots.append((t, p, h)))
+        state, snapshots = meta.adaptive_run(train, meta_set, config)
         # a grid and an opt1 run from 0, and a staircase of continuations
         # with two runs at one start and one that starts at the end
         runs = [(losses.HyperParams(variant, **fields), None, 0) for fields in self.GRIDS[variant]]
         runs.append((state.hyper, None, 0))
         runs += [(h, p, t) for t, p, h in snapshots] + [(snapshots[1][2], snapshots[1][1], 7)]
-        got = meta.conventional_runs(train, test, config, runs)
+        got = meta.conventional_runs(train, config, runs)
         assert len(got) == len(runs)
-        for (hyper, init, start), (params, curve) in zip(runs, got):
+        for (hyper, init, start), (params, snaps) in zip(runs, got):
             want_params, want_curve = self.serial(train, test, config, hyper, init, start)
             np.testing.assert_array_equal(params.vec, want_params.vec)
-            assert curve == want_curve
+            assert self.accuracies(snaps, test) == want_curve
+            if snaps:
+                np.testing.assert_array_equal(snaps[-1][1].vec, params.vec)
+
+    def test_snapshots_are_row_views_and_nothing_is_evaluated(self, monkeypatch):
+        train, _, test = small_problem(seed=40)
+        config = meta.TrainConfig("gce", alpha=0.5, batch_n=16, max_iters=12, seed=41, metrics_every=5)
+        monkeypatch.setattr(model, "accuracy", None)  # the loop must not evaluate
+        runs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.6, 0), (0.7, 6))]
+        got = meta.conventional_runs(train, config, runs)
+        assert [[t for t, _ in snaps] for _, snaps in got] == [[5, 10, 12], [5, 10, 12], [10, 12]]
+        for t in (10, 12):  # the rows of one step's stack share its buffer
+            rows = [p for _, snaps in got for s, p in snaps if s == t]
+            stack = rows[0].vec.base
+            assert stack is not None and stack.shape == (3, rows[0].vec.size)
+            for r, p in enumerate(rows):
+                assert p.vec.base is stack and not p.vec.flags.writeable
+                np.testing.assert_array_equal(p.vec, stack[r])
 
     def test_nonfinite_loss_names_run_and_iteration(self, monkeypatch):
         train, _, test = small_problem(seed=42)
@@ -630,7 +653,7 @@ class TestConventionalRuns:
         runs = [(losses.HyperParams("sl"), None, 0), (bad, None, 0), (losses.HyperParams("sl"), None, 2)]
         with pytest.raises(NumericError, match=r"iteration 4 \(run from 0, .*gamma1=10\.0, "
                                                r"gamma2=0\.1.*\): non-finite training loss"):
-            meta.conventional_runs(train, test, config, runs)
+            meta.conventional_runs(train, config, runs)
 
     def test_one_loss_call_per_step(self, monkeypatch):
         train, _, test = small_problem(seed=47)
@@ -645,7 +668,7 @@ class TestConventionalRuns:
         monkeypatch.setattr(losses, "batch_loss", counted)
         runs = [(losses.HyperParams("polysoft", d=d), None, start)
                 for d, start in ((2.0, 3), (3.0, 3), (1.5, 7), (2.5, 12))]
-        meta.conventional_runs(train, test, config, runs)
+        meta.conventional_runs(train, config, runs)
         # steps 4..12, each one call over the rows of the runs started so far
         assert calls == [2 * 16] * 4 + [3 * 16] * 5
 
@@ -664,14 +687,14 @@ class TestConventionalRuns:
         monkeypatch.setattr(model, "_forward_cached", poisoned)
         runs = [(losses.HyperParams("bi_tempered", t1=t1), None, 0) for t1 in (0.2, 0.7, 0.4)]
         with pytest.raises(NumericError, match=r"iteration 3 \(run from 0, .*t1=0\.7.*\): logits must be finite"):
-            meta.conventional_runs(train, test, config, runs)
+            meta.conventional_runs(train, config, runs)
 
     def test_one_variant(self):
         train, _, test = small_problem(seed=51)
         config = meta.TrainConfig("gce", batch_n=16, max_iters=5)
         runs = [(losses.HyperParams("gce"), None, 0), (losses.HyperParams("sl"), None, 0)]
         with pytest.raises(ConfigError, match="one loss variant"):
-            meta.conventional_runs(train, test, config, runs)
+            meta.conventional_runs(train, config, runs)
 
     def test_nonfinite_gradient_names_run(self, monkeypatch):
         train, _, test = small_problem(seed=44)
@@ -687,13 +710,13 @@ class TestConventionalRuns:
         monkeypatch.setattr(model, "backward", poisoned)
         runs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.5, 0), (0.7, 5))]
         with pytest.raises(NumericError, match=r"iteration 6 \(run from 5, .*q=0\.7.*non-finite gradient"):
-            meta.conventional_runs(train, test, config, runs)
+            meta.conventional_runs(train, config, runs)
 
     def test_checks_shared_with_serial_loop(self):
         train, _, test = small_problem(seed=46)
         config = meta.TrainConfig("gce", batch_n=10_000, max_iters=5)
         with pytest.raises(ConfigError, match="batch_n=10000 exceeds"):
-            meta.conventional_runs(train, test, config, [(losses.HyperParams("gce"), None, 0)])
+            meta.conventional_runs(train, config, [(losses.HyperParams("gce"), None, 0)])
 
 
 class TestSampleWeights:
@@ -729,3 +752,39 @@ class TestFlatteningPoint:
     def test_never_flat(self):
         grid = np.linspace(0.0, 3.0, 100)
         assert meta.flattening_point(grid, grid.copy()) == np.inf
+
+
+class TestCsvWriters:
+    """The row templates write the bytes of the per-value f-string form."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-300, np.finfo(float).max,
+               -np.finfo(float).max, 0.1, 1.0 / 3.0, -2.5, 1e9, 123456789.123, 1.0, 0.0]
+
+    def values(self, n):
+        rng = np.random.default_rng(64)
+        return np.concatenate([self.SPECIAL, rng.normal(scale=1e3, size=n - len(self.SPECIAL))])
+
+    def test_metrics(self, tmp_path):
+        v = self.values(80).reshape(-1, 5)
+        rows = [meta.MetricsRow(10 * i, *map(float, r[:3]), (r[3], float(r[4]))) for i, r in enumerate(v)]
+        meta.write_metrics_csv(rows, tmp_path / "m.csv")
+        want = "iter,train_loss,meta_loss,test_acc,hyper_1,hyper_2\n" + "".join(
+            ",".join([str(r.iteration)] + [f"{x:.9g}" for x in (r.train_loss, r.meta_loss, r.test_acc,
+                                                                  *r.hyper_values)]) + "\n"
+            for r in rows)
+        assert (tmp_path / "m.csv").read_text() == want
+
+    def test_weights(self, tmp_path):
+        w = self.values(64)
+        flip = np.random.default_rng(65).uniform(size=len(w)) < 0.4
+        meta.write_weights_csv(w, flip, tmp_path / "w.csv")
+        want = "sample_id,is_clean,weight\n" + "".join(
+            f"{i},{0 if f else 1},{x:.9g}\n" for i, (x, f) in enumerate(zip(w, flip)))
+        assert (tmp_path / "w.csv").read_text() == want
+
+    def test_losscurve(self, tmp_path, monkeypatch):
+        header, table = ["x", "zero_one", "ce", "learned"], self.values(80).reshape(-1, 4)
+        monkeypatch.setattr(cli, "losscurve_table", lambda *args: (header, table))
+        cli.emit_losscurve(losses.HyperParams("gce"), 3, tmp_path / "c.csv")
+        want = "x,zero_one,ce,learned\n" + "".join(",".join(f"{v:.9g}" for v in r) + "\n" for r in table)
+        assert (tmp_path / "c.csv").read_text() == want
