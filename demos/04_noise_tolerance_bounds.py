@@ -19,7 +19,7 @@ WORLD = lambda eta: theory.FiniteWorld(labels=[0, 1, 2, 0], c=C, delta=0.02, eta
 print("soft-weighting loss, lam = 2 log(c), d = 2")
 hyper = losses.HyperParams("polysoft", lam=2 * math.log(C), d=2.0)
 for eta in (0.1, 0.3, 0.6):
-    r = theory.riskgap_verify(WORLD(eta), "polysoft", hyper)
+    r = theory.riskgap_verify(WORLD(eta), hyper)
     gap = r.noisy_risk_star - r.noisy_risk_hat
     print(f"  eta={eta}: noisy gap {gap:.4f} <= bound {r.noisy_gap_bound:.4f} "
           f"(grid tol {r.grid_tol:.4f})  holds={r.noisy_sandwich_ok and r.clean_sandwich_ok}")
@@ -27,14 +27,14 @@ for eta in (0.1, 0.3, 0.6):
 print("\nsoft-weighting loss at the noise-tolerant point lam = log(c)")
 hyper = losses.HyperParams("polysoft", lam=math.log(C), d=2.0)
 for eta in (0.1, 0.3, 0.6):
-    r = theory.riskgap_verify(WORLD(eta), "polysoft", hyper)
+    r = theory.riskgap_verify(WORLD(eta), hyper)
     gap = abs(r.noisy_risk_star - r.noisy_risk_hat)
     print(f"  eta={eta}: |noisy gap| = {gap:.2e} (equality up to the grid)")
 
 print("\ntempered loss, t1 = 0.5, t2 = 2: bounded but not noise tolerant")
 hyper = losses.HyperParams("bi_tempered", t1=0.5, t2=2.0)
 for eta in (0.1, 0.3, 0.6):
-    r = theory.riskgap_verify(WORLD(eta), "bi_tempered", hyper)
+    r = theory.riskgap_verify(WORLD(eta), hyper)
     gap = r.noisy_risk_star - r.noisy_risk_hat
     print(f"  eta={eta}: noisy gap {gap:.4f} <= bound {r.noisy_gap_bound:.4f} "
           f"holds={r.noisy_sandwich_ok}")

@@ -246,7 +246,7 @@ def verify_bounds(exp, out_path=None):
     for eta in t["etas"]:
         world = theory.FiniteWorld(t["world_labels"], t["classes"], t["delta"], eta)
         # raises a DomainError for a variant without bound constants
-        report = theory.riskgap_verify(world, t["variant"], t["hyper"])
+        report = theory.riskgap_verify(world, t["hyper"])
         reports[f"eta={eta:g}"] = report.as_dict()
         all_ok = all_ok and report.noisy_sandwich_ok and report.clean_sandwich_ok
     payload = {

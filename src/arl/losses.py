@@ -19,11 +19,11 @@ a ``HyperParams`` (scalars) or from a ``_RowFields`` record (one value per
 row), so one call can serve the stacked rows of runs with different
 fields.  Powers with a per-row exponent go through ``_pow``, which gives
 the bits numpy gives for a scalar exponent.  On the record of
-``normalize``, ``batch_loss`` (training) takes values and gradients,
+``normalize``, ``batch_loss`` (training) takes values and gradients and
 ``batch_hgrad`` (the hypergradient) adds their derivatives in each
-learnable field and ``batch_values`` (the metrics rows) takes values only;
-``loss_values`` (the theory table, the loss curve, the cross entropies of
-the sample weights) takes values on bare probability rows.
+learnable field; ``loss_values`` (the metrics rows, the theory table, the
+loss curve, the cross entropies of the sample weights) takes the same
+values alone, on bare probability rows.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -555,15 +555,6 @@ _FAMILIES = {
 }
 
 
-def loss_values(hyper, P, labels):
-    """Per-row values of ``hyper``'s family on unchecked probability rows ``P``.
-
-    No gradient is formed, and the kernels read the fields as given.  For
-    ``bi_tempered`` P is the tempered softmax.
-    """
-    return _FAMILIES[hyper.variant][0](_Batch(P, labels), hyper)[0]
-
-
 class _RowFields:
     """The learnable fields and ``rce_a``, one value per row of a batch.
 
@@ -597,8 +588,14 @@ def _fields(hyper, batch):
     return hyper
 
 
-def batch_values(hyper, batch):
-    """``batch_loss``'s values alone: no gradient is formed."""
+def loss_values(hyper, P, labels):
+    """``batch_loss``'s values alone, on unchecked probability rows ``P``.
+
+    No gradient is formed.  For ``bi_tempered`` P is the tempered softmax;
+    ``labels`` may also be one label for all rows, or a (k, 1) column that
+    gives (k, rows) values, one row per label.
+    """
+    batch = _Batch(P, labels)
     return _FAMILIES[hyper.variant][0](batch, _fields(hyper, batch))[0]
 
 

@@ -18,6 +18,10 @@ forward-mode JVP gives the logit tangent J_w g, and the loss kernels give
 dG/dh_k in closed form from the same normalization of the train batch's
 logits as the virtual step, so they cost no forward and no backward pass.
 
+Two loops train: ``adaptive_run``, the one serial loop, and
+``conventional_runs``, the one fixed-hyperparameter loop, which trains R
+runs in lockstep.  Both draw a run's train batches from the stream of its
+seed and start, so a run that skips meta updates is conventional SGD.
 Training evaluates nothing: the loops return read-only parameter snapshots
 at the metrics cadence, and each caller evaluates only what it keeps.
 """
@@ -93,11 +97,10 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Loop state: network parameters, hyperparameters, iteration."""
+    """Final state of an adaptive run: network parameters and hyperparameters."""
 
     params: model.MlpParams
     hyper: losses.HyperParams
-    iteration: int
 
 
 @dataclass
@@ -182,8 +185,8 @@ def _step_scale(t, decay_steps, decay_factor):
 def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
     """Mean train and meta loss values, test accuracy and fields: no gradient."""
     def mean_loss(h, dataset):
-        Z = model.forward_logits(params, dataset.X)
-        return float(losses.batch_values(h, losses.normalize(h, Z, dataset.y)).mean())
+        P = losses.normalize(h, model.forward_logits(params, dataset.X), dataset.y).P
+        return float(losses.loss_values(h, P, dataset.y).mean())
 
     train_loss = mean_loss(hyper, train_set)
     meta_loss = float("nan") if meta_set is None else mean_loss(_CE, meta_set)
@@ -191,41 +194,52 @@ def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
     return MetricsRow(t, train_loss, meta_loss, acc, tuple(hyper.learnable_values()))
 
 
-def _check_sizes(train_set, meta_set, test_set, config, adapt):
+def _check_sizes(train_set, meta_set, test_set, config):
     """Non-empty datasets (a None meta or test set goes unchecked), and batches within their sets."""
     n_train = len(train_set)
     if n_train == 0 or any(s is not None and len(s) == 0 for s in (meta_set, test_set)):
         raise ConfigError("datasets must be non-empty")
     if config.batch_n > n_train:
         raise ConfigError(f"batch_n={config.batch_n} exceeds training set size {n_train}")
-    if adapt and config.batch_m > len(meta_set):
+    if meta_set is not None and config.batch_m > len(meta_set):
         raise ConfigError(f"batch_m={config.batch_m} exceeds meta set size {len(meta_set)}")
 
 
-def _run_loop(train_set, meta_set, config, hyper, params, adapt, start_iter=0, num_iters=None):
-    """The serial loop's final state and ``(t, params, hyper)`` snapshots, unevaluated.
+def _init_params(dataset, config):
+    """The initial network: seeded by ``config.model_seed``, else by ``config.seed``."""
+    model_seed = config.seed if config.model_seed is None else config.model_seed
+    return model.init_mlp([dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed)
 
-    Snapshots are taken at the start, every ``config.metrics_every``
-    iterations and at the end; each holds the step's own read-only vector.
+
+def adaptive_run(dataset, meta_set, config):
+    """Adaptive robust-loss training: alternating theta and w updates.
+
+    ``dataset`` carries (possibly noisy) training labels and ``meta_set``
+    is clean.  The run starts from the config's network and trains
+    ``config.max_iters`` iterations.  Returns the final state and the
+    ``(t, params, hyper)`` snapshots at the start, every
+    ``config.metrics_every`` iterations and at the end, each holding the
+    step's own read-only vector; none of them is evaluated.
     """
-    _check_sizes(train_set, meta_set, None, config, adapt)
-    n_train = len(train_set)
+    if meta_set is None:
+        raise ConfigError("adaptive training needs a clean meta set")
+    _check_sizes(dataset, meta_set, None, config)
+    hyper = config.resolve_hyper(dataset.c)
+    params = _init_params(dataset, config)
+    n_train = len(dataset)
 
     # separate streams so meta-batch draws never perturb train batching;
     # a run that skips meta updates is then bitwise identical to plain SGD
-    rng_train = np.random.default_rng([config.seed, 17, start_iter])
-    rng_meta = np.random.default_rng([config.seed, 23, start_iter])
+    rng_train = np.random.default_rng([config.seed, 17, 0])
+    rng_meta = np.random.default_rng([config.seed, 23, 0])
 
-    # only an adapting loop reparameterizes: a fixed run may sit on a domain boundary
-    theta = losses.to_unconstrained(hyper) if adapt and hyper.learnable_names else np.zeros(0)
+    theta = losses.to_unconstrained(hyper) if hyper.learnable_names else np.zeros(0)
     velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
-    total = config.max_iters if num_iters is None else num_iters
-    snapshots = [(start_iter, params, hyper)]
+    snapshots = [(0, params, hyper)]
 
-    for step in range(1, total + 1):
-        t = start_iter + step
+    for t in range(1, config.max_iters + 1):
         idx_n = rng_train.choice(n_train, size=config.batch_n, replace=False)
-        Xn, yn = train_set.X[idx_n], train_set.y[idx_n]
+        Xn, yn = dataset.X[idx_n], dataset.y[idx_n]
 
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t = config.alpha * scale
@@ -257,59 +271,21 @@ def _run_loop(train_set, meta_set, config, hyper, params, adapt, start_iter=0, n
             # rounds onto its domain boundary (d = 1 + softplus -> 1.0)
             raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
 
-        if t % config.metrics_every == 0 or step == total:
+        if t % config.metrics_every == 0 or t == config.max_iters:
             snapshots.append((t, params, hyper))
 
-    return TrainState(params, hyper, start_iter + total), snapshots
-
-
-def _init_params(dataset, config):
-    """The initial network: seeded by ``config.model_seed``, else by ``config.seed``."""
-    model_seed = config.seed if config.model_seed is None else config.model_seed
-    return model.init_mlp([dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed)
-
-
-def adaptive_run(dataset, meta_set, config):
-    """Adaptive robust-loss training: alternating theta and w updates.
-
-    ``dataset`` carries (possibly noisy) training labels and ``meta_set``
-    is clean.  Returns the final state and the loop's ``(t, params, hyper)``
-    snapshots (see ``_run_loop``), evaluating none of them.
-    """
-    if meta_set is None:
-        raise ConfigError("adaptive training needs a clean meta set")
-    hyper = config.resolve_hyper(dataset.c)
-    return _run_loop(dataset, meta_set, config, hyper, _init_params(dataset, config), adapt=True)
+    return TrainState(params, hyper), snapshots
 
 
 def arl_train(dataset, meta_set, test_set, config):
     """``adaptive_run``'s final state and a metrics row per snapshot after the start."""
-    _check_sizes(dataset, meta_set, test_set, config, adapt=False)  # the loop checks the batches
+    _check_sizes(dataset, meta_set, test_set, config)
     state, snapshots = adaptive_run(dataset, meta_set, config)
     return state, [_metrics_row(t, p, h, dataset, meta_set, test_set) for t, p, h in snapshots[1:]]
 
 
-def conventional_train(dataset, test_set, config, hyper, meta_set=None,
-                       init_params=None, start_iter=0, num_iters=None):
-    """Fixed-hyperparameter SGD under the same batching scheme, with its metrics rows.
-
-    With the same config and seed this consumes the identical train-batch
-    stream as ``arl_train``, so comparisons isolate the hyperparameter
-    adaptation.  ``init_params``/``start_iter`` support continuing from a
-    snapshot of another run.
-    """
-    _check_sizes(dataset, meta_set, test_set, config, adapt=False)
-    if init_params is None:
-        init_params = _init_params(dataset, config)
-    state, snapshots = _run_loop(
-        dataset, meta_set, config, hyper, init_params,
-        adapt=False, start_iter=start_iter, num_iters=num_iters,
-    )
-    return state, [_metrics_row(t, p, h, dataset, meta_set, test_set) for t, p, h in snapshots[1:]]
-
-
 def conventional_runs(train_set, config, runs):
-    """R fixed-hyperparameter runs in lockstep, each as its ``conventional_train``.
+    """R fixed-hyperparameter runs of conventional SGD in lockstep.
 
     ``runs`` holds ``(hyper, init_params, start_iter)`` triples; a run
     with ``init_params`` None starts from the config's initial network.
@@ -318,15 +294,17 @@ def conventional_runs(train_set, config, runs):
     parameters are one (R, P) stack and their fields one per-row record,
     rebuilt when runs join, so a step is one stacked forward, one loss call
     over all the stacked rows, one stacked backward and one SGD step.  Runs
-    with one start share one train-batch stream, drawn once per step; each
-    run sees the batches and gives the bits of its serial
-    ``conventional_train`` (bi_tempered at ``batch_n`` 1 excepted: see
-    ``losses._RowFields``).  Returns one ``(params, snapshots)`` per run,
-    in order, with ``snapshots`` the ``(t, params)`` pairs at the config's
-    metrics cadence and at the last iteration, each a row view of that
-    step's read-only stack.  Nothing is evaluated.
+    with one start share one train-batch stream, ``default_rng([seed, 17,
+    start])``, drawn once per step.  Each run gives the bits of plain SGD
+    on its own: a run from 0 those of ``adaptive_run`` at ``beta`` 0, a
+    continuation those of a serial loop over its stream (bi_tempered at
+    ``batch_n`` 1 excepted: see ``losses._RowFields``).  Returns one
+    ``(params, snapshots)`` per run, in order, with ``snapshots`` the
+    ``(t, params)`` pairs at the config's metrics cadence and at the last
+    iteration, each a row view of that step's read-only stack.  Nothing is
+    evaluated.
     """
-    _check_sizes(train_set, None, None, config, adapt=False)
+    _check_sizes(train_set, None, None, config)
     if not runs:
         return []
     order = sorted(range(len(runs)), key=lambda r: runs[r][2])

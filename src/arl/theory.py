@@ -15,7 +15,7 @@ found by scanning the grid once per label instead of enumerating the
 product hypothesis space.
 
 One verification evaluates the loss on the grid once: a (points, c) table
-of L(u, j) per (variant, hyper, c, delta).  Its columns give the clean and
+of L(u, j) per (hyper, c, delta).  Its columns give the clean and
 noisy per-point terms of every label, hence both minimizers, and its rows
 give the grid tolerance: moving one delta of mass between two coordinates
 of a grid point lands on another grid point, so every slope the tolerance
@@ -92,14 +92,9 @@ class RiskReport:
         return {k: v for k, v in vars(self).items() if k not in ("f_star", "f_hat")}
 
 
-def _check_variant(variant, hyper):
-    if variant != hyper.variant:
-        raise DomainError(f"variant {variant!r} does not match hyper.variant {hyper.variant!r}")
-
-
-def bound_constants(variant, c, eta, hyper):
-    """Evaluate the sandwich-bound constants for polysoft or bi_tempered."""
-    _check_variant(variant, hyper)
+def bound_constants(c, eta, hyper):
+    """Evaluate the sandwich-bound constants for a polysoft or bi_tempered ``hyper``."""
+    variant = hyper.variant
     if c < 2:
         raise DomainError("need at least two classes")
     if not 0.0 <= eta <= 1.0 - 1.0 / c:
@@ -179,18 +174,13 @@ def _per_point_terms(table, label, eta, noisy):
     return (1.0 - eta) * own + eta / (c - 1.0) * others
 
 
-def exact_risk(world, assignment, variant, hyper, noisy):
+def exact_risk(world, assignment, hyper, noisy):
     """Exact expected loss of a per-point simplex assignment.
 
     Uniform over the K points; under noise the label of a point is its
     clean label with probability 1 - eta, otherwise uniform over the
     other classes.
     """
-    _check_variant(variant, hyper)
-    return _exact_risk(world, assignment, hyper, noisy)
-
-
-def _exact_risk(world, assignment, hyper, noisy):
     A = np.atleast_2d(np.asarray(assignment, dtype=float))
     if A.shape != (len(world.labels), world.c):
         raise DomainError(f"assignment shape {A.shape} does not match the world")
@@ -250,14 +240,14 @@ def grid_lipschitz(grid, table, delta):
     return worst
 
 
-def riskgap_verify(world, variant, hyper):
+def riskgap_verify(world, hyper):
     """Check both sandwich inequalities by exhaustive grid minimization.
 
     The risk is additive over points with independent assignments, so the
     global minimizers decompose into per-point grid scans; points sharing
     a label share their minimizers.
     """
-    constants = bound_constants(variant, world.c, world.eta, hyper)  # checks variant
+    constants = bound_constants(world.c, world.eta, hyper)
     grid = simplex_grid(world.c, world.delta)
     table = _loss_table(hyper, grid)
     K = len(world.labels)
@@ -268,10 +258,10 @@ def riskgap_verify(world, variant, hyper):
         f_star[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, False)))]
         f_hat[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, True)))]
 
-    r_clean_star = _exact_risk(world, f_star, hyper, noisy=False)
-    r_clean_hat = _exact_risk(world, f_hat, hyper, noisy=False)
-    r_noisy_star = _exact_risk(world, f_star, hyper, noisy=True)
-    r_noisy_hat = _exact_risk(world, f_hat, hyper, noisy=True)
+    r_clean_star = exact_risk(world, f_star, hyper, noisy=False)
+    r_clean_hat = exact_risk(world, f_hat, hyper, noisy=False)
+    r_noisy_star = exact_risk(world, f_star, hyper, noisy=True)
+    r_noisy_hat = exact_risk(world, f_hat, hyper, noisy=True)
 
     tol = grid_lipschitz(grid, table, world.delta) * world.delta
     noisy_gap = r_noisy_star - r_noisy_hat
@@ -288,8 +278,7 @@ def riskgap_verify(world, variant, hyper):
     )
 
 
-def label_sum_range(variant, hyper, c, delta):
+def label_sum_range(hyper, c, delta):
     """Range of sum_j L(u, j) over the simplex grid (bounded-loss check)."""
-    _check_variant(variant, hyper)
     sums = _loss_table(hyper, simplex_grid(c, delta)).sum(axis=1)
     return float(sums.min()), float(sums.max())

@@ -221,7 +221,7 @@ class TestAcceptance:
                     h_batch = losses.normalize(h, cache[0][-1], yn)
                     w = model.sgd_step(params, meta.train_grad(params, h, cache, h_batch), alpha)
                     ce = losses.HyperParams("ce")
-                    return losses.batch_values(ce, losses.normalize(ce, model.forward_logits(w, Xm), ym)).mean()
+                    return losses.loss_values(ce, losses.softmax(model.forward_logits(w, Xm)), ym).mean()
 
                 fd = np.zeros_like(theta)
                 for k in range(theta.size):
@@ -240,17 +240,17 @@ class TestAcceptance:
         # soft-weighting sandwich plus the noise-tolerant equality point
         h_poly = losses.HyperParams("polysoft", lam=2.0 * LN3, d=2.0)
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), "polysoft", h_poly)
+            report = theory.riskgap_verify(world(eta), h_poly)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok, eta
 
         h_tol = losses.HyperParams("polysoft", lam=LN3, d=2.0)
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), "polysoft", h_tol)
+            report = theory.riskgap_verify(world(eta), h_tol)
             assert abs(report.noisy_risk_star - report.noisy_risk_hat) <= report.grid_tol
 
         h_bt = losses.HyperParams("bi_tempered", t1=0.5, t2=2.0)
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), "bi_tempered", h_bt)
+            report = theory.riskgap_verify(world(eta), h_bt)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok, eta
         elapsed = time.time() - t0
         assert elapsed < 60.0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from serial_reference import conventional_run
 
 from arl import cli, config as config_mod, data, losses, meta, model
 from arl.errors import ConfigError
@@ -276,16 +277,15 @@ class TestAblationOracle:
 
     @classmethod
     def serial(cls):
-        """Curves and summaries from ``arl_train`` and one ``conventional_train`` per run."""
+        """Curves and summaries from ``arl_train`` and one serial reference run each."""
         exp = config_mod.parse_config(cls.DOC)
         split = config_mod.build_datasets(exp)
         tc = config_mod.build_train_config(exp, split.train.c)
         train, meta_set, test = split.train, split.meta, split.test
 
         def conventional(hyper, init=None, start=0):
-            state, rows = meta.conventional_train(train, test, tc, hyper, init_params=init,
-                                                  start_iter=start, num_iters=tc.max_iters - start)
-            return state.params, [(r.iteration, r.test_acc) for r in rows]
+            params, snapshots = conventional_run(train, meta_set, tc, hyper, init, start)
+            return params, [(t, model.accuracy(p, test.X, test.y)) for t, p in snapshots]
 
         state, rows = meta.arl_train(train, meta_set, test, tc)
         final = list(map(float, state.hyper.learnable_values()))

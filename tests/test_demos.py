@@ -16,7 +16,7 @@ def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

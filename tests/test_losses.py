@@ -927,9 +927,22 @@ class TestOneNormalization:
             want_values, want_grads = batch_loss(h, Zc, yc)
             assert values.tobytes() == want_values.tobytes(), h
             assert grads.tobytes() == want_grads.tobytes(), h
-            assert L.batch_values(h, L.normalize(h, Zc, yc)).tobytes() == want_values.tobytes(), h
+            assert L.loss_values(h, L.normalize(h, Zc, yc).P, yc).tobytes() == want_values.tobytes(), h
             # the same record at moved fields, after the evaluations above
             got, want = L.batch_hgrad(m, batch), batch_hgrad(m, Zc, yc)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), m
-            assert L.batch_values(m, batch).tobytes() == want[0].tobytes(), m
+            assert L.loss_values(m, batch.P, batch.labels).tobytes() == want[0].tobytes(), m
+
+    @pytest.mark.parametrize("hyper", [
+        L.HyperParams("gce", q=0.4), L.HyperParams("sl", gamma1=0.4, gamma2=2.5),
+        L.HyperParams("polysoft", lam=1.3, d=2.0), L.HyperParams("bi_tempered", t1=0.0, t2=2.0),
+    ], ids=lambda h: h.variant)
+    def test_loss_values_are_training_values(self, hyper):
+        # at t1 = 0 bi_tempered raises P to 2 - t1 = 2, which numpy takes by
+        # square for a scalar field: values must read the fields as training does
+        rng = np.random.default_rng(66)
+        y = rng.integers(3, size=2000)
+        batch = L.normalize(hyper, rng.normal(size=(2000, 3)) * 3.0, y)
+        values = L.loss_values(hyper, batch.P, batch.labels)
+        assert values.tobytes() == L.batch_loss(hyper, batch)[0].tobytes()

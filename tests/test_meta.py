@@ -2,9 +2,11 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from serial_reference import conventional_run
 
 from arl import cli, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
@@ -44,7 +46,7 @@ def hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha):
 def meta_loss(p, Xm, ym):
     """The meta objective: the mean clean cross entropy."""
     ce = losses.HyperParams("ce")
-    return losses.batch_values(ce, losses.normalize(ce, model.forward_logits(p, Xm), ym)).mean()
+    return losses.loss_values(ce, losses.softmax(model.forward_logits(p, Xm)), ym).mean()
 
 
 def random_hyper(rng, variant):
@@ -276,20 +278,19 @@ class TestArlTrain:
                                   batch_m=10, max_iters=1, seed=3)
         state, rows = meta.arl_train(train, meta_set, test, config)
         hyper = config.resolve_hyper(3)
-        state2, rows2 = meta.conventional_train(train, test, config, hyper, meta_set=meta_set)
-        np.testing.assert_array_equal(state.params.vec, state2.params.vec)
-        assert rows[0] == rows2[0]
+        [(params, [(t, snap)])] = meta.conventional_runs(train, config, [(hyper, None, 0)])
+        np.testing.assert_array_equal(state.params.vec, params.vec)
+        assert rows == [meta._metrics_row(t, snap, hyper, train, meta_set, test)]
 
     def test_ce_variant_matches_plain_training(self):
         train, meta_set, test = small_problem(seed=4)
         config = meta.TrainConfig("ce", alpha=0.3, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=60, seed=5)
         state, rows = meta.arl_train(train, meta_set, test, config)
-        state2, rows2 = meta.conventional_train(
-            train, test, config, losses.HyperParams("ce"), meta_set=meta_set
-        )
-        np.testing.assert_array_equal(state.params.vec, state2.params.vec)
-        assert rows == rows2
+        ce = losses.HyperParams("ce")
+        [(params, snapshots)] = meta.conventional_runs(train, config, [(ce, None, 0)])
+        np.testing.assert_array_equal(state.params.vec, params.vec)
+        assert rows == [meta._metrics_row(t, p, ce, train, meta_set, test) for t, p in snapshots]
 
     def test_deterministic_metrics(self, tmp_path):
         train, meta_set, test = small_problem(seed=6)
@@ -308,12 +309,12 @@ class TestArlTrain:
         for variant in ("gce", "sl", "bi_tempered", "polysoft"):
             config = meta.TrainConfig(variant, alpha=0.2, beta=1.0, batch_n=32,
                                       batch_m=10, max_iters=60, seed=9)
-            state, rows = meta.arl_train(train, meta_set, test, config)
+            _, rows = meta.arl_train(train, meta_set, test, config)
             names = losses.LEARNABLE[variant]
             for row in rows:
                 snap = losses.HyperParams(variant, **dict(zip(names, row.hyper_values)))
                 snap.validate()
-            assert state.iteration == 60
+            assert rows[-1].iteration == 60
 
     def test_metrics_cadence(self):
         train, meta_set, test = small_problem(seed=10)
@@ -328,8 +329,9 @@ class TestArlTrain:
         config = meta.TrainConfig("gce", alpha=0.2, batch_n=32, batch_m=10, max_iters=5, seed=35)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state, _ = meta.conventional_train(train, test, config, losses.HyperParams("gce", q=1.0))
-        assert state.hyper.q == 1.0
+            [(params, snapshots)] = meta.conventional_runs(
+                train, config, [(losses.HyperParams("gce", q=1.0), None, 0)])
+        assert [t for t, _ in snapshots] == [5] and np.isfinite(params.vec).all()
 
     def test_empty_meta_rejected(self):
         train, meta_set, test = small_problem(seed=12)
@@ -373,7 +375,7 @@ class TestArlTrain:
         assert snapshots[-1][1] is state.params
         at_return = [p.vec.copy() for _, p, _ in snapshots]
         t, p, h = snapshots[1]
-        meta.conventional_train(train, test, config, h, init_params=p, start_iter=t, num_iters=20)
+        meta.conventional_runs(train, replace(config, max_iters=t + 20), [(h, p, t)])
         for (_, p, _), vec in zip(snapshots, at_return):
             np.testing.assert_array_equal(p.vec, vec)
             with pytest.raises(ValueError):
@@ -413,15 +415,15 @@ class TestForwardCount:
         assert counts["steps"] == 2 * 12
         assert counts["metrics"] == 3 * len(rows)
 
-    def test_conventional_train_one_per_step(self, monkeypatch):
+    def test_conventional_runs_one_per_step(self, monkeypatch):
+        # one stacked forward per lockstep step, however many runs it holds
         train, meta_set, test = small_problem(seed=28)
         counts = self.count_forwards(monkeypatch)
         config = meta.TrainConfig("sl", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=12, seed=29, metrics_every=5)
-        hyper = losses.HyperParams("sl", gamma1=0.5, gamma2=1.0)
-        _, rows = meta.conventional_train(train, test, config, hyper, meta_set=meta_set)
-        assert counts["steps"] == 12
-        assert counts["metrics"] == 3 * len(rows)
+        runs = [(losses.HyperParams("sl", gamma1=g1, gamma2=1.0), None, 0) for g1 in (0.5, 1.0, 2.0)]
+        meta.conventional_runs(train, config, runs)
+        assert counts == {"steps": 12, "metrics": 0}
 
 
 class TestNormalizationCount:
@@ -572,7 +574,7 @@ class TestOptionalKnobs:
 
 
 class TestConventionalRuns:
-    """The lockstep runs give the bits of their serial ``conventional_train``."""
+    """The lockstep runs give the bits of their serial runs (``serial_reference``)."""
 
     GRIDS = {
         "gce": [{"q": q} for q in (0.2, 0.5, 0.9)],
@@ -581,18 +583,6 @@ class TestConventionalRuns:
         "bi_tempered": [{"t1": 0.2, "t2": 1.2}, {"t1": 0.8, "t2": 2.0}],
         "ce": [],
     }
-
-    @staticmethod
-    def serial(train, test, config, hyper, init_params, start):
-        state, rows = meta.conventional_train(
-            train, test, config, hyper, init_params=init_params, start_iter=start,
-            num_iters=config.max_iters - start,
-        )
-        return state.params, [(r.iteration, r.test_acc) for r in rows]
-
-    @staticmethod
-    def accuracies(snapshots, test):
-        return [(t, model.accuracy(p, test.X, test.y)) for t, p in snapshots]
 
     @pytest.mark.parametrize("knobs", [
         {},
@@ -612,9 +602,9 @@ class TestConventionalRuns:
         got = meta.conventional_runs(train, config, runs)
         assert len(got) == len(runs)
         for (hyper, init, start), (params, snaps) in zip(runs, got):
-            want_params, want_curve = self.serial(train, test, config, hyper, init, start)
+            want_params, want_snaps = conventional_run(train, meta_set, config, hyper, init, start)
             np.testing.assert_array_equal(params.vec, want_params.vec)
-            assert self.accuracies(snaps, test) == want_curve
+            assert [(t, p.vec.tobytes()) for t, p in snaps] == [(t, p.vec.tobytes()) for t, p in want_snaps]
             if snaps:
                 np.testing.assert_array_equal(snaps[-1][1].vec, params.vec)
 

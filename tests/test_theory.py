@@ -14,21 +14,21 @@ from arl.losses import PROB_FLOOR, HyperParams
 class TestBoundConstants:
     def test_polysoft_tolerant_point(self):
         h = HyperParams("polysoft", lam=math.log(10.0), d=2.0)
-        bc = theory.bound_constants("polysoft", 10, 0.4, h)
+        bc = theory.bound_constants(10, 0.4, h)
         assert bc.noisy_gap_bound == pytest.approx(0.0, abs=1e-12)
         assert bc.clean_gap_bound == pytest.approx(0.0, abs=1e-12)
 
     def test_polysoft_example(self):
         # independent evaluation: 10*1*0.4/(2*9) * (3 - ln 10) = 0.15498109
         h = HyperParams("polysoft", lam=3.0, d=2.0)
-        bc = theory.bound_constants("polysoft", 10, 0.4, h)
+        bc = theory.bound_constants(10, 0.4, h)
         assert bc.noisy_gap_bound == pytest.approx(0.15498109, abs=1e-6)
         assert bc.clean_gap_bound < 0.0
 
     def test_bi_tempered_example(self):
         # 0.8 - 0.4*(10 - sqrt(10)) / 6.75 = 0.394801639
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        bc = theory.bound_constants("bi_tempered", 10, 0.4, h)
+        bc = theory.bound_constants(10, 0.4, h)
         assert bc.noisy_gap_bound == pytest.approx(0.394801639, abs=1e-8)
         assert bc.clean_gap_bound < 0.0
 
@@ -42,21 +42,21 @@ class TestBoundConstants:
                 lam=math.log(c) * float(rng.uniform(1.0, 3.0)),
                 d=float(rng.uniform(1.5, 5.0)),
             )
-            bc = theory.bound_constants("polysoft", c, eta, h)
+            bc = theory.bound_constants(c, eta, h)
             assert bc.noisy_gap_bound >= 0.0 and bc.clean_gap_bound <= 0.0
             h = HyperParams(
                 "bi_tempered",
                 t1=float(rng.uniform(0.0, 0.9)),
                 t2=float(rng.uniform(1.1, 3.0)),
             )
-            bc = theory.bound_constants("bi_tempered", c, eta, h)
+            bc = theory.bound_constants(c, eta, h)
             assert bc.noisy_gap_bound >= 0.0 and bc.clean_gap_bound <= 0.0
 
     def test_monotone_toward_tolerant_point(self):
         lams = np.linspace(math.log(3.0), 3.0, 12)
         bounds = [
             theory.bound_constants(
-                "polysoft", 3, 0.4, HyperParams("polysoft", lam=float(l), d=2.0)
+                3, 0.4, HyperParams("polysoft", lam=float(l), d=2.0)
             ).noisy_gap_bound
             for l in lams
         ]
@@ -66,13 +66,13 @@ class TestBoundConstants:
     def test_hypothesis_violations(self):
         h = HyperParams("polysoft", lam=3.0, d=2.0)
         with pytest.raises(DomainError, match="eta"):
-            theory.bound_constants("polysoft", 3, 0.7, h)
+            theory.bound_constants(3, 0.7, h)
         with pytest.raises(DomainError, match="lam"):
             theory.bound_constants(
-                "polysoft", 10, 0.4, HyperParams("polysoft", lam=1.0, d=2.0)
+                10, 0.4, HyperParams("polysoft", lam=1.0, d=2.0)
             )
         with pytest.raises(DomainError, match="variant"):
-            theory.bound_constants("gce", 3, 0.4, HyperParams("gce"))
+            theory.bound_constants(3, 0.4, HyperParams("gce"))
 
 
 class TestSimplexGrid:
@@ -134,14 +134,14 @@ class TestExactRisk:
         rng = np.random.default_rng(1)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("polysoft", lam=1.2, d=2.0)
-        clean = theory.exact_risk(world, f, "polysoft", h, noisy=False)
-        noisy = theory.exact_risk(world, f, "polysoft", h, noisy=True)
+        clean = theory.exact_risk(world, f, h, noisy=False)
+        noisy = theory.exact_risk(world, f, h, noisy=True)
         assert clean == pytest.approx(noisy, abs=1e-14)
 
     def test_vertex_prediction_ce(self):
         world = theory.FiniteWorld(labels=[0, 1], c=3, delta=0.02, eta=0.0)
         f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        risk = theory.exact_risk(world, f, "ce", HyperParams("ce"), noisy=False)
+        risk = theory.exact_risk(world, f, HyperParams("ce"), noisy=False)
         assert risk == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_monte_carlo(self):
@@ -149,7 +149,7 @@ class TestExactRisk:
         rng = np.random.default_rng(2)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        exact = theory.exact_risk(world, f, "bi_tempered", h, noisy=True)
+        exact = theory.exact_risk(world, f, h, noisy=True)
 
         draws = 40_000
         total = np.zeros(draws)
@@ -171,7 +171,7 @@ class TestExactRisk:
     def test_bad_assignment(self):
         world = self.world()
         with pytest.raises(DomainError):
-            theory.exact_risk(world, np.ones((4, 3)), "ce", HyperParams("ce"), False)
+            theory.exact_risk(world, np.ones((4, 3)), HyperParams("ce"), False)
 
 
 class TestRiskGap:
@@ -180,7 +180,7 @@ class TestRiskGap:
 
     def test_polysoft_tolerant_equality(self):
         h = HyperParams("polysoft", lam=math.log(3.0), d=2.0)
-        report = theory.riskgap_verify(self.world(0.4), "polysoft", h)
+        report = theory.riskgap_verify(self.world(0.4), h)
         gap = abs(report.noisy_risk_star - report.noisy_risk_hat)
         assert gap <= report.grid_tol
         assert report.noisy_sandwich_ok and report.clean_sandwich_ok
@@ -188,51 +188,41 @@ class TestRiskGap:
     def test_polysoft_loose_lambda(self):
         h = HyperParams("polysoft", lam=2.0 * math.log(3.0), d=2.0)
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(self.world(eta), "polysoft", h)
+            report = theory.riskgap_verify(self.world(eta), h)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok
 
     def test_bi_tempered_sweep(self):
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(self.world(eta), "bi_tempered", h)
+            report = theory.riskgap_verify(self.world(eta), h)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok
 
     def test_bi_tempered_gap_nontrivial_at_high_noise(self):
         # near the eta ceiling the noisy minimizer moves off the vertex,
         # so the verified gap is strictly positive yet inside the bound
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        report = theory.riskgap_verify(self.world(0.6), "bi_tempered", h)
+        report = theory.riskgap_verify(self.world(0.6), h)
         gap = report.noisy_risk_star - report.noisy_risk_hat
         assert gap > 0.1
         assert gap <= report.noisy_gap_bound + report.grid_tol
 
     def test_report_serializes(self):
         h = HyperParams("polysoft", lam=1.5, d=2.0)
-        report = theory.riskgap_verify(self.world(0.3), "polysoft", h)
+        report = theory.riskgap_verify(self.world(0.3), h)
         d = report.as_dict()
         assert set(d) >= {"noisy_gap_bound", "grid_tol", "noisy_sandwich_ok"}
-
-    def test_variant_mismatch_raises(self):
-        # a bi_tempered set whose inactive lam and d would pass the polysoft bound
-        h = HyperParams("bi_tempered", lam=2.0 * math.log(3.0), d=2.0)
-        with pytest.raises(DomainError, match="does not match"):
-            theory.riskgap_verify(self.world(0.3), "polysoft", h)
-        with pytest.raises(DomainError, match="does not match"):
-            theory.bound_constants("polysoft", 3, 0.3, h)
-        with pytest.raises(DomainError, match="does not match"):
-            theory.label_sum_range("sl", HyperParams("gce"), 3, 0.1)
 
 
 class TestBoundedLossSums:
     def test_all_families_bounded_on_grid(self):
         cases = [
-            ("gce", HyperParams("gce", q=0.5)),
-            ("sl", HyperParams("sl", gamma1=1.0, gamma2=1.0)),
-            ("bi_tempered", HyperParams("bi_tempered", t1=0.5, t2=2.0)),
-            ("polysoft", HyperParams("polysoft", lam=math.log(3.0), d=2.0)),
+            HyperParams("gce", q=0.5),
+            HyperParams("sl", gamma1=1.0, gamma2=1.0),
+            HyperParams("bi_tempered", t1=0.5, t2=2.0),
+            HyperParams("polysoft", lam=math.log(3.0), d=2.0),
         ]
-        for variant, h in cases:
-            lo, hi = theory.label_sum_range(variant, h, 3, 0.02)
+        for h in cases:
+            lo, hi = theory.label_sum_range(h, 3, 0.02)
             assert np.isfinite(lo) and np.isfinite(hi) and hi >= lo
 
     def test_polysoft_sum_range_at_tolerant_point(self):
@@ -243,7 +233,7 @@ class TestBoundedLossSums:
         c, d = 3, 2.0
         lam = math.log(c)
         h = HyperParams("polysoft", lam=lam, d=d)
-        lo, hi = theory.label_sum_range("polysoft", h, c, 0.02)
+        lo, hi = theory.label_sum_range(h, c, 0.02)
         plateau = (d - 1.0) * lam / d
         # extremes sit at the vertices and the uniform point; the latter is
         # off-grid for delta = 0.02, hence the grid-resolution tolerance
@@ -332,7 +322,7 @@ class TestLossTable:
     def test_verify_matches_per_point_loop(self, eta, variant, hyper):
         # the acceptance worlds: minimizers and risks to the bit
         world = theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
-        report = theory.riskgap_verify(world, variant, hyper)
+        report = theory.riskgap_verify(world, hyper)
         f_star, f_hat, risks, tol = _per_point_loop_verify(world, variant, hyper)
         assert report.f_star.tobytes() == f_star.tobytes()
         assert report.f_hat.tobytes() == f_hat.tobytes()
@@ -428,7 +418,7 @@ class TestKernelTable:
         c, delta = (3, 0.02) if len(labels) == 4 else (5, 0.025)
         world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
         h = HyperParams(variant, **hyper)
-        report = theory.riskgap_verify(world, variant, h)
+        report = theory.riskgap_verify(world, h)
         grid = theory.simplex_grid(c, delta)
         table = np.stack([_reference_loss_values(variant, h, grid, j) for j in range(c)], axis=1)
         for k, label in enumerate(world.labels):
