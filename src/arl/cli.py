@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,54 +174,39 @@ def run_ablation(exp, modes, out_dir):
 
     curves, summary, snapshots = {}, {}, []
     if {"adaptive", "opt1", "opt2"} & set(modes):
-        state, snapshots = meta.adaptive_run(split.train, split.meta, tc)
+        [(state, snapshots)] = meta.train_runs([meta.Run(split.train, split.meta, tc)])
         if "adaptive" in modes:
             curves["adaptive"] = curve(snapshots[1:])
-            summary["adaptive"] = {
-                "final_acc": curves["adaptive"][-1][1],
-                "hyper": list(map(float, state.hyper.learnable_values())),
-            }
+            summary["adaptive"] = {"hyper": list(map(float, state.hyper.learnable_values()))}
 
-    # the fixed grid and opt1 start at 0 with the config's network; the opt2
-    # continuations join at their snapshots; all train in one lockstep call
+    # the conventional runs (beta 0) train in one lockstep call: the fixed grid and
+    # opt1 from the config's network at 0, the opt2 continuations from their snapshots
     grid = _fixed_grid_hypers(exp, split.train.c) if "fixed" in modes else []
-    opt1 = [(state.hyper, None, 0)] if "opt1" in modes else []
-    opt2 = [(hyper, params, t) for t, params, hyper in snapshots
-            if "opt2" in modes and t < tc.max_iters]
-    runs = [(hyper, None, 0) for hyper in grid] + opt1 + opt2
-    trained = iter(meta.conventional_runs(split.train, tc, runs) if runs else [])
+    opt2 = snapshots[:-1] if "opt2" in modes else []  # the last snapshot is the end
+    opt1 = [state.hyper] if "opt1" in modes else []
+    starts = [(0, None, hyper) for hyper in grid + opt1] + opt2
+    runs = [meta.Run(split.train, None, replace(tc, beta=0.0, init_hyper=h), p, t) for t, p, h in starts]
+    trained = iter(meta.train_runs(runs))
     fixed = [next(trained) for _ in grid]
 
     if opt1:
-        curves["opt1"] = curve(next(trained)[1])
-        summary["opt1"] = {
-            "final_acc": curves["opt1"][-1][1],
-            "hyper": list(map(float, state.hyper.learnable_values())),
-        }
+        curves["opt1"] = curve(next(trained)[1][1:])
+        summary["opt1"] = {"hyper": list(map(float, opt1[0].learnable_values()))}
 
     if opt2:
-        curves["opt2"] = curve((t, params) for (_, _, t), (params, _) in zip(opt2, trained))
-        summary["opt2"] = {"final_acc": curves["opt2"][-1][1], "hyper": None}
+        curves["opt2"] = curve((t, end.params) for (t, _, _), (end, _) in zip(opt2, trained))
+        summary["opt2"] = {"hyper": None}
 
-    if grid:
-        best_acc, best_hyper, best_snapshots = -1.0, None, None
-        for cand, (params, run_snapshots) in zip(grid, fixed):
-            val_acc = model.accuracy(params, split.meta.X, split.meta.y)
-            if val_acc > best_acc:
-                best_acc, best_hyper, best_snapshots = val_acc, cand, run_snapshots
-        curves["fixed"] = curve(best_snapshots)
-        summary["fixed"] = {
-            "final_acc": curves["fixed"][-1][1],
-            "hyper": list(map(float, best_hyper.learnable_values())),
-            "validation_acc": best_acc,
-        }
+    if grid:  # the first candidate with the highest meta-set accuracy wins
+        val_accs = [model.accuracy(end.params, split.meta.X, split.meta.y) for end, _ in fixed]
+        best = int(np.argmax(val_accs))
+        curves["fixed"] = curve(fixed[best][1][1:])
+        summary["fixed"] = {"validation_acc": val_accs[best],
+                            "hyper": list(map(float, grid[best].learnable_values()))}
 
     _write_ablation_csv(curves, modes, out_dir / "ablation.csv")
-    payload = {
-        "config_sha256": _config_hash(exp.raw),
-        "seed": exp.seed,
-        "modes": {m: summary[m] for m in modes},
-    }
+    finals = {m: {"final_acc": curves[m][-1][1], **summary[m]} for m in modes}
+    payload = {"config_sha256": _config_hash(exp.raw), "seed": exp.seed, "modes": finals}
     _write_json(payload, out_dir / "ablation_summary.json")
     return payload
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -305,6 +304,17 @@ def tempered_softmax(z, t2):
 # (k, n) and of the logit gradients (k, n, c) in each learnable field, in
 # LEARNABLE order; D = P - Y below.
 
+class _once:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first read."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        obj.__dict__[self.name] = value = self.compute(obj)
+        return value
+
+
 class _Batch:
     """One normalization of a batch, the record the kernels read.
 
@@ -319,22 +329,22 @@ class _Batch:
     def __init__(self, P, labels):
         self.P, self.labels, self.rows = P, labels, np.arange(len(P))
 
-    @cached_property
+    @_once
     def py(self):
         """Each row's probability of its label, not clamped."""
         if np.ndim(self.labels) == 0:
             return self.P[:, self.labels]  # one label for all rows is a column: no gather
         return self.P[self.rows, self.labels]
 
-    @cached_property
+    @_once
     def pyc(self):
         return _clamp(self.py)
 
-    @cached_property
+    @_once
     def ce(self):
         return -np.log(self.pyc)
 
-    @cached_property
+    @_once
     def D(self):
         """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient."""
         D = self.P.copy()

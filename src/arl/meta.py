@@ -18,17 +18,19 @@ forward-mode JVP gives the logit tangent J_w g, and the loss kernels give
 dG/dh_k in closed form from the same normalization of the train batch's
 logits as the virtual step, so they cost no forward and no backward pass.
 
-Two loops train: ``adaptive_run``, the one serial loop, and
-``conventional_runs``, the one fixed-hyperparameter loop, which trains R
-runs in lockstep.  Both draw a run's train batches from the stream of its
-seed and start, so a run that skips meta updates is conventional SGD.
-Training evaluates nothing: the loops return read-only parameter snapshots
-at the metrics cadence, and each caller evaluates only what it keeps.
+One loop, ``train_runs``, trains R runs of one variant and network shape
+in lockstep, each with the bits it gets alone; a run without meta steps is
+conventional SGD.  Training evaluates nothing: the loop returns read-only
+parameter snapshots at the metrics cadence, and each caller evaluates only
+what it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import itertools
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +38,14 @@ from . import losses, model
 from .errors import ConfigError, DomainError, NumericError
 
 _CE = losses.HyperParams("ce")  # the meta objective; frozen, so built once
+
+
+class _RunError(NumericError):
+    """A failure of one run of a stack; ``run`` is its row."""
+
+    def __init__(self, run, message):
+        super().__init__(message)
+        self.run = run
 
 
 class _RangeError(ConfigError):
@@ -97,7 +107,7 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Final state of an adaptive run: network parameters and hyperparameters."""
+    """Final state of a run: network parameters and hyperparameters."""
 
     params: model.MlpParams
     hyper: losses.HyperParams
@@ -112,25 +122,43 @@ class MetricsRow:
     hyper_values: tuple
 
 
+def _first_bad(ok, params):
+    """The first run of ``params`` (one network or a stack) whose block of the flags ``ok`` holds a False."""
+    return int(ok.reshape(params.vec.size // params.vec.shape[-1], -1).all(axis=1).argmin())
+
+
 def train_grad(params, hyper, cache, batch):
     """Gradient vector of the mean robust loss of a batch: its forward ``cache`` and record."""
-    return _backward_mean(params, hyper, *losses.batch_loss(hyper, batch), cache)
+    return _backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
 
 
-def _backward_mean(params, hyper, values, G, cache):
-    """Gradient vector of the mean of the per-sample ``values``, which must be finite."""
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"non-finite training loss under {hyper}")
-    return model.backward(params, cache, G / len(values))
+def _backward_mean(params, hypers, values, G, cache):
+    """Gradient vector of each run's mean of its per-sample ``values``, which must be finite."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        r = _first_bad(ok, params)
+        raise _RunError(r, f"non-finite training loss under {hypers[r]}")
+    Z = cache[0][-1]
+    return model.backward(params, cache, G.reshape(Z.shape) / Z.shape[-2])
+
+
+def _sgd_step(params, step, alpha):
+    """``model.sgd_step``; a non-finite step names the first run that has one."""
+    try:
+        return model.sgd_step(params, step, alpha)
+    except NumericError as exc:
+        raise _RunError(_first_bad(np.isfinite(step), params), str(exc)) from exc
 
 
 def meta_ce_grad(params, X, y):
-    """Gradient vector of the mean clean cross entropy (the meta objective), from P - Y alone."""
+    """Gradient vector of the mean clean cross entropy (the meta objective), from P - Y alone;
+    a stack of R networks takes (R, m, d) features and (R, m) labels."""
     cache = model._forward_cached(params, X)
-    D = losses.normalize(_CE, cache[0][-1], y).D
+    Z = cache[0][-1]
+    D = losses.normalize(_CE, Z.reshape(-1, Z.shape[-1]), y.reshape(-1)).D
     if not np.isfinite(D).all():
-        raise NumericError("non-finite meta cross-entropy gradient")
-    return model.backward(params, cache, D / len(D))
+        raise _RunError(_first_bad(np.isfinite(D), params), "non-finite meta cross-entropy gradient")
+    return model.backward(params, cache, D.reshape(Z.shape) / Z.shape[-2])
 
 
 # A logit-gradient derivative past this in one row fails the step: the desk
@@ -150,30 +178,40 @@ def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
     record, which the virtual step and dG/dh share.  Exactly zero when
     alpha = 0 (the virtual point no longer depends on theta).  A row's
     dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.
+    For an (R, P) stack of runs, ``hyper`` and ``theta`` are the runs'
+    lists and ``Xm``, ``ym`` their (R, m, .) meta batches; the result has
+    a row per run, each the bits of the run's own call.
     """
-    names = hyper.learnable_names
+    stacked = params.vec.ndim == 2
+    hypers, thetas = (hyper, theta) if stacked else ([hyper], [theta])
+    names = hypers[0].learnable_names
     if not names or alpha == 0.0:
-        return np.zeros(len(names))
+        return np.zeros((len(hypers), len(names)) if stacked else len(names))
 
-    values, G, _, dG = losses.batch_hgrad(hyper, batch)
-    grads = _backward_mean(params, hyper, values, G, cache)
-    dG = dG.reshape(len(names), -1)
-    peak = np.abs(dG).max(axis=1)
-    if not (peak <= _DG_BOUND).all():  # NaN fails too
-        k = int(np.argmin(peak <= _DG_BOUND))
-        row = int(np.abs(dG[k]).argmax()) // batch.P.shape[1]
+    n = len(batch.P) // len(hypers)
+    values, G, _, dG = losses.batch_hgrad(losses._RowFields(hypers, n) if stacked else hyper, batch)
+    grads = _backward_mean(params, hypers, values, G, cache)
+    dG = dG.reshape(len(names), len(hypers), -1)
+    peak = np.abs(dG).max(axis=2)
+    ok = peak <= _DG_BOUND  # NaN fails too
+    if not ok.all():
+        r = int(ok.all(axis=0).argmin())
+        k, peak = int(ok[:, r].argmin()), peak[:, r]
+        row = int(np.abs(dG[k, r]).argmax()) // batch.P.shape[1]
         what = f"bound {_DG_BOUND:g} passed by a {peak[k]:.3g}" if np.isfinite(peak[k]) else "non-finite"
-        raise NumericError(f"{what} logit-gradient derivative in {names[k]} under {hyper} "
-                           f"at train row {row} (ce={float(batch.ce[row])!r})")
-    g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
-    tangent = model.jvp(params, cache, g_meta).ravel()
-    return -alpha * losses.reparam_scale(hyper.variant, theta) * (dG @ tangent) / len(values)
+        raise _RunError(r, f"{what} logit-gradient derivative in {names[k]} under {hypers[r]} "
+                           f"at train row {row} (ce={float(batch.ce[r * n + row])!r})")
+    g_meta = meta_ce_grad(_sgd_step(params, grads, alpha), Xm, ym)
+    tangent = model.jvp(params, cache, g_meta).reshape(len(hypers), -1)
+    hg = [-alpha * losses.reparam_scale(h.variant, th) * (dG[:, r] @ tangent[r]) / n
+          for r, (h, th) in enumerate(zip(hypers, thetas))]
+    return np.array(hg) if stacked else hg[0]
 
 
 def meta_update(theta, hypergrad, beta):
     """Plain SGD on the unconstrained coordinates."""
     hypergrad = np.asarray(hypergrad, dtype=float)
-    if not np.all(np.isfinite(hypergrad)):
+    if not np.isfinite(hypergrad).all():
         raise NumericError("non-finite hypergradient")
     return np.asarray(theta, dtype=float) - beta * hypergrad
 
@@ -188,21 +226,8 @@ def _metrics_row(t, params, hyper, train_set, meta_set, test_set):
         P = losses.normalize(h, model.forward_logits(params, dataset.X), dataset.y).P
         return float(losses.loss_values(h, P, dataset.y).mean())
 
-    train_loss = mean_loss(hyper, train_set)
-    meta_loss = float("nan") if meta_set is None else mean_loss(_CE, meta_set)
-    acc = model.accuracy(params, test_set.X, test_set.y)
-    return MetricsRow(t, train_loss, meta_loss, acc, tuple(hyper.learnable_values()))
-
-
-def _check_sizes(train_set, meta_set, test_set, config):
-    """Non-empty datasets (a None meta or test set goes unchecked), and batches within their sets."""
-    n_train = len(train_set)
-    if n_train == 0 or any(s is not None and len(s) == 0 for s in (meta_set, test_set)):
-        raise ConfigError("datasets must be non-empty")
-    if config.batch_n > n_train:
-        raise ConfigError(f"batch_n={config.batch_n} exceeds training set size {n_train}")
-    if meta_set is not None and config.batch_m > len(meta_set):
-        raise ConfigError(f"batch_m={config.batch_m} exceeds meta set size {len(meta_set)}")
+    return MetricsRow(t, mean_loss(hyper, train_set), mean_loss(_CE, meta_set),
+                      model.accuracy(params, test_set.X, test_set.y), tuple(hyper.learnable_values()))
 
 
 def _init_params(dataset, config):
@@ -211,177 +236,155 @@ def _init_params(dataset, config):
     return model.init_mlp([dataset.X.shape[1], *config.hidden, dataset.c], config.activation, model_seed)
 
 
-def adaptive_run(dataset, meta_set, config):
-    """Adaptive robust-loss training: alternating theta and w updates.
+Run = namedtuple("Run", "dataset meta_set config params start", defaults=(None, 0))
+Run.__doc__ = "A run of ``train_runs``: its sets, config, start network (None: the config's) and iteration."
 
-    ``dataset`` carries (possibly noisy) training labels and ``meta_set``
-    is clean.  The run starts from the config's network and trains
-    ``config.max_iters`` iterations.  Returns the final state and the
-    ``(t, params, hyper)`` snapshots at the start, every
-    ``config.metrics_every`` iterations and at the end, each holding the
-    step's own read-only vector; none of them is evaluated.
-    """
-    if meta_set is None:
+
+def _check_run(run, config, adaptive):
+    """A run's config against the call's ``config``, and its batches within its sets."""
+    for name in (f.name for f in fields(TrainConfig) if f.name not in ("seed", "model_seed", "init_hyper")):
+        if getattr(run.config, name) != getattr(config, name):
+            raise ConfigError(f"lockstep runs need one {name}, got {getattr(config, name)!r} "
+                              f"and {getattr(run.config, name)!r}")
+    if adaptive and run.meta_set is None:
         raise ConfigError("adaptive training needs a clean meta set")
-    _check_sizes(dataset, meta_set, None, config)
-    hyper = config.resolve_hyper(dataset.c)
-    params = _init_params(dataset, config)
-    n_train = len(dataset)
+    for name, dataset, what in (("batch_n", run.dataset, "training"), ("batch_m", run.meta_set, "meta")):
+        if dataset is not None and getattr(config, name) > len(dataset):  # an empty set too: batches are >= 1
+            raise ConfigError(f"{name}={getattr(config, name)} exceeds {what} set size {len(dataset)}")
 
-    # separate streams so meta-batch draws never perturb train batching;
-    # a run that skips meta updates is then bitwise identical to plain SGD
-    rng_train = np.random.default_rng([config.seed, 17, 0])
-    rng_meta = np.random.default_rng([config.seed, 23, 0])
 
-    theta = losses.to_unconstrained(hyper) if hyper.learnable_names else np.zeros(0)
-    velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
-    snapshots = [(0, params, hyper)]
+class _Batches:
+    """Seeded batches of lockstep runs, each from its run's stream over its run's set.
 
-    for t in range(1, config.max_iters + 1):
-        idx_n = rng_train.choice(n_train, size=config.batch_n, replace=False)
-        Xn, yn = dataset.X[idx_n], dataset.y[idx_n]
+    The distinct sets are one array, which a step gathers from with one
+    fancy index; runs with one seed, start and set size share one stream.
+    """
 
-        scale = _step_scale(t, config.decay_steps, config.decay_factor)
-        alpha_t = config.alpha * scale
-        beta_t = config.beta * scale
-        try:
-            cache = model._forward_cached(params, Xn)
-            batch = losses.normalize(hyper, cache[0][-1], yn)
-            # the decay scale never grows, so drawing the meta batch only
-            # for a meta step leaves every draw that is used where it was
-            if theta.size and beta_t > 0.0:
-                idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
-                hg = hypergradient(
-                    params, hyper, theta, cache, batch,
-                    meta_set.X[idx_m], meta_set.y[idx_m], alpha_t,
-                )
-                theta = meta_update(theta, hg, beta_t)
-                hyper = losses.from_unconstrained(theta, hyper)
-                if hyper.variant == "bi_tempered":  # its normalization moved with t2
-                    batch = losses.normalize(hyper, cache[0][-1], yn)
+    def __init__(self, runs, sets, salt, size):
+        distinct = list({id(s): s for s in sets}.values())
+        at = dict(zip(map(id, distinct), itertools.accumulate([len(s) for s in distinct[:-1]], initial=0)))
+        self.X, self.y = (np.concatenate([getattr(s, name) for s in distinct]) for name in "Xy")
+        self.offsets = np.array([[at[id(s)]] for s in sets])
+        members = {}  # stream -> its runs' rows (a slice if contiguous), in order of first use
+        for r, (run, s) in enumerate(zip(runs, sets)):
+            members.setdefault((run.config.seed, run.start, len(s)), []).append(r)
+        self.streams = [(np.random.default_rng([seed, salt, start]), count, rows[0],
+                         slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows)
+                        for (seed, start, count), rows in members.items()]
+        self.idx, self.size = np.empty((len(runs), size), dtype=np.intp), size
 
-            grads = train_grad(params, hyper, cache, batch)
+    def take(self, k):
+        """The next (k, size, .) batches of the first k runs; a lone run's unstacked."""
+        for rng, count, first, rows in self.streams:
+            if first >= k:  # the streams of the first k runs come first
+                break
+            self.idx[rows] = draw = rng.choice(count, size=self.size, replace=False)
+        idx = self.idx[:k] + self.offsets[:k] if len(self.idx) > 1 else draw
+        return self.X[idx], self.y[idx]
+
+
+def _normalize(fields, hypers, Z, y):
+    """``losses.normalize`` of the runs' stacked rows; a failure names the first run that fails alone."""
+    try:
+        return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1))
+    except (NumericError, DomainError) as exc:
+        runs = zip(hypers, Z.reshape(len(hypers), -1, Z.shape[-1]), y.reshape(len(hypers), -1))
+        for r, (hyper, Zr, yr) in enumerate(runs):
+            try:
+                losses.normalize(hyper, Zr, yr)
+            except (NumericError, DomainError) as own:
+                raise _RunError(r, str(own)) from exc
+        raise AssertionError("a stacked normalization failed where no run fails alone") from exc
+
+
+def train_runs(runs):
+    """Train ``Run`` records of one variant and network shape in lockstep.
+
+    The runs' configs may differ only in ``seed``, ``model_seed`` and
+    ``init_hyper``.  A call takes meta steps when ``beta > 0`` and the
+    variant has learnable fields, for all of its runs alike.  A run joins
+    at its start and ends at ``max_iters``, with train and meta batches
+    from ``default_rng([seed, 17, start])`` and ``[seed, 23, start]``.
+    The started runs are one (R, P) stack, a lone run its own vector: a
+    step is one forward, one loss call, one backward and one SGD step, and
+    a meta step adds one stacked ``hypergradient``.  A run gets the bits
+    it gets alone (bi_tempered at ``batch_n`` 1 excepted: see
+    ``losses._RowFields``); a failure names it.  Returns per run its
+    ``TrainState`` and its read-only ``(t, params, hyper)`` snapshots at
+    its start, every ``metrics_every`` iterations and at the end.
+    """
+    if not runs:
+        return []
+    order = sorted(range(len(runs)), key=lambda i: runs[i].start)
+    runs = [runs[i] for i in order]
+    config, stacked = runs[0].config, len(runs) > 1  # a lone run trains on arrays of its own shapes
+    adaptive = config.beta > 0 and bool(losses.LEARNABLE[config.variant])
+    for run in runs:
+        _check_run(run, config, adaptive)
+    inits = [_init_params(run.dataset, run.config) if run.params is None else run.params for run in runs]
+    sizes, activation, P = inits[0].sizes, inits[0].activation, inits[0].vec.size
+    if len({(p.sizes, p.activation) for p in inits}) > 1:
+        raise ConfigError(f"lockstep runs need one network shape, got {[list(p.sizes) for p in inits]}")
+    hypers = [run.config.resolve_hyper(run.dataset.c) for run in runs]
+    thetas = [losses.to_unconstrained(h) for h in hypers] if adaptive else None
+    starts, n = [run.start for run in runs], config.batch_n
+    trains = _Batches(runs, [run.dataset for run in runs], 17, n)
+    metas = _Batches(runs, [run.meta_set for run in runs], 23, config.batch_m) if adaptive else None
+
+    stack = model.MlpParams(np.empty((0, P)), sizes, activation)
+    velocity = np.zeros((0, P)) if config.momentum > 0 else None
+    snapshots = [[(start, p, h)] for start, p, h in zip(starts, inits, hypers)]
+    k = 0  # runs started so far: the first k in start order
+    for t in range(starts[0] + 1, config.max_iters + 1):
+        joined, k = k, bisect.bisect_left(starts, t)  # the runs with start < t have started
+        if k > joined:
+            shape, own = ((k, P), slice(k)) if stacked else ((P,), 0)  # own: the started runs' entries
+            vecs = np.concatenate([stack.vec.reshape(-1, P), [p.vec for p in inits[joined:k]]])
+            stack = model.MlpParams(vecs.reshape(shape), sizes, activation)
+            fields = losses._RowFields(hypers[:k], n) if stacked else hypers[0]
             if velocity is not None:
-                velocity = grads + config.momentum * velocity
-                params = model.sgd_step(params, velocity, alpha_t)
-            else:
-                params = model.sgd_step(params, grads, alpha_t)
-        except (NumericError, DomainError) as exc:
-            # a meta step can carry theta so far that a hyperparameter
-            # rounds onto its domain boundary (d = 1 + softplus -> 1.0)
-            raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
-
+                velocity = np.concatenate([velocity.reshape(-1, P), np.zeros((k - joined, P))]).reshape(shape)
+        Xn, yn = trains.take(k)
+        scale = _step_scale(t, config.decay_steps, config.decay_factor)
+        alpha_t, beta_t = config.alpha * scale, config.beta * scale
+        try:
+            cache = model._forward_cached(stack, Xn)
+            batch = _normalize(fields, hypers[:k], cache[0][-1], yn)
+            if adaptive and beta_t > 0.0:  # a meta batch is drawn for a meta step only
+                hg = hypergradient(stack, hypers[own], thetas[own], cache, batch, *metas.take(k), alpha_t)
+                for r, hg_r in enumerate(hg.reshape(k, -1)):
+                    try:  # a meta step can round a field onto its domain boundary (d = 1 + softplus -> 1.0)
+                        thetas[r] = meta_update(thetas[r], hg_r, beta_t)
+                        hypers[r] = losses.from_unconstrained(thetas[r], hypers[r])
+                    except (NumericError, DomainError) as exc:
+                        raise _RunError(r, str(exc)) from exc
+                fields = losses._RowFields(hypers[:k], n) if stacked else hypers[0]
+                if config.variant == "bi_tempered":  # its normalization moved with t2
+                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn)
+            step = _backward_mean(stack, hypers[:k], *losses.batch_loss(fields, batch), cache)
+            if velocity is not None:
+                velocity = step = step + config.momentum * velocity
+            stack = _sgd_step(stack, step, alpha_t)
+        except _RunError as exc:
+            r = exc.run
+            theta = f"theta={thetas[r].tolist()}, " if adaptive else ""
+            raise NumericError(f"diverged at iteration {t} ({theta}run from {starts[r]}, runs[{order[r]}], "
+                               f"seed {runs[r].config.seed}, {hypers[r]}): {exc}") from exc
         if t % config.metrics_every == 0 or t == config.max_iters:
-            snapshots.append((t, params, hyper))
+            for r in range(k):
+                params = model.MlpParams(stack.vec[r], sizes, activation) if stacked else stack
+                snapshots[r].append((t, params, hypers[r]))
 
-    return TrainState(params, hyper), snapshots
+    # back in the callers' order; a run's last snapshot is its end
+    return [(TrainState(*snapshots[i][-1][1:]), snapshots[i]) for i in np.argsort(order, kind="stable")]
 
 
 def arl_train(dataset, meta_set, test_set, config):
-    """``adaptive_run``'s final state and a metrics row per snapshot after the start."""
-    _check_sizes(dataset, meta_set, test_set, config)
-    state, snapshots = adaptive_run(dataset, meta_set, config)
+    """One run of ``train_runs``: its final state and a metrics row per snapshot after the start."""
+    if meta_set is None or len(test_set) == 0:
+        raise ConfigError("arl_train needs a clean meta set and a non-empty test set")
+    [(state, snapshots)] = train_runs([Run(dataset, meta_set, config)])
     return state, [_metrics_row(t, p, h, dataset, meta_set, test_set) for t, p, h in snapshots[1:]]
-
-
-def conventional_runs(train_set, config, runs):
-    """R fixed-hyperparameter runs of conventional SGD in lockstep.
-
-    ``runs`` holds ``(hyper, init_params, start_iter)`` triples; a run
-    with ``init_params`` None starts from the config's initial network.
-    Every run ends at ``config.max_iters``, and a run joins the loop at
-    its own start.  The runs share one loss variant.  The started runs'
-    parameters are one (R, P) stack and their fields one per-row record,
-    rebuilt when runs join, so a step is one stacked forward, one loss call
-    over all the stacked rows, one stacked backward and one SGD step.  Runs
-    with one start share one train-batch stream, ``default_rng([seed, 17,
-    start])``, drawn once per step.  Each run gives the bits of plain SGD
-    on its own: a run from 0 those of ``adaptive_run`` at ``beta`` 0, a
-    continuation those of a serial loop over its stream (bi_tempered at
-    ``batch_n`` 1 excepted: see ``losses._RowFields``).  Returns one
-    ``(params, snapshots)`` per run, in order, with ``snapshots`` the
-    ``(t, params)`` pairs at the config's metrics cadence and at the last
-    iteration, each a row view of that step's read-only stack.  Nothing is
-    evaluated.
-    """
-    _check_sizes(train_set, None, None, config)
-    if not runs:
-        return []
-    order = sorted(range(len(runs)), key=lambda r: runs[r][2])
-    hypers = [runs[r][0] for r in order]
-    starts = [runs[r][2] for r in order]
-    first = _init_params(train_set, config)
-    inits = [first if runs[r][1] is None else runs[r][1] for r in order]
-    sizes, activation = first.sizes, first.activation
-    for p in inits:
-        if (p.sizes, p.activation) != (sizes, activation):
-            raise ConfigError(f"lockstep runs need one network shape, got {list(p.sizes)} {p.activation}")
-    if len({h.variant for h in hypers}) > 1:
-        raise ConfigError(f"lockstep runs need one loss variant, got {sorted({h.variant for h in hypers})}")
-
-    def diverged(r, what):
-        return NumericError(f"diverged at iteration {t} (run from {starts[r]}, {hypers[r]}): {what}")
-
-    n = config.batch_n
-    streams = {s: np.random.default_rng([config.seed, 17, s]) for s in starts}
-    stack = model.MlpParams(np.empty((0, first.vec.size)), sizes, activation)
-    velocity = np.zeros_like(stack.vec) if config.momentum > 0 else None
-    snapshots = [[] for _ in order]
-    k = 0  # runs started so far: the first k in start order
-    for t in range(starts[0] + 1, config.max_iters + 1):
-        joined = k
-        while k < len(order) and starts[k] < t:
-            k += 1
-        if k > joined:
-            stack = model.MlpParams(
-                np.concatenate([stack.vec, [p.vec for p in inits[joined:k]]]), sizes, activation)
-            fields = losses._RowFields(hypers[:k], n)
-            if velocity is not None:
-                velocity = np.concatenate([velocity, np.zeros((k - joined, stack.vec.shape[1]))])
-        draws = {s: streams[s].choice(len(train_set), size=n, replace=False)
-                 for s in dict.fromkeys(starts[:k])}
-        idx = np.stack([draws[s] for s in starts[:k]])
-
-        alpha_t = config.alpha * _step_scale(t, config.decay_steps, config.decay_factor)
-        cache = model._forward_cached(stack, train_set.X[idx])
-        Z, y = cache[0][-1], train_set.y[idx]
-        try:
-            values, G = losses.batch_loss(fields, losses.normalize(fields, Z.reshape(k * n, -1), y.ravel()))
-        except (NumericError, DomainError) as exc:
-            raise diverged(_run_at_fault(hypers[:k], Z, y), exc) from exc
-        finite = np.isfinite(values).reshape(k, n).all(axis=1)
-        if not finite.all():
-            raise diverged(int(finite.argmin()), "non-finite training loss")
-        step = model.backward(stack, cache, G.reshape(Z.shape) / n)
-        if velocity is not None:
-            velocity = step = step + config.momentum * velocity
-        try:
-            stack = model.sgd_step(stack, step, alpha_t)
-        except NumericError as exc:
-            raise diverged(int(np.isfinite(step).all(axis=1).argmin()), exc) from exc
-
-        if t % config.metrics_every == 0 or t == config.max_iters:
-            for r in range(k):
-                snapshots[r].append((t, model.MlpParams(stack.vec[r], sizes, activation)))
-
-    results = [None] * len(runs)
-    for pos, r in enumerate(order):  # a run that trained has its end as its last snapshot
-        results[r] = (snapshots[pos][-1][1] if snapshots[pos] else inits[pos], snapshots[pos])
-    return results
-
-
-def _run_at_fault(hypers, Z, y):
-    """The first run whose own loss call fails, as the stacked call failed.
-
-    Each row is normalized and checked on its own, so a failure of the
-    stacked call is a failure of one of its runs.
-    """
-    for r, hyper in enumerate(hypers):
-        try:
-            losses.batch_loss(hyper, losses.normalize(hyper, Z[r], y[r]))
-        except (NumericError, DomainError):
-            return r
-    raise AssertionError("a stacked loss call failed where no run fails alone")
 
 
 def compute_sample_weights(params, hyper, dataset):

@@ -7,8 +7,8 @@ is an ``MlpParams``: one read-only float64 vector laid out layer by layer
 per-layer views.  A gradient or a direction is a plain vector in the same
 layout.  R networks of one shape can train as one stack: an (R, P)
 ``MlpParams`` holds one such vector per row, and the forward pass, the
-backward pass and the SGD step take (R, n, .) batches and (R, P)
-gradients, each run's slice computed as its own unstacked pass would.
+backward pass, the JVP and the SGD step take (R, n, .) batches and
+(R, P) vectors, each run's slice computed as its own unstacked pass would.
 All math is in float64 and every operation is a pure function of its
 inputs.
 """
@@ -156,12 +156,12 @@ def jvp(params, cache, direction):
     R-operator).  Because ``backward`` is linear in its logit gradient,
     sum_i <G_i, jvp_i> == direction . backward(params, cache, G).
     """
-    layers, total = _layout(params.activation, *params.sizes)
-    if np.shape(direction) != (total,):
-        raise ShapeError(f"direction of shape {np.shape(direction)} != ({total},) parameters")
+    layers, _ = _layout(params.activation, *params.sizes)
+    if np.shape(direction) != params.vec.shape:
+        raise ShapeError(f"direction of shape {np.shape(direction)} != {params.vec.shape} parameters")
     pres, posts = cache
-    dw = [direction[w].reshape(shape) for w, shape, _ in layers]
-    db = [direction[b] for _, _, b in layers]
+    dw = [direction[..., w].reshape(params.vec.shape[:-1] + shape) for w, shape, _ in layers]
+    db = [direction[:, None, b] if params.vec.ndim == 2 else direction[b] for _, _, b in layers]
     tangent = posts[0] @ dw[0] + db[0]  # of pres[0]; the features are fixed
     for l in range(1, len(params.weights)):
         d_post = tangent * _act_grad(pres[l - 1], posts[l], params.activation)

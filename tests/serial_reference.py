@@ -1,8 +1,11 @@
-"""Serial reference for the lockstep runs of ``meta.conventional_runs``.
+"""Serial references for the lockstep runs of ``meta.train_runs``.
 
-A run from iteration 0 is the adaptive loop at ``beta`` 0, which never
-moves its hyperparameters.  A continuation from a snapshot is plain SGD,
-written out here, over the train-batch stream of its seed and start.
+``adaptive_run`` is the bilevel loop for one run on its own: the meta step
+on the run's meta-batch stream, then the actual SGD step, one iteration
+at a time.  At ``beta`` 0 it never moves its hyperparameters, so a
+conventional run from iteration 0 is the adaptive loop at ``beta`` 0.  A
+conventional continuation from a snapshot is plain SGD, written out in
+``conventional_run``, over the train-batch stream of its seed and start.
 """
 
 from dataclasses import replace
@@ -10,6 +13,49 @@ from dataclasses import replace
 import numpy as np
 
 from arl import losses, meta, model
+from arl.errors import DomainError, NumericError
+
+
+def adaptive_run(dataset, meta_set, config):
+    """One bilevel run: its final ``TrainState`` and ``(t, params, hyper)`` snapshots.
+
+    The run starts from the config's network at iteration 0 and trains
+    ``config.max_iters`` iterations; it snapshots at the start, every
+    ``config.metrics_every`` iterations and at the end.
+    """
+    hyper = config.resolve_hyper(dataset.c)
+    params = meta._init_params(dataset, config)
+    rng_train = np.random.default_rng([config.seed, 17, 0])
+    rng_meta = np.random.default_rng([config.seed, 23, 0])
+    theta = losses.to_unconstrained(hyper) if hyper.learnable_names and config.beta > 0 else np.zeros(0)
+    velocity = np.zeros_like(params.vec) if config.momentum > 0 else None
+    snapshots = [(0, params, hyper)]
+
+    for t in range(1, config.max_iters + 1):
+        idx_n = rng_train.choice(len(dataset), size=config.batch_n, replace=False)
+        Xn, yn = dataset.X[idx_n], dataset.y[idx_n]
+        scale = meta._step_scale(t, config.decay_steps, config.decay_factor)
+        alpha_t, beta_t = config.alpha * scale, config.beta * scale
+        try:
+            cache = model._forward_cached(params, Xn)
+            batch = losses.normalize(hyper, cache[0][-1], yn)
+            if theta.size and beta_t > 0.0:
+                idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
+                hg = meta.hypergradient(params, hyper, theta, cache, batch,
+                                        meta_set.X[idx_m], meta_set.y[idx_m], alpha_t)
+                theta = meta.meta_update(theta, hg, beta_t)
+                hyper = losses.from_unconstrained(theta, hyper)
+                if hyper.variant == "bi_tempered":  # its normalization moved with t2
+                    batch = losses.normalize(hyper, cache[0][-1], yn)
+            grads = meta.train_grad(params, hyper, cache, batch)
+            if velocity is not None:
+                velocity = grads = grads + config.momentum * velocity
+            params = model.sgd_step(params, grads, alpha_t)
+        except (NumericError, DomainError) as exc:
+            raise NumericError(f"diverged at iteration {t} (theta={theta.tolist()}, {hyper}): {exc}") from exc
+        if t % config.metrics_every == 0 or t == config.max_iters:
+            snapshots.append((t, params, hyper))
+    return meta.TrainState(params, hyper), snapshots
 
 
 def conventional_run(train, meta_set, config, hyper, init_params=None, start=0):
@@ -21,7 +67,7 @@ def conventional_run(train, meta_set, config, hyper, init_params=None, start=0):
     """
     if init_params is None:
         assert start == 0, "a run from the config's network starts at 0"
-        state, snapshots = meta.adaptive_run(train, meta_set, replace(config, beta=0.0, init_hyper=hyper))
+        state, snapshots = adaptive_run(train, meta_set, replace(config, beta=0.0, init_hyper=hyper))
         return state.params, [(t, p) for t, p, _ in snapshots[1:]]
 
     rng = np.random.default_rng([config.seed, 17, start])

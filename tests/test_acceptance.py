@@ -67,21 +67,18 @@ POLY_INIT = losses.HyperParams("polysoft", lam=3.0 * LN3, d=3.0)
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Shared desk-scale runs at eta = 0.4 for criteria 5 and 7."""
+    """Shared desk-scale runs at eta = 0.4 for criteria 5 and 7: one lockstep call per variant."""
+    splits = [desk_split(seed, 0.4) for seed in SEEDS]
     runs = {}
     for variant, init, beta in (
         ("ce", None, 0.0),
         ("gce", None, None),
         ("polysoft", POLY_INIT, None),
     ):
-        rows = []
-        for seed in SEEDS:
-            train, meta_set, test = desk_split(seed, 0.4)
-            state, metrics = meta.arl_train(
-                train, meta_set, test, desk_config(variant, seed, init, beta)
-            )
-            rows.append((metrics[-1].test_acc, state, train))
-        runs[variant] = rows
+        trained = meta.train_runs([meta.Run(train, meta_set, desk_config(variant, seed, init, beta))
+                                   for seed, (train, meta_set, _) in zip(SEEDS, splits)])
+        runs[variant] = [(model.accuracy(state.params, test.X, test.y), state, train)
+                         for (state, _), (train, _, test) in zip(trained, splits)]
     return runs
 
 
@@ -271,21 +268,18 @@ class TestAcceptance:
     def test_6_flattening_monotone_in_noise(self):
         t0 = time.time()
         grid = np.linspace(0.0, 6.0 * LN3, 600)
-        means = []
+        runs = []
         for eta in (0.2, 0.4, 0.6):
-            points = []
             for seed in SEEDS:
                 # same blobs per seed across noise rates; only the label
                 # corruption draw changes with eta
                 clean = data.gen_blobs(4030, 3, spread=DESK["spread"], seed=100 + seed)
                 split = data.split_meta(clean, 30, 1000, seed=200 + seed)
                 train = data.inject_symmetric(split.train, eta, seed=seed + int(1000 * eta))
-                state, _ = meta.arl_train(
-                    train, split.meta, split.test, desk_config("polysoft", seed, POLY_INIT)
-                )
-                vals = losses.polysoft_of_ce(grid, state.hyper.lam, state.hyper.d)[0]
-                points.append(meta.flattening_point(grid, vals))
-            means.append(float(np.mean(points)))
+                runs.append(meta.Run(train, split.meta, desk_config("polysoft", seed, POLY_INIT)))
+        points = [meta.flattening_point(grid, losses.polysoft_of_ce(grid, state.hyper.lam, state.hyper.d)[0])
+                  for state, _ in meta.train_runs(runs)]  # all 15 runs in one lockstep call
+        means = [float(np.mean(points[i:i + len(SEEDS)])) for i in range(0, len(points), len(SEEDS))]
         assert means[0] >= means[1] >= means[2], means
         elapsed = time.time() - t0
         assert elapsed < 600.0

@@ -322,10 +322,13 @@ class TestAblationOracle:
                              ids=["all", "opt2", "fixed", "adaptive"])
     def test_matches_serial(self, tmp_path, monkeypatch, expected, modes):
         curves, summary = expected
-        lockstep, calls = meta.conventional_runs, []
-        monkeypatch.setattr(meta, "conventional_runs", lambda *a: calls.append(a) or lockstep(*a))
+        lockstep, calls = meta.train_runs, []
+        monkeypatch.setattr(meta, "train_runs", lambda runs: calls.append(runs) or lockstep(runs))
         payload = cli.run_ablation(config_mod.parse_config(self.DOC), modes, tmp_path)
-        assert len(calls) == (modes != ["adaptive"])
+        # the adaptive run, if a mode needs it, then every conventional run in one call
+        adaptive = bool({"adaptive", "opt1", "opt2"} & set(modes))
+        conventional = 3 * ("fixed" in modes) + ("opt1" in modes) + len(curves["opt2"]) * ("opt2" in modes)
+        assert [len(runs) for runs in calls] == [1] * adaptive + [conventional]
 
         lookup = {m: dict(curves[m]) for m in modes}
         lines = [",".join(["iter", *modes])]
@@ -338,7 +341,7 @@ class TestAblationOracle:
 
     def test_evaluates_only_what_it_writes(self, tmp_path, monkeypatch, expected):
         curves, _ = expected
-        counts = {"conventional_runs": 0, "_metrics_row": 0, "accuracy": 0}
+        counts = {"train_runs": 0, "_metrics_row": 0, "accuracy": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -348,13 +351,13 @@ class TestAblationOracle:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(meta, "conventional_runs")
+        counted(meta, "train_runs")
         counted(meta, "_metrics_row")
         counted(model, "accuracy")
         cli.run_ablation(config_mod.parse_config(self.DOC), self.MODES, tmp_path)
         grid = len(cli._fixed_grid_hypers(config_mod.parse_config(self.DOC), 3))
         points = sum(len(curves[m]) for m in ("adaptive", "fixed", "opt1"))
-        assert counts == {"conventional_runs": 1, "_metrics_row": 0,
+        assert counts == {"train_runs": 2, "_metrics_row": 0,
                           "accuracy": points + len(curves["opt2"]) + grid}
 
 
@@ -381,8 +384,7 @@ class TestChecksBeforeTraining:
     ], ids=["grid-key", "grid-domain", "grid-scalar", "grid-empty", "ce-fixed",
             "theory-key", "theory-not-learned", "ablation-modes"])
     def test_ablate_exits_2_untrained(self, tmp_path, capsys, monkeypatch, patch, modes, key):
-        monkeypatch.setattr(meta, "adaptive_run", _never_train)
-        monkeypatch.setattr(meta, "conventional_runs", _never_train)
+        monkeypatch.setattr(meta, "train_runs", _never_train)
         cfg = write_config(tmp_path, dict(self.SL_RUN, **patch))
         assert cli.main(["ablate", "--config", str(cfg), "--modes", modes,
                          "--out", str(tmp_path / "a")]) == 2
@@ -395,7 +397,7 @@ class TestChecksBeforeTraining:
         ("theory", "classes", 3.0),
     ])
     def test_mistyped_value_exits_2(self, tmp_path, capsys, monkeypatch, section, key, value):
-        monkeypatch.setattr(meta, "adaptive_run", _never_train)
+        monkeypatch.setattr(meta, "train_runs", _never_train)
         doc = dict(SMALL_RUN, **{section: dict(SMALL_RUN.get(section, {}), **{key: value})})
         cfg = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2

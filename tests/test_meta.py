@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from serial_reference import conventional_run
+from serial_reference import adaptive_run, conventional_run
 
 from arl import cli, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
@@ -264,6 +264,11 @@ class TestMetaUpdate:
             meta.meta_update(np.zeros(2), np.array([np.nan, 0.0]), 0.1)
 
 
+def conventional(train, config, specs):
+    """``train_runs`` records of fixed-hyperparameter runs, one per ``(hyper, init_params, start)``."""
+    return [meta.Run(train, None, replace(config, beta=0.0, init_hyper=h), p, s) for h, p, s in specs]
+
+
 def small_problem(seed=0, eta=0.3, n=240):
     clean = data.gen_blobs(n + 130, 3, spread=0.4, seed=seed)
     split = data.split_meta(clean, 30, 100, seed=seed + 1)
@@ -278,7 +283,7 @@ class TestArlTrain:
                                   batch_m=10, max_iters=1, seed=3)
         state, rows = meta.arl_train(train, meta_set, test, config)
         hyper = config.resolve_hyper(3)
-        [(params, [(t, snap)])] = meta.conventional_runs(train, config, [(hyper, None, 0)])
+        params, [(t, snap)] = conventional_run(train, meta_set, config, hyper)
         np.testing.assert_array_equal(state.params.vec, params.vec)
         assert rows == [meta._metrics_row(t, snap, hyper, train, meta_set, test)]
 
@@ -288,7 +293,7 @@ class TestArlTrain:
                                   batch_m=10, max_iters=60, seed=5)
         state, rows = meta.arl_train(train, meta_set, test, config)
         ce = losses.HyperParams("ce")
-        [(params, snapshots)] = meta.conventional_runs(train, config, [(ce, None, 0)])
+        params, snapshots = conventional_run(train, meta_set, config, ce)
         np.testing.assert_array_equal(state.params.vec, params.vec)
         assert rows == [meta._metrics_row(t, p, ce, train, meta_set, test) for t, p in snapshots]
 
@@ -326,12 +331,12 @@ class TestArlTrain:
     def test_fixed_run_at_boundary_never_reparameterizes(self):
         # q = 1.0 is a valid gce value but the boundary of its logit coordinate
         train, meta_set, test = small_problem(seed=34)
-        config = meta.TrainConfig("gce", alpha=0.2, batch_n=32, batch_m=10, max_iters=5, seed=35)
+        config = meta.TrainConfig("gce", alpha=0.2, beta=0.0, batch_n=32, batch_m=10, max_iters=5, seed=35,
+                                  init_hyper=losses.HyperParams("gce", q=1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(params, snapshots)] = meta.conventional_runs(
-                train, config, [(losses.HyperParams("gce", q=1.0), None, 0)])
-        assert [t for t, _ in snapshots] == [5] and np.isfinite(params.vec).all()
+            [(state, snapshots)] = meta.train_runs([meta.Run(train, None, config)])
+        assert [t for t, _, _ in snapshots] == [0, 5] and np.isfinite(state.params.vec).all()
 
     def test_empty_meta_rejected(self):
         train, meta_set, test = small_problem(seed=12)
@@ -349,18 +354,18 @@ class TestArlTrain:
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=100, seed=15, metrics_every=50)
-        _, snapshots = meta.adaptive_run(train, meta_set, config)
+        [(_, snapshots)] = meta.train_runs([meta.Run(train, meta_set, config)])
         assert [t for t, _, _ in snapshots] == [0, 50, 100]
 
     def test_rows_are_metrics_of_snapshots(self, monkeypatch):
-        # arl_train is adaptive_run plus one metrics row per snapshot after the start
+        # arl_train is one run of train_runs plus one metrics row per snapshot after the start
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("sl", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=23, seed=15, metrics_every=5)
-        state, snapshots = meta.adaptive_run(train, meta_set, config)
+        [(state, snapshots)] = meta.train_runs([meta.Run(train, meta_set, config)])
         rows = [meta._metrics_row(t, p, h, train, meta_set, test) for t, p, h in snapshots[1:]]
         calls = []
-        monkeypatch.setattr(meta, "adaptive_run", lambda *a: calls.append(a) or (state, snapshots))
+        monkeypatch.setattr(meta, "train_runs", lambda *a: calls.append(a) or [(state, snapshots)])
         assert meta.arl_train(train, meta_set, test, config) == (state, rows)
         assert len(calls) == 1
         assert [r.iteration for r in rows] == [5, 10, 15, 20, 23]
@@ -371,11 +376,11 @@ class TestArlTrain:
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=100, seed=15, metrics_every=50)
-        state, snapshots = meta.adaptive_run(train, meta_set, config)
+        [(state, snapshots)] = meta.train_runs([meta.Run(train, meta_set, config)])
         assert snapshots[-1][1] is state.params
         at_return = [p.vec.copy() for _, p, _ in snapshots]
         t, p, h = snapshots[1]
-        meta.conventional_runs(train, replace(config, max_iters=t + 20), [(h, p, t)])
+        meta.train_runs([meta.Run(train, None, replace(config, beta=0.0, max_iters=t + 20, init_hyper=h), p, t)])
         for (_, p, _), vec in zip(snapshots, at_return):
             np.testing.assert_array_equal(p.vec, vec)
             with pytest.raises(ValueError):
@@ -422,7 +427,7 @@ class TestForwardCount:
         config = meta.TrainConfig("sl", alpha=0.2, beta=0.5, batch_n=32,
                                   batch_m=10, max_iters=12, seed=29, metrics_every=5)
         runs = [(losses.HyperParams("sl", gamma1=g1, gamma2=1.0), None, 0) for g1 in (0.5, 1.0, 2.0)]
-        meta.conventional_runs(train, config, runs)
+        meta.train_runs(conventional(train, config, runs))
         assert counts == {"steps": 12, "metrics": 0}
 
 
@@ -525,7 +530,7 @@ class TestOptionalKnobs:
                                   batch_m=10, max_iters=60, seed=23,
                                   decay_steps=(30,), decay_factor=0.1,
                                   metrics_every=10)
-        _, snapshots = meta.adaptive_run(train, meta_set, config)
+        [(_, snapshots)] = meta.train_runs([meta.Run(train, meta_set, config)])
         moved = [(t, np.linalg.norm(p.vec - prev.vec))
                  for (_, prev, _), (t, p, _) in zip(snapshots, snapshots[1:])]
         before = np.mean([d for t, d in moved if t <= 30])
@@ -593,30 +598,30 @@ class TestConventionalRuns:
         train, meta_set, test = small_problem(seed=40)
         config = meta.TrainConfig(variant, alpha=0.5, beta=0.5, batch_n=16, batch_m=10,
                                   max_iters=30, seed=41, metrics_every=7, **knobs)
-        state, snapshots = meta.adaptive_run(train, meta_set, config)
+        [(state, snapshots)] = meta.train_runs([meta.Run(train, meta_set, config)])
         # a grid and an opt1 run from 0, and a staircase of continuations
         # with two runs at one start and one that starts at the end
-        runs = [(losses.HyperParams(variant, **fields), None, 0) for fields in self.GRIDS[variant]]
-        runs.append((state.hyper, None, 0))
-        runs += [(h, p, t) for t, p, h in snapshots] + [(snapshots[1][2], snapshots[1][1], 7)]
-        got = meta.conventional_runs(train, config, runs)
-        assert len(got) == len(runs)
-        for (hyper, init, start), (params, snaps) in zip(runs, got):
+        specs = [(losses.HyperParams(variant, **fields), None, 0) for fields in self.GRIDS[variant]]
+        specs.append((state.hyper, None, 0))
+        specs += [(h, p, t) for t, p, h in snapshots] + [(snapshots[1][2], snapshots[1][1], 7)]
+        got = meta.train_runs(conventional(train, config, specs))
+        assert len(got) == len(specs)
+        for (hyper, init, start), (end, snaps) in zip(specs, got):
             want_params, want_snaps = conventional_run(train, meta_set, config, hyper, init, start)
-            np.testing.assert_array_equal(params.vec, want_params.vec)
-            assert [(t, p.vec.tobytes()) for t, p in snaps] == [(t, p.vec.tobytes()) for t, p in want_snaps]
-            if snaps:
-                np.testing.assert_array_equal(snaps[-1][1].vec, params.vec)
+            np.testing.assert_array_equal(end.params.vec, want_params.vec)
+            assert end.hyper is hyper and snaps[0][0] == start
+            assert [(t, p.vec.tobytes()) for t, p, _ in snaps[1:]] == [(t, p.vec.tobytes()) for t, p in want_snaps]
+            assert snaps[-1][1] is end.params
 
     def test_snapshots_are_row_views_and_nothing_is_evaluated(self, monkeypatch):
         train, _, test = small_problem(seed=40)
         config = meta.TrainConfig("gce", alpha=0.5, batch_n=16, max_iters=12, seed=41, metrics_every=5)
         monkeypatch.setattr(model, "accuracy", None)  # the loop must not evaluate
-        runs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.6, 0), (0.7, 6))]
-        got = meta.conventional_runs(train, config, runs)
-        assert [[t for t, _ in snaps] for _, snaps in got] == [[5, 10, 12], [5, 10, 12], [10, 12]]
+        specs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.6, 0), (0.7, 6))]
+        got = meta.train_runs(conventional(train, config, specs))
+        assert [[t for t, _, _ in snaps] for _, snaps in got] == [[0, 5, 10, 12], [0, 5, 10, 12], [6, 10, 12]]
         for t in (10, 12):  # the rows of one step's stack share its buffer
-            rows = [p for _, snaps in got for s, p in snaps if s == t]
+            rows = [p for _, snaps in got for s, p, _ in snaps if s == t]
             stack = rows[0].vec.base
             assert stack is not None and stack.shape == (3, rows[0].vec.size)
             for r, p in enumerate(rows):
@@ -640,10 +645,10 @@ class TestConventionalRuns:
             return values, G
 
         monkeypatch.setattr(losses, "batch_loss", poisoned)
-        runs = [(losses.HyperParams("sl"), None, 0), (bad, None, 0), (losses.HyperParams("sl"), None, 2)]
+        specs = [(losses.HyperParams("sl"), None, 0), (bad, None, 0), (losses.HyperParams("sl"), None, 2)]
         with pytest.raises(NumericError, match=r"iteration 4 \(run from 0, .*gamma1=10\.0, "
                                                r"gamma2=0\.1.*\): non-finite training loss"):
-            meta.conventional_runs(train, config, runs)
+            meta.train_runs(conventional(train, config, specs))
 
     def test_one_loss_call_per_step(self, monkeypatch):
         train, _, test = small_problem(seed=47)
@@ -656,9 +661,9 @@ class TestConventionalRuns:
             return real(h, batch)
 
         monkeypatch.setattr(losses, "batch_loss", counted)
-        runs = [(losses.HyperParams("polysoft", d=d), None, start)
-                for d, start in ((2.0, 3), (3.0, 3), (1.5, 7), (2.5, 12))]
-        meta.conventional_runs(train, config, runs)
+        specs = [(losses.HyperParams("polysoft", d=d), None, start)
+                 for d, start in ((2.0, 3), (3.0, 3), (1.5, 7), (2.5, 12))]
+        meta.train_runs(conventional(train, config, specs))
         # steps 4..12, each one call over the rows of the runs started so far
         assert calls == [2 * 16] * 4 + [3 * 16] * 5
 
@@ -675,16 +680,16 @@ class TestConventionalRuns:
             return cache
 
         monkeypatch.setattr(model, "_forward_cached", poisoned)
-        runs = [(losses.HyperParams("bi_tempered", t1=t1), None, 0) for t1 in (0.2, 0.7, 0.4)]
+        specs = [(losses.HyperParams("bi_tempered", t1=t1), None, 0) for t1 in (0.2, 0.7, 0.4)]
         with pytest.raises(NumericError, match=r"iteration 3 \(run from 0, .*t1=0\.7.*\): logits must be finite"):
-            meta.conventional_runs(train, config, runs)
+            meta.train_runs(conventional(train, config, specs))
 
     def test_one_variant(self):
         train, _, test = small_problem(seed=51)
-        config = meta.TrainConfig("gce", batch_n=16, max_iters=5)
-        runs = [(losses.HyperParams("gce"), None, 0), (losses.HyperParams("sl"), None, 0)]
-        with pytest.raises(ConfigError, match="one loss variant"):
-            meta.conventional_runs(train, config, runs)
+        config = meta.TrainConfig("gce", beta=0.0, batch_n=16, max_iters=5)
+        runs = [meta.Run(train, None, config), meta.Run(train, None, replace(config, variant="sl"))]
+        with pytest.raises(ConfigError, match="one variant, got 'gce' and 'sl'"):
+            meta.train_runs(runs)
 
     def test_nonfinite_gradient_names_run(self, monkeypatch):
         train, _, test = small_problem(seed=44)
@@ -698,15 +703,59 @@ class TestConventionalRuns:
             return grads
 
         monkeypatch.setattr(model, "backward", poisoned)
-        runs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.5, 0), (0.7, 5))]
+        specs = [(losses.HyperParams("gce", q=q), None, start) for q, start in ((0.3, 0), (0.5, 0), (0.7, 5))]
         with pytest.raises(NumericError, match=r"iteration 6 \(run from 5, .*q=0\.7.*non-finite gradient"):
-            meta.conventional_runs(train, config, runs)
+            meta.train_runs(conventional(train, config, specs))
 
     def test_checks_shared_with_serial_loop(self):
         train, _, test = small_problem(seed=46)
         config = meta.TrainConfig("gce", batch_n=10_000, max_iters=5)
         with pytest.raises(ConfigError, match="batch_n=10000 exceeds"):
-            meta.conventional_runs(train, config, [(losses.HyperParams("gce"), None, 0)])
+            meta.train_runs(conventional(train, config, [(losses.HyperParams("gce"), None, 0)]))
+
+
+class TestLockstepAdaptive:
+    """A stack of adaptive runs gives each run the bits of its serial run (``serial_reference``)."""
+
+    @pytest.mark.parametrize("variant", ["ce", "gce", "sl", "polysoft", "bi_tempered"])
+    def test_matches_serial_runs(self, variant):
+        # odd batch sizes put each run's rows of the stack at an odd offset
+        config = meta.TrainConfig(variant, alpha=0.5, beta=0.5, batch_n=7, batch_m=5, max_iters=30,
+                                  metrics_every=7, momentum=0.9, decay_steps=(12,))
+        rng = np.random.default_rng(70)
+        runs = [meta.Run(*small_problem(seed=seed)[:2], replace(config, seed=seed, model_seed=model_seed,
+                                                                 init_hyper=random_hyper(rng, variant)))
+                for seed, model_seed in ((71, None), (72, 5), (73, None))]
+        for stack in (runs[:1], runs):
+            for run, (state, snapshots) in zip(stack, meta.train_runs(stack)):
+                want_state, want_snapshots = adaptive_run(*run[:3])
+                assert len(snapshots) == len(want_snapshots)
+                for (t, p, h), (want_t, want_p, want_h) in zip(snapshots, want_snapshots):
+                    assert (t, h) == (want_t, want_h)
+                    np.testing.assert_array_equal(p.vec, want_p.vec)
+                np.testing.assert_array_equal(state.params.vec, want_state.params.vec)
+                assert state.hyper == want_state.hyper
+
+    def test_one_run_past_the_bound_is_named(self):
+        # the kink test of TestPolysoftKink, on the middle run of three
+        train, meta_set, test = small_problem(seed=56)
+        config = meta.TrainConfig("polysoft", alpha=0.3, beta=0.5, batch_n=16, batch_m=10, max_iters=5)
+        first = replace(config, seed=5)
+        idx = np.random.default_rng([5, 17, 0]).choice(len(train), size=16, replace=False)
+        Z = model.forward_logits(meta._init_params(train, first), train.X[idx])
+        ce0 = float(losses.normalize(losses.HyperParams("ce"), Z, train.y[idx]).ce[0])
+        lam = float(np.nextafter(ce0, np.inf))
+        assert 0.0 < 1.0 - ce0 / lam <= 2.0 * np.finfo(float).eps
+        bad = losses.HyperParams("polysoft", lam=lam, d=3.0)
+        runs = [meta.Run(train, meta_set, replace(config, seed=3)),
+                meta.Run(train, meta_set, replace(first, init_hyper=bad)),
+                meta.Run(train, meta_set, replace(config, seed=7))]
+        theta = losses.to_unconstrained(bad).tolist()
+        with pytest.raises(NumericError, match=rf"iteration 1 \(theta={re.escape(repr(theta))}, run from 0, "
+                                               rf"runs\[1\], seed 5, {re.escape(repr(bad))}\): bound .* passed "
+                                               rf"by a .* derivative in lam under .* at train row 0 "
+                                               rf"\(ce={re.escape(repr(ce0))}\)"):
+            meta.train_runs(runs)
 
 
 class TestSampleWeights:

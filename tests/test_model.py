@@ -180,15 +180,23 @@ class TestJvp:
         assert rel_err(got, want) <= 1e-7
 
     def test_adjoint_of_backward(self):
+        # sum <G, jvp> == direction . backward, for one network and for each run of a stack
         rng = np.random.default_rng(47)
-        p = model.init_mlp([2, 6, 3], seed=53)
-        X = rng.normal(size=(5, 2))
-        G = rng.normal(size=(5, 3))
-        direction = model.init_mlp([2, 6, 3], seed=59).vec
-        cache = model._forward_cached(p, X)
-        lhs = float((G * model.jvp(p, cache, direction)).sum())
-        rhs = float(direction @ model.backward(p, cache, G))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        shape = model.init_mlp([2, 6, 3], seed=53)
+        for lead in ((), (3,)):
+            p = model.MlpParams(rng.normal(size=lead + shape.vec.shape), shape.sizes, shape.activation)
+            X = rng.normal(size=lead + (5, 2))
+            G = rng.normal(size=lead + (5, 3))
+            direction = rng.normal(size=p.vec.shape)
+            cache = model._forward_cached(p, X)
+            tangent = model.jvp(p, cache, direction)
+            lhs = (G * tangent).sum(axis=(-2, -1))
+            rhs = (direction * model.backward(p, cache, G)).sum(axis=-1)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+            for r in range(lead[0] if lead else 0):  # a run's slice is its own unstacked jvp
+                one = model.MlpParams(p.vec[r], p.sizes, p.activation)
+                np.testing.assert_array_equal(
+                    tangent[r], model.jvp(one, model._forward_cached(one, X[r]), direction[r]))
 
     def test_shape_mismatch(self):
         p = model.init_mlp([2, 6, 3], seed=61)
