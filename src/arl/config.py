@@ -166,6 +166,11 @@ def parse_config(doc, seed_override=None):
         raise ConfigError(f"unknown noise type {noise['type']!r}")
     if noise["type"] == "hierarchical" and "superclasses" not in noise:
         raise ConfigError("hierarchical noise needs 'noise.superclasses'")
+    if noise["type"] == "asymmetric" and "classes" in dataset:
+        try:
+            data_mod._check_asymmetric_classes(dataset["classes"])
+        except ConfigError as exc:
+            raise ConfigError(f"'noise.type': {exc}") from None
 
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")

@@ -112,6 +112,13 @@ def inject_symmetric(dataset, eta, seed=0, exact_count=False):
                  lambda rng, y: (y + rng.integers(1, c, size=len(y))) % c)
 
 
+def _check_asymmetric_classes(c):
+    """Asymmetric noise needs c >= 4: below that, j+1 and j+2 are all the other classes."""
+    if c < 4:
+        raise ConfigError(f"asymmetric noise needs at least 4 classes, got {c}: with fewer, "
+                          "its two targets are all the other classes, which is symmetric noise")
+
+
 def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
     """Flip each label with probability eta to one of two designated classes.
 
@@ -120,8 +127,7 @@ def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
     """
     _check_eta(eta)
     c = dataset.c
-    if c < 3:
-        raise ConfigError("asymmetric noise needs at least 3 classes")
+    _check_asymmetric_classes(c)
     return _flip(dataset, eta, seed, exact_count,
                  lambda rng, y: (y + rng.integers(1, 3, size=len(y))) % c)
 

@@ -17,8 +17,10 @@ carrying the terms they share; ``polysoft_of_ce`` is the soft-weighting
 formula on cross entropies.  A kernel reads its hyperparameter fields from
 a ``HyperParams`` (scalars) or from a ``_RowFields`` record (one value per
 row), so one call can serve the stacked rows of runs with different
-fields.  Powers with a per-row exponent go through ``_pow``, which gives
-the bits numpy gives for a scalar exponent.  On the record of
+fields.  Every power whose exponent is a loss field goes through ``_pow``:
+a scalar field is a plain scalar power, and a row of a per-row field gets
+the bits of its own scalar, so a row evaluates to the same bits alone,
+stacked or in a batch of one.  On the record of
 ``normalize``, ``batch_loss`` (training) takes values and gradients and
 ``batch_hgrad`` (the hypergradient) adds their derivatives in each
 learnable field; ``loss_values`` (the metrics rows, the theory table, the
@@ -232,28 +234,27 @@ def _tempered_softmax_batch(Z, t2):
     convex power), and f'(gamma) = -sum_j p_j^t2, so the steps
     gamma += f / sum_j p_j^t2 from gamma = max z rise monotonically to the
     unique root.  A row stops on a relative step size, not on the residual,
-    whose floor is about |gamma| * eps; each row's steps are its own, so a
-    row solves to the same bits in any batch.  Domain checks on t2 live in
-    the public entry points.
+    whose floor is about |gamma| * eps; each row's steps are its own and
+    ``_pow`` gives its t2 the bits of a scalar, so a row solves to the same
+    bits in any batch.  Domain checks on t2 live in the public entry points.
     """
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise DomainError("logits must be finite")
-    # a fresh (rows,) array: numpy takes an all-stride-0 exponent of 2 as a scalar (square)
-    t2 = np.full(Z.shape[:1], t2, dtype=float)
     near = np.abs(t2 - 1.0) < _T_NEAR_ONE
     if near.all():
         return softmax(Z), np.atleast_1d(logsumexp(Z))
     Zt, tt = (Z[~near], t2[~near]) if near.any() else (Z, t2)
 
-    s = (1.0 - tt)[:, None]
+    e = _on_classes(tt)
+    s = 1.0 - e
     gamma = Zt.max(axis=1)
     done = np.zeros(len(Zt), dtype=bool)
     with np.errstate(divide="ignore"):  # log1p(-1) in _exp_t_neg_args
         for _ in range(_NEWTON_MAX_STEPS):
             P = _exp_t_neg_args(Zt - gamma[:, None], s)
             resid = P.sum(axis=1) - 1.0
-            step = resid / (P ** tt[:, None]).sum(axis=1)
+            step = resid / _pow(P, e).sum(axis=1)
             gamma = np.where(done, gamma, gamma + step)
             done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
             if done.all():
@@ -261,7 +262,7 @@ def _tempered_softmax_batch(Z, t2):
         else:
             raise NumericError(
                 f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
-                f"t2={np.unique(tt[~done])}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
+                f"t2={np.unique(tt)}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
                 f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
             )
         P = _exp_t_neg_args(Zt - gamma[:, None], s)
@@ -269,7 +270,7 @@ def _tempered_softmax_batch(Z, t2):
     if np.any(err > 1e-10):
         raise NumericError(
             "tempered softmax did not normalize: "
-            f"max |sum p - 1| = {err.max():.3e}, t2={np.unique(tt[err > 1e-10])}, "
+            f"max |sum p - 1| = {err.max():.3e}, t2={np.unique(tt)}, "
             f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
         )
     if not near.any():
@@ -353,13 +354,13 @@ class _Batch:
 
 
 def _on_classes(h):
-    """A hyperparameter (scalar or one per row) lifted onto the class axis."""
-    return np.asarray(h)[..., None]
+    """A hyperparameter lifted onto the class axis: a scalar as itself, one per row as a column."""
+    return h if np.ndim(h) == 0 else np.asarray(h)[..., None]
 
 
 # numpy raises to a scalar exponent of -1, 1/2 or 2 by these ops, whose last
 # bit can differ from its general power; an exponent array of more than one
-# element always takes the general power
+# element always takes the general power, and one of one element counts as a scalar
 _SCALAR_POWERS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
 
 
@@ -431,7 +432,7 @@ def _bi_tempered_value(b, h):
     """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
     Pc = _clamp(b.P)
     log_py = np.log(b.pyc)
-    Pa = Pc ** _on_classes(2.0 - h.t1)
+    Pa = _pow(Pc, _on_classes(2.0 - h.t1))
     tail = (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
     values = np.maximum(-_log_t_of_log(log_py, h.t1) - tail, 0.0)
     return values, {"Pc": Pc, "log_py": log_py, "Pa": Pa, "tail": tail}
@@ -446,11 +447,11 @@ def _bi_tempered_grad(b, h, shared):
     g_j = (dL/dp_j) * p_j^t2 = -1[j = label] p_j^(t2-t1) + p_j^(1-t1+t2).
     """
     Pc = shared["Pc"]
-    A = Pc ** _on_classes(1.0 - h.t1 + h.t2)
-    B = b.pyc ** (h.t2 - h.t1)
+    A = _pow(Pc, _on_classes(1.0 - h.t1 + h.t2))
+    B = _pow(b.pyc, h.t2 - h.t1)
     g = A.copy()
     g[b.rows, b.labels] -= B
-    V = Pc ** _on_classes(h.t2)
+    V = _pow(Pc, _on_classes(h.t2))
     S = V.sum(axis=1, keepdims=True)
     U = V / S
     shared.update(A=A, B=B, g=g, S=S, U=U)
@@ -490,9 +491,9 @@ def _bi_tempered_hgrad(b, h, shared):
     dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
 
     R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
-    R -= Pc ** (t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
+    R -= _pow(Pc, t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
     R[b.P != Pc] = 0.0  # a clamped probability does not move
-    dv_t2 = (Pa * R).sum(axis=1) - b.pyc ** (1.0 - h.t1) * R[n, labels]
+    dv_t2 = (Pa * R).sum(axis=1) - _pow(b.pyc, 1.0 - h.t1) * R[n, labels]
 
     e1 = 1.0 - t1 + t2
     dg_t1 = -log_p * g
@@ -570,11 +571,8 @@ class _RowFields:
 
     ``_RowFields(hypers, rows)`` gives each of ``hypers`` (one variant)
     ``rows`` consecutive rows, so one kernel call serves the stacked batches
-    of runs with different fields.  bi_tempered takes its fields this way in
-    every batch: it raises to its exponents by the general power, also for
-    the values at which a scalar exponent would take numpy's special ops.
-    A one-row batch is the exception: numpy takes its (1, 1) exponent as a
-    scalar.
+    of runs with different fields; ``_pow`` gives each row the bits of its
+    run's own call.
     """
 
     def __init__(self, hypers, rows):
@@ -591,13 +589,6 @@ def normalize(hyper, Z, labels):
     return _Batch(P, np.asarray(labels, dtype=int))
 
 
-def _fields(hyper, batch):
-    """The fields the kernels read: bi_tempered's one per row (see ``_RowFields``)."""
-    if hyper.variant == "bi_tempered" and isinstance(hyper, HyperParams):
-        return _RowFields([hyper], len(batch.P))
-    return hyper
-
-
 def loss_values(hyper, P, labels):
     """``batch_loss``'s values alone, on unchecked probability rows ``P``.
 
@@ -605,8 +596,7 @@ def loss_values(hyper, P, labels):
     ``labels`` may also be one label for all rows, or a (k, 1) column that
     gives (k, rows) values, one row per label.
     """
-    batch = _Batch(P, labels)
-    return _FAMILIES[hyper.variant][0](batch, _fields(hyper, batch))[0]
+    return _FAMILIES[hyper.variant][0](_Batch(P, labels), hyper)[0]
 
 
 def batch_loss(hyper, batch):
@@ -617,10 +607,9 @@ def batch_loss(hyper, batch):
     the 1/n reduction.  A row gets the same bits from a record of fields
     as from its own ``HyperParams``.
     """
-    h = _fields(hyper, batch)
     value, grad, _ = _FAMILIES[hyper.variant]
-    values, shared = value(batch, h)
-    return values, grad(batch, h, shared)
+    values, shared = value(batch, hyper)
+    return values, grad(batch, hyper, shared)
 
 
 def batch_hgrad(hyper, batch):
@@ -630,10 +619,9 @@ def batch_hgrad(hyper, batch):
     (k, n) and (k, n, c) for the k fields of ``hyper.learnable_names``;
     the kernels compute each term they share once.
     """
-    h = _fields(hyper, batch)
     value, grad, hgrad = _FAMILIES[hyper.variant]
-    values, shared = value(batch, h)
-    return (values, grad(batch, h, shared), *hgrad(batch, h, shared))
+    values, shared = value(batch, hyper)
+    return (values, grad(batch, hyper, shared), *hgrad(batch, hyper, shared))
 
 
 def polysoft_weight(ce_value, lam, d):

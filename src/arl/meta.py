@@ -308,8 +308,7 @@ def train_runs(runs):
     The started runs are one (R, P) stack, a lone run its own vector: a
     step is one forward, one loss call, one backward and one SGD step, and
     a meta step adds one stacked ``hypergradient``.  A run gets the bits
-    it gets alone (bi_tempered at ``batch_n`` 1 excepted: see
-    ``losses._RowFields``); a failure names it.  Returns per run its
+    it gets alone, and a failure names it.  Returns per run its
     ``TrainState`` and its read-only ``(t, params, hyper)`` snapshots at
     its start, every ``metrics_every`` iterations and at the end.
     """

@@ -430,6 +430,7 @@ class TestChecksBeforeTraining:
         ("train", "decay_factor", 0.0, "'train.decay_factor'"),
         ("split", "test_fraction", 2.5, "'split.test_fraction': test_fraction=2.5"),
         ("split", "test_fraction", 0, "'split.test_fraction': test_fraction=0"),
+        ("noise", "type", "asymmetric", "'noise.type': asymmetric noise needs at least 4 classes, got 3"),
     ])
     def test_range_error_names_key_unloaded(self, tmp_path, capsys, monkeypatch,
                                             section, key, value, says):

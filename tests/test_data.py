@@ -111,9 +111,11 @@ class TestAsymmetric:
         total = offsets.size
         assert abs(n1 - total / 2) <= 3 * np.sqrt(total * 0.25)
 
-    def test_needs_three_classes(self):
-        ds = data.gen_blobs(100, 2, seed=18)
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_needs_four_classes(self, c):
+        # at c = 3, j+1 and j+2 are both other classes: symmetric noise
+        ds = data.gen_blobs(100, c, seed=18)
+        with pytest.raises(ConfigError, match=f"at least 4 classes, got {c}: .* symmetric noise"):
             data.inject_asymmetric(ds, 0.2)
 
 

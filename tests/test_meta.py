@@ -613,6 +613,19 @@ class TestConventionalRuns:
             assert [(t, p.vec.tobytes()) for t, p, _ in snaps[1:]] == [(t, p.vec.tobytes()) for t, p in want_snaps]
             assert snaps[-1][1] is end.params
 
+    def test_one_row_bi_tempered_matches_serial_runs(self):
+        # one-row batches at t2 = 2, where a scalar exponent takes numpy's square
+        train, meta_set, test = small_problem(seed=52)
+        config = meta.TrainConfig("bi_tempered", alpha=0.5, beta=0.0, batch_n=1, max_iters=20, metrics_every=6)
+        hypers = [losses.HyperParams("bi_tempered", t1=t1, t2=2.0) for t1 in (0.5, 0.0, 0.8)]
+        runs = [meta.Run(train, meta_set, replace(config, seed=seed, init_hyper=h))
+                for seed, h in zip((53, 54, 53), hypers)]
+        for run, (state, snapshots) in zip(runs, meta.train_runs(runs)):
+            want_state, want_snapshots = adaptive_run(*run[:3])
+            assert [(t, p.vec.tobytes()) for t, p, _ in snapshots] == \
+                   [(t, p.vec.tobytes()) for t, p, _ in want_snapshots], run.config.init_hyper
+            assert state.hyper == want_state.hyper
+
     def test_snapshots_are_row_views_and_nothing_is_evaluated(self, monkeypatch):
         train, _, test = small_problem(seed=40)
         config = meta.TrainConfig("gce", alpha=0.5, batch_n=16, max_iters=12, seed=41, metrics_every=5)
