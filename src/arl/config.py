@@ -205,6 +205,10 @@ def parse_config(doc, seed_override=None):
     if theory["classes"] < 2:
         raise ConfigError("'theory.classes' must be at least 2")
     theory.setdefault("world_labels", [k % theory["classes"] for k in range(4)])
+    for key in ("etas", "world_labels"):
+        # an empty list would verify nothing
+        if not theory[key]:
+            raise ConfigError(f"'theory.{key}' must be a non-empty list")
     theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
                                   "theory.hyper")
     return exp

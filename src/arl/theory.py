@@ -19,7 +19,9 @@ of L(u, j) per (hyper, c, delta).  Its columns give the clean and
 noisy per-point terms of every label, hence both minimizers, and its rows
 give the grid tolerance: moving one delta of mass between two coordinates
 of a grid point lands on another grid point, so every slope the tolerance
-needs is a difference of two table rows.
+needs is a difference of two table rows.  The tolerance scan takes its
+source rows one table block at a time, so its temporaries are one block's,
+well under one table.  A world needs at least one point.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class FiniteWorld:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.c < 2:
             raise ConfigError("need at least two classes")
+        if len(self.labels) == 0:
+            raise ConfigError("a world needs at least one point")
         if np.any(self.labels < 0) or np.any(self.labels >= self.c):
             raise ConfigError("labels out of range")
         if not 0.0 <= self.eta <= 1.0 - 1.0 / self.c:
@@ -164,14 +168,13 @@ def _loss_table(hyper, probs):
     return table
 
 
-def _per_point_terms(table, label, eta, noisy):
+def _per_point_terms(table, sums, label, eta, noisy):
     """Expected loss of every table row under ``label`` (one, or one per row)."""
     c = table.shape[1]
-    own = table[np.arange(len(table)), label]
+    own = table[:, label] if np.ndim(label) == 0 else table[np.arange(len(table)), label]
     if not noisy:
         return own
-    others = table.sum(axis=1) - own
-    return (1.0 - eta) * own + eta / (c - 1.0) * others
+    return (1.0 - eta) * own + eta / (c - 1.0) * (sums - own)
 
 
 def exact_risk(world, assignment, hyper, noisy):
@@ -186,38 +189,47 @@ def exact_risk(world, assignment, hyper, noisy):
         raise DomainError(f"assignment shape {A.shape} does not match the world")
     if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("assignments must be probability vectors")
-    terms = _per_point_terms(_loss_table(hyper, A), world.labels, world.eta, noisy)
+    table = _loss_table(hyper, A)
+    terms = _per_point_terms(table, table.sum(axis=1), world.labels, world.eta, noisy)
     total = 0.0
     for term in terms.tolist():
         total += term
     return total / len(world.labels)
 
 
-def _neighbours(counts):
-    """Row indices of adjacent grid points, one coordinate pair a < b at a time.
+def _neighbours(counts, start):
+    """Adjacent grid points of one block of rows, one coordinate a at a time.
 
-    ``counts`` are the grid rows in delta units, in lexicographic order.
-    Yields ``(src, dst)``: the rows with mass at a, and the rows that one
-    delta moved from a to b lands on.  With suffix sums S_i = sum_{l>=i} n_l
-    a row's rank is N - 1 - sum_{i=1}^{c-1} C(S_i + c-1-i, c-i).  The move
-    raises S_i by one for a < i <= b, so by Pascal's rule the destination
-    sits D_{a+1} + ... + D_b rows earlier, D_i = C(S_i + c-1-i, c-1-i).
-    Every term is at most N, unlike a positional key in base parts + 1.
+    ``counts`` are the grid rows ``start``, ``start + 1``, ... in delta
+    units; the grid is in lexicographic order.  For each a < c - 1 yields
+    ``(src, dsts)``: the grid rows of the block with mass at a, and for
+    b = a + 1, ..., c - 1 the grid rows that one delta moved from a to b
+    lands on.  With suffix sums S_i = sum_{l>=i} n_l a row's rank is
+    N - 1 - sum_{i=1}^{c-1} C(S_i + c-1-i, c-i).  The move raises S_i by
+    one for a < i <= b, so by Pascal's rule the destination sits
+    D_{a+1} + ... + D_b rows earlier, D_i = C(S_i + c-1-i, c-1-i).  Every
+    term is at most N, unlike a positional key in base parts + 1, and
+    depends on the row alone, so a block needs no other rows.
     """
     c = counts.shape[1]
     parts = int(counts[0].sum())
     # binom[m, s] = C(s + m, m), by the hockey-stick identity
-    binom = np.ones((c - 1, parts + 1), dtype=np.int32)
+    binom = np.ones((c - 1, parts + 1), dtype=np.intp)
     for m in range(1, c - 1):
         np.cumsum(binom[m - 1], out=binom[m])
-    suffix = np.cumsum(counts[:, :0:-1], axis=1, dtype=np.int32)[:, ::-1]
-    offsets = np.zeros(counts.shape, dtype=np.int32)
-    np.cumsum(binom[np.arange(c - 2, -1, -1), suffix], axis=1, out=offsets[:, 1:])
-    del suffix
+    steps = [None] * c  # steps[i] = D_i of every row
+    suffix = np.zeros(len(counts), dtype=np.intp)
+    for i in range(c - 1, 0, -1):
+        suffix += counts[:, i]
+        steps[i] = binom[c - 1 - i].take(suffix)
     for a in range(c - 1):
-        src = np.flatnonzero(counts[:, a])
+        rows = np.flatnonzero(counts[:, a])
+        dst = src = rows + start
+        dsts = []
         for b in range(a + 1, c):
-            yield src, src - (offsets[src, b] - offsets[src, a])
+            dst = dst - steps[b].take(rows)
+            dsts.append(dst)
+        yield src, dsts
 
 
 def grid_lipschitz(grid, table, delta):
@@ -229,15 +241,23 @@ def grid_lipschitz(grid, table, delta):
     the sum at 1, so it lands on another row of ``grid``; each slope is
     |table[dst] - table[src]| / (2 delta) over the rows of the grid's loss
     table, with no loss evaluated again.  Adjacency is symmetric, so the
-    pairs a < b cover every adjacent pair.
+    pairs a < b cover every adjacent pair.  The scan takes the source rows
+    one table block at a time, so its temporaries are a block's, and a max
+    taken in any order is the same max.
     """
-    counts = np.rint(grid * round(1.0 / delta)).astype(np.int32)
+    parts = round(1.0 / delta)
     worst = 0.0
-    for src, dst in _neighbours(counts):
-        rise = table[dst]
-        rise -= table[src]
-        worst = max(worst, float(np.abs(rise, out=rise).max()) / (2.0 * delta))
-    return worst
+    for start in range(0, len(grid), _TABLE_BLOCK):
+        counts = np.rint(grid[start:start + _TABLE_BLOCK] * parts).astype(np.intp)
+        for src, dsts in _neighbours(counts, start):
+            if not len(src):
+                continue
+            base = table.take(src, axis=0)
+            for dst in dsts:
+                rise = table.take(dst, axis=0)
+                rise -= base
+                worst = max(worst, float(rise.max()), -float(rise.min()))
+    return worst / (2.0 * delta)
 
 
 def riskgap_verify(world, hyper):
@@ -250,13 +270,14 @@ def riskgap_verify(world, hyper):
     constants = bound_constants(world.c, world.eta, hyper)
     grid = simplex_grid(world.c, world.delta)
     table = _loss_table(hyper, grid)
+    sums = table.sum(axis=1)
     K = len(world.labels)
     f_star = np.empty((K, world.c))
     f_hat = np.empty((K, world.c))
     for label in np.unique(world.labels):
         points = world.labels == label
-        f_star[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, False)))]
-        f_hat[points] = grid[int(np.argmin(_per_point_terms(table, label, world.eta, True)))]
+        for f, noisy in ((f_star, False), (f_hat, True)):
+            f[points] = grid[int(np.argmin(_per_point_terms(table, sums, label, world.eta, noisy)))]
 
     r_clean_star = exact_risk(world, f_star, hyper, noisy=False)
     r_clean_hat = exact_risk(world, f_hat, hyper, noisy=False)
@@ -276,9 +297,3 @@ def riskgap_verify(world, hyper):
         constants.noisy_gap_bound + tol - noisy_gap,
         clean_gap - constants.clean_gap_bound + tol,
     )
-
-
-def label_sum_range(hyper, c, delta):
-    """Range of sum_j L(u, j) over the simplex grid (bounded-loss check)."""
-    sums = _loss_table(hyper, simplex_grid(c, delta)).sum(axis=1)
-    return float(sums.min()), float(sums.max())

@@ -202,6 +202,16 @@ class TestVerifyBoundsCommand:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["verify-bounds", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key", ["etas", "world_labels"])
+    def test_empty_list_is_config_error(self, tmp_path, capsys, key):
+        # either would verify nothing
+        doc = {"theory": {"classes": 3, key: []}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'theory.{key}' must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenDataCommand:
     def test_writes_dataset_and_manifest(self, tmp_path):

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import theory_reference
 
 from arl import losses, theory
 from arl.errors import ConfigError, DomainError
@@ -107,27 +109,39 @@ class TestSimplexGrid:
         assert grid.shape == ref.shape and grid.dtype == ref.dtype
         assert grid.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("c,delta", [(2, 0.1), (3, 0.05), (5, 0.125), (7, 0.25), (60, 0.5)])
+    @pytest.mark.parametrize(
+        "c,delta", [(2, 0.1), (3, 0.05), (5, 0.05), (5, 0.125), (7, 0.25), (60, 0.5)]
+    )
     def test_neighbour_rank_matches_row_lookup(self, c, delta):
-        # at c = 60, parts = 2 a base-3 positional key needs 3**60 > 2**63
+        # at c = 60, parts = 2 a base-3 positional key needs 3**60 > 2**63;
+        # blocks of 400 rows leave a partial last block and, at c = 60, blocks
+        # without mass at a = 0
         parts = int(round(1.0 / delta))
-        counts = np.rint(theory.simplex_grid(c, delta) * parts).astype(np.int32)
+        counts = np.rint(theory.simplex_grid(c, delta) * parts).astype(np.intp)
         row_of = {tuple(row): i for i, row in enumerate(counts.tolist())}
-        pairs = list(itertools.combinations(range(c), 2))
-        found = list(theory._neighbours(counts))
-        assert len(found) == len(pairs)
-        for (a, b), (src, dst) in zip(pairs, found):
-            np.testing.assert_array_equal(src, np.flatnonzero(counts[:, a] > 0))
-            moved = counts[src].copy()
-            moved[:, a] -= 1
-            moved[:, b] += 1
-            expected = [row_of[tuple(row)] for row in moved.tolist()]
-            np.testing.assert_array_equal(dst, expected)
+        for block in (theory._TABLE_BLOCK, 400):
+            for start in range(0, len(counts), block):
+                rows = counts[start:start + block]
+                found = list(theory._neighbours(rows, start))
+                assert len(found) == c - 1
+                for a, (src, dsts) in enumerate(found):
+                    np.testing.assert_array_equal(src, start + np.flatnonzero(rows[:, a]))
+                    assert len(dsts) == c - 1 - a
+                    for b, dst in zip(range(a + 1, c), dsts):
+                        moved = counts[src].copy()
+                        moved[:, a] -= 1
+                        moved[:, b] += 1
+                        expected = [row_of[tuple(row)] for row in moved.tolist()]
+                        np.testing.assert_array_equal(dst, expected)
 
 
 class TestExactRisk:
     def world(self, eta=0.3):
         return theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
+
+    def test_empty_world_is_config_error(self):
+        with pytest.raises(ConfigError, match="at least one point"):
+            theory.FiniteWorld(labels=[], c=3, delta=0.02, eta=0.3)
 
     def test_eta_zero_noisy_equals_clean(self):
         world = theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=0.0)
@@ -222,8 +236,8 @@ class TestBoundedLossSums:
             HyperParams("polysoft", lam=math.log(3.0), d=2.0),
         ]
         for h in cases:
-            lo, hi = theory.label_sum_range(h, 3, 0.02)
-            assert np.isfinite(lo) and np.isfinite(hi) and hi >= lo
+            sums = theory._loss_table(h, theory.simplex_grid(3, 0.02)).sum(axis=1)
+            assert np.all(np.isfinite(sums))
 
     def test_polysoft_sum_range_at_tolerant_point(self):
         # the label sum is NOT constant for the soft-weighting loss: it
@@ -233,7 +247,8 @@ class TestBoundedLossSums:
         c, d = 3, 2.0
         lam = math.log(c)
         h = HyperParams("polysoft", lam=lam, d=d)
-        lo, hi = theory.label_sum_range(h, c, 0.02)
+        sums = theory._loss_table(h, theory.simplex_grid(c, 0.02)).sum(axis=1)
+        lo, hi = sums.min(), sums.max()
         plateau = (d - 1.0) * lam / d
         # extremes sit at the vertices and the uniform point; the latter is
         # off-grid for delta = 0.02, hence the grid-resolution tolerance
@@ -421,9 +436,58 @@ class TestKernelTable:
         report = theory.riskgap_verify(world, h)
         grid = theory.simplex_grid(c, delta)
         table = np.stack([_reference_loss_values(variant, h, grid, j) for j in range(c)], axis=1)
+        sums = table.sum(axis=1)
         for k, label in enumerate(world.labels):
-            clean = theory._per_point_terms(table, label, eta, False)
-            noisy = theory._per_point_terms(table, label, eta, True)
+            clean = theory._per_point_terms(table, sums, label, eta, False)
+            noisy = theory._per_point_terms(table, sums, label, eta, True)
             assert report.f_star[k].tobytes() == grid[int(np.argmin(clean))].tobytes()
             assert report.f_hat[k].tobytes() == grid[int(np.argmin(noisy))].tobytes()
         assert report.noisy_sandwich_ok and report.clean_sandwich_ok
+
+
+TOLERANCE_HYPERS = [
+    HyperParams("polysoft", lam=2.0, d=2.0),
+    HyperParams("bi_tempered", t1=0.5, t2=2.0),
+    HyperParams("gce", q=0.5),
+]
+
+
+class TestBlockedTolerance:
+    """The blocked slope scan gives the bits of the whole-grid gathers."""
+
+    # (5, 0.05) has 10,626 rows, a partial second block; (5, 0.025) has 17
+    # blocks; in blocks of 400 rows at c = 60 the first 1770 have no mass at 0
+    @pytest.mark.parametrize("c,delta,block", [
+        (2, 0.5, theory._TABLE_BLOCK), (3, 0.02, theory._TABLE_BLOCK),
+        (5, 0.05, theory._TABLE_BLOCK), (5, 0.025, theory._TABLE_BLOCK),
+        (60, 0.5, theory._TABLE_BLOCK), (60, 0.5, 400),
+    ])
+    @pytest.mark.parametrize("hyper", TOLERANCE_HYPERS, ids=lambda h: h.variant)
+    def test_matches_gather_reference(self, monkeypatch, c, delta, block, hyper):
+        grid = theory.simplex_grid(c, delta)
+        table = theory._loss_table(hyper, grid)
+        monkeypatch.setattr(theory, "_TABLE_BLOCK", block)
+        got = theory.grid_lipschitz(grid, table, delta)
+        assert got > 0.0
+        assert got == theory_reference.grid_lipschitz(grid, table, delta)
+
+    @pytest.mark.parametrize("variant,labels,eta,hyper", BOUNDS_SCAN_WORLDS)
+    def test_bounds_scan_grid_tol(self, variant, labels, eta, hyper):
+        world = theory.FiniteWorld(labels=labels, c=5, delta=0.025, eta=eta)
+        h = HyperParams(variant, **hyper)
+        report = theory.riskgap_verify(world, h)
+        grid = theory.simplex_grid(5, 0.025)
+        table = theory._loss_table(h, grid)
+        assert report.grid_tol == theory_reference.grid_lipschitz(grid, table, 0.025) * 0.025
+
+    def test_temporaries_stay_below_one_table(self):
+        # the scan holds one block of rows at a time, never a grid-sized temporary
+        grid = theory.simplex_grid(5, 0.025)
+        table = theory._loss_table(HyperParams("polysoft", lam=2.0, d=2.0), grid)
+        tracemalloc.start()
+        try:
+            theory.grid_lipschitz(grid, table, 0.025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
