@@ -227,12 +227,14 @@ def _write_ablation_csv(curves, modes, path):
 def verify_bounds(exp, out_path=None):
     """Risk-gap sandwich reports for the configured noise rates."""
     t = exp.theory
+    # raises a DomainError for a variant without bound constants, before the grid is built
+    theory.bound_constants(t["classes"], 0.0, t["hyper"])
+    scan = theory.grid_scan(t["classes"], t["delta"], t["hyper"])  # one per call: no eta moves it
     reports = {}
     all_ok = True
     for eta in t["etas"]:
         world = theory.FiniteWorld(t["world_labels"], t["classes"], t["delta"], eta)
-        # raises a DomainError for a variant without bound constants
-        report = theory.riskgap_verify(world, t["hyper"])
+        report = theory.riskgap_verify(world, t["hyper"], scan)
         reports[f"eta={eta:g}"] = report.as_dict()
         all_ok = all_ok and report.noisy_sandwich_ok and report.clean_sandwich_ok
     payload = {

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import losses, model
+from . import theory as theory_mod
 from .errors import ConfigError, DomainError
 from .meta import TrainConfig, _RangeError
 
@@ -202,13 +203,27 @@ def parse_config(doc, seed_override=None):
     for combo in itertools.product(*grid.values()):
         build_hyper(variant, {**init, **dict(zip(grid, combo))}, 2, "ablation.grid", rce_a)
 
-    if theory["classes"] < 2:
+    c = theory["classes"]
+    if c < 2:
         raise ConfigError("'theory.classes' must be at least 2")
-    theory.setdefault("world_labels", [k % theory["classes"] for k in range(4)])
+    theory.setdefault("world_labels", [k % c for k in range(4)])
     for key in ("etas", "world_labels"):
         # an empty list would verify nothing
         if not theory[key]:
             raise ConfigError(f"'theory.{key}' must be a non-empty list")
+    for label in theory["world_labels"]:
+        if not 0 <= label < c:
+            raise ConfigError(f"'theory.world_labels': label {label} out of range for {c} classes")
+    for eta in theory["etas"]:  # the bound constants need c - 1 - eta c > 0
+        if not 0.0 <= eta < 1.0 - 1.0 / c:
+            raise ConfigError(f"'theory.etas': eta {eta} out of range 0 <= eta < 1 - 1/c "
+                              f"= {1.0 - 1.0 / c:.6g} for {c} classes")
+    if not 0.0 < theory["delta"] <= 0.5:
+        raise ConfigError(f"'theory.delta' must lie in (0, 0.5], got {theory['delta']}")
+    try:
+        theory_mod._grid_parts(theory["delta"])
+    except ConfigError as exc:
+        raise ConfigError(f"'theory.delta': {exc}") from None
     theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
                                   "theory.hyper")
     return exp

@@ -257,7 +257,11 @@ class _Batches:
     """Seeded batches of lockstep runs, each from its run's stream over its run's set.
 
     The distinct sets are one array, which a step gathers from with one
-    fancy index; runs with one seed, start and set size share one stream.
+    fancy index.  Runs with one seed and set size share one step-aligned
+    stream, ``default_rng([seed, salt, 0])``: its draw t is the batch of
+    step t, so a run from ``start`` reads draws ``start + 1``, ... and a
+    step draws once per stream.  A stream whose first run starts later
+    than 0 burns the draws before that start when it is built.
     """
 
     def __init__(self, runs, sets, salt, size):
@@ -267,10 +271,14 @@ class _Batches:
         self.offsets = np.array([[at[id(s)]] for s in sets])
         members = {}  # stream -> its runs' rows (a slice if contiguous), in order of first use
         for r, (run, s) in enumerate(zip(runs, sets)):
-            members.setdefault((run.config.seed, run.start, len(s)), []).append(r)
-        self.streams = [(np.random.default_rng([seed, salt, start]), count, rows[0],
-                         slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows)
-                        for (seed, start, count), rows in members.items()]
+            members.setdefault((run.config.seed, len(s)), []).append(r)
+        self.streams = []
+        for (seed, count), rows in members.items():
+            rng = np.random.default_rng([seed, salt, 0])
+            for _ in range(runs[rows[0]].start):  # the runs come in start order
+                rng.choice(count, size=size, replace=False)
+            self.streams.append((rng, count, rows[0],
+                                 slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows))
         self.idx, self.size = np.empty((len(runs), size), dtype=np.intp), size
 
     def take(self, k):
@@ -303,8 +311,10 @@ def train_runs(runs):
     The runs' configs may differ only in ``seed``, ``model_seed`` and
     ``init_hyper``.  A call takes meta steps when ``beta > 0`` and the
     variant has learnable fields, for all of its runs alike.  A run joins
-    at its start and ends at ``max_iters``, with train and meta batches
-    from ``default_rng([seed, 17, start])`` and ``[seed, 23, start]``.
+    at its start and ends at ``max_iters``.  The train and meta batches of
+    step t are draw t of the streams ``default_rng([seed, 17, 0])`` and
+    ``[seed, 23, 0]``, one per seed and set size, so a run from ``s``
+    trains on the batches that a run of its seed from 0 draws after ``s``.
     The started runs are one (R, P) stack, a lone run its own vector: a
     step is one forward, one loss call, one backward and one SGD step, and
     a meta step adds one stacked ``hypergradient``.  A run gets the bits

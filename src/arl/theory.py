@@ -14,19 +14,20 @@ risk is a sum of independent per-point terms, so the global minimizer is
 found by scanning the grid once per label instead of enumerating the
 product hypothesis space.
 
-One verification evaluates the loss on the grid once: a (points, c) table
-of L(u, j) per (hyper, c, delta).  Its columns give the clean and
-noisy per-point terms of every label, hence both minimizers, and its rows
-give the grid tolerance: moving one delta of mass between two coordinates
-of a grid point lands on another grid point, so every slope the tolerance
-needs is a difference of two table rows.  The tolerance scan takes its
-source rows one table block at a time, so its temporaries are one block's,
-well under one table.  A world needs at least one point.
+One ``grid_scan`` evaluates the loss on the grid once: a (points, c) table
+of L(u, j) per (hyper, c, delta), which the verifications of every eta
+share.  Its columns give the clean and noisy per-point terms of every
+label, hence both minimizers, and its rows give the grid tolerance:
+moving one delta of mass between two coordinates of a grid point lands on
+another grid point, so every slope the tolerance needs is a difference of
+two table rows.  The tolerance scan takes its source rows one table block
+at a time, so its temporaries are one block's, well under one table.  A world needs at least one point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,15 @@ def bound_constants(c, eta, hyper):
     )
 
 
+def _grid_parts(delta):
+    """1/delta, the grid's steps per unit of mass, which must be an integer."""
+    inv = 1.0 / delta
+    parts = round(inv) if math.isfinite(inv) else 0
+    if abs(parts * delta - 1.0) > 1e-9:
+        raise ConfigError(f"1/delta must be an integer, got delta={delta}")
+    return parts
+
+
 def simplex_grid(c, delta):
     """All probability vectors with entries that are multiples of delta.
 
@@ -137,9 +147,7 @@ def simplex_grid(c, delta):
     order, is extended by every count its remaining mass allows, and the
     last coordinate takes what is left.
     """
-    parts = int(round(1.0 / delta))
-    if abs(parts * delta - 1.0) > 1e-9:
-        raise ConfigError(f"1/delta must be an integer, got delta={delta}")
+    parts = _grid_parts(delta)
     count = math.comb(parts + c - 1, c - 1)
     if count > GRID_BUDGET:
         raise ConfigError(f"simplex grid would hold {count} points > budget {GRID_BUDGET}")
@@ -260,17 +268,28 @@ def grid_lipschitz(grid, table, delta):
     return worst / (2.0 * delta)
 
 
-def riskgap_verify(world, hyper):
+GridScan = namedtuple("GridScan", "grid table sums tol")
+GridScan.__doc__ = "A simplex grid, its loss table under one hyper, the table's row sums and the grid tolerance."
+
+
+def grid_scan(c, delta, hyper):
+    """The ``GridScan`` of the delta-spaced simplex grid in c classes: no eta moves it."""
+    grid = simplex_grid(c, delta)
+    table = _loss_table(hyper, grid)
+    return GridScan(grid, table, table.sum(axis=1), grid_lipschitz(grid, table, delta) * delta)
+
+
+def riskgap_verify(world, hyper, scan=None):
     """Check both sandwich inequalities by exhaustive grid minimization.
 
     The risk is additive over points with independent assignments, so the
     global minimizers decompose into per-point grid scans; points sharing
-    a label share their minimizers.
+    a label share their minimizers.  ``scan`` is the ``grid_scan`` of the
+    world's c and delta under ``hyper``, built here when None; a caller
+    that verifies several etas builds it once.
     """
     constants = bound_constants(world.c, world.eta, hyper)
-    grid = simplex_grid(world.c, world.delta)
-    table = _loss_table(hyper, grid)
-    sums = table.sum(axis=1)
+    grid, table, sums, tol = grid_scan(world.c, world.delta, hyper) if scan is None else scan
     K = len(world.labels)
     f_star = np.empty((K, world.c))
     f_hat = np.empty((K, world.c))
@@ -284,7 +303,6 @@ def riskgap_verify(world, hyper):
     r_noisy_star = exact_risk(world, f_star, hyper, noisy=True)
     r_noisy_hat = exact_risk(world, f_hat, hyper, noisy=True)
 
-    tol = grid_lipschitz(grid, table, world.delta) * world.delta
     noisy_gap = r_noisy_star - r_noisy_hat
     clean_gap = r_clean_star - r_clean_hat
     noisy_ok = bool(-1e-12 <= noisy_gap <= constants.noisy_gap_bound + tol)

@@ -4,8 +4,10 @@
 on the run's meta-batch stream, then the actual SGD step, one iteration
 at a time.  At ``beta`` 0 it never moves its hyperparameters, so a
 conventional run from iteration 0 is the adaptive loop at ``beta`` 0.  A
-conventional continuation from a snapshot is plain SGD, written out in
-``conventional_run``, over the train-batch stream of its seed and start.
+conventional continuation from a snapshot at ``start`` is plain SGD,
+written out in ``conventional_run``, over its seed's train-batch stream
+``default_rng([seed, 17, 0])`` after ``start`` burned draws: it trains on
+the batches that the run of its seed from 0 draws after ``start``.
 """
 
 from dataclasses import replace
@@ -70,7 +72,9 @@ def conventional_run(train, meta_set, config, hyper, init_params=None, start=0):
         state, snapshots = adaptive_run(train, meta_set, replace(config, beta=0.0, init_hyper=hyper))
         return state.params, [(t, p) for t, p, _ in snapshots[1:]]
 
-    rng = np.random.default_rng([config.seed, 17, start])
+    rng = np.random.default_rng([config.seed, 17, 0])
+    for _ in range(start):  # the draws of the steps before the start
+        rng.choice(len(train), size=config.batch_n, replace=False)
     params, velocity, snapshots = init_params, np.zeros_like(init_params.vec), []
     for t in range(start + 1, config.max_iters + 1):
         idx = rng.choice(len(train), size=config.batch_n, replace=False)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from serial_reference import conventional_run
 
-from arl import cli, config as config_mod, data, losses, meta, model
+from arl import cli, config as config_mod, data, losses, meta, model, theory
 from arl.errors import ConfigError
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SMALL_RUN = {
     "seed": 3,
     "dataset": {"n": 640, "classes": 3, "spread": 0.45},
@@ -211,6 +212,37 @@ class TestVerifyBoundsCommand:
         assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"'theory.{key}' must be a non-empty list" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("world_labels", [0, 5, 1], "'theory.world_labels': label 5 out of range for 3 classes"),
+        ("world_labels", [-1], "'theory.world_labels': label -1 out of range for 3 classes"),
+        ("etas", [0.1, 0.9], "'theory.etas': eta 0.9 out of range 0 <= eta < 1 - 1/c = 0.666667 for 3"),
+        ("etas", [-0.1], "'theory.etas': eta -0.1 out of range"),
+        ("delta", 0.75, "'theory.delta' must lie in (0, 0.5], got 0.75"),
+        ("delta", 0.0, "'theory.delta' must lie in (0, 0.5], got 0.0"),
+        ("delta", 0.03, "'theory.delta': 1/delta must be an integer, got delta=0.03"),
+    ])
+    def test_theory_key_out_of_range(self, tmp_path, capsys, monkeypatch, key, value, message):
+        monkeypatch.setattr(theory, "riskgap_verify", None)  # nothing is verified before the error
+        cfg = write_config(tmp_path, {"theory": {"classes": 3, key: value}})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_grid_table_per_call(self, monkeypatch):
+        # the grid, its loss table and the tolerance do not depend on eta
+        real, tables = theory._loss_table, []
+
+        def counted(hyper, probs):
+            tables.append(len(probs))
+            return real(hyper, probs)
+
+        monkeypatch.setattr(theory, "_loss_table", counted)
+        exp = config_mod.load_config(CONFIG_DIR / "bounds_polysoft.json")
+        payload = cli.verify_bounds(exp)
+        grid = len(theory.simplex_grid(3, exp.theory["delta"]))
+        assert len(payload["reports"]) == 3 and tables.count(grid) == 1
 
 
 class TestGenDataCommand:

@@ -727,6 +727,70 @@ class TestConventionalRuns:
             meta.train_runs(conventional(train, config, [(losses.HyperParams("gce"), None, 0)]))
 
 
+class TestBatchStreams:
+    """One step-aligned stream per seed and set size: draw t is the batch of step t."""
+
+    def test_one_draw_per_step(self, monkeypatch):
+        real, draws = np.random.default_rng, []
+
+        class Counted:  # a generator that records the seed of each batch draw
+            def __init__(self, seed):
+                self.rng, self.seed = real(seed), seed
+
+            def choice(self, *args, **kwargs):
+                draws.append(self.seed)
+                return self.rng.choice(*args, **kwargs)
+
+            def __getattr__(self, name):  # the network init's draws
+                return getattr(self.rng, name)
+
+        train, _, _ = small_problem(seed=80)
+        config = meta.TrainConfig("gce", alpha=0.2, beta=0.0, batch_n=16, max_iters=40, seed=81)
+        specs = [(losses.HyperParams("gce", q=q), None, start)
+                 for q, start in ((0.3, 0), (0.5, 10), (0.7, 20), (0.4, 30))]
+        runs = conventional(train, config, specs)
+        monkeypatch.setattr(meta.np.random, "default_rng", Counted)
+        meta.train_runs(runs)
+        assert draws == [[81, 17, 0]] * config.max_iters
+
+    def test_continuation_reads_the_batches_of_the_run_from_zero(self, monkeypatch):
+        real, rows = meta._Batches.take, []
+
+        def recorded(self, k):
+            batch = real(self, k)
+            rows.append(self.idx[:k].copy())
+            return batch
+
+        train, _, _ = small_problem(seed=82)
+        config = meta.TrainConfig("sl", alpha=0.2, beta=0.0, batch_n=16, max_iters=30, seed=83,
+                                  metrics_every=10)
+        [(_, snapshots)] = meta.train_runs(conventional(train, config, [(losses.HyperParams("sl"), None, 0)]))
+        start, p, h = snapshots[1]
+        monkeypatch.setattr(meta._Batches, "take", recorded)
+        meta.train_runs(conventional(train, config, [(losses.HyperParams("sl"), None, 0), (h, p, start)]))
+        assert len(rows) == config.max_iters
+        for t, idx in enumerate(rows, start=1):
+            assert len(idx) == (2 if t > start else 1)
+            if t > start:
+                np.testing.assert_array_equal(idx[1], idx[0])
+
+    @pytest.mark.parametrize("variant", ["gce", "bi_tempered"])
+    def test_lone_late_run_matches_its_stacked_run(self, variant):
+        train, _, _ = small_problem(seed=84)
+        config = meta.TrainConfig(variant, alpha=0.5, beta=0.0, batch_n=16, max_iters=30, seed=85,
+                                  metrics_every=7, momentum=0.9)
+        [(_, snapshots)] = meta.train_runs(conventional(train, config, [(losses.HyperParams(variant), None, 0)]))
+        t, p, h = snapshots[2]  # the snapshot at 14
+        specs = [(h, p, t), (losses.HyperParams(variant), None, 0), (h, p, 21)]
+        [(lone_end, lone)] = meta.train_runs(conventional(train, config, specs[:1]))
+        (end, stacked), *_ = meta.train_runs(conventional(train, config, specs))
+        _, want = conventional_run(train, None, config, h, p, t)
+        assert [s for s, _, _ in lone] == [s for s, _, _ in stacked] == [t] + [s for s, _ in want]
+        for (_, lone_p, _), (_, stacked_p, _), (_, want_p) in zip(lone[1:], stacked[1:], want):
+            assert np.array_equal(lone_p.vec, stacked_p.vec) and np.array_equal(lone_p.vec, want_p.vec)
+        assert np.array_equal(lone_end.params.vec, end.params.vec)
+
+
 class TestLockstepAdaptive:
     """A stack of adaptive runs gives each run the bits of its serial run (``serial_reference``)."""
 
