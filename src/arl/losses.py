@@ -22,10 +22,11 @@ a scalar field is a plain scalar power, and a row of a per-row field gets
 the bits of its own scalar, so a row evaluates to the same bits alone,
 stacked or in a batch of one.  On the record of
 ``normalize``, ``batch_loss`` (training) takes values and gradients and
-``batch_hgrad`` (the hypergradient) adds their derivatives in each
-learnable field; ``loss_values`` (the metrics rows, the theory table, the
-loss curve, the cross entropies of the sample weights) takes the same
-values alone, on bare probability rows.
+``batch_hgrad`` (the hypergradient) adds the gradients' derivatives in
+each learnable field, and the values' derivatives when asked;
+``loss_values`` (the metrics rows, the theory table, the loss curve, the
+cross entropies of the sample weights) takes the same values alone, on
+bare probability rows.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -34,6 +35,7 @@ unconstrained coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,6 +74,19 @@ LEARNABLE = {
 }
 
 
+# each field's domain, checked by ``HyperParams.validate``
+_DOMAINS = {
+    "q": lambda v: 0.0 < v <= 1.0,
+    "gamma1": lambda v: v >= 0.0,
+    "gamma2": lambda v: v >= 0.0,
+    "t1": lambda v: 0.0 <= v < 1.0,
+    "t2": lambda v: v > 1.0,
+    "lam": lambda v: v > 0.0,
+    "d": lambda v: v > 1.0,
+    "rce_a": lambda v: v < 0.0,
+}
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Hyperparameter set of one loss variant.
@@ -98,19 +113,9 @@ class HyperParams:
 
     def validate(self):
         """Check the active variant's fields against their domains."""
-        checks = {
-            "q": 0.0 < self.q <= 1.0,
-            "gamma1": self.gamma1 >= 0.0,
-            "gamma2": self.gamma2 >= 0.0,
-            "t1": 0.0 <= self.t1 < 1.0,
-            "t2": self.t2 > 1.0,
-            "lam": self.lam > 0.0,
-            "d": self.d > 1.0,
-            "rce_a": self.rce_a < 0.0,
-        }
         for name in self.learnable_names + (("rce_a",) if self.variant == "sl" else ()):
             value = getattr(self, name)
-            if not math.isfinite(value) or not checks[name]:
+            if not math.isfinite(value) or not _DOMAINS[name](value):
                 raise DomainError(
                     f"{name}={value!r} outside its domain for variant {self.variant!r}"
                 )
@@ -162,11 +167,10 @@ def _clamp(p):
 
 
 def softmax(z):
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis (the reductions are the array methods' ufuncs)."""
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def logsumexp(z):
@@ -301,8 +305,9 @@ def tempered_softmax(z, t2):
 # label.  Where ``hgrad`` reads a term that ``grad`` forms, ``grad`` adds it
 # to ``shared``; ``batch_hgrad`` calls ``grad`` first.  The order of
 # operations in ``value`` and ``grad`` is the training path's, which the
-# training bits depend on.  ``hgrad`` returns the derivatives of the values
-# (k, n) and of the logit gradients (k, n, c) in each learnable field, in
+# training bits depend on.  ``hgrad(b, h, shared, dvalues)`` returns the
+# derivatives of the values (k, n), only when ``dvalues`` is true and else
+# None, and of the logit gradients (k, n, c) in each learnable field, in
 # LEARNABLE order; D = P - Y below.
 
 class _once:
@@ -320,7 +325,7 @@ class _Batch:
     """One normalization of a batch, the record the kernels read.
 
     The probability rows P (softmax, or the tempered softmax for
-    ``bi_tempered``), the labels and the row index; the label
+    ``bi_tempered``) and the labels; the row index, the label
     probabilities, their clamp, the cross entropies and D = P - Y are each
     computed on first use, once.  No loss field enters, so a softmax
     family's record serves at moved fields; a ``bi_tempered`` record holds
@@ -328,7 +333,11 @@ class _Batch:
     """
 
     def __init__(self, P, labels):
-        self.P, self.labels, self.rows = P, labels, np.arange(len(P))
+        self.P, self.labels = P, labels
+
+    @_once
+    def rows(self):
+        return np.arange(len(self.P))
 
     @_once
     def py(self):
@@ -347,15 +356,29 @@ class _Batch:
 
     @_once
     def D(self):
-        """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient."""
-        D = self.P.copy()
-        D[self.rows, self.labels] -= 1.0
-        return D
+        """P - Y for one-hot labels Y: the softmax-composed cross-entropy gradient.
+
+        (k, rows, c) for a (k, 1) column of labels, one P - Y per label.
+        """
+        return self.P - _one_hot(self.P.shape[-1])[self.labels]
+
+
+@functools.lru_cache(maxsize=None)
+def _one_hot(c):
+    """The read-only c x c identity, whose row j is label j's one-hot row."""
+    eye = np.eye(c)
+    eye.setflags(write=False)
+    return eye
+
+
+def _is_scalar(h):
+    """``np.ndim(h) == 0``, which costs an exception and an array on a Python float."""
+    return isinstance(h, (float, int)) or np.ndim(h) == 0
 
 
 def _on_classes(h):
     """A hyperparameter lifted onto the class axis: a scalar as itself, one per row as a column."""
-    return h if np.ndim(h) == 0 else np.asarray(h)[..., None]
+    return h if _is_scalar(h) else np.asarray(h)[..., None]
 
 
 # numpy raises to a scalar exponent of -1, 1/2 or 2 by these ops, whose last
@@ -372,7 +395,7 @@ def _pow(x, e):
     is one of numpy's special scalar exponents take its op instead, so a row
     gets the same bits stacked with other runs' rows as alone.
     """
-    if np.ndim(e) == 0:
+    if _is_scalar(e):
         return x ** e
     out = x ** e
     for special, op in _SCALAR_POWERS:
@@ -391,9 +414,9 @@ def _ce_grad(b, h=None, shared=None):
     return b.D
 
 
-def _ce_hgrad(b, h=None, shared=None):
+def _ce_hgrad(b, h, shared, dvalues):
     """No learnable field: empty derivative stacks."""
-    return np.zeros((0, len(b.P))), np.zeros((0, *b.P.shape))
+    return np.zeros((0, len(b.P))) if dvalues else None, np.zeros((0, *b.P.shape))
 
 
 def _gce_value(b, h):
@@ -405,11 +428,10 @@ def _gce_grad(b, h, pq):
     return pq[..., None] * b.D
 
 
-def _gce_hgrad(b, h, pq):
+def _gce_hgrad(b, h, pq, dvalues):
     """d/dq of the value, -(pq log p_y + value) / q, and of G = pq D, pq log p_y D."""
     pq_log = pq * -b.ce
-    dvalues = -(pq_log + (1.0 - pq) / h.q) / h.q
-    return dvalues[None], pq_log[None, :, None] * b.D
+    return (-(pq_log + (1.0 - pq) / h.q) / h.q)[None] if dvalues else None, pq_log[None, :, None] * b.D
 
 
 def _sl_value(b, h):
@@ -423,9 +445,9 @@ def _sl_grad(b, h, shared):
     return _on_classes(h.gamma1) * b.D + _on_classes(h.gamma2) * rce_grad
 
 
-def _sl_hgrad(b, h, shared):
+def _sl_hgrad(b, h, shared, dvalues):
     """Linear in the gammas: the derivatives are the ce and rce parts."""
-    return np.stack([b.ce, shared["rce"]]), np.stack([b.D, shared["rce_grad"]])
+    return np.stack([b.ce, shared["rce"]]) if dvalues else None, np.stack([b.D, shared["rce_grad"]])
 
 
 def _bi_tempered_value(b, h):
@@ -466,7 +488,7 @@ def _expm1_excess(x):
     return np.where(small, series, (np.expm1(xs) - xs) / xs**2)
 
 
-def _bi_tempered_hgrad(b, h, shared):
+def _bi_tempered_hgrad(b, h, shared, dvalues):
     """(t1, t2) derivatives of the values and of G = g - u sum g.
 
     t1 enters explicitly: with y = (1-t1) log p, d log_t1(p) / dt1 is
@@ -486,14 +508,16 @@ def _bi_tempered_hgrad(b, h, shared):
     A, B, g, S, U = shared["A"], shared["B"], shared["g"], shared["S"], shared["U"]
     log_p = np.log(Pc)
 
-    y = (1.0 - h.t1) * log_py
-    dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
-    dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
-
     R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
     R -= _pow(Pc, t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
     R[b.P != Pc] = 0.0  # a clamped probability does not move
-    dv_t2 = (Pa * R).sum(axis=1) - _pow(b.pyc, 1.0 - h.t1) * R[n, labels]
+    dv = None
+    if dvalues:
+        y = (1.0 - h.t1) * log_py
+        dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
+        dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
+        dv_t2 = (Pa * R).sum(axis=1) - _pow(b.pyc, 1.0 - h.t1) * R[n, labels]
+        dv = np.stack([dv_t1, dv_t2])
 
     e1 = 1.0 - t1 + t2
     dg_t1 = -log_p * g
@@ -504,7 +528,7 @@ def _bi_tempered_hgrad(b, h, shared):
     dG = np.stack([dg_t1, dg_t2])
     dG -= U * dG.sum(axis=2, keepdims=True)
     dG[1] -= dU * g.sum(axis=1, keepdims=True)
-    return np.stack([dv_t1, dv_t2]), dG
+    return dv, dG
 
 
 def polysoft_of_ce(ce, lam, d):
@@ -526,8 +550,8 @@ def _polysoft_weight(u, d):
     return np.where(u > 0.0, _pow(u, d / (d - 1.0) - 1.0), 0.0)
 
 
-def _polysoft_hgrad_of_ce(ce, lam, d, values, u, w):
-    """(lam, d) derivatives of the values and the weights w at cross entropies ce.
+def _polysoft_hgrad_of_ce(ce, lam, d, values, u, w, dvalues=True):
+    """(lam, d) derivatives of the values (None unless ``dvalues``) and the weights w at cross entropies ce.
 
     ``values``, ``u`` and ``w`` are ``polysoft_of_ce`` and ``_polysoft_weight``
     at ce.  With u = 1 - ce/lam and w = u^(1/(d-1)): d value/d lam =
@@ -537,9 +561,10 @@ def _polysoft_hgrad_of_ce(ce, lam, d, values, u, w):
     """
     u_safe = np.where(u > 0.0, u, 1.0)  # keeps log u and w / u finite on the plateau
     log_u = np.log(u_safe)
-    dvalues = [(values - w * ce) / lam, (values + lam * u * w * log_u) / (d * (d - 1.0))]
-    dweights = [w / u_safe * ce / ((d - 1.0) * lam**2), -w * log_u / (d - 1.0) ** 2]
-    return np.stack(dvalues), np.stack(dweights)
+    dweights = np.stack([w / u_safe * ce / ((d - 1.0) * lam**2), -w * log_u / (d - 1.0) ** 2])
+    if not dvalues:
+        return None, dweights
+    return np.stack([(values - w * ce) / lam, (values + lam * u * w * log_u) / (d * (d - 1.0))]), dweights
 
 
 def _polysoft_value(b, h):
@@ -552,9 +577,9 @@ def _polysoft_grad(b, h, shared):
     return w[..., None] * b.D
 
 
-def _polysoft_hgrad(b, h, shared):
-    dvalues, dweights = _polysoft_hgrad_of_ce(b.ce, h.lam, h.d, shared["values"], shared["u"], shared["w"])
-    return dvalues, dweights[..., None] * b.D
+def _polysoft_hgrad(b, h, shared, dvalues):
+    dv, dweights = _polysoft_hgrad_of_ce(b.ce, h.lam, h.d, shared["values"], shared["u"], shared["w"], dvalues)
+    return dv, dweights[..., None] * b.D
 
 
 _FAMILIES = {
@@ -612,16 +637,18 @@ def batch_loss(hyper, batch):
     return values, grad(batch, hyper, shared)
 
 
-def batch_hgrad(hyper, batch):
-    """``batch_loss`` plus its derivatives in each learnable field.
+def batch_hgrad(hyper, batch, dvalues=False):
+    """``batch_loss`` plus the derivatives of its gradients in each learnable field.
 
     Returns ``(values, grads, dvalues, dgrads)`` with shapes (n,), (n, c),
     (k, n) and (k, n, c) for the k fields of ``hyper.learnable_names``;
-    the kernels compute each term they share once.
+    the kernels compute each term they share once.  The value derivatives
+    are formed only when asked for by ``dvalues`` and are None otherwise:
+    the hypergradient reads the gradients' derivatives alone.
     """
     value, grad, hgrad = _FAMILIES[hyper.variant]
     values, shared = value(batch, hyper)
-    return (values, grad(batch, hyper, shared), *hgrad(batch, hyper, shared))
+    return (values, grad(batch, hyper, shared), *hgrad(batch, hyper, shared, dvalues))
 
 
 def polysoft_weight(ce_value, lam, d):
@@ -644,7 +671,7 @@ def loss_on_logits(hyper, z, label):
     if z.ndim != 1 or z.shape[0] < 2 or not np.all(np.isfinite(z)):
         raise DomainError("logits must be a finite vector of length >= 2")
     batch = normalize(hyper, z[None, :], [_check_label(label, len(z))])
-    values, grads, dvalues, _ = batch_hgrad(hyper, batch)
+    values, grads, dvalues, _ = batch_hgrad(hyper, batch, dvalues=True)
     return LossEval(float(values[0]), grads[0], dvalues[:, 0])
 
 
@@ -735,10 +762,9 @@ def from_unconstrained(theta, like):
 
 def reparam_scale(variant, theta):
     """d(constrained)/d(unconstrained) per coordinate, for chain rules."""
-    names = LEARNABLE[variant]
-    out = np.empty(len(names))
-    for k, (name, th) in enumerate(zip(names, np.asarray(theta, dtype=float))):
+    out = []
+    for name, th in zip(LEARNABLE[variant], np.asarray(theta, dtype=float).tolist()):
         span = _REPARAM[name][1]
-        sig = _sigmoid(float(th))
-        out[k] = span * sig * (1.0 - sig) if span else sig
-    return out
+        sig = _sigmoid(th)
+        out.append(span * sig * (1.0 - sig) if span else sig)
+    return np.array(out)

@@ -192,9 +192,9 @@ def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
     values, G, _, dG = losses.batch_hgrad(losses._RowFields(hypers, n) if stacked else hyper, batch)
     grads = _backward_mean(params, hypers, values, G, cache)
     dG = dG.reshape(len(names), len(hypers), -1)
-    peak = np.abs(dG).max(axis=2)
-    ok = peak <= _DG_BOUND  # NaN fails too
-    if not ok.all():
+    if not np.maximum.reduce(np.abs(dG), axis=None) <= _DG_BOUND:  # NaN fails too
+        peak = np.maximum.reduce(np.abs(dG), axis=2)
+        ok = peak <= _DG_BOUND
         r = int(ok.all(axis=0).argmin())
         k, peak = int(ok[:, r].argmin()), peak[:, r]
         row = int(np.abs(dG[k, r]).argmax()) // batch.P.shape[1]
@@ -209,11 +209,10 @@ def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
 
 
 def meta_update(theta, hypergrad, beta):
-    """Plain SGD on the unconstrained coordinates."""
-    hypergrad = np.asarray(hypergrad, dtype=float)
+    """Plain SGD on the unconstrained coordinates, float arrays ``theta`` and ``hypergrad``."""
     if not np.isfinite(hypergrad).all():
         raise NumericError("non-finite hypergradient")
-    return np.asarray(theta, dtype=float) - beta * hypergrad
+    return theta - beta * hypergrad
 
 
 def _step_scale(t, decay_steps, decay_factor):
@@ -261,7 +260,10 @@ class _Batches:
     stream, ``default_rng([seed, salt, 0])``: its draw t is the batch of
     step t, so a run from ``start`` reads draws ``start + 1``, ... and a
     step draws once per stream.  A stream whose first run starts later
-    than 0 burns the draws before that start when it is built.
+    than 0 burns the draws before that start when it is built.  When all
+    runs read one stream over one set (``shared``), as a lone run does, a
+    step gathers its one batch once: a lone run's is unstacked, and a
+    stack's is a read-only broadcast of it over the runs.
     """
 
     def __init__(self, runs, sets, salt, size):
@@ -280,14 +282,22 @@ class _Batches:
             self.streams.append((rng, count, rows[0],
                                  slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows))
         self.idx, self.size = np.empty((len(runs), size), dtype=np.intp), size
+        self.shared, self.lone = len(self.streams) == 1 and len(distinct) == 1, len(runs) == 1
 
     def take(self, k):
         """The next (k, size, .) batches of the first k runs; a lone run's unstacked."""
+        if self.shared:
+            rng, count, _, _ = self.streams[0]
+            draw = rng.choice(count, size=self.size, replace=False)
+            X, y = self.X[draw], self.y[draw]
+            if self.lone:
+                return X, y
+            return np.broadcast_to(X, (k, *X.shape)), np.broadcast_to(y, (k, *y.shape))
         for rng, count, first, rows in self.streams:
             if first >= k:  # the streams of the first k runs come first
                 break
-            self.idx[rows] = draw = rng.choice(count, size=self.size, replace=False)
-        idx = self.idx[:k] + self.offsets[:k] if len(self.idx) > 1 else draw
+            self.idx[rows] = rng.choice(count, size=self.size, replace=False)
+        idx = self.idx[:k] + self.offsets[:k]
         return self.X[idx], self.y[idx]
 
 

@@ -50,9 +50,10 @@ class MlpParams:
     """One read-only parameter vector, or a stack of them, with per-layer views.
 
     ``vec`` holds W0, b0, W1, b1, ... (weights row-major); ``weights[l]``
-    and ``biases[l]`` are views into it.  The constructor takes ``vec``
-    over and marks it read-only, so parameter sets can be shared, as
-    snapshots or as the start of another run, without copies.  A stack
+    and ``biases[l]`` are views into it, and ``layers`` is its
+    ``_layout``.  The constructor takes ``vec`` over and marks it
+    read-only, so parameter sets can be shared, as snapshots or as the
+    start of another run, without copies.  A stack
     ``vec`` of shape (R, P) holds R networks, one per row; its views are
     (R, fan_in, fan_out) weights and (R, 1, fan_out) biases.
     """
@@ -65,13 +66,23 @@ class MlpParams:
             raise ShapeError(
                 f"parameter vector of shape {vec.shape} != ([R,] {total}) for sizes {list(sizes)}"
             )
+        self._adopt(vec, sizes, activation, layers)
+
+    def _adopt(self, vec, sizes, activation, layers):
+        """Take over the checked vector ``vec`` of ``_layout(activation, *sizes)``'s ``layers``."""
         vec.setflags(write=False)
-        self.vec = vec
-        self.sizes = sizes
-        self.activation = activation
-        lead = vec.shape[:-1]
-        self.weights = [vec[..., w].reshape(lead + shape) for w, shape, _ in layers]
-        self.biases = [vec[:, None, b] if lead else vec[b] for _, _, b in layers]
+        self.vec, self.sizes, self.activation, self.layers = vec, sizes, activation, layers
+        self.weights, self.biases = _views(vec, layers)
+
+
+def _views(vec, layers):
+    """Per-layer weight and bias views of a vector, or of an (R, P) stack, in ``layers``' layout.
+
+    Stacked weights are (R, fan_in, fan_out) and biases (R, 1, fan_out).
+    """
+    lead = vec.shape[:-1]
+    return ([vec[..., w].reshape(lead + shape) for w, shape, _ in layers],
+            [vec[:, None, b] if lead else vec[b] for _, _, b in layers])
 
 
 def init_mlp(sizes, activation="tanh", seed=0):
@@ -99,9 +110,12 @@ def _act_grad(pre, post, kind):
 def _forward_cached(params, X):
     """Forward pass of a 2-D batch, kept for ``backward`` and ``jvp``.
 
-    Returns the cache ``(pres, posts)``: per-layer pre-activations and
-    layer inputs, with ``posts[0]`` the features and ``pres[-1]`` the logits.
-    Stacked ``params`` of R networks take an (R, n, d) batch, one per run.
+    Returns the cache ``(pres, posts, act_grads)``: per-layer
+    pre-activations and layer inputs, with ``posts[0]`` the features and
+    ``pres[-1]`` the logits, and a list that ``_act_grads`` fills with the
+    hidden layers' activation derivatives on first use, so the passes over
+    one cache form them once.  Stacked ``params`` of R networks take an
+    (R, n, d) batch, one per run.
     """
     X = np.asarray(X, dtype=float)
     lead = params.vec.shape[:-1]
@@ -118,7 +132,15 @@ def _forward_cached(params, X):
         if l < last:
             h = _act(pre, params.activation)
             posts.append(h)
-    return pres, posts
+    return pres, posts, []
+
+
+def _act_grads(params, cache):
+    """The activation derivative of each hidden layer of ``cache``, formed on first use."""
+    pres, posts, grads = cache
+    if not grads:
+        grads += [_act_grad(pre, post, params.activation) for pre, post in zip(pres[:-1], posts[1:])]
+    return grads
 
 
 def forward_logits(params, X):
@@ -130,23 +152,26 @@ def backward(params, cache, grad_logits_batch):
     """Exact gradient of sum_i <logits_i, g_i> with respect to the parameters.
 
     ``cache`` is ``_forward_cached(params, X)``; the result is one vector in
-    the layout of ``params.vec`` (one row per run for stacked ``params``).
+    the layout of ``params.vec`` (one row per run for stacked ``params``),
+    each layer's bias sum and weight product written into its slots.
     Callers bake any 1/N loss reduction into ``grad_logits_batch``.
     """
-    pres, posts = cache
+    pres, posts, _ = cache
     G = np.asarray(grad_logits_batch, dtype=float)
     if G.shape != pres[-1].shape:
         raise ShapeError(f"logit gradient of shape {G.shape} != cached logits {pres[-1].shape}")
-    flat = params.vec.shape[:-1] + (-1,)
-    parts = []  # b_L, W_L, ..., b_0, W_0: reversed at the end
+    out = np.empty(params.vec.shape)
+    lead = out.shape[:-1]
+    act_grads = _act_grads(params, cache)
     delta = G
-    for l in range(len(params.weights) - 1, -1, -1):
-        parts += [delta.sum(axis=-2), (posts[l].swapaxes(-1, -2) @ delta).reshape(flat)]
+    for l in range(len(params.layers) - 1, -1, -1):
+        w, shape, b = params.layers[l]
+        np.add.reduce(delta, axis=-2, out=out[..., b])
+        # a weight slot reshapes to a view of out, so matmul writes into out
+        np.matmul(posts[l].swapaxes(-1, -2), delta, out=out[..., w].reshape(lead + shape))
         if l > 0:
-            delta = (delta @ params.weights[l].swapaxes(-1, -2)) * _act_grad(
-                pres[l - 1], posts[l], params.activation
-            )
-    return np.concatenate(parts[::-1], axis=-1)
+            delta = (delta @ params.weights[l].swapaxes(-1, -2)) * act_grads[l - 1]
+    return out
 
 
 def jvp(params, cache, direction):
@@ -156,24 +181,27 @@ def jvp(params, cache, direction):
     R-operator).  Because ``backward`` is linear in its logit gradient,
     sum_i <G_i, jvp_i> == direction . backward(params, cache, G).
     """
-    layers, _ = _layout(params.activation, *params.sizes)
     if np.shape(direction) != params.vec.shape:
         raise ShapeError(f"direction of shape {np.shape(direction)} != {params.vec.shape} parameters")
-    pres, posts = cache
-    dw = [direction[..., w].reshape(params.vec.shape[:-1] + shape) for w, shape, _ in layers]
-    db = [direction[:, None, b] if params.vec.ndim == 2 else direction[b] for _, _, b in layers]
+    posts = cache[1]
+    dw, db = _views(direction, params.layers)
+    act_grads = _act_grads(params, cache)
     tangent = posts[0] @ dw[0] + db[0]  # of pres[0]; the features are fixed
     for l in range(1, len(params.weights)):
-        d_post = tangent * _act_grad(pres[l - 1], posts[l], params.activation)
+        d_post = tangent * act_grads[l - 1]
         tangent = d_post @ params.weights[l] + posts[l] @ dw[l] + db[l]
     return tangent
 
 
 def sgd_step(params, step, alpha):
     """params - alpha * step, with ``step`` shaped like ``params.vec``."""
+    if np.shape(step) != params.vec.shape:
+        raise ShapeError(f"step of shape {np.shape(step)} != {params.vec.shape} parameters")
     if not np.isfinite(step).all():
         raise NumericError("non-finite gradient in sgd_step")
-    return MlpParams(params.vec - alpha * step, params.sizes, params.activation)
+    moved = object.__new__(MlpParams)  # params' checked layout
+    moved._adopt(params.vec - alpha * step, params.sizes, params.activation, params.layers)
+    return moved
 
 
 def save_checkpoint(params, path):

@@ -5,6 +5,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import kernel_reference as ref
 import numpy as np
 import pytest
 
@@ -44,8 +45,8 @@ def batch_loss(hyper, Z, labels):
 
 
 def batch_hgrad(hyper, Z, labels):
-    """``L.batch_hgrad`` on a fresh normalization of the logits ``Z``."""
-    return L.batch_hgrad(hyper, L.normalize(hyper, Z, labels))
+    """``L.batch_hgrad`` on a fresh normalization of the logits ``Z``, the value derivatives included."""
+    return L.batch_hgrad(hyper, L.normalize(hyper, Z, labels), dvalues=True)
 
 
 def rce(rce_a=-4.0):
@@ -669,7 +670,7 @@ def _reference_batch_loss(hyper, Z, labels):
         U /= U.sum(axis=1, keepdims=True)
         return values, G - U * G.sum(axis=1, keepdims=True)
 
-    P = L.softmax(Z)
+    P = ref.softmax(Z)
     Y = np.zeros_like(P)
     Y[n, labels] = 1.0
     pj = np.clip(P[n, labels], L.PROB_FLOOR, 1.0 - L.PROB_FLOOR)
@@ -716,6 +717,27 @@ class TestTrainingBits:
                     ref_values, ref_grads = _reference_batch_loss(hyper, Z, labels)
                     assert values.tobytes() == ref_values.tobytes(), (hyper, scale)
                     assert grads.tobytes() == ref_grads.tobytes(), (hyper, scale)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (7, 2), (16, 5), (3, 16, 3)])
+    def test_softmax_matches_reference(self, shape):
+        rng = np.random.default_rng(48)
+        for scale in (1e-3, 1.0, 40.0, 1e3):
+            Z = rng.normal(size=shape) * scale
+            Z[..., 0] = Z[..., -1]  # a tie for the maximum in some rows
+            assert np.array_equal(L.softmax(Z), ref.softmax(Z)), scale
+
+    @pytest.mark.parametrize("labels", ["rows", "scalar", "column"])
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    def test_p_minus_y_matches_reference(self, labels, n):
+        # a (k, 1) column of labels gives (k, n, c), one P - Y per label
+        rng = np.random.default_rng(49)
+        for c in (2, 3, 5):
+            P = ref.softmax(rng.normal(size=(n, c)) * 3.0)
+            y = {"rows": rng.integers(c, size=n), "scalar": int(rng.integers(c)),
+                 "column": rng.integers(c, size=(4, 1))}[labels]
+            D = L._Batch(P, y).D
+            assert D.shape == ((4, n, c) if labels == "column" else (n, c))
+            assert np.array_equal(D, ref.p_minus_y(P, y)), c
 
 
 def _fd_in_field(hyper, name, Z, labels, step):
@@ -764,6 +786,18 @@ class TestHgrad:
                     )
         for v, bound in self.BOUNDS.items():
             assert worst[v] <= bound, (v, worst[v])
+
+    def test_value_derivatives_only_when_asked(self):
+        # the hypergradient reads the gradients' derivatives alone; the rest keeps its bits
+        rng = np.random.default_rng(57)
+        Z = rng.normal(size=(12, 4)) * 3.0
+        labels = rng.integers(4, size=12)
+        for hyper in _hyper_cases(rng):
+            values, grads, dvalues, dgrads = L.batch_hgrad(hyper, L.normalize(hyper, Z, labels))
+            want = batch_hgrad(hyper, Z, labels)
+            assert dvalues is None and want[2].shape == (len(hyper.learnable_names), 12)
+            for got, w in zip((values, grads, dgrads), want[:2] + want[3:]):
+                assert got.tobytes() == w.tobytes(), hyper
 
     def test_ce_has_none(self):
         Z = np.random.default_rng(54).normal(size=(4, 3))
@@ -927,7 +961,7 @@ class TestOneNormalization:
             assert grads.tobytes() == want_grads.tobytes(), h
             assert L.loss_values(h, L.normalize(h, Zc, yc).P, yc).tobytes() == want_values.tobytes(), h
             # the same record at moved fields, after the evaluations above
-            got, want = L.batch_hgrad(m, batch), batch_hgrad(m, Zc, yc)
+            got, want = L.batch_hgrad(m, batch, dvalues=True), batch_hgrad(m, Zc, yc)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), m
             assert L.loss_values(m, batch.P, batch.labels).tobytes() == want[0].tobytes(), m

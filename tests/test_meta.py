@@ -1,5 +1,6 @@
 """Tests for the bilevel loop: virtual step, hypergradient, training."""
 
+import collections
 import re
 import warnings
 from dataclasses import replace
@@ -420,6 +421,43 @@ class TestForwardCount:
         assert counts["steps"] == 2 * 12
         assert counts["metrics"] == 3 * len(rows)
 
+    def test_lone_bilevel_step_pass_budget(self, monkeypatch):
+        # per step: the train and the meta forward; the virtual, meta and actual
+        # backward; one jvp; the virtual and the actual SGD step; a train and a meta
+        # batch; and one activation derivative per hidden layer of each cached forward
+        train, meta_set, test = small_problem(seed=30)
+        counts = {"steps": collections.Counter(), "metrics": collections.Counter()}
+        in_metrics = [False]
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                counts["metrics" if in_metrics[0] else "steps"][name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_forward_cached", "backward", "jvp", "sgd_step", "_act_grad"):
+            counted(model, name)
+        counted(meta._Batches, "take")
+        metrics_row = meta._metrics_row
+
+        def flagged_metrics_row(*args):
+            in_metrics[0] = True
+            try:
+                return metrics_row(*args)
+            finally:
+                in_metrics[0] = False
+
+        monkeypatch.setattr(meta, "_metrics_row", flagged_metrics_row)
+        T = 12
+        config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=16, batch_m=10, max_iters=T,
+                                  seed=31, metrics_every=5, hidden=(8, 5))
+        _, rows = meta.arl_train(train, meta_set, test, config)
+        assert counts["steps"] == {"_forward_cached": 2 * T, "backward": 3 * T, "jvp": T, "sgd_step": 2 * T,
+                                   "take": 2 * T, "_act_grad": 2 * 2 * T}
+        assert counts["metrics"] == {"_forward_cached": 3 * len(rows)}  # no gradient, no derivative
+
     def test_conventional_runs_one_per_step(self, monkeypatch):
         # one stacked forward per lockstep step, however many runs it holds
         train, meta_set, test = small_problem(seed=28)
@@ -758,7 +796,7 @@ class TestBatchStreams:
 
         def recorded(self, k):
             batch = real(self, k)
-            rows.append(self.idx[:k].copy())
+            rows.append(np.array(batch[0]))  # each run's feature rows
             return batch
 
         train, _, _ = small_problem(seed=82)
@@ -769,10 +807,43 @@ class TestBatchStreams:
         monkeypatch.setattr(meta._Batches, "take", recorded)
         meta.train_runs(conventional(train, config, [(losses.HyperParams("sl"), None, 0), (h, p, start)]))
         assert len(rows) == config.max_iters
-        for t, idx in enumerate(rows, start=1):
-            assert len(idx) == (2 if t > start else 1)
+        for t, X in enumerate(rows, start=1):
+            assert len(X) == (2 if t > start else 1)
             if t > start:
-                np.testing.assert_array_equal(idx[1], idx[0])
+                np.testing.assert_array_equal(X[1], X[0])
+
+    @pytest.mark.parametrize("variant", ["sl", "bi_tempered"])
+    def test_shared_batch_matches_gathered_copies(self, variant, monkeypatch):
+        # runs that all read one stream over one set (the ablation's conventional
+        # call) share one gathered batch, as a broadcast view over the stack
+        train, _, _ = small_problem(seed=86)
+        config = meta.TrainConfig(variant, alpha=0.5, beta=0.0, batch_n=16, max_iters=30, seed=87,
+                                  metrics_every=7, momentum=0.9)
+        [(_, snapshots)] = meta.train_runs(conventional(train, config, [(losses.HyperParams(variant), None, 0)]))
+        other = {"sl": {"gamma1": 0.5, "gamma2": 2.0}, "bi_tempered": {"t1": 0.3, "t2": 1.8}}[variant]
+        specs = [(losses.HyperParams(variant, **other), None, 0)] + [(h, p, t) for t, p, h in snapshots[:-1]]
+        real_init, real_take, strides = meta._Batches.__init__, meta._Batches.take, set()
+
+        def recorded(self, k):
+            X, y = real_take(self, k)
+            strides.add((self.shared, X.strides[0], y.strides[0]))
+            return X, y
+
+        monkeypatch.setattr(meta._Batches, "take", recorded)
+        shared = meta.train_runs(conventional(train, config, specs))
+        assert strides == {(True, 0, 0)}
+
+        def gathering(self, *args):
+            real_init(self, *args)
+            self.shared = False
+
+        monkeypatch.setattr(meta._Batches, "__init__", gathering)
+        strides.clear()
+        gathered = meta.train_runs(conventional(train, config, specs))
+        assert {s for s, _, _ in strides} == {False} and all(sx > 0 and sy > 0 for _, sx, sy in strides)
+        for (end, snaps), (want_end, want_snaps) in zip(shared, gathered):
+            assert [(t, p.vec.tobytes()) for t, p, _ in snaps] == [(t, p.vec.tobytes()) for t, p, _ in want_snaps]
+            assert np.array_equal(end.params.vec, want_end.params.vec)
 
     @pytest.mark.parametrize("variant", ["gce", "bi_tempered"])
     def test_lone_late_run_matches_its_stacked_run(self, variant):

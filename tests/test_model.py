@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from arl import data, losses, model
 from arl.errors import ConfigError, NumericError, ShapeError
 
@@ -203,6 +204,29 @@ class TestJvp:
         cache = model._forward_cached(p, np.ones((4, 2)))
         with pytest.raises(ShapeError):
             model.jvp(p, cache, model.init_mlp([2, 5, 3], seed=61).vec)
+
+
+class TestAgainstReference:
+    """The backward pass and the JVP give the bits of their plain forms (``kernel_reference``)."""
+
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    @pytest.mark.parametrize("hidden", [(), (16,), (8, 5)], ids=["0", "1", "2"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("runs", [None, 3], ids=["lone", "stacked"])
+    def test_bits(self, runs, activation, hidden, n):
+        rng = np.random.default_rng(101)
+        sizes = [2, *hidden, 3]
+        lead = () if runs is None else (runs,)
+        vec = np.stack([model.init_mlp(sizes, activation, seed=s).vec for s in range(runs or 1)])
+        p = model.MlpParams(vec.reshape(lead + vec.shape[1:]) + 0.1 * rng.normal(size=lead + vec.shape[1:]),
+                            sizes, activation)
+        X = rng.normal(size=lead + (n, 2)) * 1.5
+        G = rng.normal(size=lead + (n, 3))
+        direction = rng.normal(size=p.vec.shape)
+        cache = model._forward_cached(p, X)
+        for _ in range(2):  # a fresh cache, then one whose activation derivatives are formed
+            assert np.array_equal(model.backward(p, cache, G), ref.backward(p, cache, G))
+        assert np.array_equal(model.jvp(p, cache, direction), ref.jvp(p, cache, direction))
 
 
 class TestSgd:
