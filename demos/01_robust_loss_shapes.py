@@ -44,6 +44,6 @@ for hyper in (GCE, SL, BI_TEMPERED, POLYSOFT):
 print("\nThe tempered softmax keeps heavier tails than softmax (t2 = 2):")
 z = np.array([3.0, 0.0, 0.0])
 p_soft = losses.softmax(z)
-p_temp, gamma = losses.tempered_softmax(z, t2=2.0)
+p_temp = losses.normalize(losses.HyperParams("bi_tempered", t2=2.0), z[None, :], [0]).P[0]
 print(f"  softmax          : {np.array2string(p_soft, precision=4)}")
-print(f"  tempered softmax : {np.array2string(p_temp, precision=4)}  (gamma* = {gamma:.4f})")
+print(f"  tempered softmax : {np.array2string(p_temp, precision=4)}")

@@ -148,8 +148,8 @@ def build_hyper(variant, fields, num_classes, path, rce_a=-4.0):
 def parse_config(doc, seed_override=None):
     _check_keys(doc, {"seed", *_DEFAULTS}, "$")
     master = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(master, int):
-        raise ConfigError("'seed' must be an integer")
+    if not _IS["an integer"](master):
+        raise ConfigError(f"'seed' must be an integer, got {master!r}")
     sections = {name: _section(doc, name, master, seed_override is None) for name in _DEFAULTS}
     dataset, noise, loss, theory = (sections[k] for k in ("dataset", "noise", "loss", "theory"))
     if "csv" in dataset and "generator" in dataset:

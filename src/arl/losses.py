@@ -26,7 +26,10 @@ stacked or in a batch of one.  On the record of
 each learnable field, and the values' derivatives when asked;
 ``loss_values`` (the metrics rows, the theory table, the loss curve, the
 cross entropies of the sample weights) takes the same values alone, on
-bare probability rows.
+bare probability rows.  The tempered logarithm and exponential exist only
+as the kernels that ``bi_tempered`` runs: ``_log_t_of_log`` (from log x),
+``_exp_t_neg_args`` and the batched normalization solve
+``_tempered_softmax_batch``, which ``normalize`` calls.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -191,31 +194,6 @@ def _log_t_of_log(log_x, t):
     return np.where(near, log_x, np.expm1(s * log_x) / s)
 
 
-def log_t(x, t):
-    """Tempered logarithm (x^(1-t) - 1) / (1 - t); natural log at t = 1."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("log_t requires x > 0")
-    out = _log_t_of_log(np.log(x), t)
-    return float(out) if out.ndim == 0 else out
-
-
-def exp_t(x, t):
-    """Tempered exponential [1 + (1-t) x]_+^(1/(1-t)); exp at t = 1.
-
-    For t > 1 with 1 + (1-t) x <= 0 the true limit is +inf, returned as a
-    sentinel; the tempered softmax never reaches it because its arguments
-    are <= 0 there.
-    """
-    x = np.asarray(x, dtype=float)
-    if abs(t - 1.0) < _T_NEAR_ONE:
-        out = np.exp(x)
-    else:
-        with np.errstate(divide="ignore"):
-            out = _exp_t_neg_args(x, 1.0 - t)
-    return float(out) if out.ndim == 0 else out
-
-
 def _exp_t_neg_args(X, s):
     """exp_t with s = 1 - t (a scalar or one per row), t away from 1.
 
@@ -240,7 +218,7 @@ def _tempered_softmax_batch(Z, t2):
     unique root.  A row stops on a relative step size, not on the residual,
     whose floor is about |gamma| * eps; each row's steps are its own and
     ``_pow`` gives its t2 the bits of a scalar, so a row solves to the same
-    bits in any batch.  Domain checks on t2 live in the public entry points.
+    bits in any batch.  ``HyperParams`` checks t2's domain.
     """
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
@@ -282,17 +260,6 @@ def _tempered_softmax_batch(Z, t2):
     P_all, gamma_all = softmax(Z), np.atleast_1d(logsumexp(Z))
     P_all[~near], gamma_all[~near] = P, gamma
     return P_all, gamma_all
-
-
-def tempered_softmax(z, t2):
-    """Probabilities p_j = exp_t2(z_j - gamma*) with sum p = 1.
-
-    Returns ``(p, gamma*)`` where gamma* is the normalization constant.
-    """
-    if not (np.isfinite(t2) and t2 > 1.0):
-        raise DomainError(f"t2={t2!r} must exceed 1")
-    P, gamma = _tempered_softmax_batch(np.asarray(z, dtype=float)[None, :], t2)
-    return P[0], float(gamma[0])
 
 
 # ---------------------------------------------------------------------------

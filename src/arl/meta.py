@@ -127,11 +127,6 @@ def _first_bad(ok, params):
     return int(ok.reshape(params.vec.size // params.vec.shape[-1], -1).all(axis=1).argmin())
 
 
-def train_grad(params, hyper, cache, batch):
-    """Gradient vector of the mean robust loss of a batch: its forward ``cache`` and record."""
-    return _backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
-
-
 def _backward_mean(params, hypers, values, G, cache):
     """Gradient vector of each run's mean of its per-sample ``values``, which must be finite."""
     ok = np.isfinite(values)
@@ -180,7 +175,10 @@ def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
     dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.
     For an (R, P) stack of runs, ``hyper`` and ``theta`` are the runs'
     lists and ``Xm``, ``ym`` their (R, m, .) meta batches; the result has
-    a row per run, each the bits of the run's own call.
+    a row per run, each the bits of the run's own call.  The virtual step
+    is the plain step w - alpha g also when the actual step takes momentum,
+    as in Ren et al. (ICML 2018) and Shu et al. (NeurIPS 2019): the look-ahead
+    leaves the velocity out.
     """
     stacked = params.vec.ndim == 2
     hypers, thetas = (hyper, theta) if stacked else ([hyper], [theta])
@@ -418,19 +416,6 @@ def compute_sample_weights(params, hyper, dataset):
     Z = model.forward_logits(params, dataset.X)
     ce_vals = losses.loss_values(_CE, losses.softmax(Z), dataset.y)
     return losses.polysoft_weight(ce_vals, hyper.lam, hyper.d)
-
-
-def flattening_point(ce_grid, loss_values, threshold=0.05):
-    """Smallest CE value where the loss slope drops below ``threshold``.
-
-    Slopes are forward differences on the grid; returns +inf if the curve
-    never flattens.
-    """
-    x = np.asarray(ce_grid, dtype=float)
-    y = np.asarray(loss_values, dtype=float)
-    slopes = np.diff(y) / np.diff(x)
-    below = np.flatnonzero(slopes < threshold)
-    return float(x[below[0]]) if below.size else float("inf")
 
 
 def write_metrics_csv(rows, path):

@@ -1,6 +1,6 @@
 """Numeric verification of the bounded-loss robustness guarantees.
 
-Under symmetric label noise with rate eta <= 1 - 1/c, the soft-weighting
+Under symmetric label noise with rate eta < 1 - 1/c, the soft-weighting
 and tempered losses admit sandwich bounds relating the risks of the
 clean-risk minimizer f* and the noisy-risk minimizer f^:
 
@@ -16,8 +16,9 @@ product hypothesis space.
 
 One ``grid_scan`` evaluates the loss on the grid once: a (points, c) table
 of L(u, j) per (hyper, c, delta), which the verifications of every eta
-share.  Its columns give the clean and noisy per-point terms of every
-label, hence both minimizers, and its rows give the grid tolerance:
+share, and no verification evaluates the loss again.  Its columns give the
+clean and noisy per-point terms of every label, hence both minimizers, and
+the minimizers' rows give the four risks; its rows give the grid tolerance:
 moving one delta of mass between two coordinates of a grid point lands on
 another grid point, so every slope the tolerance needs is a difference of
 two table rows.  The tolerance scan takes its source rows one table block
@@ -68,8 +69,7 @@ class FiniteWorld:
             raise ConfigError("a world needs at least one point")
         if np.any(self.labels < 0) or np.any(self.labels >= self.c):
             raise ConfigError("labels out of range")
-        if not 0.0 <= self.eta <= 1.0 - 1.0 / self.c:
-            raise DomainError(f"eta={self.eta} violates eta <= 1 - 1/c")
+        _check_eta(self.eta, self.c)
         if not 0.0 < self.delta <= 0.5:
             raise ConfigError("delta must lie in (0, 0.5]")
 
@@ -97,15 +97,20 @@ class RiskReport:
         return {k: v for k, v in vars(self).items() if k not in ("f_star", "f_hat")}
 
 
+def _check_eta(eta, c):
+    """The hypothesis on the noise rate, 0 <= eta < 1 - 1/c: the clean-gap constant divides by c - 1 - eta c."""
+    if not 0.0 <= eta < 1.0 - 1.0 / c:
+        raise DomainError(f"eta {eta} out of range 0 <= eta < 1 - 1/c = {1.0 - 1.0 / c:.6g} for {c} classes")
+
+
 def bound_constants(c, eta, hyper):
     """Evaluate the sandwich-bound constants for a polysoft or bi_tempered ``hyper``."""
     variant = hyper.variant
     if c < 2:
         raise DomainError("need at least two classes")
-    if not 0.0 <= eta <= 1.0 - 1.0 / c:
-        raise DomainError(f"eta={eta} violates the hypothesis eta <= 1 - 1/c")
+    _check_eta(eta, c)
     denom = c - 1 - eta * c
-    if denom <= 0:
+    if denom <= 0:  # rounding can still reach it below 1 - 1/c
         raise DomainError(
             f"eta={eta} leaves c - 1 - eta*c <= 0; the clean-gap constant needs eta < 1 - 1/c"
         )
@@ -185,26 +190,6 @@ def _per_point_terms(table, sums, label, eta, noisy):
     return (1.0 - eta) * own + eta / (c - 1.0) * (sums - own)
 
 
-def exact_risk(world, assignment, hyper, noisy):
-    """Exact expected loss of a per-point simplex assignment.
-
-    Uniform over the K points; under noise the label of a point is its
-    clean label with probability 1 - eta, otherwise uniform over the
-    other classes.
-    """
-    A = np.atleast_2d(np.asarray(assignment, dtype=float))
-    if A.shape != (len(world.labels), world.c):
-        raise DomainError(f"assignment shape {A.shape} does not match the world")
-    if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
-        raise DomainError("assignments must be probability vectors")
-    table = _loss_table(hyper, A)
-    terms = _per_point_terms(table, table.sum(axis=1), world.labels, world.eta, noisy)
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total / len(world.labels)
-
-
 def _neighbours(counts, start):
     """Adjacent grid points of one block of rows, one coordinate a at a time.
 
@@ -279,29 +264,38 @@ def grid_scan(c, delta, hyper):
     return GridScan(grid, table, table.sum(axis=1), grid_lipschitz(grid, table, delta) * delta)
 
 
+def _risk(world, table, sums, rows, noisy):
+    """Exact expected loss of putting point k on grid row ``rows[k]``: the mean of the
+    per-point terms read from the grid's loss table, summed in point order."""
+    terms = _per_point_terms(table.take(rows, axis=0), sums.take(rows), world.labels, world.eta, noisy)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total / len(world.labels)
+
+
 def riskgap_verify(world, hyper, scan=None):
     """Check both sandwich inequalities by exhaustive grid minimization.
 
     The risk is additive over points with independent assignments, so the
     global minimizers decompose into per-point grid scans; points sharing
-    a label share their minimizers.  ``scan`` is the ``grid_scan`` of the
-    world's c and delta under ``hyper``, built here when None; a caller
-    that verifies several etas builds it once.
+    a label share their minimizers.  The four risks are read from the
+    table at the minimizers' rows, so the loss is evaluated only in
+    ``grid_scan``.  ``scan`` is the ``grid_scan`` of the world's c and
+    delta under ``hyper``, built here when None; a caller that verifies
+    several etas builds it once.
     """
     constants = bound_constants(world.c, world.eta, hyper)
     grid, table, sums, tol = grid_scan(world.c, world.delta, hyper) if scan is None else scan
-    K = len(world.labels)
-    f_star = np.empty((K, world.c))
-    f_hat = np.empty((K, world.c))
-    for label in np.unique(world.labels):
-        points = world.labels == label
-        for f, noisy in ((f_star, False), (f_hat, True)):
-            f[points] = grid[int(np.argmin(_per_point_terms(table, sums, label, world.eta, noisy)))]
+    labels, of_point = np.unique(world.labels, return_inverse=True)
+    star, hat = (
+        np.array([np.argmin(_per_point_terms(table, sums, label, world.eta, noisy)) for label in labels])[of_point]
+        for noisy in (False, True)
+    )  # each point's minimizer row, clean and noisy
+    f_star, f_hat = grid[star], grid[hat]
 
-    r_clean_star = exact_risk(world, f_star, hyper, noisy=False)
-    r_clean_hat = exact_risk(world, f_hat, hyper, noisy=False)
-    r_noisy_star = exact_risk(world, f_star, hyper, noisy=True)
-    r_noisy_hat = exact_risk(world, f_hat, hyper, noisy=True)
+    r_clean_star, r_clean_hat, r_noisy_star, r_noisy_hat = (
+        _risk(world, table, sums, rows, noisy) for noisy in (False, True) for rows in (star, hat))
 
     noisy_gap = r_noisy_star - r_noisy_hat
     clean_gap = r_clean_star - r_clean_hat

@@ -49,7 +49,7 @@ def adaptive_run(dataset, meta_set, config):
                 hyper = losses.from_unconstrained(theta, hyper)
                 if hyper.variant == "bi_tempered":  # its normalization moved with t2
                     batch = losses.normalize(hyper, cache[0][-1], yn)
-            grads = meta.train_grad(params, hyper, cache, batch)
+            grads = meta._backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
             if velocity is not None:
                 velocity = grads = grads + config.momentum * velocity
             params = model.sgd_step(params, grads, alpha_t)
@@ -79,7 +79,8 @@ def conventional_run(train, meta_set, config, hyper, init_params=None, start=0):
     for t in range(start + 1, config.max_iters + 1):
         idx = rng.choice(len(train), size=config.batch_n, replace=False)
         cache = model._forward_cached(params, train.X[idx])
-        step = meta.train_grad(params, hyper, cache, losses.normalize(hyper, cache[0][-1], train.y[idx]))
+        batch = losses.normalize(hyper, cache[0][-1], train.y[idx])
+        step = meta._backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
         if config.momentum > 0:
             velocity = step = step + config.momentum * velocity
         alpha = config.alpha * config.decay_factor ** sum(t >= s for s in config.decay_steps)

@@ -498,6 +498,16 @@ class TestChecksBeforeTraining:
         assert not out.exists()
         assert says in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [True, False, 3.0, "3"])
+    def test_mistyped_master_seed_exits_2(self, tmp_path, capsys, monkeypatch, seed):
+        # a boolean is an int to Python: true would run as seed 1
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, dict(SMALL_RUN, seed=seed))),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'seed' must be an integer" in capsys.readouterr().err
+
     def test_superclasses_type_checked(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(data, "gen_blobs", _never_load)
         doc = dict(SMALL_RUN, noise={"type": "hierarchical", "eta": 0.2, "superclasses": 3})

@@ -161,41 +161,38 @@ class TestSymmetricLoss:
 
 
 class TestTemperedMath:
+    """The tempered logarithm from log x, and the tempered exponential [1 + s x]_+^(1/s), s = 1 - t."""
+
     def test_log_t_at_one_arg(self):
         for t in (0.0, 0.5, 1.0, 1.5, 2.5):
-            assert L.log_t(1.0, t) == pytest.approx(0.0, abs=1e-12)
+            assert L._log_t_of_log(0.0, t) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_t_example(self):
-        assert L.log_t(4.0, 0.5) == pytest.approx(2.0)
+        assert L._log_t_of_log(math.log(4.0), 0.5) == pytest.approx(2.0)
 
     def test_log_t_near_one(self):
-        assert L.log_t(math.e, 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-9)
-
-    def test_log_t_domain(self):
-        with pytest.raises(DomainError):
-            L.log_t(0.0, 0.5)
-        with pytest.raises(DomainError):
-            L.log_t(-1.0, 0.5)
+        assert L._log_t_of_log(1.0, 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-9)
 
     def test_exp_t_at_zero(self):
-        for t in (0.0, 0.5, 1.0, 1.5, 2.5):
-            assert L.exp_t(0.0, t) == pytest.approx(1.0)
+        for t in (0.0, 0.5, 1.5, 2.5):
+            assert L._exp_t_neg_args(0.0, 1.0 - t) == pytest.approx(1.0)
 
     def test_exp_t_example(self):
-        assert L.exp_t(-1.0, 2.0) == pytest.approx(0.5)
+        assert L._exp_t_neg_args(-1.0, -1.0) == pytest.approx(0.5)
 
     def test_exp_t_infinity_sentinel(self):
-        assert L.exp_t(2.0, 2.0) == np.inf
+        with np.errstate(divide="ignore"):  # log1p(-1) on the [.]_+ branch
+            assert L._exp_t_neg_args(2.0, -1.0) == np.inf
 
     def test_exp_t_zero_branch(self):
-        assert L.exp_t(-3.0, 0.5) == 0.0
+        with np.errstate(divide="ignore"):
+            assert L._exp_t_neg_args(-3.0, 0.5) == 0.0
 
     def test_exp_t_matches_masked_formula_bitwise(self):
-        # the former exp_t: log1p where the base 1 + (1-t) x is positive,
-        # an explicit 0 (t < 1) or +inf (t > 1) where it is not
+        # the masked form: log1p where the base 1 + (1-t) x is positive, an
+        # explicit 0 (t < 1) or +inf (t > 1) where it is not; the solve
+        # takes the softmax for t near 1, so the kernel never sees it
         def masked(x, t):
-            if abs(t - 1.0) < 1e-8:
-                return np.exp(x)
             s = 1.0 - t
             out = np.empty_like(x)
             pos = 1.0 + s * x > 0.0
@@ -207,56 +204,55 @@ class TestTemperedMath:
         common = np.concatenate([-mags, [0.0], mags, np.linspace(-50.0, 50.0, 1001)])
         # 1 - t a power of two puts the base exactly at 0 on x = -1/(1-t)
         exact = [0.0, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0, 9.0]
-        ts = np.concatenate([np.linspace(0.0, 10.0, 201), exact, [1.0 - 1e-9, 1.0 + 1e-6]])
-        for t in ts:
-            xs = common
-            if t != 1.0:  # the base's zero and its neighbours
-                edge = -1.0 / (1.0 - t)
-                xs = np.concatenate([xs, [edge, np.nextafter(edge, -np.inf),
-                                          np.nextafter(edge, np.inf)]])
-            with np.errstate(over="ignore"):
-                got, want = L.exp_t(xs, t), masked(xs, t)
+        ts = np.concatenate([np.linspace(0.0, 10.0, 201), exact, [1.0 + 1e-6]])
+        for t in ts[np.abs(ts - 1.0) >= L._T_NEAR_ONE]:
+            edge = -1.0 / (1.0 - t)  # the base's zero and its neighbours
+            xs = np.concatenate([common, [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]])
+            with np.errstate(over="ignore", divide="ignore"):
+                got, want = L._exp_t_neg_args(xs, 1.0 - t), masked(xs, t)
             assert got.tobytes() == want.tobytes(), t
 
     def test_roundtrip(self):
         ts = list(np.linspace(0.0, 0.9, 7)) + list(np.linspace(1.1, 3.0, 7))
         for t in ts:
             for x in np.geomspace(1e-4, 1.0, 25):
-                back = L.exp_t(L.log_t(x, t), t)
+                back = L._exp_t_neg_args(L._log_t_of_log(math.log(x), t), 1.0 - t)
                 assert abs(back - x) <= 1e-10
 
 
 class TestTemperedSoftmax:
+    """The normalization solve on one row of logits."""
+
     def test_symmetry(self):
-        p, gamma = L.tempered_softmax(np.full(4, 2.0), 1.7)
-        np.testing.assert_allclose(p, 0.25, atol=1e-12)
-        assert gamma >= 2.0
+        P, gamma = L._tempered_softmax_batch(np.full((1, 4), 2.0), 1.7)
+        np.testing.assert_allclose(P[0], 0.25, atol=1e-12)
+        assert gamma[0] >= 2.0
 
     def test_matches_softmax_near_t2_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = rng.normal(size=6) * 2.0
-            p, _ = L.tempered_softmax(z, 1.0 + 1e-8)
-            assert rel_err(p, L.softmax(z)) <= 1e-6
+            P, _ = L._tempered_softmax_batch(z[None, :], 1.0 + 1e-8)
+            assert rel_err(P[0], L.softmax(z)) <= 1e-6
 
     def test_normalization(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             z = rng.normal(size=rng.integers(2, 12)) * rng.uniform(0.5, 8.0)
             t2 = rng.uniform(1.05, 3.0)
-            p, gamma = L.tempered_softmax(z, t2)
-            assert abs(p.sum() - 1.0) <= 1e-10
-            assert gamma >= z.max()
+            P, gamma = L._tempered_softmax_batch(z[None, :], t2)
+            assert abs(P[0].sum() - 1.0) <= 1e-10
+            assert gamma[0] >= z.max()
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            z = rng.normal(size=5) * 3.0
+            z = rng.normal(size=(1, 5)) * 3.0
             shift = rng.uniform(-50.0, 50.0)
-            p0, g0 = L.tempered_softmax(z, 2.0)
-            p1, g1 = L.tempered_softmax(z + shift, 2.0)
-            assert np.max(np.abs(p0 - p1)) <= 1e-9
-            assert g1 - g0 == pytest.approx(shift, abs=1e-9)
+            P0, g0 = L._tempered_softmax_batch(z, 2.0)
+            P1, g1 = L._tempered_softmax_batch(z + shift, 2.0)
+            assert np.max(np.abs(P0 - P1)) <= 1e-9
+            assert g1[0] - g0[0] == pytest.approx(shift, abs=1e-9)
 
 
 def _bisect_reference(Z, t2):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from serial_reference import adaptive_run, conventional_run
+from test_acceptance import flattening_point
 
 from arl import cli, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
@@ -34,9 +35,15 @@ def train_batch(p, hyper, Xn, yn):
     return cache, losses.normalize(hyper, cache[0][-1], yn)
 
 
+def train_grad(p, hyper, Xn, yn):
+    """Gradient vector of the train batch's mean robust loss, as the loop's steps take it."""
+    cache, batch = train_batch(p, hyper, Xn, yn)
+    return meta._backward_mean(p, [hyper], *losses.batch_loss(hyper, batch), cache)
+
+
 def virtual_step(p, hyper, Xn, yn, alpha):
     """The one-step lookahead w - alpha * grad_w L_train, as the hypergradient takes it."""
-    return model.sgd_step(p, meta.train_grad(p, hyper, *train_batch(p, hyper, Xn, yn)), alpha)
+    return model.sgd_step(p, train_grad(p, hyper, Xn, yn), alpha)
 
 
 def hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha):
@@ -68,6 +75,19 @@ def random_hyper(rng, variant):
     )
 
 
+def momentum_state(variant, steps=10, momentum=0.9, alpha=0.3):
+    """A mid-run state of heavy-ball training: its hyperparameters, network, nonzero velocity and next batches."""
+    rng = np.random.default_rng(61)
+    hyper = random_hyper(rng, variant)
+    p = model.init_mlp([2, 6, 3], seed=160)
+    velocity = np.zeros_like(p.vec)
+    for _ in range(steps):
+        Xn, yn, _, _ = make_batches(rng)
+        velocity = train_grad(p, hyper, Xn, yn) + momentum * velocity
+        p = model.sgd_step(p, velocity, alpha)
+    return (hyper, p, velocity, *make_batches(rng))
+
+
 class TestVirtualStep:
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(0)
@@ -83,7 +103,7 @@ class TestVirtualStep:
         Xn, yn, _, _ = make_batches(rng)
         ce = losses.HyperParams("ce")
         got = virtual_step(p, ce, Xn, yn, 0.2)
-        grads = meta.train_grad(p, ce, *train_batch(p, ce, Xn, yn))
+        grads = train_grad(p, ce, Xn, yn)
         want = model.sgd_step(p, grads, 0.2)
         np.testing.assert_array_equal(got.vec, want.vec)
 
@@ -92,7 +112,7 @@ class TestVirtualStep:
         p = model.init_mlp([2, 6, 3], seed=3)
         Xn, yn, _, _ = make_batches(rng)
         hyper = losses.HyperParams("gce", q=0.5)
-        grads = meta.train_grad(p, hyper, *train_batch(p, hyper, Xn, yn))
+        grads = train_grad(p, hyper, Xn, yn)
         moved = virtual_step(p, hyper, Xn, yn, 0.3)
         assert np.linalg.norm(moved.vec - p.vec) == pytest.approx(0.3 * np.linalg.norm(grads))
 
@@ -132,9 +152,9 @@ class TestHypergradient:
             w_tilde = virtual_step(p, hyper, Xn, yn, alpha)
             g = meta.meta_ce_grad(w_tilde, Xm, ym)
             h_ce = losses.HyperParams("sl", gamma1=1.0, gamma2=0.0)
-            g_ce = meta.train_grad(p, h_ce, *train_batch(p, h_ce, Xn, yn))
+            g_ce = train_grad(p, h_ce, Xn, yn)
             h_rce = losses.HyperParams("sl", gamma1=0.0, gamma2=1.0)
-            g_rce = meta.train_grad(p, h_rce, *train_batch(p, h_rce, Xn, yn))
+            g_rce = train_grad(p, h_rce, Xn, yn)
             scale = losses.reparam_scale("sl", theta)
             want = np.array(
                 [
@@ -147,13 +167,19 @@ class TestHypergradient:
     def test_matches_pipeline_fd_all_families(self):
         # independent oracle: differentiate meta-loss(virtual(theta)) end
         # to end by central differences at a step the hypergradient never
-        # uses internally
+        # uses internally.  For gce and polysoft a mid-run state of momentum
+        # training is one more input: the look-ahead is the plain step
+        # w - alpha g, not the heavy-ball step that adds the velocity
         rng = np.random.default_rng(6)
         for variant in ("gce", "sl", "bi_tempered", "polysoft"):
+            inputs = []
             for trial in range(20):
                 hyper = random_hyper(rng, variant)
                 p = model.init_mlp([2, 6, 3], seed=100 + trial)
-                Xn, yn, Xm, ym = make_batches(rng)
+                inputs.append((trial, hyper, p, None, *make_batches(rng)))
+            if variant in ("gce", "polysoft"):
+                inputs.append(("momentum", *momentum_state(variant)))
+            for trial, hyper, p, velocity, Xn, yn, Xm, ym in inputs:
                 if variant == "polysoft":
                     # the mixed partial has a kink where a sample's CE hits
                     # lam; keep the state away from it so both difference
@@ -168,18 +194,23 @@ class TestHypergradient:
                 alpha = 0.3
                 got = hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha)
 
-                def pipeline(th):
-                    h = losses.from_unconstrained(th, hyper)
-                    w = virtual_step(p, h, Xn, yn, alpha)
-                    return meta_loss(w, Xm, ym)
+                def pipeline_fd(step):
+                    # central differences of the meta loss at the point step(h)
+                    fd = np.zeros_like(theta)
+                    h_step = 1e-4
+                    for k in range(theta.size):
+                        e = np.zeros_like(theta)
+                        e[k] = h_step
+                        hi, lo = (losses.from_unconstrained(theta + sign * e, hyper) for sign in (1, -1))
+                        fd[k] = (meta_loss(step(hi), Xm, ym) - meta_loss(step(lo), Xm, ym)) / (2 * h_step)
+                    return fd
 
-                fd = np.zeros_like(theta)
-                h_step = 1e-4
-                for k in range(theta.size):
-                    e = np.zeros_like(theta)
-                    e[k] = h_step
-                    fd[k] = (pipeline(theta + e) - pipeline(theta - e)) / (2 * h_step)
-                assert rel_err(got, fd) <= 1e-3, (variant, trial)
+                plain = pipeline_fd(lambda h: virtual_step(p, h, Xn, yn, alpha))
+                assert rel_err(got, plain) <= 1e-3, (variant, trial)
+                if velocity is not None:
+                    heavy = pipeline_fd(lambda h: model.sgd_step(p, train_grad(p, h, Xn, yn) + 0.9 * velocity,
+                                                                 alpha))
+                    assert rel_err(got, heavy) > 1e-2, variant
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "polysoft"])
@@ -554,7 +585,7 @@ class TestOptionalKnobs:
         for _ in range(40):
             idx = rng.choice(len(train), size=32, replace=False)
             q = model.MlpParams(np.concatenate([a.ravel() for a in layers]), p.sizes, p.activation)
-            grads = meta.train_grad(q, hyper, *train_batch(q, hyper, train.X[idx], train.y[idx]))
+            grads = train_grad(q, hyper, train.X[idx], train.y[idx])
             grads = model.MlpParams(grads, q.sizes, q.activation)
             g = [a for w, b in zip(grads.weights, grads.biases) for a in (w, b)]
             for l in range(len(layers)):
@@ -933,12 +964,12 @@ class TestFlatteningPoint:
         # slope of the lam=1, d=2 curve is 1 - ce, crossing 0.05 at 0.95
         grid = np.linspace(0.0, 3.0, 1201)
         vals = losses.polysoft_of_ce(grid, 1.0, 2.0)[0]
-        fp = meta.flattening_point(grid, vals)
+        fp = flattening_point(grid, vals)
         assert fp == pytest.approx(0.95, abs=0.01)
 
     def test_never_flat(self):
         grid = np.linspace(0.0, 3.0, 100)
-        assert meta.flattening_point(grid, grid.copy()) == np.inf
+        assert flattening_point(grid, grid.copy()) == np.inf
 
 
 class TestCsvWriters:

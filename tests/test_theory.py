@@ -76,6 +76,20 @@ class TestBoundConstants:
         with pytest.raises(DomainError, match="variant"):
             theory.bound_constants(3, 0.4, HyperParams("gce"))
 
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_eta_at_one_minus_one_over_c_rejected_up_front(self, c):
+        # the clean-gap constant divides by c - 1 - eta c, so eta = 1 - 1/c is
+        # out of range for the world and for the constants alike, by one rule
+        h = HyperParams("polysoft", lam=3.0, d=2.0)
+        says = f"out of range 0 <= eta < 1 - 1/c = {1.0 - 1.0 / c:.6g} for {c} classes"
+        with pytest.raises(DomainError, match=says):
+            theory.FiniteWorld(labels=[0, 1], c=c, delta=0.02, eta=1.0 - 1.0 / c)
+        with pytest.raises(DomainError, match=says):
+            theory.bound_constants(c, 1.0 - 1.0 / c, h)
+        below = 1.0 - 1.0 / c - 1e-3
+        theory.FiniteWorld(labels=[0, 1], c=c, delta=0.02, eta=below)
+        assert theory.bound_constants(c, below, h).clean_gap_bound < 0.0
+
 
 class TestSimplexGrid:
     def test_counts_and_validity(self):
@@ -148,14 +162,14 @@ class TestExactRisk:
         rng = np.random.default_rng(1)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("polysoft", lam=1.2, d=2.0)
-        clean = theory.exact_risk(world, f, h, noisy=False)
-        noisy = theory.exact_risk(world, f, h, noisy=True)
+        clean = theory_reference.exact_risk(world, f, h, noisy=False)
+        noisy = theory_reference.exact_risk(world, f, h, noisy=True)
         assert clean == pytest.approx(noisy, abs=1e-14)
 
     def test_vertex_prediction_ce(self):
         world = theory.FiniteWorld(labels=[0, 1], c=3, delta=0.02, eta=0.0)
         f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        risk = theory.exact_risk(world, f, HyperParams("ce"), noisy=False)
+        risk = theory_reference.exact_risk(world, f, HyperParams("ce"), noisy=False)
         assert risk == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_monte_carlo(self):
@@ -163,7 +177,7 @@ class TestExactRisk:
         rng = np.random.default_rng(2)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        exact = theory.exact_risk(world, f, h, noisy=True)
+        exact = theory_reference.exact_risk(world, f, h, noisy=True)
 
         draws = 40_000
         total = np.zeros(draws)
@@ -185,7 +199,7 @@ class TestExactRisk:
     def test_bad_assignment(self):
         world = self.world()
         with pytest.raises(DomainError):
-            theory.exact_risk(world, np.ones((4, 3)), HyperParams("ce"), False)
+            theory_reference.exact_risk(world, np.ones((4, 3)), HyperParams("ce"), False)
 
 
 class TestRiskGap:
@@ -443,6 +457,35 @@ class TestKernelTable:
             assert report.f_star[k].tobytes() == grid[int(np.argmin(clean))].tobytes()
             assert report.f_hat[k].tobytes() == grid[int(np.argmin(noisy))].tobytes()
         assert report.noisy_sandwich_ok and report.clean_sandwich_ok
+
+
+C4_WORLDS = [
+    (variant, [0, 1, 2, 3, 1], eta, hyper)
+    for eta in (0.1, 0.4, 0.7)
+    for variant, hyper in (
+        ("polysoft", {"lam": 2.0, "d": 2.5}),
+        ("bi_tempered", {"t1": 0.4, "t2": 1.6}),
+    )
+]
+
+
+class TestTableRisks:
+    """``riskgap_verify`` reads its risks from the grid's table: the bits of evaluating the loss again."""
+
+    @pytest.mark.parametrize(
+        "c,delta,variant,labels,eta,hyper",
+        [(3, 0.02, *w) for w in ACCEPTANCE_WORLDS] + [(4, 0.05, *w) for w in C4_WORLDS]
+        + [(5, 0.025, *w) for w in BOUNDS_SCAN_WORLDS],
+    )
+    def test_risks_match_exact_risk(self, c, delta, variant, labels, eta, hyper):
+        world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
+        h = HyperParams(variant, **hyper)
+        report = theory.riskgap_verify(world, h)
+        got = [report.clean_risk_star, report.clean_risk_hat,
+               report.noisy_risk_star, report.noisy_risk_hat]
+        want = [theory_reference.exact_risk(world, f, h, noisy)
+                for noisy in (False, True) for f in (report.f_star, report.f_hat)]
+        assert got == want
 
 
 TOLERANCE_HYPERS = [

@@ -1,4 +1,8 @@
-"""Gather-based reference for ``theory.grid_lipschitz``.
+"""References for ``theory``: the exact risk of any assignment, and a gather-based ``grid_lipschitz``.
+
+``exact_risk`` evaluates the loss again on the rows of an assignment,
+which may lie off the grid; ``riskgap_verify`` reads its risks from the
+grid's loss table and must give the same bits at its minimizers.
 
 ``grid_lipschitz`` is the grid-tolerance slope as computed over the whole
 grid at once: the integer counts and the rank offsets of every row, then
@@ -8,6 +12,29 @@ same bits.
 """
 
 import numpy as np
+
+from arl import theory
+from arl.errors import DomainError
+
+
+def exact_risk(world, assignment, hyper, noisy):
+    """Exact expected loss of a per-point simplex assignment.
+
+    Uniform over the K points; under noise the label of a point is its
+    clean label with probability 1 - eta, otherwise uniform over the
+    other classes.
+    """
+    A = np.atleast_2d(np.asarray(assignment, dtype=float))
+    if A.shape != (len(world.labels), world.c):
+        raise DomainError(f"assignment shape {A.shape} does not match the world")
+    if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
+        raise DomainError("assignments must be probability vectors")
+    table = theory._loss_table(hyper, A)
+    terms = theory._per_point_terms(table, table.sum(axis=1), world.labels, world.eta, noisy)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total / len(world.labels)
 
 
 def neighbours(counts):
