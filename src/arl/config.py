@@ -60,6 +60,14 @@ _TYPES = {key: what for what, keys in (
 ) for key in keys.split()}
 
 
+def _named(key, check, *args):
+    """``check(*args)``, its error raised as a ``ConfigError`` that names ``key``."""
+    try:
+        return check(*args)
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"'{key}': {exc}") from None
+
+
 def _check_types(section, path):
     for key, value in section.items():
         if key in _TYPES and not _IS[_TYPES[key]](value):
@@ -167,11 +175,12 @@ def parse_config(doc, seed_override=None):
         raise ConfigError(f"unknown noise type {noise['type']!r}")
     if noise["type"] == "hierarchical" and "superclasses" not in noise:
         raise ConfigError("hierarchical noise needs 'noise.superclasses'")
+    _named("noise.eta", data_mod._check_eta, noise["eta"])
     if noise["type"] == "asymmetric" and "classes" in dataset:
-        try:
-            data_mod._check_asymmetric_classes(dataset["classes"])
-        except ConfigError as exc:
-            raise ConfigError(f"'noise.type': {exc}") from None
+        _named("noise.type", data_mod._check_asymmetric_classes, dataset["classes"])
+    if noise["type"] == "hierarchical" and "classes" in dataset:
+        _named("noise.superclasses", data_mod._check_superclasses, noise["superclasses"],
+               dataset["classes"], noise["eta"])
 
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")
@@ -186,10 +195,7 @@ def parse_config(doc, seed_override=None):
     except _RangeError as exc:
         key = "iters" if exc.field == "max_iters" else exc.field
         raise ConfigError(f"'train.{key}': {exc}") from None
-    try:
-        data_mod._test_size(sections["split"]["test_fraction"], 0)
-    except ConfigError as exc:
-        raise ConfigError(f"'split.test_fraction': {exc}") from None
+    _named("split.test_fraction", data_mod._test_size, sections["split"]["test_fraction"], 0)
     if sections["split"]["meta_size"] < 1:
         raise ConfigError(f"'split.meta_size' must be >= 1, got {sections['split']['meta_size']}")
     model._layout(exp.model["activation"], dataset.get("dim", 1), *exp.model["hidden"],
@@ -220,12 +226,12 @@ def parse_config(doc, seed_override=None):
                               f"= {1.0 - 1.0 / c:.6g} for {c} classes")
     if not 0.0 < theory["delta"] <= 0.5:
         raise ConfigError(f"'theory.delta' must lie in (0, 0.5], got {theory['delta']}")
-    try:
-        theory_mod._grid_parts(theory["delta"])
-    except ConfigError as exc:
-        raise ConfigError(f"'theory.delta': {exc}") from None
+    _named("theory.delta", theory_mod._grid_parts, theory["delta"])
     theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
                                   "theory.hyper")
+    # at eta 0 only a variant without bound constants or a polysoft lam < log(c) fails
+    key = "theory.hyper.lam" if theory["variant"] == "polysoft" else "theory.variant"
+    _named(key, theory_mod.bound_constants, c, 0.0, theory["hyper"])
     return exp
 
 

@@ -132,15 +132,19 @@ def inject_asymmetric(dataset, eta, seed=0, exact_count=False):
                  lambda rng, y: (y + rng.integers(1, 3, size=len(y))) % c)
 
 
-def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
-    """Flip within semantic superclass blocks only."""
-    _check_eta(eta)
-    c = dataset.c
+def _check_superclasses(superclasses, c, eta):
+    """Hierarchical noise needs blocks that partition 0..c-1, each of >= 2 classes when eta > 0."""
     seen = sorted(cls for block in superclasses for cls in block)
     if seen != list(range(c)):
         raise ConfigError(f"superclasses must partition 0..{c - 1}, got {superclasses}")
     if eta > 0 and any(len(block) < 2 for block in superclasses):
         raise ConfigError("every superclass block needs >= 2 classes when eta > 0")
+
+
+def inject_hierarchical(dataset, eta, superclasses, seed=0, exact_count=False):
+    """Flip within semantic superclass blocks only."""
+    _check_eta(eta)
+    _check_superclasses(superclasses, dataset.c, eta)
     others = {cls: [o for o in sorted(block) if o != cls] for block in superclasses for cls in block}
 
     def relabel(rng, y):

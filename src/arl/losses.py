@@ -27,9 +27,11 @@ each learnable field, and the values' derivatives when asked;
 ``loss_values`` (the metrics rows, the theory table, the loss curve, the
 cross entropies of the sample weights) takes the same values alone, on
 bare probability rows.  The tempered logarithm and exponential exist only
-as the kernels that ``bi_tempered`` runs: ``_log_t_of_log`` (from log x),
-``_exp_t_neg_args`` and the batched normalization solve
-``_tempered_softmax_batch``, which ``normalize`` calls.
+as the kernels that ``bi_tempered`` runs, on the domain that
+``HyperParams`` checks, 0 <= t1 < 1 < t2: ``_log_t_of_log`` (from log x,
+at t1), ``_exp_t_neg_args`` (at t2, of arguments <= 0) and the batched
+normalization solve ``_tempered_softmax_batch`` (Newton at t2 on every
+row), which ``normalize`` calls.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -59,10 +61,9 @@ EPS_T = 1e-3
 
 # Tempered-softmax normalization: Newton steps on gamma stop once a step is
 # below _NEWTON_RTOL * max(1, |gamma|); a row that has not stopped after
-# _NEWTON_MAX_STEPS raises.  |t - 1| < _T_NEAR_ONE takes the t = 1 limit.
+# _NEWTON_MAX_STEPS raises.
 _NEWTON_RTOL = 1e-13
 _NEWTON_MAX_STEPS = 50
-_T_NEAR_ONE = 1e-8
 
 VARIANTS = ("ce", "gce", "sl", "bi_tempered", "polysoft")
 
@@ -176,90 +177,68 @@ def softmax(z):
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def logsumexp(z):
-    z = np.asarray(z, dtype=float)
-    m = z.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))).squeeze(-1)
-
-
 # ---------------------------------------------------------------------------
 # tempered math
 # ---------------------------------------------------------------------------
 
 def _log_t_of_log(log_x, t):
-    """log_t from log x, ``t`` a scalar or an array: expm1((1-t) log x) / (1-t), log x near t = 1."""
-    s = 1.0 - np.asarray(t, dtype=float)
-    near = np.abs(s) < _T_NEAR_ONE
-    s = np.where(near, 1.0, s)
-    return np.where(near, log_x, np.expm1(s * log_x) / s)
+    """log_t from log x at t in [0, 1), a scalar or an array: expm1((1-t) log x) / (1-t), exact as t -> 1."""
+    s = 1.0 - t
+    return np.expm1(s * log_x) / s
 
 
 def _exp_t_neg_args(X, s):
-    """exp_t with s = 1 - t (a scalar or one per row), t away from 1.
+    """exp_t(X) = (1 + s X)^(1/s) with s = 1 - t < 0 (a scalar or one per row) and X <= 0.
 
-    Where the base 1 + s*X is <= 0, log1p(-1) = -inf gives the [.]_+
-    branch: the exact 0 for t < 1 and the +inf sentinel for t > 1; the
-    caller silences its divide warning.  The solver's arguments are <= 0,
-    so for t > 1 its base is >= 1.  log1p keeps the base exact as s -> 0
-    on both sides of 1.
+    For t > 1 and X <= 0 the base 1 + s X is >= 1, so exp_t needs no
+    positive part; log1p keeps the base exact as t -> 1.
     """
-    return np.exp(np.log1p(np.maximum(s * X, -1.0)) / s)
+    return np.exp(np.log1p(s * X) / s)
 
 
 def _tempered_softmax_batch(Z, t2):
-    """Normalization solve for rows of logits, ``t2`` a scalar or one per row.
+    """Normalization solve for rows of logits, ``t2 > 1`` a scalar or one per row.
 
-    Returns ``(P, gamma)`` with P[i] = exp_t2(Z[i] - gamma[i]) summing to 1;
-    rows with t2 within _T_NEAR_ONE of 1 take the softmax.  The rest run
-    Newton on f(gamma) = sum_j exp_t2(z_j - gamma) - 1: f is convex and
-    decreasing in gamma for every t2 != 1 (exp_t is the positive part of a
-    convex power), and f'(gamma) = -sum_j p_j^t2, so the steps
-    gamma += f / sum_j p_j^t2 from gamma = max z rise monotonically to the
-    unique root.  A row stops on a relative step size, not on the residual,
-    whose floor is about |gamma| * eps; each row's steps are its own and
-    ``_pow`` gives its t2 the bits of a scalar, so a row solves to the same
-    bits in any batch.  ``HyperParams`` checks t2's domain.
+    Returns ``(P, gamma)`` with P[i] = exp_t2(Z[i] - gamma[i]) summing to 1.
+    Every row runs Newton on f(gamma) = sum_j exp_t2(z_j - gamma) - 1: f is
+    convex and decreasing in gamma for t2 > 1, and f'(gamma) =
+    -sum_j p_j^t2, so the steps gamma += f / sum_j p_j^t2 from
+    gamma = max z rise monotonically to the unique root.  A row stops on a
+    relative step size, not on the residual, whose floor is about
+    |gamma| * eps; each row's steps are its own and ``_pow`` gives its t2
+    the bits of a scalar, so a row solves to the same bits in any batch.
+    ``HyperParams`` checks t2's domain.
     """
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise DomainError("logits must be finite")
-    near = np.abs(t2 - 1.0) < _T_NEAR_ONE
-    if near.all():
-        return softmax(Z), np.atleast_1d(logsumexp(Z))
-    Zt, tt = (Z[~near], t2[~near]) if near.any() else (Z, t2)
-
-    e = _on_classes(tt)
+    e = _on_classes(t2)
     s = 1.0 - e
-    gamma = Zt.max(axis=1)
-    done = np.zeros(len(Zt), dtype=bool)
-    with np.errstate(divide="ignore"):  # log1p(-1) in _exp_t_neg_args
-        for _ in range(_NEWTON_MAX_STEPS):
-            P = _exp_t_neg_args(Zt - gamma[:, None], s)
-            resid = P.sum(axis=1) - 1.0
-            step = resid / _pow(P, e).sum(axis=1)
-            gamma = np.where(done, gamma, gamma + step)
-            done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
-            if done.all():
-                break
-        else:
-            raise NumericError(
-                f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
-                f"t2={np.unique(tt)}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
-                f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
-            )
-        P = _exp_t_neg_args(Zt - gamma[:, None], s)
+    gamma = Z.max(axis=1)
+    done = np.zeros(len(Z), dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        P = _exp_t_neg_args(Z - gamma[:, None], s)
+        resid = P.sum(axis=1) - 1.0
+        step = resid / _pow(P, e).sum(axis=1)
+        gamma = np.where(done, gamma, gamma + step)
+        done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
+        if done.all():
+            break
+    else:
+        raise NumericError(
+            f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
+            f"t2={np.unique(t2)}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
+            f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
+        )
+    P = _exp_t_neg_args(Z - gamma[:, None], s)
     err = np.abs(P.sum(axis=1) - 1.0)
     if np.any(err > 1e-10):
         raise NumericError(
             "tempered softmax did not normalize: "
-            f"max |sum p - 1| = {err.max():.3e}, t2={np.unique(tt)}, "
+            f"max |sum p - 1| = {err.max():.3e}, t2={np.unique(t2)}, "
             f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
         )
-    if not near.any():
-        return P, gamma
-    P_all, gamma_all = softmax(Z), np.atleast_1d(logsumexp(Z))
-    P_all[~near], gamma_all[~near] = P, gamma
-    return P_all, gamma_all
+    return P, gamma
 
 
 # ---------------------------------------------------------------------------

@@ -253,15 +253,17 @@ def grid_lipschitz(grid, table, delta):
     return worst / (2.0 * delta)
 
 
-GridScan = namedtuple("GridScan", "grid table sums tol")
-GridScan.__doc__ = "A simplex grid, its loss table under one hyper, the table's row sums and the grid tolerance."
+GridScan = namedtuple("GridScan", "c delta hyper grid table sums tol")
+GridScan.__doc__ = ("The c, delta and hyper a scan was built for, its simplex grid, the grid's "
+                    "loss table, the table's row sums and the grid tolerance.")
 
 
 def grid_scan(c, delta, hyper):
     """The ``GridScan`` of the delta-spaced simplex grid in c classes: no eta moves it."""
     grid = simplex_grid(c, delta)
     table = _loss_table(hyper, grid)
-    return GridScan(grid, table, table.sum(axis=1), grid_lipschitz(grid, table, delta) * delta)
+    return GridScan(c, delta, hyper, grid, table, table.sum(axis=1),
+                    grid_lipschitz(grid, table, delta) * delta)
 
 
 def _risk(world, table, sums, rows, noisy):
@@ -283,10 +285,15 @@ def riskgap_verify(world, hyper, scan=None):
     table at the minimizers' rows, so the loss is evaluated only in
     ``grid_scan``.  ``scan`` is the ``grid_scan`` of the world's c and
     delta under ``hyper``, built here when None; a caller that verifies
-    several etas builds it once.
+    several etas builds it once.  A scan built for another c, delta or
+    hyper raises a ``DomainError``.
     """
     constants = bound_constants(world.c, world.eta, hyper)
-    grid, table, sums, tol = grid_scan(world.c, world.delta, hyper) if scan is None else scan
+    scan = grid_scan(world.c, world.delta, hyper) if scan is None else scan
+    if (scan.c, scan.delta, scan.hyper) != (world.c, world.delta, hyper):
+        raise DomainError(f"the scan was built for c={scan.c}, delta={scan.delta} and {scan.hyper}, "
+                          f"not for c={world.c}, delta={world.delta} and {hyper}")
+    grid, table, sums, tol = scan.grid, scan.table, scan.sums, scan.tol
     labels, of_point = np.unique(world.labels, return_inverse=True)
     star, hat = (
         np.array([np.argmin(_per_point_terms(table, sums, label, world.eta, noisy)) for label in labels])[of_point]

@@ -3,9 +3,11 @@
 Each function here is the plain form of a ``model`` or ``losses`` kernel:
 the backward pass that concatenates its per-layer parts, the JVP and the
 backward pass that form every activation derivative where they use it,
-P - Y by a copy and an indexed subtraction, and the softmax through the
-array methods.  They call no ``arl`` kernel, so the equality gates that
-compare the kernels with them see any change in a kernel's bits.
+P - Y by a copy and an indexed subtraction, the softmax through the
+array methods, and the tempered softmax solve and tempered log that take
+the t = 1 limit within 1e-8 of 1.  They call no ``arl`` kernel, so the
+equality gates that compare the kernels with them see any change in a
+kernel's bits.
 """
 
 import numpy as np
@@ -66,3 +68,48 @@ def softmax(z):
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+# the t = 1 band of the tempered kernels below: within it they take the limit
+T_NEAR_ONE = 1e-8
+
+
+def log_t_of_log(log_x, t):
+    """log_t from log x, expm1((1-t) log x) / (1-t), and log x within the band of t = 1."""
+    s = 1.0 - np.asarray(t, dtype=float)
+    near = np.abs(s) < T_NEAR_ONE
+    s = np.where(near, 1.0, s)
+    return np.where(near, log_x, np.expm1(s * log_x) / s)
+
+
+def tempered_softmax(Z, t2):
+    """The tempered softmax and gamma of rows of logits, ``t2`` a scalar or one per row.
+
+    Rows with t2 within the band of 1 take the softmax and logsumexp; the
+    rest run Newton from gamma = max z, with exp_t through the [.]_+ clamp
+    and each row's powers at its own scalar exponent.
+    """
+    Z = np.asarray(Z, dtype=float)
+    t2 = np.broadcast_to(np.asarray(t2, dtype=float), (len(Z),))
+    near = np.abs(t2 - 1.0) < T_NEAR_ONE
+    P_all = softmax(Z)
+    m = Z.max(axis=-1, keepdims=True)
+    gamma_all = (m + np.log(np.exp(Z - m).sum(axis=-1, keepdims=True)))[:, 0]
+    if near.all():
+        return P_all, gamma_all
+    Zt, tt = Z[~near], t2[~near]
+    s = 1.0 - tt[:, None]
+    gamma = Zt.max(axis=1)
+    done = np.zeros(len(Zt), dtype=bool)
+    with np.errstate(divide="ignore"):  # log1p(-1) on the clamp
+        for _ in range(50):
+            P = np.exp(np.log1p(np.maximum(s * (Zt - gamma[:, None]), -1.0)) / s)
+            powers = np.stack([row ** float(t) for row, t in zip(P, tt)])
+            step = (P.sum(axis=1) - 1.0) / powers.sum(axis=1)
+            gamma = np.where(done, gamma, gamma + step)
+            done |= np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(gamma))
+            if done.all():
+                break
+        P = np.exp(np.log1p(np.maximum(s * (Zt - gamma[:, None]), -1.0)) / s)
+    P_all[~near], gamma_all[~near] = P, gamma
+    return P_all, gamma_all

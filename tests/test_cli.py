@@ -221,6 +221,8 @@ class TestVerifyBoundsCommand:
         ("delta", 0.75, "'theory.delta' must lie in (0, 0.5], got 0.75"),
         ("delta", 0.0, "'theory.delta' must lie in (0, 0.5], got 0.0"),
         ("delta", 0.03, "'theory.delta': 1/delta must be an integer, got delta=0.03"),
+        ("variant", "gce", "'theory.variant': no closed-form bound constants for variant 'gce'"),
+        ("hyper", {"lam": 0.5}, "'theory.hyper.lam': polysoft bound needs lam >= log(c) = 1.098612, got 0.5"),
     ])
     def test_theory_key_out_of_range(self, tmp_path, capsys, monkeypatch, key, value, message):
         monkeypatch.setattr(theory, "riskgap_verify", None)  # nothing is verified before the error
@@ -473,6 +475,8 @@ class TestChecksBeforeTraining:
         ("split", "test_fraction", 2.5, "'split.test_fraction': test_fraction=2.5"),
         ("split", "test_fraction", 0, "'split.test_fraction': test_fraction=0"),
         ("noise", "type", "asymmetric", "'noise.type': asymmetric noise needs at least 4 classes, got 3"),
+        ("noise", "eta", 1.5, "'noise.eta': eta=1.5 outside [0, 1]"),
+        ("noise", "eta", -0.1, "'noise.eta': eta=-0.1 outside [0, 1]"),
     ])
     def test_range_error_names_key_unloaded(self, tmp_path, capsys, monkeypatch,
                                             section, key, value, says):
@@ -514,6 +518,21 @@ class TestChecksBeforeTraining:
         assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
                          "--out", str(tmp_path / "r")]) == 2
         assert "noise.superclasses" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("superclasses, eta, says", [
+        ([[0, 1]], 0.2, "'noise.superclasses': superclasses must partition 0..2, got [[0, 1]]"),
+        ([[0, 1], [1, 2]], 0.2, "'noise.superclasses': superclasses must partition 0..2"),
+        ([[0, 1], [2]], 0.2, "'noise.superclasses': every superclass block needs >= 2 classes"),
+    ], ids=["missing-class", "repeated-class", "singleton-block"])
+    def test_superclasses_partition_checked_unloaded(self, tmp_path, capsys, monkeypatch,
+                                                     superclasses, eta, says):
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, noise={"type": "hierarchical", "eta": eta, "superclasses": superclasses})
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert says in capsys.readouterr().err
 
     def test_theory_defaults_resolved(self):
         theory = config_mod.parse_config(dict(SMALL_RUN)).theory

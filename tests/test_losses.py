@@ -161,10 +161,10 @@ class TestSymmetricLoss:
 
 
 class TestTemperedMath:
-    """The tempered logarithm from log x, and the tempered exponential [1 + s x]_+^(1/s), s = 1 - t."""
+    """The tempered logarithm from log x, and the tempered exponential (1 + s x)^(1/s), s = 1 - t."""
 
     def test_log_t_at_one_arg(self):
-        for t in (0.0, 0.5, 1.0, 1.5, 2.5):
+        for t in (0.0, 0.5, 1.5, 2.5):
             assert L._log_t_of_log(0.0, t) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_t_example(self):
@@ -180,36 +180,25 @@ class TestTemperedMath:
     def test_exp_t_example(self):
         assert L._exp_t_neg_args(-1.0, -1.0) == pytest.approx(0.5)
 
-    def test_exp_t_infinity_sentinel(self):
-        with np.errstate(divide="ignore"):  # log1p(-1) on the [.]_+ branch
-            assert L._exp_t_neg_args(2.0, -1.0) == np.inf
-
-    def test_exp_t_zero_branch(self):
-        with np.errstate(divide="ignore"):
-            assert L._exp_t_neg_args(-3.0, 0.5) == 0.0
-
     def test_exp_t_matches_masked_formula_bitwise(self):
-        # the masked form: log1p where the base 1 + (1-t) x is positive, an
-        # explicit 0 (t < 1) or +inf (t > 1) where it is not; the solve
-        # takes the softmax for t near 1, so the kernel never sees it
+        # the masked form, log1p where the base 1 + (1-t) x is positive; the
+        # solve's bases are >= 1, so only positive bases are compared
         def masked(x, t):
             s = 1.0 - t
-            out = np.empty_like(x)
             pos = 1.0 + s * x > 0.0
-            out[pos] = np.exp(np.log1p(s * x[pos]) / s)
-            out[~pos] = 0.0 if t < 1.0 else np.inf
-            return out
+            return np.exp(np.log1p(s * x[pos]) / s), pos
 
         mags = np.geomspace(1e-300, 1e308, 400)
         common = np.concatenate([-mags, [0.0], mags, np.linspace(-50.0, 50.0, 1001)])
         # 1 - t a power of two puts the base exactly at 0 on x = -1/(1-t)
         exact = [0.0, 0.5, 0.75, 1.5, 2.0, 3.0, 5.0, 9.0]
         ts = np.concatenate([np.linspace(0.0, 10.0, 201), exact, [1.0 + 1e-6]])
-        for t in ts[np.abs(ts - 1.0) >= L._T_NEAR_ONE]:
+        for t in ts[ts != 1.0]:
             edge = -1.0 / (1.0 - t)  # the base's zero and its neighbours
             xs = np.concatenate([common, [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]])
-            with np.errstate(over="ignore", divide="ignore"):
-                got, want = L._exp_t_neg_args(xs, 1.0 - t), masked(xs, t)
+            with np.errstate(over="ignore"):
+                want, pos = masked(xs, t)
+                got = L._exp_t_neg_args(xs[pos], 1.0 - t)
             assert got.tobytes() == want.tobytes(), t
 
     def test_roundtrip(self):
@@ -257,8 +246,6 @@ class TestTemperedSoftmax:
 
 def _bisect_reference(Z, t2):
     """Reference normalization: bracket doubling, then bisection to 1e-12."""
-    if abs(t2 - 1.0) < L._T_NEAR_ONE:
-        return L.softmax(Z), L.logsumexp(Z)
     s = 1.0 - t2
 
     def row_sums(gamma):
@@ -287,7 +274,7 @@ def _bisect_reference(Z, t2):
 
 
 class TestNewtonSolve:
-    @pytest.mark.parametrize("t2", [0.3, 0.9, 1 - 1e-6, 1 + 1e-8, 1 + 1e-6, 1.01, 1.5, 4.0, 10.0])
+    @pytest.mark.parametrize("t2", [1 - 1e-6, 1 + 1e-8, 1 + 1e-6, 1.01, 1.5, 4.0, 10.0])
     def test_matches_bisection(self, t2, monkeypatch):
         passes = [0]
         exp_t_neg_args = L._exp_t_neg_args
@@ -311,7 +298,7 @@ class TestNewtonSolve:
 
     def test_mixed_rows_match_single_rows(self):
         rng = np.random.default_rng(31)
-        t2 = rng.choice([0.3, 0.9, 1 + 1e-9, 1.01, 1.5, 4.0, 10.0], size=40)
+        t2 = rng.choice([1 + 1e-9, 1.01, 1.5, 4.0, 10.0], size=40)
         Z = rng.normal(size=(40, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
         P, gamma = L._tempered_softmax_batch(Z, t2)
         for i in range(len(Z)):
@@ -334,6 +321,52 @@ class TestNewtonSolve:
             z = rng.normal(size=int(rng.integers(2, 8))) * rng.uniform(0.5, 8.0)
             ev = L.loss_on_logits(bi_tempered(0.5, t2), z, 0)
             assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad_hyper))
+
+
+class TestTemperedReference:
+    """The solve and the tempered log against ``kernel_reference``'s, which take the t = 1
+    limit within 1e-8 of 1: the same bits outside that band, the softmax's values inside it."""
+
+    SCALES = np.geomspace(1e-3, 1e3, 7)
+
+    @pytest.mark.parametrize("c", [2, 3, 10])
+    def test_solve_bits_outside_band(self, c):
+        rng = np.random.default_rng(70 + c)
+        t2s = np.concatenate([[1.0 + 2e-8, 1.0 + 1e-6, 1.01, 1.2, 1.5, 2.0, 4.0, 10.0],
+                              rng.uniform(1.0 + 2e-8, 3.0, size=8)])
+        for scale in self.SCALES:
+            Z = rng.normal(size=(12, c)) * scale
+            for t2 in [float(t) for t in t2s] + [rng.choice(t2s, size=len(Z))]:  # scalars, then one per row
+                got, want = L._tempered_softmax_batch(Z, t2), ref.tempered_softmax(Z, t2)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (scale, t2)
+
+    def test_log_t_bits_outside_band(self):
+        rng = np.random.default_rng(74)
+        log_x = np.log(rng.uniform(1e-12, 1.0, size=64))
+        ts = np.concatenate([[0.0, 0.5, 1.0 - 1e-3, 1.0 - 2e-8], rng.uniform(0.0, 1.0 - 2e-8, size=16)])
+        for t in [float(t) for t in ts] + [rng.choice(ts, size=len(log_x))]:
+            assert np.array_equal(L._log_t_of_log(log_x, t), ref.log_t_of_log(log_x, t))
+
+    @pytest.mark.parametrize("t2", [1.0 + 1e-15, 1.0 + 1e-9, 1.0 + 9.9e-9])
+    def test_band_rows_near_softmax(self, t2):
+        rng = np.random.default_rng(75)
+        for scale in self.SCALES:
+            for c in (2, 3, 10):
+                Z = rng.normal(size=(12, c)) * scale
+                P, _ = L._tempered_softmax_batch(Z, t2)
+                P_ref, _ = ref.tempered_softmax(Z, t2)  # the softmax in the band
+                assert np.max(np.abs(P - P_ref)) <= 1e-6
+
+    @pytest.mark.parametrize("t2", [1.0 + 2.2e-16, 1.0 + 1e-15])
+    def test_no_warning_next_to_one(self, t2):
+        rng = np.random.default_rng(76)
+        for c in (2, 3, 10):
+            Z = rng.normal(size=(20, c)) * 1e3
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                P, gamma = L._tempered_softmax_batch(Z, t2)
+            assert np.all(np.isfinite(P)) and np.all(np.isfinite(gamma))
+            assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def _simplex_grid(c, parts):
@@ -655,9 +688,7 @@ def _reference_batch_loss(hyper, Z, labels):
         Pc = np.clip(P, L.PROB_FLOOR, 1.0 - L.PROB_FLOOR)
         log_pj = np.log(Pc[n, labels])
         s1 = 1.0 - t1
-        near = abs(s1) < L._T_NEAR_ONE
-        s1 = 1.0 if near else s1
-        log_term = log_pj if near else np.expm1(s1 * log_pj) / s1
+        log_term = np.expm1(s1 * log_pj) / s1
         tail = (1.0 - (Pc ** (2.0 - t1)).sum(axis=1)) / (2.0 - t1)
         values = np.maximum(-log_term - tail, 0.0)
         G = Pc ** (1.0 - t1 + t2)
@@ -812,10 +843,10 @@ class TestHgrad:
             fd_values, fd_grads = _fd_in_field(hyper, "t2", Z, labels, 1e-7)
             assert _scaled_err(dvalues[1], fd_values, values) <= 1e-6
             assert _scaled_err(dgrads[1], fd_grads, grads) <= 1e-6
-            # either side of the edge of the softmax branch (|t2 - 1| < _T_NEAR_ONE)
-            newton = batch_hgrad(replace(hyper, t2=1.0 + 1.5 * L._T_NEAR_ONE), Z, labels)
-            softmax = batch_hgrad(replace(hyper, t2=1.0 + 0.5 * L._T_NEAR_ONE), Z, labels)
-            for got, want in zip(newton[2:], softmax[2:]):
+            # closer to t2 = 1 the derivatives stay finite and agree within 1e-6
+            near = batch_hgrad(replace(hyper, t2=1.0 + 1.5e-8), Z, labels)
+            nearer = batch_hgrad(replace(hyper, t2=1.0 + 0.5e-8), Z, labels)
+            for got, want in zip(near[2:], nearer[2:]):
                 assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
                 assert rel_err(got, want) <= 1e-6
 

@@ -234,6 +234,14 @@ class TestRiskGap:
         assert gap > 0.1
         assert gap <= report.noisy_gap_bound + report.grid_tol
 
+    @pytest.mark.parametrize("c, delta, lam, says", [
+        (4, 0.02, 3.0, "c=4, delta=0.02"), (3, 0.05, 3.0, "delta=0.05"), (3, 0.02, 2.0, "lam=2.0"),
+    ], ids=["c", "delta", "hyper"])
+    def test_scan_built_for_another_world_raises(self, c, delta, lam, says):
+        scan = theory.grid_scan(c, delta, HyperParams("polysoft", lam=lam, d=2.0))
+        with pytest.raises(DomainError, match=says):
+            theory.riskgap_verify(self.world(0.3), HyperParams("polysoft", lam=3.0, d=2.0), scan)
+
     def test_report_serializes(self):
         h = HyperParams("polysoft", lam=1.5, d=2.0)
         report = theory.riskgap_verify(self.world(0.3), h)
