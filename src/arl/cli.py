@@ -160,9 +160,11 @@ def run_ablation(exp, modes, out_dir):
     meta set.
     """
     known = ("fixed", "opt1", "opt2", "adaptive")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in known:
             raise ConfigError(f"unknown ablation mode {mode!r}")
+        if mode in modes[:i]:  # it would write a second column under one summary key
+            raise ConfigError(f"ablation mode {mode!r} given twice")
     if "fixed" in modes and exp.loss["variant"] == "ce":
         raise ConfigError("ablation mode 'fixed' needs a 'loss.variant' with hyperparameters")
     split = config_mod.build_datasets(exp)

@@ -220,10 +220,15 @@ def parse_config(doc, seed_override=None):
     for label in theory["world_labels"]:
         if not 0 <= label < c:
             raise ConfigError(f"'theory.world_labels': label {label} out of range for {c} classes")
+    keys = {}  # each eta's report key in verify-bounds, f"eta={eta:g}"
     for eta in theory["etas"]:  # the bound constants need c - 1 - eta c > 0
         if not 0.0 <= eta < 1.0 - 1.0 / c:
             raise ConfigError(f"'theory.etas': eta {eta} out of range 0 <= eta < 1 - 1/c "
                               f"= {1.0 - 1.0 / c:.6g} for {c} classes")
+        key = f"eta={eta:g}"
+        if key in keys:
+            raise ConfigError(f"'theory.etas': etas {keys[key]} and {eta} share the report key {key!r}")
+        keys[key] = eta
     if not 0.0 < theory["delta"] <= 0.5:
         raise ConfigError(f"'theory.delta' must lie in (0, 0.5], got {theory['delta']}")
     _named("theory.delta", theory_mod._grid_parts, theory["delta"])

@@ -31,7 +31,7 @@ as the kernels that ``bi_tempered`` runs, on the domain that
 ``HyperParams`` checks, 0 <= t1 < 1 < t2: ``_log_t_of_log`` (from log x,
 at t1), ``_exp_t_neg_args`` (at t2, of arguments <= 0) and the batched
 normalization solve ``_tempered_softmax_batch`` (Newton at t2 on every
-row), which ``normalize`` calls.
+row, from max z or from given roots), which ``normalize`` calls.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -196,7 +196,7 @@ def _exp_t_neg_args(X, s):
     return np.exp(np.log1p(s * X) / s)
 
 
-def _tempered_softmax_batch(Z, t2):
+def _tempered_softmax_batch(Z, t2, start=None):
     """Normalization solve for rows of logits, ``t2 > 1`` a scalar or one per row.
 
     Returns ``(P, gamma)`` with P[i] = exp_t2(Z[i] - gamma[i]) summing to 1.
@@ -208,19 +208,36 @@ def _tempered_softmax_batch(Z, t2):
     |gamma| * eps; each row's steps are its own and ``_pow`` gives its t2
     the bits of a scalar, so a row solves to the same bits in any batch.
     ``HyperParams`` checks t2's domain.
+
+    ``start`` (one per row, e.g. the root at a nearby t2) starts Newton
+    elsewhere.  It is first clamped into the root's bracket
+    [max z, max z - log_t2(1/c)], where the largest p runs from 1 down to
+    1/c, so sum_j p_j^t2 cannot underflow.  From a start left of the root
+    the steps rise as above.  From one right of it, convexity puts the
+    first iterate at or left of the root, since f(x1) >= f(x0) + f'(x0)
+    (x1 - x0) = 0, and from there they rise; each iterate is clamped at
+    max z, which keeps every argument of exp_t <= 0.  A row's start is its
+    own, so it still solves to the same bits in any batch.  Without a start
+    every iterate is >= max z already, and the bits are the cold solve's.
     """
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise DomainError("logits must be finite")
     e = _on_classes(t2)
     s = 1.0 - e
-    gamma = Z.max(axis=1)
+    top = np.maximum.reduce(Z, axis=1)
+    gamma = top
+    if start is not None:
+        k = t2 - 1.0  # -log_t2(1/c) = expm1((t2 - 1) log c) / (t2 - 1)
+        gamma = np.minimum(np.maximum(start, top), top + np.expm1(k * math.log(Z.shape[1])) / k)
     done = np.zeros(len(Z), dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         P = _exp_t_neg_args(Z - gamma[:, None], s)
-        resid = P.sum(axis=1) - 1.0
-        step = resid / _pow(P, e).sum(axis=1)
+        resid = np.add.reduce(P, axis=1) - 1.0
+        step = resid / np.add.reduce(_pow(P, e), axis=1)
         gamma = np.where(done, gamma, gamma + step)
+        if start is not None:
+            gamma = np.maximum(gamma, top)
         done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
         if done.all():
             break
@@ -231,7 +248,7 @@ def _tempered_softmax_batch(Z, t2):
             f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
         )
     P = _exp_t_neg_args(Z - gamma[:, None], s)
-    err = np.abs(P.sum(axis=1) - 1.0)
+    err = np.abs(np.add.reduce(P, axis=1) - 1.0)
     if np.any(err > 1e-10):
         raise NumericError(
             "tempered softmax did not normalize: "
@@ -275,11 +292,12 @@ class _Batch:
     probabilities, their clamp, the cross entropies and D = P - Y are each
     computed on first use, once.  No loss field enters, so a softmax
     family's record serves at moved fields; a ``bi_tempered`` record holds
-    the solve at one t2.  Its arrays are shared, never written.
+    the solve at one t2, with its roots ``gamma`` (None for the softmax).
+    Its arrays are shared, never written.
     """
 
-    def __init__(self, P, labels):
-        self.P, self.labels = P, labels
+    def __init__(self, P, labels, gamma=None):
+        self.P, self.labels, self.gamma = P, labels, gamma
 
     @_once
     def rows(self):
@@ -552,12 +570,15 @@ class _RowFields:
             setattr(self, name, np.array([getattr(h, name) for h in hypers]).repeat(rows))
 
 
-def normalize(hyper, Z, labels):
+def normalize(hyper, Z, labels, start=None):
     """The ``_Batch`` record of logits ``Z`` (n, c) and ``labels`` (n,) ints:
-    the softmax, or for ``bi_tempered`` the tempered softmax at ``hyper``'s t2."""
+    the softmax, or for ``bi_tempered`` the tempered softmax at ``hyper``'s t2,
+    its solve started from ``start`` (n,) when given."""
     Z = np.asarray(Z, dtype=float)
-    P = _tempered_softmax_batch(Z, hyper.t2)[0] if hyper.variant == "bi_tempered" else softmax(Z)
-    return _Batch(P, np.asarray(labels, dtype=int))
+    if hyper.variant != "bi_tempered":
+        return _Batch(softmax(Z), np.asarray(labels, dtype=int))
+    P, gamma = _tempered_softmax_batch(Z, hyper.t2, start)
+    return _Batch(P, np.asarray(labels, dtype=int), gamma)
 
 
 def loss_values(hyper, P, labels):

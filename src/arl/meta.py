@@ -6,7 +6,8 @@ cross entropy through a one-step-lookahead (virtual) parameter update,
 then takes the actual SGD step under the freshly updated loss.  The
 virtual step, the hypergradient and the actual step all run on one
 cached forward pass of the train batch and, for the softmax families, on
-one normalization of its logits.
+one normalization of its logits; ``bi_tempered`` solves again at its moved
+t2, starting from the first solve's roots.
 
 The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
@@ -299,15 +300,18 @@ class _Batches:
         return self.X[idx], self.y[idx]
 
 
-def _normalize(fields, hypers, Z, y):
-    """``losses.normalize`` of the runs' stacked rows; a failure names the first run that fails alone."""
+def _normalize(fields, hypers, Z, y, start=None):
+    """``losses.normalize`` of the runs' stacked rows, from the solve's ``start`` when given;
+    a failure names the first run that fails alone, from its own rows of the start."""
     try:
-        return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1))
+        return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1), start)
     except (NumericError, DomainError) as exc:
-        runs = zip(hypers, Z.reshape(len(hypers), -1, Z.shape[-1]), y.reshape(len(hypers), -1))
-        for r, (hyper, Zr, yr) in enumerate(runs):
+        R = len(hypers)
+        starts = [None] * R if start is None else start.reshape(R, -1)
+        runs = zip(hypers, Z.reshape(R, -1, Z.shape[-1]), y.reshape(R, -1), starts)
+        for r, (hyper, Zr, yr, start_r) in enumerate(runs):
             try:
-                losses.normalize(hyper, Zr, yr)
+                losses.normalize(hyper, Zr, yr, start_r)
             except (NumericError, DomainError) as own:
                 raise _RunError(r, str(own)) from exc
         raise AssertionError("a stacked normalization failed where no run fails alone") from exc
@@ -376,8 +380,8 @@ def train_runs(runs):
                     except (NumericError, DomainError) as exc:
                         raise _RunError(r, str(exc)) from exc
                 fields = losses._RowFields(hypers[:k], n) if stacked else hypers[0]
-                if config.variant == "bi_tempered":  # its normalization moved with t2
-                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn)
+                if config.variant == "bi_tempered":  # t2 moved: solve again from the first solve's roots
+                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn, batch.gamma)
             step = _backward_mean(stack, hypers[:k], *losses.batch_loss(fields, batch), cache)
             if velocity is not None:
                 velocity = step = step + config.momentum * velocity

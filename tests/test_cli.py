@@ -223,6 +223,7 @@ class TestVerifyBoundsCommand:
         ("delta", 0.03, "'theory.delta': 1/delta must be an integer, got delta=0.03"),
         ("variant", "gce", "'theory.variant': no closed-form bound constants for variant 'gce'"),
         ("hyper", {"lam": 0.5}, "'theory.hyper.lam': polysoft bound needs lam >= log(c) = 1.098612, got 0.5"),
+        ("etas", [0.3, 0.3000001, 0.3], "'theory.etas': etas 0.3 and 0.3000001 share the report key 'eta=0.3'"),
     ])
     def test_theory_key_out_of_range(self, tmp_path, capsys, monkeypatch, key, value, message):
         monkeypatch.setattr(theory, "riskgap_verify", None)  # nothing is verified before the error
@@ -425,8 +426,9 @@ class TestChecksBeforeTraining:
         ({"theory": {"hyper": {"lamb": 2.0}}}, "adaptive", "lamb"),
         ({"theory": {"hyper": {"q": 0.5}}}, "adaptive", "q"),
         ({"ablation": {"modes": ["fixed"]}}, "fixed", "modes"),
+        ({}, "adaptive,adaptive", "ablation mode 'adaptive' given twice"),
     ], ids=["grid-key", "grid-domain", "grid-scalar", "grid-empty", "ce-fixed",
-            "theory-key", "theory-not-learned", "ablation-modes"])
+            "theory-key", "theory-not-learned", "ablation-modes", "repeated-mode"])
     def test_ablate_exits_2_untrained(self, tmp_path, capsys, monkeypatch, patch, modes, key):
         monkeypatch.setattr(meta, "train_runs", _never_train)
         cfg = write_config(tmp_path, dict(self.SL_RUN, **patch))

@@ -273,17 +273,24 @@ def _bisect_reference(Z, t2):
     return P, gamma
 
 
+@pytest.fixture
+def solve_passes(monkeypatch):
+    """The passes of the tempered solve, one per call of ``_exp_t_neg_args``, in a one-item list."""
+    passes = [0]
+    exp_t_neg_args = L._exp_t_neg_args
+
+    def counted(X, s):
+        passes[0] += 1
+        return exp_t_neg_args(X, s)
+
+    monkeypatch.setattr(L, "_exp_t_neg_args", counted)
+    return passes
+
+
 class TestNewtonSolve:
     @pytest.mark.parametrize("t2", [1 - 1e-6, 1 + 1e-8, 1 + 1e-6, 1.01, 1.5, 4.0, 10.0])
-    def test_matches_bisection(self, t2, monkeypatch):
-        passes = [0]
-        exp_t_neg_args = L._exp_t_neg_args
-
-        def counted(X, s):
-            passes[0] += 1
-            return exp_t_neg_args(X, s)
-
-        monkeypatch.setattr(L, "_exp_t_neg_args", counted)
+    def test_matches_bisection(self, t2, solve_passes):
+        passes = solve_passes
         rng = np.random.default_rng(int(t2 * 1000))
         for scale in np.geomspace(1e-3, 1e3, 7):
             for c in (2, 3, 10):
@@ -321,6 +328,48 @@ class TestNewtonSolve:
             z = rng.normal(size=int(rng.integers(2, 8))) * rng.uniform(0.5, 8.0)
             ev = L.loss_on_logits(bi_tempered(0.5, t2), z, 0)
             assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad_hyper))
+
+
+class TestWarmStart:
+    """A solve from a start, as a bilevel step's second solve takes its first solve's roots,
+    against the cold solve from max z."""
+
+    @pytest.mark.parametrize("t2, source", [
+        (1.5, 1.506), (1.5, 1.494), (1.01, 1.0101), (1.01, 1.0099), (4.0, 4.04), (4.0, 3.96),
+        (1.01, 10.0), (10.0, 1.01), (4.0, 1.0 + 1e-8), (1.0 + 1e-8, 4.0),
+        *[(t2, start) for t2 in (1.0 + 1e-8, 1.5, 10.0) for start in ("1e6", "-1e6", "inf")],
+    ])
+    def test_matches_cold_solve(self, t2, source, solve_passes):
+        # source: the roots at another t2, or one start for every row
+        passes = solve_passes
+        rng = np.random.default_rng(61)
+        for scale in np.geomspace(1e-3, 1e3, 7):
+            for c in (2, 3, 10):
+                Z = rng.normal(size=(20, c)) * scale
+                if isinstance(source, str):
+                    start = np.full(len(Z), float(source))
+                else:
+                    start = L._tempered_softmax_batch(Z, source)[1]
+                passes[0] = 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    P, gamma = L._tempered_softmax_batch(Z, t2, start)
+                assert passes[0] <= 20, (scale, c)
+                P_cold, gamma_cold = L._tempered_softmax_batch(Z, t2)
+                assert np.max(np.abs(P - P_cold)) <= 1e-12
+                assert np.all(np.abs(gamma - gamma_cold) <= 1e-12 * np.abs(gamma_cold))
+
+    def test_stacked_rows_match_single_rows(self):
+        rng = np.random.default_rng(62)
+        t2s = [1.0 + 1e-8, 1.01, 1.5, 4.0, 10.0]
+        t2 = rng.choice(t2s, size=40)
+        Z = rng.normal(size=(40, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+        start = L._tempered_softmax_batch(Z, rng.choice(t2s, size=len(Z)))[1]
+        start[::5], start[1::5] = np.inf, -1e6
+        P, gamma = L._tempered_softmax_batch(Z, t2, start)
+        for i in range(len(Z)):
+            P_i, gamma_i = L._tempered_softmax_batch(Z[i:i + 1], t2[i], start[i:i + 1])
+            assert np.array_equal(P[i], P_i[0]) and gamma[i] == gamma_i[0], i
 
 
 class TestTemperedReference:

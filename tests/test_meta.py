@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from serial_reference import adaptive_run, conventional_run
-from test_acceptance import flattening_point
+from test_acceptance import desk_config, desk_split, flattening_point
 
 from arl import cli, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
@@ -489,6 +489,34 @@ class TestForwardCount:
                                    "take": 2 * T, "_act_grad": 2 * 2 * T}
         assert counts["metrics"] == {"_forward_cached": 3 * len(rows)}  # no gradient, no derivative
 
+    def test_bi_tempered_solve_pass_budget(self, monkeypatch):
+        # a step's first solve starts cold from max z; its second, at t2 moved by one
+        # meta step, starts from the first's roots: about 4.5 passes against 8.2 cold
+        passes, solves = [0], []
+        solve, exp_t_neg_args = losses._tempered_softmax_batch, losses._exp_t_neg_args
+
+        def counted(X, s):
+            passes[0] += 1
+            return exp_t_neg_args(X, s)
+
+        def recorded(Z, t2, start=None):
+            before = passes[0]
+            out = solve(Z, t2, start)
+            solves.append((Z.copy(), t2, start is None, passes[0] - before))
+            return out
+
+        monkeypatch.setattr(losses, "_exp_t_neg_args", counted)
+        monkeypatch.setattr(losses, "_tempered_softmax_batch", recorded)
+        T = 200
+        train, meta_set, _ = desk_split(0, 0.4)
+        meta.train_runs([meta.Run(train, meta_set, replace(desk_config("bi_tempered", 0), max_iters=T))])
+        assert [cold for _, _, cold, _ in solves] == [True, False] * T
+        for Z, t2, _, used in solves[::2]:
+            before = passes[0]
+            solve(Z, t2)
+            assert used == passes[0] - before
+        assert np.mean([used for *_, used in solves[1::2]]) <= 5.0
+
     def test_conventional_runs_one_per_step(self, monkeypatch):
         # one stacked forward per lockstep step, however many runs it holds
         train, meta_set, test = small_problem(seed=28)
@@ -934,6 +962,27 @@ class TestLockstepAdaptive:
                                                rf"runs\[1\], seed 5, {re.escape(repr(bad))}\): bound .* passed "
                                                rf"by a .* derivative in lam under .* at train row 0 "
                                                rf"\(ce={re.escape(repr(ce0))}\)"):
+            meta.train_runs(runs)
+
+    def test_failing_warm_solve_names_its_run(self, monkeypatch):
+        # a step's second solve starts from its first solve's roots; a NaN root fails
+        # the stacked solve and run 1's own, which is cold-solvable, so the fallback
+        # must solve each run from its own rows of the start to name it
+        train, meta_set, _ = small_problem(seed=58)
+        config = meta.TrainConfig("bi_tempered", alpha=0.3, beta=0.5, batch_n=16, batch_m=10, max_iters=5)
+        normalize = losses.normalize
+
+        def poisoned(hyper, Z, labels, start=None):
+            batch = normalize(hyper, Z, labels, start)
+            if start is None and len(Z) == 3 * 16:  # the stacked first solve
+                batch.gamma = batch.gamma.copy()
+                batch.gamma[16:32] = np.nan
+            return batch
+
+        monkeypatch.setattr(losses, "normalize", poisoned)
+        runs = [meta.Run(train, meta_set, replace(config, seed=seed)) for seed in (3, 5, 7)]
+        with pytest.raises(NumericError, match=r"iteration 1 \(theta=.*, run from 0, runs\[1\], seed 5, .*\): "
+                                               r"tempered softmax Newton solve did not converge"):
             meta.train_runs(runs)
 
 
