@@ -233,9 +233,8 @@ def verify_bounds(exp, out_path=None):
     reports = {}
     all_ok = True
     for eta in t["etas"]:
-        world = theory.FiniteWorld(t["world_labels"], t["classes"], t["delta"], eta)
-        report = theory.riskgap_verify(world, t["hyper"], scan)
-        reports[f"eta={eta:g}"] = report.as_dict()
+        report = theory.riskgap_verify(scan, t["world_labels"], eta)
+        reports[config_mod.eta_key(eta)] = report.as_dict()
         all_ok = all_ok and report.noisy_sandwich_ok and report.clean_sandwich_ok
     payload = {
         "variant": t["variant"],

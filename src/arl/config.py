@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ def _check_keys(doc, allowed, path):
 
 _IS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a number": lambda v: (isinstance(v, int) and not isinstance(v, bool)  # finite: json reads Infinity, NaN
+                           or isinstance(v, float) and math.isfinite(v)),
     "a string": lambda v: isinstance(v, str),
     "true or false": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, list),  # of hyperparameter values, checked by build_hyper
@@ -60,12 +62,16 @@ _TYPES = {key: what for what, keys in (
 ) for key in keys.split()}
 
 
-def _named(key, check, *args):
-    """``check(*args)``, its error raised as a ``ConfigError`` that names ``key``."""
+def _named(keys, check, *args):
+    """``check(*args)``, its error raised as a ``ConfigError`` that names ``keys``: one key, or a tuple."""
     try:
         return check(*args)
     except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"'{key}': {exc}") from None
+        named = " and ".join(f"'{key}'" for key in ((keys,) if isinstance(keys, str) else keys))
+        raise ConfigError(f"{named}: {exc}") from None
+
+
+eta_key = "eta={:g}".format  # the key of eta's report in verify-bounds
 
 
 def _check_types(section, path):
@@ -101,13 +107,16 @@ def _section(doc, name, master, keep_pinned):
     its own and ``keep_pinned``.
     """
     given = doc.get(name, {})
-    seeded = name in _SEED_OFFSETS
+    seeded, pinned = name in _SEED_OFFSETS, keep_pinned and "seed" in given
     _check_keys(given, set(_DEFAULTS[name]) | ({"seed"} if seeded else set()), name)
     section = {k: v for k, v in copy.deepcopy(_DEFAULTS[name]).items() if v is not None}
     section.update(given)
-    if seeded and not (keep_pinned and "seed" in given):
+    if seeded and not pinned:
         section["seed"] = master + _SEED_OFFSETS[name]
     _check_types(section, name)
+    if seeded and section["seed"] < 0:  # numpy seeds must be non-negative
+        key = f"{name}.seed" if pinned else "seed" if keep_pinned else "--seed"
+        raise ConfigError(f"'{key}' gives the {name} stage seed {section['seed']}; stage seeds must be >= 0")
     return section
 
 
@@ -210,28 +219,20 @@ def parse_config(doc, seed_override=None):
         build_hyper(variant, {**init, **dict(zip(grid, combo))}, 2, "ablation.grid", rce_a)
 
     c = theory["classes"]
-    if c < 2:
-        raise ConfigError("'theory.classes' must be at least 2")
+    _named(("theory.classes", "theory.delta"), theory_mod._grid_parts, c, theory["delta"])
     theory.setdefault("world_labels", [k % c for k in range(4)])
     for key in ("etas", "world_labels"):
         # an empty list would verify nothing
         if not theory[key]:
             raise ConfigError(f"'theory.{key}' must be a non-empty list")
-    for label in theory["world_labels"]:
-        if not 0 <= label < c:
-            raise ConfigError(f"'theory.world_labels': label {label} out of range for {c} classes")
-    keys = {}  # each eta's report key in verify-bounds, f"eta={eta:g}"
-    for eta in theory["etas"]:  # the bound constants need c - 1 - eta c > 0
-        if not 0.0 <= eta < 1.0 - 1.0 / c:
-            raise ConfigError(f"'theory.etas': eta {eta} out of range 0 <= eta < 1 - 1/c "
-                              f"= {1.0 - 1.0 / c:.6g} for {c} classes")
-        key = f"eta={eta:g}"
+    _named("theory.world_labels", theory_mod._check_labels, theory["world_labels"], c)
+    keys = {}  # each eta's report key in verify-bounds
+    for eta in theory["etas"]:
+        _named("theory.etas", theory_mod._check_eta, eta, c)
+        key = eta_key(eta)
         if key in keys:
             raise ConfigError(f"'theory.etas': etas {keys[key]} and {eta} share the report key {key!r}")
         keys[key] = eta
-    if not 0.0 < theory["delta"] <= 0.5:
-        raise ConfigError(f"'theory.delta' must lie in (0, 0.5], got {theory['delta']}")
-    _named("theory.delta", theory_mod._grid_parts, theory["delta"])
     theory["hyper"] = build_hyper(theory["variant"], theory["hyper"], theory["classes"],
                                   "theory.hyper")
     # at eta 0 only a variant without bound constants or a polysoft lam < log(c) fails
@@ -281,10 +282,8 @@ def build_datasets(exp):
     before the data is made; ``gen-data``, which does not split, never asks.
     """
     if "n" in exp.dataset:
-        try:
-            data_mod._split_test_size(exp.dataset["n"], exp.split["meta_size"], exp.split["test_fraction"])
-        except ConfigError as exc:
-            raise ConfigError(f"'split.meta_size' and 'split.test_fraction': {exc}") from None
+        _named(("split.meta_size", "split.test_fraction"), data_mod._split_test_size,
+               exp.dataset["n"], exp.split["meta_size"], exp.split["test_fraction"])
     split = data_mod.split_meta(
         load_dataset(exp), exp.split["meta_size"], exp.split["test_fraction"], exp.split["seed"]
     )

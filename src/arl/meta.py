@@ -246,7 +246,8 @@ def _check_run(run, config, adaptive):
                               f"and {getattr(run.config, name)!r}")
     if adaptive and run.meta_set is None:
         raise ConfigError("adaptive training needs a clean meta set")
-    for name, dataset, what in (("batch_n", run.dataset, "training"), ("batch_m", run.meta_set, "meta")):
+    sets = (("batch_n", run.dataset, "training"), ("batch_m", run.meta_set if adaptive else None, "meta"))
+    for name, dataset, what in sets:  # a run without meta steps draws no meta batch
         if dataset is not None and getattr(config, name) > len(dataset):  # an empty set too: batches are >= 1
             raise ConfigError(f"{name}={getattr(config, name)} exceeds {what} set size {len(dataset)}")
 

@@ -22,7 +22,11 @@ the minimizers' rows give the four risks; its rows give the grid tolerance:
 moving one delta of mass between two coordinates of a grid point lands on
 another grid point, so every slope the tolerance needs is a difference of
 two table rows.  The tolerance scan takes its source rows one table block
-at a time, so its temporaries are one block's, well under one table.  A world needs at least one point.
+at a time, so its temporaries are one block's, well under one table.
+
+A scan is the one source of a world's c, delta and loss, and each input
+rule is one function that ``config`` also calls: ``_grid_parts`` for c and
+delta, ``_check_labels`` for the labels and ``_check_eta`` for eta.
 """
 
 from __future__ import annotations
@@ -47,31 +51,6 @@ class BoundConstants:
 
     noisy_gap_bound: float  # >= 0, caps R_noisy(f*) - R_noisy(f^)
     clean_gap_bound: float  # <= 0, floors R_clean(f*) - R_clean(f^)
-    variant: str
-    c: int
-    eta: float
-
-
-@dataclass
-class FiniteWorld:
-    """K points with clean labels under symmetric label noise."""
-
-    labels: np.ndarray
-    c: int
-    delta: float
-    eta: float
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.c < 2:
-            raise ConfigError("need at least two classes")
-        if len(self.labels) == 0:
-            raise ConfigError("a world needs at least one point")
-        if np.any(self.labels < 0) or np.any(self.labels >= self.c):
-            raise ConfigError("labels out of range")
-        _check_eta(self.eta, self.c)
-        if not 0.0 < self.delta <= 0.5:
-            raise ConfigError("delta must lie in (0, 0.5]")
 
 
 @dataclass
@@ -103,6 +82,17 @@ def _check_eta(eta, c):
         raise DomainError(f"eta {eta} out of range 0 <= eta < 1 - 1/c = {1.0 - 1.0 / c:.6g} for {c} classes")
 
 
+def _check_labels(labels, c):
+    """A world's clean labels as an array: at least one point, each label in [0, c)."""
+    labels = np.asarray(labels, dtype=int)
+    if not len(labels):
+        raise ConfigError("a world needs at least one point")
+    bad = labels[(labels < 0) | (labels >= c)]
+    if len(bad):
+        raise ConfigError(f"label {bad[0]} out of range for {c} classes")
+    return labels
+
+
 def bound_constants(c, eta, hyper):
     """Evaluate the sandwich-bound constants for a polysoft or bi_tempered ``hyper``."""
     variant = hyper.variant
@@ -122,25 +112,34 @@ def bound_constants(c, eta, hyper):
             )
         a = c * (d - 1.0) * eta / (d * (c - 1.0)) * (lam - math.log(c))
         a_prime = c * (d - 1.0) * eta / (d * denom) * (math.log(c) - lam)
-        return BoundConstants(a, a_prime, variant, c, eta)
+        return BoundConstants(a, a_prime)
     if variant == "bi_tempered":
         t1 = hyper.t1
         tail = (c - c**t1) / ((1.0 - t1) * (2.0 - t1))
         a = eta / (1.0 - t1) - eta * tail / (c - 1.0)
         a_prime = eta * tail / denom - eta * (c - 1.0) / ((1.0 - t1) * denom)
-        return BoundConstants(a, a_prime, variant, c, eta)
+        return BoundConstants(a, a_prime)
     raise DomainError(
         f"no closed-form bound constants for variant {variant!r}; "
         "only polysoft and bi_tempered are covered"
     )
 
 
-def _grid_parts(delta):
-    """1/delta, the grid's steps per unit of mass, which must be an integer."""
+def _grid_parts(c, delta):
+    """1/delta, the grid's steps per unit of mass: a grid needs c >= 2, delta
+    in (0, 0.5] with 1/delta an integer, and at most ``GRID_BUDGET`` points."""
+    if c < 2:
+        raise ConfigError(f"need at least two classes, got {c}")
+    if not 0.0 < delta <= 0.5:
+        raise ConfigError(f"delta must lie in (0, 0.5], got {delta}")
     inv = 1.0 / delta
     parts = round(inv) if math.isfinite(inv) else 0
     if abs(parts * delta - 1.0) > 1e-9:
         raise ConfigError(f"1/delta must be an integer, got delta={delta}")
+    count = math.comb(parts + c - 1, c - 1)
+    if count > GRID_BUDGET:
+        raise ConfigError(f"a simplex grid of {c} classes at delta={delta} would hold {count} points "
+                          f"> budget {GRID_BUDGET}")
     return parts
 
 
@@ -152,10 +151,7 @@ def simplex_grid(c, delta):
     order, is extended by every count its remaining mass allows, and the
     last coordinate takes what is left.
     """
-    parts = _grid_parts(delta)
-    count = math.comb(parts + c - 1, c - 1)
-    if count > GRID_BUDGET:
-        raise ConfigError(f"simplex grid would hold {count} points > budget {GRID_BUDGET}")
+    parts = _grid_parts(c, delta)
     counts = np.zeros((1, 0), dtype=np.int32)
     left = np.array([parts], dtype=np.int32)
     for _ in range(c - 1):
@@ -266,43 +262,40 @@ def grid_scan(c, delta, hyper):
                     grid_lipschitz(grid, table, delta) * delta)
 
 
-def _risk(world, table, sums, rows, noisy):
+def _risk(scan, labels, eta, rows, noisy):
     """Exact expected loss of putting point k on grid row ``rows[k]``: the mean of the
-    per-point terms read from the grid's loss table, summed in point order."""
-    terms = _per_point_terms(table.take(rows, axis=0), sums.take(rows), world.labels, world.eta, noisy)
+    per-point terms read from the scan's loss table, summed in point order."""
+    terms = _per_point_terms(scan.table.take(rows, axis=0), scan.sums.take(rows), labels, eta, noisy)
     total = 0.0
     for term in terms.tolist():
         total += term
-    return total / len(world.labels)
+    return total / len(labels)
 
 
-def riskgap_verify(world, hyper, scan=None):
+def riskgap_verify(scan, labels, eta):
     """Check both sandwich inequalities by exhaustive grid minimization.
 
-    The risk is additive over points with independent assignments, so the
+    The world is K points with clean ``labels`` under symmetric noise of
+    rate ``eta``; its c, delta and loss are those ``scan`` was built for,
+    so a caller that verifies several etas or worlds builds one scan.  The
+    risk is additive over points with independent assignments, so the
     global minimizers decompose into per-point grid scans; points sharing
     a label share their minimizers.  The four risks are read from the
     table at the minimizers' rows, so the loss is evaluated only in
-    ``grid_scan``.  ``scan`` is the ``grid_scan`` of the world's c and
-    delta under ``hyper``, built here when None; a caller that verifies
-    several etas builds it once.  A scan built for another c, delta or
-    hyper raises a ``DomainError``.
+    ``grid_scan``.
     """
-    constants = bound_constants(world.c, world.eta, hyper)
-    scan = grid_scan(world.c, world.delta, hyper) if scan is None else scan
-    if (scan.c, scan.delta, scan.hyper) != (world.c, world.delta, hyper):
-        raise DomainError(f"the scan was built for c={scan.c}, delta={scan.delta} and {scan.hyper}, "
-                          f"not for c={world.c}, delta={world.delta} and {hyper}")
+    constants = bound_constants(scan.c, eta, scan.hyper)
+    labels = _check_labels(labels, scan.c)
     grid, table, sums, tol = scan.grid, scan.table, scan.sums, scan.tol
-    labels, of_point = np.unique(world.labels, return_inverse=True)
+    distinct, of_point = np.unique(labels, return_inverse=True)
     star, hat = (
-        np.array([np.argmin(_per_point_terms(table, sums, label, world.eta, noisy)) for label in labels])[of_point]
+        np.array([np.argmin(_per_point_terms(table, sums, label, eta, noisy)) for label in distinct])[of_point]
         for noisy in (False, True)
     )  # each point's minimizer row, clean and noisy
     f_star, f_hat = grid[star], grid[hat]
 
     r_clean_star, r_clean_hat, r_noisy_star, r_noisy_hat = (
-        _risk(world, table, sums, rows, noisy) for noisy in (False, True) for rows in (star, hat))
+        _risk(scan, labels, eta, rows, noisy) for noisy in (False, True) for rows in (star, hat))
 
     noisy_gap = r_noisy_star - r_noisy_hat
     clean_gap = r_clean_star - r_clean_hat

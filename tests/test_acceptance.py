@@ -246,22 +246,23 @@ class TestAcceptance:
 
     def test_4_theorem_verification(self):
         t0 = time.time()
-        world = lambda eta: theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
+        labels = [0, 1, 2, 0]
+        scan = lambda hyper: theory.grid_scan(3, 0.02, hyper)  # the world's c, delta and loss
 
         # soft-weighting sandwich plus the noise-tolerant equality point
-        h_poly = losses.HyperParams("polysoft", lam=2.0 * LN3, d=2.0)
+        s_poly = scan(losses.HyperParams("polysoft", lam=2.0 * LN3, d=2.0))
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), h_poly)
+            report = theory.riskgap_verify(s_poly, labels, eta)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok, eta
 
-        h_tol = losses.HyperParams("polysoft", lam=LN3, d=2.0)
+        s_tol = scan(losses.HyperParams("polysoft", lam=LN3, d=2.0))
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), h_tol)
+            report = theory.riskgap_verify(s_tol, labels, eta)
             assert abs(report.noisy_risk_star - report.noisy_risk_hat) <= report.grid_tol
 
-        h_bt = losses.HyperParams("bi_tempered", t1=0.5, t2=2.0)
+        s_bt = scan(losses.HyperParams("bi_tempered", t1=0.5, t2=2.0))
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(world(eta), h_bt)
+            report = theory.riskgap_verify(s_bt, labels, eta)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok, eta
         elapsed = time.time() - t0
         assert elapsed < 60.0

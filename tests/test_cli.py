@@ -218,15 +218,20 @@ class TestVerifyBoundsCommand:
         ("world_labels", [-1], "'theory.world_labels': label -1 out of range for 3 classes"),
         ("etas", [0.1, 0.9], "'theory.etas': eta 0.9 out of range 0 <= eta < 1 - 1/c = 0.666667 for 3"),
         ("etas", [-0.1], "'theory.etas': eta -0.1 out of range"),
-        ("delta", 0.75, "'theory.delta' must lie in (0, 0.5], got 0.75"),
-        ("delta", 0.0, "'theory.delta' must lie in (0, 0.5], got 0.0"),
+        ("delta", 0.75, "'theory.delta': delta must lie in (0, 0.5], got 0.75"),
+        ("delta", 0.0, "'theory.delta': delta must lie in (0, 0.5], got 0.0"),
         ("delta", 0.03, "'theory.delta': 1/delta must be an integer, got delta=0.03"),
         ("variant", "gce", "'theory.variant': no closed-form bound constants for variant 'gce'"),
         ("hyper", {"lam": 0.5}, "'theory.hyper.lam': polysoft bound needs lam >= log(c) = 1.098612, got 0.5"),
         ("etas", [0.3, 0.3000001, 0.3], "'theory.etas': etas 0.3 and 0.3000001 share the report key 'eta=0.3'"),
+        ("classes", 40, "'theory.classes' and 'theory.delta': a simplex grid of 40 classes at delta=0.02 "
+                        f"would hold {math.comb(89, 39)} points > budget 10000000"),
+        ("classes", 1, "'theory.classes' and 'theory.delta': need at least two classes, got 1"),
     ])
     def test_theory_key_out_of_range(self, tmp_path, capsys, monkeypatch, key, value, message):
-        monkeypatch.setattr(theory, "riskgap_verify", None)  # nothing is verified before the error
+        # nothing is scanned or verified before the error
+        monkeypatch.setattr(theory, "grid_scan", None)
+        monkeypatch.setattr(theory, "riskgap_verify", None)
         cfg = write_config(tmp_path, {"theory": {"classes": 3, key: value}})
         out = tmp_path / "report.json"
         assert cli.main(["verify-bounds", "--config", str(cfg), "--out", str(out)]) == 2
@@ -479,6 +484,10 @@ class TestChecksBeforeTraining:
         ("noise", "type", "asymmetric", "'noise.type': asymmetric noise needs at least 4 classes, got 3"),
         ("noise", "eta", 1.5, "'noise.eta': eta=1.5 outside [0, 1]"),
         ("noise", "eta", -0.1, "'noise.eta': eta=-0.1 outside [0, 1]"),
+        ("noise", "seed", -1, "'noise.seed' gives the noise stage seed -1; stage seeds must be >= 0"),
+        ("train", "alpha", math.inf, "'train.alpha' must be a number, got inf"),
+        ("train", "beta", math.nan, "'train.beta' must be a number, got nan"),
+        ("dataset", "spread", math.inf, "'dataset.spread' must be a number, got inf"),
     ])
     def test_range_error_names_key_unloaded(self, tmp_path, capsys, monkeypatch,
                                             section, key, value, says):
@@ -513,6 +522,21 @@ class TestChecksBeforeTraining:
                          "--out", str(out)]) == 2
         assert not out.exists()
         assert "'seed' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, seed, doc_seed, says", [
+        ("train", [], -2, "'seed' gives the dataset stage seed -1"),
+        ("train", ["--seed", "-2"], 3, "'--seed' gives the dataset stage seed -1"),
+        ("gen-data", [], -7, "'seed' gives the dataset stage seed -6"),
+    ], ids=["config", "flag", "gen-data"])
+    def test_negative_stage_seed_exits_2_unloaded(self, tmp_path, capsys, monkeypatch,
+                                                  command, seed, doc_seed, says):
+        # numpy takes no negative seed; --seed -1 still gives stage seeds 0..4
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path, dict(SMALL_RUN, seed=doc_seed))
+        assert cli.main([command, "--config", str(cfg), *seed, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert says in capsys.readouterr().err
 
     def test_superclasses_type_checked(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(data, "gen_blobs", _never_load)
@@ -550,6 +574,10 @@ class TestConfigParsing:
         exp2 = config_mod.parse_config(dict(SMALL_RUN), seed_override=8)
         assert exp1.dataset["seed"] != exp2.dataset["seed"]
         assert exp1.train["seed"] != exp2.train["seed"]
+
+    def test_seed_override_minus_one_parses(self):
+        exp = config_mod.parse_config(dict(SMALL_RUN), seed_override=-1)
+        assert [exp.dataset["seed"], exp.noise["seed"], exp.model["seed"]] == [0, 1, 4]
 
     def test_explicit_stage_seed_respected(self):
         doc = dict(SMALL_RUN)

@@ -382,6 +382,18 @@ class TestArlTrain:
         with pytest.raises(ConfigError):
             meta.arl_train(train, meta_set, test, config)
 
+    @pytest.mark.parametrize("variant, beta", [("ce", 0.5), ("gce", 0.0), ("gce", 0.5)])
+    def test_oversized_meta_batch_rejected_for_meta_steps_only(self, variant, beta):
+        # a run that takes no meta step draws no meta batch
+        train, meta_set, test = small_problem(seed=13)
+        config = meta.TrainConfig(variant, beta=beta, batch_n=16, batch_m=31, max_iters=5)
+        if variant == "gce" and beta > 0:
+            with pytest.raises(ConfigError, match="batch_m=31 exceeds meta set size 30"):
+                meta.arl_train(train, meta_set, test, config)
+        else:
+            _, rows = meta.arl_train(train, meta_set, test, config)
+            assert rows[-1].iteration == 5
+
     def test_snapshots_at_cadence(self):
         train, meta_set, test = small_problem(seed=14)
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=32,

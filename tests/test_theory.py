@@ -79,15 +79,16 @@ class TestBoundConstants:
     @pytest.mark.parametrize("c", [3, 4])
     def test_eta_at_one_minus_one_over_c_rejected_up_front(self, c):
         # the clean-gap constant divides by c - 1 - eta c, so eta = 1 - 1/c is
-        # out of range for the world and for the constants alike, by one rule
+        # out of range for the verification and for the constants alike, by one rule
         h = HyperParams("polysoft", lam=3.0, d=2.0)
+        scan = theory.grid_scan(c, 0.5, h)
         says = f"out of range 0 <= eta < 1 - 1/c = {1.0 - 1.0 / c:.6g} for {c} classes"
-        with pytest.raises(DomainError, match=says):
-            theory.FiniteWorld(labels=[0, 1], c=c, delta=0.02, eta=1.0 - 1.0 / c)
-        with pytest.raises(DomainError, match=says):
-            theory.bound_constants(c, 1.0 - 1.0 / c, h)
+        for check in (theory._check_eta, lambda eta, c: theory.riskgap_verify(scan, [0, 1], eta),
+                      lambda eta, c: theory.bound_constants(c, eta, h)):
+            with pytest.raises(DomainError, match=says):
+                check(1.0 - 1.0 / c, c)
         below = 1.0 - 1.0 / c - 1e-3
-        theory.FiniteWorld(labels=[0, 1], c=c, delta=0.02, eta=below)
+        theory.riskgap_verify(scan, [0, 1], below)
         assert theory.bound_constants(c, below, h).clean_gap_bound < 0.0
 
 
@@ -105,8 +106,21 @@ class TestSimplexGrid:
         assert (0.3, 0.3, 0.4) in rows
 
     def test_budget_guard(self):
-        with pytest.raises(ConfigError):
+        says = f"10 classes at delta=0.005 would hold {math.comb(209, 9)} points > budget {theory.GRID_BUDGET}"
+        with pytest.raises(ConfigError, match=says):
             theory.simplex_grid(10, 0.005)
+
+    @pytest.mark.parametrize("c, delta, says", [
+        (1, 0.5, "need at least two classes, got 1"),
+        (3, 0.0, r"delta must lie in \(0, 0.5\], got 0.0"),
+        (3, 0.75, r"delta must lie in \(0, 0.5\], got 0.75"),
+        (3, 0.03, "1/delta must be an integer, got delta=0.03"),
+        (40, 0.02, "40 classes at delta=0.02 would hold"),
+    ], ids=["one-class", "delta-0", "delta-0.75", "delta-0.03", "budget"])
+    def test_grid_rule(self, c, delta, says):
+        # one rule for simplex_grid, grid_scan and the parsed theory config
+        with pytest.raises(ConfigError, match=says):
+            theory.simplex_grid(c, delta)
 
     @pytest.mark.parametrize("c,delta", [(2, 0.5), (3, 0.1), (3, 0.02), (5, 0.025), (7, 0.25)])
     def test_matches_combinations_loop(self, c, delta):
@@ -149,40 +163,52 @@ class TestSimplexGrid:
                         np.testing.assert_array_equal(dst, expected)
 
 
-class TestExactRisk:
-    def world(self, eta=0.3):
-        return theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
+LABELS = [0, 1, 2, 0]
 
+
+def _assert_labels_rule(labels, says):
+    """One labels rule for the verification and the parsed theory config."""
+    scan = theory.grid_scan(3, 0.5, HyperParams("polysoft", lam=3.0, d=2.0))
+    for check in (lambda: theory._check_labels(labels, 3), lambda: theory.riskgap_verify(scan, labels, 0.3)):
+        with pytest.raises(ConfigError, match=says):
+            check()
+
+
+class TestExactRisk:
     def test_empty_world_is_config_error(self):
-        with pytest.raises(ConfigError, match="at least one point"):
-            theory.FiniteWorld(labels=[], c=3, delta=0.02, eta=0.3)
+        _assert_labels_rule([], "a world needs at least one point")
+
+    @pytest.mark.parametrize("labels, says", [
+        ([0, 5, 1], "label 5 out of range for 3 classes"),
+        ([-1], "label -1 out of range for 3 classes"),
+    ], ids=["above", "below"])
+    def test_label_out_of_range_is_config_error(self, labels, says):
+        _assert_labels_rule(labels, says)
 
     def test_eta_zero_noisy_equals_clean(self):
-        world = theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=0.0)
         rng = np.random.default_rng(1)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("polysoft", lam=1.2, d=2.0)
-        clean = theory_reference.exact_risk(world, f, h, noisy=False)
-        noisy = theory_reference.exact_risk(world, f, h, noisy=True)
+        clean = theory_reference.exact_risk(LABELS, 0.0, f, h, noisy=False)
+        noisy = theory_reference.exact_risk(LABELS, 0.0, f, h, noisy=True)
         assert clean == pytest.approx(noisy, abs=1e-14)
 
     def test_vertex_prediction_ce(self):
-        world = theory.FiniteWorld(labels=[0, 1], c=3, delta=0.02, eta=0.0)
         f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        risk = theory_reference.exact_risk(world, f, HyperParams("ce"), noisy=False)
+        risk = theory_reference.exact_risk([0, 1], 0.0, f, HyperParams("ce"), noisy=False)
         assert risk == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_monte_carlo(self):
-        world = self.world(eta=0.3)
+        eta = 0.3
         rng = np.random.default_rng(2)
         f = rng.dirichlet(np.ones(3), size=4)
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        exact = theory_reference.exact_risk(world, f, h, noisy=True)
+        exact = theory_reference.exact_risk(LABELS, eta, f, h, noisy=True)
 
         draws = 40_000
         total = np.zeros(draws)
-        for k, label in enumerate(world.labels):
-            flip = rng.random(draws) < world.eta
+        for k, label in enumerate(LABELS):
+            flip = rng.random(draws) < eta
             offs = rng.integers(1, 3, size=draws)
             labels = np.where(flip, (label + offs) % 3, label)
             per_label = np.array(
@@ -192,59 +218,52 @@ class TestExactRisk:
                 ]
             )
             total += per_label[labels]
-        mc = total.mean() / len(world.labels)
-        sigma = total.std(ddof=1) / math.sqrt(draws) / len(world.labels)
+        mc = total.mean() / len(LABELS)
+        sigma = total.std(ddof=1) / math.sqrt(draws) / len(LABELS)
         assert abs(mc - exact) <= 3.0 * sigma + 1e-12
 
     def test_bad_assignment(self):
-        world = self.world()
         with pytest.raises(DomainError):
-            theory_reference.exact_risk(world, np.ones((4, 3)), HyperParams("ce"), False)
+            theory_reference.exact_risk(LABELS, 0.3, np.ones((4, 3)), HyperParams("ce"), False)
+
+
+def _verify(hyper, eta, labels=LABELS, c=3, delta=0.02):
+    """``riskgap_verify`` of ``labels`` at eta on the grid_scan of c, delta and hyper."""
+    return theory.riskgap_verify(theory.grid_scan(c, delta, hyper), labels, eta)
 
 
 class TestRiskGap:
-    def world(self, eta):
-        return theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
-
     def test_polysoft_tolerant_equality(self):
         h = HyperParams("polysoft", lam=math.log(3.0), d=2.0)
-        report = theory.riskgap_verify(self.world(0.4), h)
+        report = _verify(h, 0.4)
         gap = abs(report.noisy_risk_star - report.noisy_risk_hat)
         assert gap <= report.grid_tol
         assert report.noisy_sandwich_ok and report.clean_sandwich_ok
 
     def test_polysoft_loose_lambda(self):
-        h = HyperParams("polysoft", lam=2.0 * math.log(3.0), d=2.0)
+        scan = theory.grid_scan(3, 0.02, HyperParams("polysoft", lam=2.0 * math.log(3.0), d=2.0))
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(self.world(eta), h)
+            report = theory.riskgap_verify(scan, LABELS, eta)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok
 
     def test_bi_tempered_sweep(self):
-        h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
+        scan = theory.grid_scan(3, 0.02, HyperParams("bi_tempered", t1=0.5, t2=2.0))
         for eta in (0.1, 0.3, 0.6):
-            report = theory.riskgap_verify(self.world(eta), h)
+            report = theory.riskgap_verify(scan, LABELS, eta)
             assert report.noisy_sandwich_ok and report.clean_sandwich_ok
 
     def test_bi_tempered_gap_nontrivial_at_high_noise(self):
         # near the eta ceiling the noisy minimizer moves off the vertex,
         # so the verified gap is strictly positive yet inside the bound
         h = HyperParams("bi_tempered", t1=0.5, t2=2.0)
-        report = theory.riskgap_verify(self.world(0.6), h)
+        report = _verify(h, 0.6)
         gap = report.noisy_risk_star - report.noisy_risk_hat
         assert gap > 0.1
         assert gap <= report.noisy_gap_bound + report.grid_tol
 
-    @pytest.mark.parametrize("c, delta, lam, says", [
-        (4, 0.02, 3.0, "c=4, delta=0.02"), (3, 0.05, 3.0, "delta=0.05"), (3, 0.02, 2.0, "lam=2.0"),
-    ], ids=["c", "delta", "hyper"])
-    def test_scan_built_for_another_world_raises(self, c, delta, lam, says):
-        scan = theory.grid_scan(c, delta, HyperParams("polysoft", lam=lam, d=2.0))
-        with pytest.raises(DomainError, match=says):
-            theory.riskgap_verify(self.world(0.3), HyperParams("polysoft", lam=3.0, d=2.0), scan)
-
     def test_report_serializes(self):
         h = HyperParams("polysoft", lam=1.5, d=2.0)
-        report = theory.riskgap_verify(self.world(0.3), h)
+        report = _verify(h, 0.3)
         d = report.as_dict()
         assert set(d) >= {"noisy_gap_bound", "grid_tol", "noisy_sandwich_ok"}
 
@@ -301,29 +320,29 @@ def _moved_copy_lipschitz(variant, hyper, c, delta):
     return worst
 
 
-def _per_point_loop_verify(world, variant, hyper):
+def _per_point_loop_verify(labels, c, delta, eta, variant, hyper):
     """Minimizers, risks and tolerance as found by one grid scan per point."""
 
     def terms(grid, label, noisy):
         per_label = np.stack(
-            [losses.loss_values(hyper, grid, j) for j in range(world.c)], axis=1
+            [losses.loss_values(hyper, grid, j) for j in range(c)], axis=1
         )
         if not noisy:
             return per_label[:, label]
         others = per_label.sum(axis=1) - per_label[:, label]
-        return (1.0 - world.eta) * per_label[:, label] + world.eta / (world.c - 1.0) * others
+        return (1.0 - eta) * per_label[:, label] + eta / (c - 1.0) * others
 
     def risk(assignment, noisy):
         total = 0.0
-        for k, label in enumerate(world.labels):
+        for k, label in enumerate(labels):
             total += float(terms(assignment[k : k + 1], int(label), noisy)[0])
-        return total / len(world.labels)
+        return total / len(labels)
 
-    grid = theory.simplex_grid(world.c, world.delta)
-    f_star = np.stack([grid[int(np.argmin(terms(grid, int(l), False)))] for l in world.labels])
-    f_hat = np.stack([grid[int(np.argmin(terms(grid, int(l), True)))] for l in world.labels])
+    grid = theory.simplex_grid(c, delta)
+    f_star = np.stack([grid[int(np.argmin(terms(grid, int(l), False)))] for l in labels])
+    f_hat = np.stack([grid[int(np.argmin(terms(grid, int(l), True)))] for l in labels])
     risks = [risk(f_star, False), risk(f_hat, False), risk(f_star, True), risk(f_hat, True)]
-    tol = _moved_copy_lipschitz(variant, hyper, world.c, world.delta) * world.delta
+    tol = _moved_copy_lipschitz(variant, hyper, c, delta) * delta
     return f_star, f_hat, risks, tol
 
 
@@ -358,9 +377,8 @@ class TestLossTable:
     )
     def test_verify_matches_per_point_loop(self, eta, variant, hyper):
         # the acceptance worlds: minimizers and risks to the bit
-        world = theory.FiniteWorld(labels=[0, 1, 2, 0], c=3, delta=0.02, eta=eta)
-        report = theory.riskgap_verify(world, hyper)
-        f_star, f_hat, risks, tol = _per_point_loop_verify(world, variant, hyper)
+        report = _verify(hyper, eta)
+        f_star, f_hat, risks, tol = _per_point_loop_verify(LABELS, 3, 0.02, eta, variant, hyper)
         assert report.f_star.tobytes() == f_star.tobytes()
         assert report.f_hat.tobytes() == f_hat.tobytes()
         got = [report.clean_risk_star, report.clean_risk_hat,
@@ -453,13 +471,12 @@ class TestKernelTable:
     @pytest.mark.parametrize("variant,labels,eta,hyper", ACCEPTANCE_WORLDS + BOUNDS_SCAN_WORLDS)
     def test_minimizers_match_reference(self, variant, labels, eta, hyper):
         c, delta = (3, 0.02) if len(labels) == 4 else (5, 0.025)
-        world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
         h = HyperParams(variant, **hyper)
-        report = theory.riskgap_verify(world, h)
+        report = _verify(h, eta, labels, c, delta)
         grid = theory.simplex_grid(c, delta)
         table = np.stack([_reference_loss_values(variant, h, grid, j) for j in range(c)], axis=1)
         sums = table.sum(axis=1)
-        for k, label in enumerate(world.labels):
+        for k, label in enumerate(labels):
             clean = theory._per_point_terms(table, sums, label, eta, False)
             noisy = theory._per_point_terms(table, sums, label, eta, True)
             assert report.f_star[k].tobytes() == grid[int(np.argmin(clean))].tobytes()
@@ -486,12 +503,11 @@ class TestTableRisks:
         + [(5, 0.025, *w) for w in BOUNDS_SCAN_WORLDS],
     )
     def test_risks_match_exact_risk(self, c, delta, variant, labels, eta, hyper):
-        world = theory.FiniteWorld(labels=labels, c=c, delta=delta, eta=eta)
         h = HyperParams(variant, **hyper)
-        report = theory.riskgap_verify(world, h)
+        report = _verify(h, eta, labels, c, delta)
         got = [report.clean_risk_star, report.clean_risk_hat,
                report.noisy_risk_star, report.noisy_risk_hat]
-        want = [theory_reference.exact_risk(world, f, h, noisy)
+        want = [theory_reference.exact_risk(labels, eta, f, h, noisy)
                 for noisy in (False, True) for f in (report.f_star, report.f_hat)]
         assert got == want
 
@@ -524,9 +540,8 @@ class TestBlockedTolerance:
 
     @pytest.mark.parametrize("variant,labels,eta,hyper", BOUNDS_SCAN_WORLDS)
     def test_bounds_scan_grid_tol(self, variant, labels, eta, hyper):
-        world = theory.FiniteWorld(labels=labels, c=5, delta=0.025, eta=eta)
         h = HyperParams(variant, **hyper)
-        report = theory.riskgap_verify(world, h)
+        report = _verify(h, eta, labels, 5, 0.025)
         grid = theory.simplex_grid(5, 0.025)
         table = theory._loss_table(h, grid)
         assert report.grid_tol == theory_reference.grid_lipschitz(grid, table, 0.025) * 0.025

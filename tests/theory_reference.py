@@ -17,24 +17,25 @@ from arl import theory
 from arl.errors import DomainError
 
 
-def exact_risk(world, assignment, hyper, noisy):
-    """Exact expected loss of a per-point simplex assignment.
+def exact_risk(labels, eta, assignment, hyper, noisy):
+    """Exact expected loss of a per-point simplex assignment of the world of clean ``labels``.
 
-    Uniform over the K points; under noise the label of a point is its
-    clean label with probability 1 - eta, otherwise uniform over the
-    other classes.
+    Uniform over the K points; under noise of rate ``eta`` the label of a
+    point is its clean label with probability 1 - eta, otherwise uniform
+    over the other classes.  The assignment's columns are the c classes.
     """
     A = np.atleast_2d(np.asarray(assignment, dtype=float))
-    if A.shape != (len(world.labels), world.c):
-        raise DomainError(f"assignment shape {A.shape} does not match the world")
+    labels = theory._check_labels(labels, A.shape[1])
+    if len(A) != len(labels):
+        raise DomainError(f"assignment shape {A.shape} does not match {len(labels)} points")
     if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("assignments must be probability vectors")
     table = theory._loss_table(hyper, A)
-    terms = theory._per_point_terms(table, table.sum(axis=1), world.labels, world.eta, noisy)
+    terms = theory._per_point_terms(table, table.sum(axis=1), labels, eta, noisy)
     total = 0.0
     for term in terms.tolist():
         total += term
-    return total / len(world.labels)
+    return total / len(labels)
 
 
 def neighbours(counts):
