@@ -20,7 +20,7 @@ from . import data as data_mod
 from . import losses, model
 from . import theory as theory_mod
 from .errors import ConfigError, DomainError
-from .meta import TrainConfig, _RangeError
+from .meta import TrainConfig, _check_batch, _RangeError
 
 
 def _check_keys(doc, allowed, path):
@@ -200,13 +200,16 @@ def parse_config(doc, seed_override=None):
     # A CSV dataset's size, dimension and class count are known only once it
     # is loaded; only lam's default 3 log(c) depends on c, in its domain for any c >= 2
     try:
-        build_train_config(exp, 2)
+        train = build_train_config(exp, 2)
     except _RangeError as exc:
         key = "iters" if exc.field == "max_iters" else exc.field
         raise ConfigError(f"'train.{key}': {exc}") from None
     _named("split.test_fraction", data_mod._test_size, sections["split"]["test_fraction"], 0)
-    if sections["split"]["meta_size"] < 1:
-        raise ConfigError(f"'split.meta_size' must be >= 1, got {sections['split']['meta_size']}")
+    meta_size = sections["split"]["meta_size"]
+    if meta_size < 1:
+        raise ConfigError(f"'split.meta_size' must be >= 1, got {meta_size}")
+    if train.adaptive:  # the meta set of any feasible split holds meta_size samples
+        _named(("train.batch_m", "split.meta_size"), _check_batch, "batch_m", train.batch_m, meta_size, "meta")
     model._layout(exp.model["activation"], dataset.get("dim", 1), *exp.model["hidden"],
                   dataset.get("classes", 2))
     variant, init, rce_a = loss["variant"], loss["init"], loss["rce_a"]

@@ -31,7 +31,7 @@ as the kernels that ``bi_tempered`` runs, on the domain that
 ``HyperParams`` checks, 0 <= t1 < 1 < t2: ``_log_t_of_log`` (from log x,
 at t1), ``_exp_t_neg_args`` (at t2, of arguments <= 0) and the batched
 normalization solve ``_tempered_softmax_batch`` (Newton at t2 on every
-row, from max z or from given roots), which ``normalize`` calls.
+row, from max z or from given starts), which ``normalize`` calls.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the constrained hyperparameter domains onto
@@ -200,62 +200,64 @@ def _tempered_softmax_batch(Z, t2, start=None):
     """Normalization solve for rows of logits, ``t2 > 1`` a scalar or one per row.
 
     Returns ``(P, gamma)`` with P[i] = exp_t2(Z[i] - gamma[i]) summing to 1.
-    Every row runs Newton on f(gamma) = sum_j exp_t2(z_j - gamma) - 1: f is
-    convex and decreasing in gamma for t2 > 1, and f'(gamma) =
-    -sum_j p_j^t2, so the steps gamma += f / sum_j p_j^t2 from
-    gamma = max z rise monotonically to the unique root.  A row stops on a
-    relative step size, not on the residual, whose floor is about
-    |gamma| * eps; each row's steps are its own and ``_pow`` gives its t2
-    the bits of a scalar, so a row solves to the same bits in any batch.
-    ``HyperParams`` checks t2's domain.
+    Every row runs Newton on F(gamma) = log_t2 S(gamma), S being the
+    partition sum sum_j exp_t2(z_j - gamma), whose root is S = 1.  With
+    k = t2 - 1 each term is b_j^(-1/k) on the base b_j = 1 + k (gamma - z_j),
+    which is >= 1 and affine in gamma, so S^(-k) is a power mean of
+    exponent -1/k < 1 of the bases: concave and increasing in gamma.  F =
+    (1 - S^(-k)) / k is therefore convex and decreasing, and the steps
+    gamma += F / -F' = S expm1(k log S) / (k sum_j p_j^t2) from
+    gamma = max z rise monotonically to the unique root.  F is exactly
+    linear in gamma as t2 -> 1 (log S) and where one class holds all the
+    mass, which is where S - 1 bends most, so Newton on F takes few steps.
+    The derivative term p^t2 = dp/dx is p / (1 + (1 - t2) x), no power.  A
+    row stops on a relative step size, not on the residual, whose floor is
+    about |gamma| * eps, and a NaN step never stops; the stopping step is
+    taken to first order, P -= p^t2 * step, with no further pass.  Each
+    row's steps are its own and elementwise in t2, so a row solves to the
+    same bits in any batch.  ``HyperParams`` checks t2's domain.
 
-    ``start`` (one per row, e.g. the root at a nearby t2) starts Newton
-    elsewhere.  It is first clamped into the root's bracket
+    ``start`` (one per row, e.g. a guess at the root from a nearby t2)
+    starts Newton elsewhere.  It is first clamped into the root's bracket
     [max z, max z - log_t2(1/c)], where the largest p runs from 1 down to
-    1/c, so sum_j p_j^t2 cannot underflow.  From a start left of the root
-    the steps rise as above.  From one right of it, convexity puts the
-    first iterate at or left of the root, since f(x1) >= f(x0) + f'(x0)
+    1/c, so S and sum_j p_j^t2 cannot underflow.  From a start left of
+    the root the steps rise as above.  From one right of it, convexity puts
+    the first iterate at or left of the root, since F(x1) >= F(x0) + F'(x0)
     (x1 - x0) = 0, and from there they rise; each iterate is clamped at
     max z, which keeps every argument of exp_t <= 0.  A row's start is its
     own, so it still solves to the same bits in any batch.  Without a start
     every iterate is >= max z already, and the bits are the cold solve's.
     """
     Z = np.asarray(Z, dtype=float)
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():  # the method: np.all's wrapper costs about 3 us a call
         raise DomainError("logits must be finite")
-    e = _on_classes(t2)
-    s = 1.0 - e
+    k = t2 - 1.0  # a scalar or one per row
+    s = -_on_classes(k)
     top = np.maximum.reduce(Z, axis=1)
     gamma = top
-    if start is not None:
-        k = t2 - 1.0  # -log_t2(1/c) = expm1((t2 - 1) log c) / (t2 - 1)
+    if start is not None:  # -log_t2(1/c) = expm1((t2 - 1) log c) / (t2 - 1)
         gamma = np.minimum(np.maximum(start, top), top + np.expm1(k * math.log(Z.shape[1])) / k)
     done = np.zeros(len(Z), dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        P = _exp_t_neg_args(Z - gamma[:, None], s)
-        resid = np.add.reduce(P, axis=1) - 1.0
-        step = resid / np.add.reduce(_pow(P, e), axis=1)
-        gamma = np.where(done, gamma, gamma + step)
-        if start is not None:
-            gamma = np.maximum(gamma, top)
-        done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))
+        X = Z - gamma[:, None]
+        P = _exp_t_neg_args(X, s)
+        Pt = P / (1.0 + s * X)  # p^t2 = dp/dx
+        S = np.add.reduce(P, axis=1)
+        step = S * np.expm1(k * np.log(S)) / (k * np.add.reduce(Pt, axis=1))
+        done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))  # NaN stays active
         if done.all():
             break
+        gamma = np.where(done, gamma, gamma + step)  # a stopped row repeats its last pass's bits
+        if start is not None:
+            gamma = np.maximum(gamma, top)
     else:
         raise NumericError(
             f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
-            f"t2={np.unique(t2)}, max |sum p - 1| = {np.abs(resid[~done]).max():.3e}, "
+            f"t2={np.unique(t2)}, max |sum p - 1| = {np.abs(S[~done] - 1.0).max():.3e}, "
             f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
         )
-    P = _exp_t_neg_args(Z - gamma[:, None], s)
-    err = np.abs(np.add.reduce(P, axis=1) - 1.0)
-    if np.any(err > 1e-10):
-        raise NumericError(
-            "tempered softmax did not normalize: "
-            f"max |sum p - 1| = {err.max():.3e}, t2={np.unique(t2)}, "
-            f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
-        )
-    return P, gamma
+    P -= Pt * step[:, None]
+    return P, gamma + step
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +294,18 @@ class _Batch:
     probabilities, their clamp, the cross entropies and D = P - Y are each
     computed on first use, once.  No loss field enters, so a softmax
     family's record serves at moved fields; a ``bi_tempered`` record holds
-    the solve at one t2, with its roots ``gamma`` (None for the softmax).
-    Its arrays are shared, never written.
+    the solve at one t2, with its roots ``gamma`` (None for the softmax)
+    and, once ``_bi_tempered_hgrad`` has formed it, their slope
+    ``dgamma_dt2``.  Its arrays are shared, never written.
     """
 
     def __init__(self, P, labels, gamma=None):
-        self.P, self.labels, self.gamma = P, labels, gamma
+        self.P, self.labels, self.gamma, self.dgamma_dt2 = P, labels, gamma, None
+
+    def start_at(self, dt2):
+        """A first-order guess at the roots after t2 moves by ``dt2`` (a scalar or one per row):
+        gamma + dgamma/dt2 * dt2, or the roots themselves where no slope was formed."""
+        return self.gamma if self.dgamma_dt2 is None else self.gamma + self.dgamma_dt2 * dt2
 
     @_once
     def rows(self):
@@ -461,10 +469,10 @@ def _bi_tempered_hgrad(b, h, shared, dvalues):
     t2 moves P: differentiating sum_j exp_t2(z_j - gamma) = 1 at fixed
     logits gives d log p_j / dt2 = R_j = e_j - p_j^(t2-1) dgamma/dt2, where
     e_j = (expm1(x_j) - x_j) / (t2-1)^2 with x_j = (t2-1) log p_j, which is
-    log^2 p_j / 2 at t2 = 1, and dgamma/dt2 = sum_j p_j e_j / sum_j p_j^t2.
-    The value then moves by sum_j (dL/dp_j) p_j R_j, and g and u by the
-    chain rule through p together with their explicit t2; R is 0 where
-    the kernels clamp p.
+    log^2 p_j / 2 at t2 = 1, and dgamma/dt2 = sum_j p_j e_j / sum_j p_j^t2,
+    which the record keeps for the next solve's start.  The value then
+    moves by sum_j (dL/dp_j) p_j R_j, and g and u by the chain rule through
+    p together with their explicit t2; R is 0 where the kernels clamp p.
     """
     n, labels = b.rows, b.labels
     t1, t2 = _on_classes(h.t1), _on_classes(h.t2)
@@ -473,7 +481,9 @@ def _bi_tempered_hgrad(b, h, shared, dvalues):
     log_p = np.log(Pc)
 
     R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
-    R -= _pow(Pc, t2 - 1.0) * ((Pc * R).sum(axis=1, keepdims=True) / S)
+    dgamma = (Pc * R).sum(axis=1, keepdims=True) / S
+    b.dgamma_dt2 = dgamma[:, 0]
+    R -= _pow(Pc, t2 - 1.0) * dgamma
     R[b.P != Pc] = 0.0  # a clamped probability does not move
     dv = None
     if dvalues:

@@ -7,7 +7,7 @@ then takes the actual SGD step under the freshly updated loss.  The
 virtual step, the hypergradient and the actual step all run on one
 cached forward pass of the train batch and, for the softmax families, on
 one normalization of its logits; ``bi_tempered`` solves again at its moved
-t2, starting from the first solve's roots.
+t2, starting from the first solve's roots moved to first order in t2.
 
 The hypergradient never needs double backprop: with
 w~(theta) = w - alpha * grad_w L_train(w; theta), the chain rule gives
@@ -97,6 +97,11 @@ class TrainConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise _RangeError(name, f"{name} must {what}, got {value!r}")
+
+    @property
+    def adaptive(self):
+        """Whether a run takes meta steps: ``beta > 0`` and a variant with learnable fields."""
+        return self.beta > 0 and bool(losses.LEARNABLE[self.variant])
 
     def resolve_hyper(self, num_classes):
         if self.init_hyper is not None:
@@ -238,18 +243,23 @@ Run = namedtuple("Run", "dataset meta_set config params start", defaults=(None, 
 Run.__doc__ = "A run of ``train_runs``: its sets, config, start network (None: the config's) and iteration."
 
 
-def _check_run(run, config, adaptive):
+def _check_batch(name, size, set_size, what):
+    """A batch of ``size`` drawn without replacement from a set of ``set_size`` (an empty set fails too)."""
+    if size > set_size:
+        raise ConfigError(f"{name}={size} exceeds {what} set size {set_size}")
+
+
+def _check_run(run, config):
     """A run's config against the call's ``config``, and its batches within its sets."""
     for name in (f.name for f in fields(TrainConfig) if f.name not in ("seed", "model_seed", "init_hyper")):
         if getattr(run.config, name) != getattr(config, name):
             raise ConfigError(f"lockstep runs need one {name}, got {getattr(config, name)!r} "
                               f"and {getattr(run.config, name)!r}")
-    if adaptive and run.meta_set is None:
+    if config.adaptive and run.meta_set is None:
         raise ConfigError("adaptive training needs a clean meta set")
-    sets = (("batch_n", run.dataset, "training"), ("batch_m", run.meta_set if adaptive else None, "meta"))
-    for name, dataset, what in sets:  # a run without meta steps draws no meta batch
-        if dataset is not None and getattr(config, name) > len(dataset):  # an empty set too: batches are >= 1
-            raise ConfigError(f"{name}={getattr(config, name)} exceeds {what} set size {len(dataset)}")
+    _check_batch("batch_n", config.batch_n, len(run.dataset), "training")
+    if config.adaptive:  # a run without meta steps draws no meta batch
+        _check_batch("batch_m", config.batch_m, len(run.meta_set), "meta")
 
 
 class _Batches:
@@ -340,9 +350,9 @@ def train_runs(runs):
     order = sorted(range(len(runs)), key=lambda i: runs[i].start)
     runs = [runs[i] for i in order]
     config, stacked = runs[0].config, len(runs) > 1  # a lone run trains on arrays of its own shapes
-    adaptive = config.beta > 0 and bool(losses.LEARNABLE[config.variant])
+    adaptive = config.adaptive
     for run in runs:
-        _check_run(run, config, adaptive)
+        _check_run(run, config)
     inits = [_init_params(run.dataset, run.config) if run.params is None else run.params for run in runs]
     sizes, activation, P = inits[0].sizes, inits[0].activation, inits[0].vec.size
     if len({(p.sizes, p.activation) for p in inits}) > 1:
@@ -380,9 +390,9 @@ def train_runs(runs):
                         hypers[r] = losses.from_unconstrained(thetas[r], hypers[r])
                     except (NumericError, DomainError) as exc:
                         raise _RunError(r, str(exc)) from exc
-                fields = losses._RowFields(hypers[:k], n) if stacked else hypers[0]
-                if config.variant == "bi_tempered":  # t2 moved: solve again from the first solve's roots
-                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn, batch.gamma)
+                before, fields = fields, losses._RowFields(hypers[:k], n) if stacked else hypers[0]
+                if config.variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
+                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn, batch.start_at(fields.t2 - before.t2))
             step = _backward_mean(stack, hypers[:k], *losses.batch_loss(fields, batch), cache)
             if velocity is not None:
                 velocity = step = step + config.momentum * velocity

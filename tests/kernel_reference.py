@@ -7,7 +7,9 @@ P - Y by a copy and an indexed subtraction, the softmax through the
 array methods, and the tempered softmax solve and tempered log that take
 the t = 1 limit within 1e-8 of 1.  They call no ``arl`` kernel, so the
 equality gates that compare the kernels with them see any change in a
-kernel's bits.
+kernel's bits.  The solve here is the older Newton on sum_j p_j - 1 with a
+closing pass; the kernel's Newton on log_t2 of that sum is gated against
+it within a stated tolerance instead.
 """
 
 import numpy as np

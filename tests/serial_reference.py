@@ -3,13 +3,13 @@
 ``adaptive_run`` is the bilevel loop for one run on its own: the meta step
 on the run's meta-batch stream, then the actual SGD step, one iteration
 at a time; a ``bi_tempered`` step solves its normalization again at the
-moved t2, from the first solve's roots.  At ``beta`` 0 it never moves its
-hyperparameters, so a conventional run from iteration 0 is the adaptive
-loop at ``beta`` 0.  A conventional continuation from a snapshot at
-``start`` is plain SGD, written out in ``conventional_run``, over its
-seed's train-batch stream ``default_rng([seed, 17, 0])`` after ``start``
-burned draws: it trains on the batches that the run of its seed from 0
-draws after ``start``.
+moved t2, from the first solve's roots moved to first order in t2.  At
+``beta`` 0 it never moves its hyperparameters, so a conventional run from
+iteration 0 is the adaptive loop at ``beta`` 0.  A conventional
+continuation from a snapshot at ``start`` is plain SGD, written out in
+``conventional_run``, over its seed's train-batch stream
+``default_rng([seed, 17, 0])`` after ``start`` burned draws: it trains on
+the batches that the run of its seed from 0 draws after ``start``.
 """
 
 from dataclasses import replace
@@ -47,10 +47,10 @@ def adaptive_run(dataset, meta_set, config):
                 idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
                 hg = meta.hypergradient(params, hyper, theta, cache, batch,
                                         meta_set.X[idx_m], meta_set.y[idx_m], alpha_t)
-                theta = meta.meta_update(theta, hg, beta_t)
+                theta, before = meta.meta_update(theta, hg, beta_t), hyper
                 hyper = losses.from_unconstrained(theta, hyper)
-                if hyper.variant == "bi_tempered":  # t2 moved: solve again from the first solve's roots
-                    batch = losses.normalize(hyper, cache[0][-1], yn, batch.gamma)
+                if hyper.variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
+                    batch = losses.normalize(hyper, cache[0][-1], yn, batch.start_at(hyper.t2 - before.t2))
             grads = meta._backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
             if velocity is not None:
                 velocity = grads = grads + config.momentum * velocity

@@ -513,6 +513,24 @@ class TestChecksBeforeTraining:
         assert not out.exists()
         assert says in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_oversized_meta_batch_exits_2_unloaded(self, tmp_path, capsys, monkeypatch, command):
+        # the meta set holds split.meta_size samples, so an adaptive run's batch_m is
+        # checked against it before any data is made or any directory written
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, train=dict(SMALL_RUN["train"], batch_m=50, iters=20))
+        out = tmp_path / "r"
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert ("'train.batch_m' and 'split.meta_size': batch_m=50 exceeds meta set size 30"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("variant, beta", [("ce", 0.5), ("gce", 0.0)])
+    def test_meta_batch_unchecked_without_meta_steps(self, variant, beta):
+        # a run without meta steps draws no meta batch
+        doc = dict(SMALL_RUN, loss={"variant": variant}, train=dict(SMALL_RUN["train"], batch_m=50, beta=beta))
+        assert config_mod.parse_config(doc).train["batch_m"] == 50
+
     @pytest.mark.parametrize("seed", [True, False, 3.0, "3"])
     def test_mistyped_master_seed_exits_2(self, tmp_path, capsys, monkeypatch, seed):
         # a boolean is an int to Python: true would run as seed 1
