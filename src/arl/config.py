@@ -281,15 +281,21 @@ def load_dataset(exp):
 def build_datasets(exp):
     """Load, split, and corrupt per the config sections.
 
-    A generated dataset's size is in the document, so its split is checked
-    before the data is made; ``gen-data``, which does not split, never asks.
+    A generated dataset's size is in the document, so its split and the
+    training set's ``train.batch_n`` are checked before the data is made,
+    a CSV dataset's once it is split; ``gen-data``, which does not split,
+    never asks.
     """
+    batch_n = ("train.batch_n", _check_batch, "batch_n", exp.train["batch_n"])
     if "n" in exp.dataset:
-        _named(("split.meta_size", "split.test_fraction"), data_mod._split_test_size,
-               exp.dataset["n"], exp.split["meta_size"], exp.split["test_fraction"])
+        n, meta_size = exp.dataset["n"], exp.split["meta_size"]
+        test_size = _named(("split.meta_size", "split.test_fraction"), data_mod._split_test_size,
+                           n, meta_size, exp.split["test_fraction"])
+        _named(*batch_n, n - meta_size - test_size, "training")
     split = data_mod.split_meta(
         load_dataset(exp), exp.split["meta_size"], exp.split["test_fraction"], exp.split["seed"]
     )
+    _named(*batch_n, len(split.train), "training")
     return data_mod.MetaSplit(apply_noise(split.train, exp.noise), split.meta, split.test)
 
 

@@ -6,7 +6,11 @@ failures -> 3, unreadable or malformed data files -> 4.
 
 
 class DomainError(ValueError):
-    """An argument lies outside its mathematical domain."""
+    """An argument lies outside its mathematical domain; ``row`` is the row of a stacked argument that does."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ShapeError(ValueError):

@@ -15,8 +15,9 @@ normalization of a batch: ``value(b, h) -> (values, shared)``, ``grad(b,
 h, shared)`` and ``hgrad(b, h, shared) -> (dvalues, dgrads)``, ``shared``
 carrying the terms they share; ``polysoft_of_ce`` is the soft-weighting
 formula on cross entropies.  A kernel reads its hyperparameter fields from
-a ``HyperParams`` (scalars) or from a ``_RowFields`` record (one value per
-row), so one call can serve the stacked rows of runs with different
+a ``HyperParams`` or from the ``_RowFields`` record that training builds
+from the runs' (R, K) array of fields: a lone run's scalars, or a stack's
+value per row, so one call serves the stacked rows of runs with different
 fields.  Every power whose exponent is a loss field goes through ``_pow``:
 a scalar field is a plain scalar power, and a row of a per-row field gets
 the bits of its own scalar, so a row evaluates to the same bits alone,
@@ -34,8 +35,8 @@ normalization solve ``_tempered_softmax_batch`` (Newton at t2 on every
 row, from max z or from given starts), which ``normalize`` calls.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
-reparameterization maps the constrained hyperparameter domains onto
-unconstrained coordinates.
+reparameterization maps the runs' (R, K) unconstrained coordinates onto
+the fields' domains, which ``HyperParams`` and the map check by one table.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ LEARNABLE = {
 }
 
 
-# each field's domain, checked by ``HyperParams.validate``
+# each field's domain, checked by ``_check_rows``
 _DOMAINS = {
     "q": lambda v: 0.0 < v <= 1.0,
     "gamma1": lambda v: v >= 0.0,
@@ -89,6 +90,15 @@ _DOMAINS = {
     "d": lambda v: v > 1.0,
     "rce_a": lambda v: v < 0.0,
 }
+
+
+def _check_rows(variant, names, rows):
+    """Rows of field values (columns ``names``) in their domains: the first value outside
+    raises ``DomainError``, which names its field and holds its row."""
+    for r, row in enumerate(rows):
+        for name, value in zip(names, row):
+            if not math.isfinite(value) or not _DOMAINS[name](value):
+                raise DomainError(f"{name}={value!r} outside its domain for variant {variant!r}", r)
 
 
 @dataclass(frozen=True)
@@ -117,12 +127,8 @@ class HyperParams:
 
     def validate(self):
         """Check the active variant's fields against their domains."""
-        for name in self.learnable_names + (("rce_a",) if self.variant == "sl" else ()):
-            value = getattr(self, name)
-            if not math.isfinite(value) or not _DOMAINS[name](value):
-                raise DomainError(
-                    f"{name}={value!r} outside its domain for variant {self.variant!r}"
-                )
+        names = self.learnable_names + (("rce_a",) if self.variant == "sl" else ())
+        _check_rows(self.variant, names, [[getattr(self, name) for name in names]])
 
     @property
     def learnable_names(self):
@@ -566,18 +572,21 @@ _FAMILIES = {
 
 
 class _RowFields:
-    """The learnable fields and ``rce_a``, one value per row of a batch.
+    """The fields the kernels read, of R runs: ``values`` (R, K) in ``LEARNABLE`` order, ``presets`` (R,) rce_a.
 
-    ``_RowFields(hypers, rows)`` gives each of ``hypers`` (one variant)
-    ``rows`` consecutive rows, so one kernel call serves the stacked batches
-    of runs with different fields; ``_pow`` gives each row the bits of its
-    run's own call.
+    With ``rows``, each run's fields fill ``rows`` consecutive rows of a
+    stacked batch, so one kernel call serves runs with different fields and
+    ``_pow`` gives each row its run's own bits.  A lone run's (no ``rows``)
+    are Python floats, which take the scalar paths.
     """
 
-    def __init__(self, hypers, rows):
-        self.variant = hypers[0].variant
-        for name in LEARNABLE[self.variant] + ("rce_a",):
-            setattr(self, name, np.array([getattr(h, name) for h in hypers]).repeat(rows))
+    def __init__(self, variant, values, presets, rows=None):
+        self.variant, self.values, self.presets = variant, values, presets
+        if rows is None:
+            columns = values[0].tolist() + [presets.item(0)]
+        else:
+            columns = [*values.T.repeat(rows, axis=1), presets.repeat(rows)]
+        self.__dict__.update(zip(LEARNABLE[variant] + ("rce_a",), columns))
 
 
 def normalize(hyper, Z, labels, start=None):
@@ -656,8 +665,8 @@ def loss_on_logits(hyper, z, label):
 # unconstrained reparameterization
 # ---------------------------------------------------------------------------
 
-# The reparameterization maps one scalar at a time; math beats numpy's
-# 0-d array overhead several times over on scalars.
+# The runs' coordinates are one (R, K) array theta, mapped entry by entry through
+# math (libm): numpy's exp rounds apart from it on some inputs, which moves polysoft runs.
 
 # field -> (low, span): low + span * sigmoid(theta) for the bounded fields,
 # low + softplus(theta) where span is None
@@ -683,65 +692,33 @@ def _softplus(x):
     return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
 
 
-def _softplus_inv(y):
-    # inverse of softplus: log(e^y - 1), stable at both ends
-    return float(y + np.log(-np.expm1(-y)))
-
-
-def _logit(u, name):
-    tiny = 1e-15
-    if u <= 0.0 or u >= 1.0:
-        warnings.warn(f"{name} at its domain boundary; clamping for reparameterization")
-        u = min(max(u, tiny), 1.0 - tiny)
-    return math.log(u) - math.log1p(-u)
-
-
-def _positive(value, name):
-    if value <= 0.0:
-        warnings.warn(f"{name} at its domain boundary; clamping for reparameterization")
-        value = 1e-12
-    return value
-
-
 def to_unconstrained(h):
-    """Map the active hyperparameters onto unconstrained coordinates.
-
-    q and t1 use scaled logits, everything else shifted softplus inverses;
-    ``from_unconstrained`` inverts exactly (roundtrip error <= 1e-10).
-    """
+    """The unconstrained coordinates (K,) of ``h``'s learnable fields, which ``from_unconstrained``
+    inverts to 1e-10: scaled logits for q and t1, shifted softplus inverses log(e^y - 1) for the
+    rest.  A value on its domain's boundary is clamped, with a warning."""
     theta = []
     for name in h.learnable_names:
         low, span = _REPARAM[name]
-        v = getattr(h, name) - low
-        theta.append(_logit(v / span, name) if span else _softplus_inv(_positive(v, name)))
+        u = (getattr(h, name) - low) / (span or 1.0)
+        if u <= 0.0 or span and u >= 1.0:
+            warnings.warn(f"{name} at its domain boundary; clamping for reparameterization")
+            u = min(max(u, 1e-15), 1.0 - 1e-15) if span else 1e-12
+        theta.append(math.log(u) - math.log1p(-u) if span else float(u + np.log(-np.expm1(-u))))
     return np.array(theta, dtype=float)
 
 
-def from_unconstrained(theta, like):
-    """Rebuild a valid HyperParams from unconstrained coordinates.
-
-    ``like`` supplies the variant and any preset fields (e.g. ``rce_a``).
-    """
-    names = like.learnable_names
-    if np.shape(theta) != (len(names),):
-        raise DomainError(
-            f"expected {len(names)} coordinates for {like.variant!r}, got {np.shape(theta)}"
-        )
-    hyper = object.__new__(HyperParams)  # like's fields, then the new ones, then the check
-    fields = hyper.__dict__
-    fields.update(like.__dict__)
-    for name, th in zip(names, np.asarray(theta, dtype=float).tolist()):
-        low, span = _REPARAM[name]
-        fields[name] = low + (span * _sigmoid(th) if span else _softplus(th))
-    hyper.validate()
-    return hyper
+def from_unconstrained(variant, theta):
+    """The (R, K) fields of the runs' (R, K) coordinates ``theta``; a field that rounds onto its
+    domain's boundary (d = 1 + softplus -> 1.0) raises ``DomainError``, whose ``row`` is its run."""
+    maps = [_REPARAM[name] for name in LEARNABLE[variant]]
+    rows = [[low + (span * _sigmoid(th) if span else _softplus(th)) for (low, span), th in zip(maps, row)]
+            for row in theta.tolist()]
+    _check_rows(variant, LEARNABLE[variant], rows)
+    return np.array(rows)
 
 
 def reparam_scale(variant, theta):
-    """d(constrained)/d(unconstrained) per coordinate, for chain rules."""
-    out = []
-    for name, th in zip(LEARNABLE[variant], np.asarray(theta, dtype=float).tolist()):
-        span = _REPARAM[name][1]
-        sig = _sigmoid(th)
-        out.append(span * sig * (1.0 - sig) if span else sig)
-    return np.array(out)
+    """d(field)/d(theta) at each entry of the (R, K) coordinates ``theta``, for chain rules."""
+    spans = [_REPARAM[name][1] for name in LEARNABLE[variant]]
+    return np.array([[span * sig * (1.0 - sig) if span else sig for span, sig in zip(spans, map(_sigmoid, row))]
+                     for row in theta.tolist()])

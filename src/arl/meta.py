@@ -21,7 +21,10 @@ logits as the virtual step, so they cost no forward and no backward pass.
 
 One loop, ``train_runs``, trains R runs of one variant and network shape
 in lockstep, each with the bits it gets alone; a run without meta steps is
-conventional SGD.  Training evaluates nothing: the loop returns read-only
+conventional SGD.  The runs' parameters are one (R, P) stack and their
+hyperparameters one (R, K) array, so a meta step is one update, one map
+and one contraction; a ``HyperParams`` is formed only for a snapshot or a
+message.  Training evaluates nothing: the loop returns read-only
 parameter snapshots at the metrics cadence, and each caller evaluates only
 what it keeps.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -133,12 +136,11 @@ def _first_bad(ok, params):
     return int(ok.reshape(params.vec.size // params.vec.shape[-1], -1).all(axis=1).argmin())
 
 
-def _backward_mean(params, hypers, values, G, cache):
+def _backward_mean(params, values, G, cache):
     """Gradient vector of each run's mean of its per-sample ``values``, which must be finite."""
     ok = np.isfinite(values)
     if not ok.all():
-        r = _first_bad(ok, params)
-        raise _RunError(r, f"non-finite training loss under {hypers[r]}")
+        raise _RunError(_first_bad(ok, params), "non-finite training loss")
     Z = cache[0][-1]
     return model.backward(params, cache, G.reshape(Z.shape) / Z.shape[-2])
 
@@ -168,54 +170,53 @@ def meta_ce_grad(params, X, y):
 _DG_BOUND = 1e4
 
 
-def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
-    """Gradient of the meta cross entropy with respect to theta.
+def hypergradient(params, fields, theta, cache, batch, Xm, ym, alpha):
+    """Gradient of the meta cross entropy with respect to the runs' (R, K) coordinates ``theta``.
 
-    Returns -alpha / n * reparam_scale_k * <J_w g, dG/dh_k> per
+    ``fields`` is the runs' ``losses._RowFields`` record, of the fields that
+    theta maps to; ``params`` their (R, P) stack, or a lone run's vector, and
+    ``Xm``, ``ym`` their (R, m, .) meta batches, or a lone run's.  Returns
+    (R, K): -alpha / n * reparam_scale_k * <J_w g, dG/dh_k> per run and
     coordinate, with g the meta gradient at the virtual point, J_w g its
     logit tangent and dG/dh_k the closed-form derivative of the logit
     gradients in the k-th learnable field.  ``cache`` is the train batch's
     ``model._forward_cached`` pass and ``batch`` its ``losses.normalize``
     record, which the virtual step and dG/dh share.  Exactly zero when
     alpha = 0 (the virtual point no longer depends on theta).  A row's
-    dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.
-    For an (R, P) stack of runs, ``hyper`` and ``theta`` are the runs'
-    lists and ``Xm``, ``ym`` their (R, m, .) meta batches; the result has
-    a row per run, each the bits of the run's own call.  The virtual step
-    is the plain step w - alpha g also when the actual step takes momentum,
-    as in Ren et al. (ICML 2018) and Shu et al. (NeurIPS 2019): the look-ahead
-    leaves the velocity out.
+    dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.  The
+    virtual step is the plain step w - alpha g also when the actual step
+    takes momentum, as in Ren et al. (ICML 2018) and Shu et al. (NeurIPS
+    2019): the look-ahead leaves the velocity out.
     """
-    stacked = params.vec.ndim == 2
-    hypers, thetas = (hyper, theta) if stacked else ([hyper], [theta])
-    names = hypers[0].learnable_names
+    names = losses.LEARNABLE[fields.variant]
     if not names or alpha == 0.0:
-        return np.zeros((len(hypers), len(names)) if stacked else len(names))
+        return np.zeros(theta.shape)
 
-    n = len(batch.P) // len(hypers)
-    values, G, _, dG = losses.batch_hgrad(losses._RowFields(hypers, n) if stacked else hyper, batch)
-    grads = _backward_mean(params, hypers, values, G, cache)
-    dG = dG.reshape(len(names), len(hypers), -1)
+    R, n = len(theta), len(batch.P) // len(theta)
+    values, G, _, dG = losses.batch_hgrad(fields, batch)
+    grads = _backward_mean(params, values, G, cache)
+    dG = dG.reshape(len(names), R, -1)
     if not np.maximum.reduce(np.abs(dG), axis=None) <= _DG_BOUND:  # NaN fails too
-        peak = np.maximum.reduce(np.abs(dG), axis=2)
-        ok = peak <= _DG_BOUND
-        r = int(ok.all(axis=0).argmin())
-        k, peak = int(ok[:, r].argmin()), peak[:, r]
+        peak = np.maximum.reduce(np.abs(dG), axis=2).T
+        r, k = map(int, np.unravel_index((peak <= _DG_BOUND).argmin(), peak.shape))
         row = int(np.abs(dG[k, r]).argmax()) // batch.P.shape[1]
-        what = f"bound {_DG_BOUND:g} passed by a {peak[k]:.3g}" if np.isfinite(peak[k]) else "non-finite"
-        raise _RunError(r, f"{what} logit-gradient derivative in {names[k]} under {hypers[r]} "
+        what = f"bound {_DG_BOUND:g} passed by a {peak[r, k]:.3g}" if np.isfinite(peak[r, k]) else "non-finite"
+        under = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields.values[r].tolist()))
+        raise _RunError(r, f"{what} logit-gradient derivative in {names[k]} under {under} "
                            f"at train row {row} (ce={float(batch.ce[r * n + row])!r})")
     g_meta = meta_ce_grad(_sgd_step(params, grads, alpha), Xm, ym)
-    tangent = model.jvp(params, cache, g_meta).reshape(len(hypers), -1)
-    hg = [-alpha * losses.reparam_scale(h.variant, th) * (dG[:, r] @ tangent[r]) / n
-          for r, (h, th) in enumerate(zip(hypers, thetas))]
-    return np.array(hg) if stacked else hg[0]
+    tangent = model.jvp(params, cache, g_meta).reshape(R, -1, 1)
+    dots = np.matmul(dG.transpose(1, 0, 2), tangent)[..., 0]  # each row the bits of dG[:, r] @ tangent[r]
+    return -alpha * losses.reparam_scale(fields.variant, theta) * dots / n
 
 
-def meta_update(theta, hypergrad, beta):
-    """Plain SGD on the unconstrained coordinates, float arrays ``theta`` and ``hypergrad``."""
-    if not np.isfinite(hypergrad).all():
-        raise NumericError("non-finite hypergradient")
+def meta_update(theta, hypergrad, beta, names):
+    """Plain SGD on the runs' (R, K) unconstrained coordinates, K the fields ``names``;
+    a non-finite hypergradient names the first run and field that has one."""
+    ok = np.isfinite(hypergrad)
+    if not ok.all():
+        r, k = map(int, np.unravel_index(ok.argmin(), ok.shape))
+        raise _RunError(r, f"non-finite hypergradient in {names[k]}")
     return theta - beta * hypergrad
 
 
@@ -311,18 +312,19 @@ class _Batches:
         return self.X[idx], self.y[idx]
 
 
-def _normalize(fields, hypers, Z, y, start=None):
+def _normalize(fields, Z, y, start=None):
     """``losses.normalize`` of the runs' stacked rows, from the solve's ``start`` when given;
     a failure names the first run that fails alone, from its own rows of the start."""
     try:
         return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1), start)
     except (NumericError, DomainError) as exc:
-        R = len(hypers)
+        R = len(fields.values)
         starts = [None] * R if start is None else start.reshape(R, -1)
-        runs = zip(hypers, Z.reshape(R, -1, Z.shape[-1]), y.reshape(R, -1), starts)
-        for r, (hyper, Zr, yr, start_r) in enumerate(runs):
-            try:
-                losses.normalize(hyper, Zr, yr, start_r)
+        runs = zip(Z.reshape(R, -1, Z.shape[-1]), y.reshape(R, -1), starts)
+        for r, (Zr, yr, start_r) in enumerate(runs):
+            try:  # run r's fields alone
+                alone = losses._RowFields(fields.variant, fields.values[r:r + 1], fields.presets[r:r + 1])
+                losses.normalize(alone, Zr, yr, start_r)
             except (NumericError, DomainError) as own:
                 raise _RunError(r, str(own)) from exc
         raise AssertionError("a stacked normalization failed where no run fails alone") from exc
@@ -338,9 +340,10 @@ def train_runs(runs):
     step t are draw t of the streams ``default_rng([seed, 17, 0])`` and
     ``[seed, 23, 0]``, one per seed and set size, so a run from ``s``
     trains on the batches that a run of its seed from 0 draws after ``s``.
-    The started runs are one (R, P) stack, a lone run its own vector: a
-    step is one forward, one loss call, one backward and one SGD step, and
-    a meta step adds one stacked ``hypergradient``.  A run gets the bits
+    The started runs are one (R, P) stack and (R, K) hyperparameters, a lone
+    run its own vector and scalar fields: a step is one forward, one loss
+    call, one backward and one SGD step, and a meta step adds one stacked
+    ``hypergradient``, ``meta_update`` and map.  A run gets the bits
     it gets alone, and a failure names it.  Returns per run its
     ``TrainState`` and its read-only ``(t, params, hyper)`` snapshots at
     its start, every ``metrics_every`` iterations and at the end.
@@ -349,8 +352,8 @@ def train_runs(runs):
         return []
     order = sorted(range(len(runs)), key=lambda i: runs[i].start)
     runs = [runs[i] for i in order]
-    config, stacked = runs[0].config, len(runs) > 1  # a lone run trains on arrays of its own shapes
-    adaptive = config.adaptive
+    config = runs[0].config
+    adaptive, variant, names = config.adaptive, config.variant, losses.LEARNABLE[config.variant]
     for run in runs:
         _check_run(run, config)
     inits = [_init_params(run.dataset, run.config) if run.params is None else run.params for run in runs]
@@ -358,54 +361,62 @@ def train_runs(runs):
     if len({(p.sizes, p.activation) for p in inits}) > 1:
         raise ConfigError(f"lockstep runs need one network shape, got {[list(p.sizes) for p in inits]}")
     hypers = [run.config.resolve_hyper(run.dataset.c) for run in runs]
-    thetas = [losses.to_unconstrained(h) for h in hypers] if adaptive else None
+    init_values, presets = np.array([h.learnable_values() for h in hypers]), np.array([h.rce_a for h in hypers])
+    init_theta = np.array([losses.to_unconstrained(h) for h in hypers]) if adaptive else init_values[:, :0]
     starts, n = [run.start for run in runs], config.batch_n
+    rows = n if len(runs) > 1 else None  # a lone run trains on arrays of its own shapes and scalar fields
     trains = _Batches(runs, [run.dataset for run in runs], 17, n)
     metas = _Batches(runs, [run.meta_set for run in runs], 23, config.batch_m) if adaptive else None
 
+    def hyper(r):  # run r's HyperParams now, for a snapshot or a message
+        return replace(hypers[r], **dict(zip(names, values[r].tolist()))) if adaptive else hypers[r]
+
+    # the started runs' parameters, velocities, fields and coordinates (none without meta steps), one row each
     stack = model.MlpParams(np.empty((0, P)), sizes, activation)
     velocity = np.zeros((0, P)) if config.momentum > 0 else None
+    values, theta = init_values[:0], init_theta[:0]
     snapshots = [[(start, p, h)] for start, p, h in zip(starts, inits, hypers)]
     k = 0  # runs started so far: the first k in start order
     for t in range(starts[0] + 1, config.max_iters + 1):
         joined, k = k, bisect.bisect_left(starts, t)  # the runs with start < t have started
         if k > joined:
-            shape, own = ((k, P), slice(k)) if stacked else ((P,), 0)  # own: the started runs' entries
+            shape = (P,) if rows is None else (k, P)
             vecs = np.concatenate([stack.vec.reshape(-1, P), [p.vec for p in inits[joined:k]]])
             stack = model.MlpParams(vecs.reshape(shape), sizes, activation)
-            fields = losses._RowFields(hypers[:k], n) if stacked else hypers[0]
             if velocity is not None:
                 velocity = np.concatenate([velocity.reshape(-1, P), np.zeros((k - joined, P))]).reshape(shape)
+            values = np.concatenate([values, init_values[joined:k]])
+            theta = np.concatenate([theta, init_theta[joined:k]])
+            fields = losses._RowFields(variant, values, presets[:k], rows)
         Xn, yn = trains.take(k)
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t, beta_t = config.alpha * scale, config.beta * scale
         try:
             cache = model._forward_cached(stack, Xn)
-            batch = _normalize(fields, hypers[:k], cache[0][-1], yn)
+            batch = _normalize(fields, cache[0][-1], yn)
             if adaptive and beta_t > 0.0:  # a meta batch is drawn for a meta step only
-                hg = hypergradient(stack, hypers[own], thetas[own], cache, batch, *metas.take(k), alpha_t)
-                for r, hg_r in enumerate(hg.reshape(k, -1)):
-                    try:  # a meta step can round a field onto its domain boundary (d = 1 + softplus -> 1.0)
-                        thetas[r] = meta_update(thetas[r], hg_r, beta_t)
-                        hypers[r] = losses.from_unconstrained(thetas[r], hypers[r])
-                    except (NumericError, DomainError) as exc:
-                        raise _RunError(r, str(exc)) from exc
-                before, fields = fields, losses._RowFields(hypers[:k], n) if stacked else hypers[0]
-                if config.variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
-                    batch = _normalize(fields, hypers[:k], cache[0][-1], yn, batch.start_at(fields.t2 - before.t2))
-            step = _backward_mean(stack, hypers[:k], *losses.batch_loss(fields, batch), cache)
+                hg = hypergradient(stack, fields, theta, cache, batch, *metas.take(k), alpha_t)
+                theta = meta_update(theta, hg, beta_t, names)
+                try:  # a meta step can round a field onto its domain boundary (d = 1 + softplus -> 1.0)
+                    values = losses.from_unconstrained(variant, theta)
+                except DomainError as exc:
+                    raise _RunError(exc.row, str(exc)) from exc
+                before, fields = fields, losses._RowFields(variant, values, presets[:k], rows)
+                if variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
+                    batch = _normalize(fields, cache[0][-1], yn, batch.start_at(fields.t2 - before.t2))
+            step = _backward_mean(stack, *losses.batch_loss(fields, batch), cache)
             if velocity is not None:
                 velocity = step = step + config.momentum * velocity
             stack = _sgd_step(stack, step, alpha_t)
         except _RunError as exc:
             r = exc.run
-            theta = f"theta={thetas[r].tolist()}, " if adaptive else ""
-            raise NumericError(f"diverged at iteration {t} ({theta}run from {starts[r]}, runs[{order[r]}], "
-                               f"seed {runs[r].config.seed}, {hypers[r]}): {exc}") from exc
+            at = f"theta={theta[r].tolist()}, " if adaptive else ""
+            raise NumericError(f"diverged at iteration {t} ({at}run from {starts[r]}, runs[{order[r]}], "
+                               f"seed {runs[r].config.seed}, {hyper(r)}): {exc}") from exc
         if t % config.metrics_every == 0 or t == config.max_iters:
             for r in range(k):
-                params = model.MlpParams(stack.vec[r], sizes, activation) if stacked else stack
-                snapshots[r].append((t, params, hypers[r]))
+                params = stack if rows is None else model.MlpParams(stack.vec[r], sizes, activation)
+                snapshots[r].append((t, params, hyper(r)))
 
     # back in the callers' order; a run's last snapshot is its end
     return [(TrainState(*snapshots[i][-1][1:]), snapshots[i]) for i in np.argsort(order, kind="stable")]

@@ -9,8 +9,13 @@ the t = 1 limit within 1e-8 of 1.  They call no ``arl`` kernel, so the
 equality gates that compare the kernels with them see any change in a
 kernel's bits.  The solve here is the older Newton on sum_j p_j - 1 with a
 closing pass; the kernel's Newton on log_t2 of that sum is gated against
-it within a stated tolerance instead.
+it within a stated tolerance instead.  The hyperparameter reparameterization
+here is the scalar one: one run's coordinates, one field at a time through
+math (libm), into a ``HyperParams``.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -115,3 +120,46 @@ def tempered_softmax(Z, t2):
         P = np.exp(np.log1p(np.maximum(s * (Zt - gamma[:, None]), -1.0)) / s)
     P_all[~near], gamma_all[~near] = P, gamma
     return P_all, gamma_all
+
+
+# field -> (low, span): low + span * sigmoid(theta) for the bounded fields,
+# low + softplus(theta) where span is None
+REPARAM = {
+    "q": (1e-3, 1.0 - 1e-3),
+    "t1": (0.0, 1.0 - 1e-3),
+    "t2": (1.0, None),
+    "d": (1.0, None),
+    "gamma1": (0.0, None),
+    "gamma2": (0.0, None),
+    "lam": (0.0, None),
+}
+
+
+def sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def softplus(x):
+    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
+
+
+def from_unconstrained(theta, like):
+    """``like`` (a ``HyperParams``) with its learnable fields at one run's coordinates ``theta`` (K,);
+    a field that rounds onto its domain's boundary fails the ``HyperParams`` check."""
+    fields = {}
+    for name, th in zip(like.learnable_names, np.asarray(theta, dtype=float).tolist()):
+        low, span = REPARAM[name]
+        fields[name] = low + (span * sigmoid(th) if span else softplus(th))
+    return replace(like, **fields)
+
+
+def reparam_scale(like, theta):
+    """d(field)/d(theta) of ``like``'s learnable fields at one run's coordinates ``theta`` (K,)."""
+    out = []
+    for name, th in zip(like.learnable_names, np.asarray(theta, dtype=float).tolist()):
+        span, sig = REPARAM[name][1], sigmoid(th)
+        out.append(span * sig * (1.0 - sig) if span else sig)
+    return np.array(out)

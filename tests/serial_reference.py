@@ -9,15 +9,37 @@ iteration 0 is the adaptive loop at ``beta`` 0.  A conventional
 continuation from a snapshot at ``start`` is plain SGD, written out in
 ``conventional_run``, over its seed's train-batch stream
 ``default_rng([seed, 17, 0])`` after ``start`` burned draws: it trains on
-the batches that the run of its seed from 0 draws after ``start``.
+the batches that the run of its seed from 0 draws after ``start``.  A
+run's hyperparameters move by the scalar map of ``kernel_reference``, one
+coordinate at a time, along a hypergradient contracted by one
+matrix-vector product; ``row_fields`` gives the record of fields that the
+kernels and ``meta.hypergradient`` read.
 """
 
 from dataclasses import replace
 
+import kernel_reference as ref
 import numpy as np
 
 from arl import losses, meta, model
 from arl.errors import DomainError, NumericError
+
+
+def row_fields(hypers, rows=None):
+    """The ``losses._RowFields`` record of runs at ``hypers``: ``rows`` stacked rows each, or a lone run's."""
+    return losses._RowFields(hypers[0].variant, np.array([h.learnable_values() for h in hypers]),
+                             np.array([h.rce_a for h in hypers]), rows)
+
+
+def hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha):
+    """One run's hypergradient (K,): -alpha / n * reparam_scale * (dG @ J_w g), with the scalar
+    map's derivative and one matrix-vector product."""
+    if alpha == 0.0:
+        return np.zeros(theta.size)
+    values, G, _, dG = losses.batch_hgrad(hyper, batch)
+    virtual = model.sgd_step(params, meta._backward_mean(params, values, G, cache), alpha)
+    tangent = model.jvp(params, cache, meta.meta_ce_grad(virtual, Xm, ym)).reshape(-1)
+    return -alpha * ref.reparam_scale(hyper, theta) * (dG.reshape(theta.size, -1) @ tangent) / len(batch.P)
 
 
 def adaptive_run(dataset, meta_set, config):
@@ -45,13 +67,12 @@ def adaptive_run(dataset, meta_set, config):
             batch = losses.normalize(hyper, cache[0][-1], yn)
             if theta.size and beta_t > 0.0:
                 idx_m = rng_meta.choice(len(meta_set), size=config.batch_m, replace=False)
-                hg = meta.hypergradient(params, hyper, theta, cache, batch,
-                                        meta_set.X[idx_m], meta_set.y[idx_m], alpha_t)
-                theta, before = meta.meta_update(theta, hg, beta_t), hyper
-                hyper = losses.from_unconstrained(theta, hyper)
+                hg = hypergradient(params, hyper, theta, cache, batch, meta_set.X[idx_m], meta_set.y[idx_m], alpha_t)
+                theta, before = theta - beta_t * hg, hyper
+                hyper = ref.from_unconstrained(theta, hyper)
                 if hyper.variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
                     batch = losses.normalize(hyper, cache[0][-1], yn, batch.start_at(hyper.t2 - before.t2))
-            grads = meta._backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
+            grads = meta._backward_mean(params, *losses.batch_loss(hyper, batch), cache)
             if velocity is not None:
                 velocity = grads = grads + config.momentum * velocity
             params = model.sgd_step(params, grads, alpha_t)
@@ -82,7 +103,7 @@ def conventional_run(train, meta_set, config, hyper, init_params=None, start=0):
         idx = rng.choice(len(train), size=config.batch_n, replace=False)
         cache = model._forward_cached(params, train.X[idx])
         batch = losses.normalize(hyper, cache[0][-1], train.y[idx])
-        step = meta._backward_mean(params, [hyper], *losses.batch_loss(hyper, batch), cache)
+        step = meta._backward_mean(params, *losses.batch_loss(hyper, batch), cache)
         if config.momentum > 0:
             velocity = step = step + config.momentum * velocity
         alpha = config.alpha * config.decay_factor ** sum(t >= s for s in config.decay_steps)

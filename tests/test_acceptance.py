@@ -9,8 +9,10 @@ import math
 import time
 from dataclasses import replace
 
+import kernel_reference as ref
 import numpy as np
 import pytest
+from serial_reference import row_fields
 
 from arl import cli, config as config_mod, data, losses, meta, model, theory
 
@@ -220,16 +222,17 @@ class TestAcceptance:
 
                 cache = model._forward_cached(params, Xn)
                 batch = losses.normalize(hyper, cache[0][-1], yn)
+                fields = row_fields([hyper])
                 assert np.all(
-                    meta.hypergradient(params, hyper, theta, cache, batch, Xm, ym, 0.0) == 0.0
+                    meta.hypergradient(params, fields, theta[None], cache, batch, Xm, ym, 0.0) == 0.0
                 )
-                got = meta.hypergradient(params, hyper, theta, cache, batch, Xm, ym, alpha)
+                [got] = meta.hypergradient(params, fields, theta[None], cache, batch, Xm, ym, alpha)
 
                 def pipeline(th):
                     # the meta cross entropy after the virtual step at th
-                    h = losses.from_unconstrained(th, hyper)
+                    h = ref.from_unconstrained(th, hyper)
                     h_batch = losses.normalize(h, cache[0][-1], yn)
-                    grads = meta._backward_mean(params, [h], *losses.batch_loss(h, h_batch), cache)
+                    grads = meta._backward_mean(params, *losses.batch_loss(h, h_batch), cache)
                     w = model.sgd_step(params, grads, alpha)
                     ce = losses.HyperParams("ce")
                     return losses.loss_values(ce, losses.softmax(model.forward_logits(w, Xm)), ym).mean()

@@ -77,6 +77,18 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 4
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_oversized_train_batch_on_csv_names_key(self, tmp_path, capsys, command):
+        # a CSV dataset's training set size is known once it is split, before --out is made
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", str(write_config(tmp_path, SMALL_RUN)), "--out", str(data_dir)]) == 0
+        doc = dict(SMALL_RUN, dataset={"csv": str(data_dir / "dataset.csv")},
+                   train=dict(SMALL_RUN["train"], batch_n=5000))
+        out = tmp_path / "r"
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'train.batch_n': batch_n=5000 exceeds training set size 410" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = dict(SMALL_RUN)
         doc["train"] = dict(doc["train"], learning_rate=0.1)
@@ -488,6 +500,7 @@ class TestChecksBeforeTraining:
         ("train", "alpha", math.inf, "'train.alpha' must be a number, got inf"),
         ("train", "beta", math.nan, "'train.beta' must be a number, got nan"),
         ("dataset", "spread", math.inf, "'dataset.spread' must be a number, got inf"),
+        ("train", "batch_n", 5000, "'train.batch_n': batch_n=5000 exceeds training set size 410"),
     ])
     def test_range_error_names_key_unloaded(self, tmp_path, capsys, monkeypatch,
                                             section, key, value, says):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import kernel_reference as ref
 import numpy as np
 import pytest
+from serial_reference import row_fields
 
 from arl import losses as L
 from arl.errors import DomainError, NumericError
@@ -540,12 +541,14 @@ class TestPolySoft:
 
 
 class TestReparameterization:
+    """The runs' map and its derivative over an (R, K) theta, each entry with the
+    bits of the scalar map of ``kernel_reference``."""
+
+    LIKES = [L.default_hyper(variant, 3) for variant in ("gce", "sl", "bi_tempered", "polysoft")]
+
     def test_theta_zero_slots(self):
-        h = L.from_unconstrained(np.zeros(1), L.HyperParams("gce"))
-        assert h.q == pytest.approx(L.EPS_Q + (1.0 - L.EPS_Q) / 2.0)
-        h = L.from_unconstrained(np.zeros(2), L.HyperParams("sl"))
-        assert h.gamma1 == pytest.approx(math.log(2.0))
-        assert h.gamma2 == pytest.approx(math.log(2.0))
+        assert L.from_unconstrained("gce", np.zeros((1, 1)))[0, 0] == pytest.approx(L.EPS_Q + (1.0 - L.EPS_Q) / 2.0)
+        np.testing.assert_allclose(L.from_unconstrained("sl", np.zeros((2, 2))), math.log(2.0))
 
     def test_roundtrips(self):
         cases = [
@@ -558,42 +561,73 @@ class TestReparameterization:
             L.HyperParams("polysoft", lam=20.0, d=8.0),
         ]
         for h in cases:
-            back = L.from_unconstrained(L.to_unconstrained(h), h)
-            for name in h.learnable_names:
-                assert getattr(back, name) == pytest.approx(getattr(h, name), abs=1e-10)
+            back = L.from_unconstrained(h.variant, L.to_unconstrained(h)[None])
+            np.testing.assert_allclose(back[0], h.learnable_values(), rtol=0, atol=1e-10)
 
     def test_always_feasible(self):
         rng = np.random.default_rng(17)
-        for variant in ("gce", "sl", "bi_tempered", "polysoft"):
-            like = L.default_hyper(variant, 3)
-            for _ in range(50):
-                theta = rng.normal(size=len(like.learnable_names)) * 10.0
-                L.from_unconstrained(theta, like).validate()
+        for like in self.LIKES:
+            theta = rng.normal(size=(50, len(like.learnable_names))) * 10.0
+            for values in L.from_unconstrained(like.variant, theta):
+                replace(like, **dict(zip(like.learnable_names, values.tolist())))
 
     def test_boundary_clamps_with_warning(self):
         with pytest.warns(UserWarning):
             theta = L.to_unconstrained(L.HyperParams("gce", q=1.0))
-        h = L.from_unconstrained(theta, L.HyperParams("gce"))
-        assert abs(h.q - 1.0) <= 1e-10
+        assert abs(L.from_unconstrained("gce", theta[None])[0, 0] - 1.0) <= 1e-10
         with pytest.warns(UserWarning):
             theta = L.to_unconstrained(L.HyperParams("sl", gamma1=0.0))
-        h = L.from_unconstrained(theta, L.HyperParams("sl"))
-        assert abs(h.gamma1) <= 1e-10
+        assert abs(L.from_unconstrained("sl", theta[None])[0, 0]) <= 1e-10
 
     def test_scale_matches_fd(self):
         rng = np.random.default_rng(19)
-        for variant in ("gce", "sl", "bi_tempered", "polysoft"):
-            like = L.default_hyper(variant, 3)
-            names = like.learnable_names
-            for _ in range(10):
-                theta = rng.normal(size=len(names)) * 2.0
-                scale = L.reparam_scale(variant, theta)
-                for k, name in enumerate(names):
-                    e = np.zeros_like(theta)
-                    e[k] = 1e-6
-                    hi = getattr(L.from_unconstrained(theta + e, like), name)
-                    lo = getattr(L.from_unconstrained(theta - e, like), name)
-                    assert (hi - lo) / 2e-6 == pytest.approx(scale[k], rel=1e-6)
+        for like in self.LIKES:
+            theta = rng.normal(size=(10, len(like.learnable_names))) * 2.0
+            scale = L.reparam_scale(like.variant, theta)
+            for k in range(theta.shape[1]):
+                e = np.zeros_like(theta)
+                e[:, k] = 1e-6
+                fd = (L.from_unconstrained(like.variant, theta + e) - L.from_unconstrained(like.variant, theta - e))
+                np.testing.assert_allclose(fd[:, k] / 2e-6, scale[:, k], rtol=1e-6)
+
+    # +-40, 0 and a few normals; -40 and -800 round d and t2 (1 + softplus) onto 1.0, and -800 lam
+    # (softplus) onto 0.0; math and numpy round exp of N(0, 3) apart on some 5% of inputs
+    SWEEP = np.concatenate([[-800.0, -40.0, -37.5, -1e-300, 0.0, 1e-300, 36.0, 40.0, 800.0],
+                            np.random.default_rng(71).normal(size=200) * 3.0])
+
+    @pytest.mark.parametrize("like", LIKES, ids=lambda h: h.variant)
+    def test_map_bits_are_the_scalar_maps(self, like):
+        K = len(like.learnable_names)
+        rng = np.random.default_rng(72)
+        theta = np.stack([rng.permutation(self.SWEEP) for _ in range(K)], axis=1)
+        want, inside = [], []
+        for th in theta:
+            want.append(ref.reparam_scale(like, th))
+            try:
+                inside.append(ref.from_unconstrained(th, like).learnable_values())
+            except DomainError:
+                inside.append(None)
+        for rows in [slice(r, r + 1) for r in range(len(theta))] + [slice(None)]:
+            got = L.reparam_scale(like.variant, theta[rows])
+            assert got.shape == theta[rows].shape and got.tobytes() == np.array(want[rows]).tobytes()
+        for r, values in enumerate(inside):  # one row alone
+            if values is None:
+                with pytest.raises(DomainError, match="outside its domain") as info:
+                    L.from_unconstrained(like.variant, theta[r:r + 1])
+                assert info.value.row == 0
+            else:
+                assert L.from_unconstrained(like.variant, theta[r:r + 1])[0].tobytes() == values.tobytes()
+        ok = [r for r, values in enumerate(inside) if values is not None]
+        got = L.from_unconstrained(like.variant, theta[ok])  # stacked
+        assert got.tobytes() == np.array([inside[r] for r in ok]).tobytes()
+        if len(ok) < len(theta):  # the stack names its first run outside, and the field
+            first = next(r for r, values in enumerate(inside) if values is None)
+            with pytest.raises(DomainError) as info:
+                L.from_unconstrained(like.variant, theta)
+            assert info.value.row == first
+            with pytest.raises(DomainError) as alone:
+                ref.from_unconstrained(theta[first], like)
+            assert str(info.value) == str(alone.value)
 
 
 def _hyper_cases(rng):
@@ -1002,7 +1036,7 @@ class TestRowFields:
         for c, n, scale in ((3, 16, 1.0), (2, 5, 10.0), (5, 30, 4.0), (3, 1, 3.0)):
             Z = rng.normal(size=(k, n, c)) * scale
             y = rng.integers(c, size=(k, n))
-            fields = L._RowFields(hypers, n)
+            fields = row_fields(hypers, n)
             values, G = batch_loss(fields, Z.reshape(k * n, c), y.ravel())
             stacked = batch_hgrad(fields, Z.reshape(k * n, c), y.ravel())
             for r, hyper in enumerate(hypers):
@@ -1045,7 +1079,7 @@ class TestOneNormalization:
         Z = rng.normal(size=(len(hypers) * n, c)) * scale
         y = rng.integers(c, size=len(Z))
         cases = [(h, m, Z[:n], y[:n]) for h, m in zip(hypers, moved)]
-        cases.append((L._RowFields(hypers, n), L._RowFields(moved, n), Z, y))
+        cases.append((row_fields(hypers, n), row_fields(moved, n), Z, y))
         for h, m, Zc, yc in cases:
             batch = L.normalize(h, Zc, yc)
             values, grads, _, _ = L.batch_hgrad(h, batch)

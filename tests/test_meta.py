@@ -5,9 +5,10 @@ import re
 import warnings
 from dataclasses import replace
 
+import kernel_reference as ref
 import numpy as np
 import pytest
-from serial_reference import adaptive_run, conventional_run
+from serial_reference import adaptive_run, conventional_run, row_fields
 from test_acceptance import desk_config, desk_split, flattening_point
 
 from arl import cli, data, losses, meta, model
@@ -38,7 +39,7 @@ def train_batch(p, hyper, Xn, yn):
 def train_grad(p, hyper, Xn, yn):
     """Gradient vector of the train batch's mean robust loss, as the loop's steps take it."""
     cache, batch = train_batch(p, hyper, Xn, yn)
-    return meta._backward_mean(p, [hyper], *losses.batch_loss(hyper, batch), cache)
+    return meta._backward_mean(p, *losses.batch_loss(hyper, batch), cache)
 
 
 def virtual_step(p, hyper, Xn, yn, alpha):
@@ -47,8 +48,9 @@ def virtual_step(p, hyper, Xn, yn, alpha):
 
 
 def hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha):
-    """``meta.hypergradient`` on the train batch's forward cache and record."""
-    return meta.hypergradient(p, hyper, theta, *train_batch(p, hyper, Xn, yn), Xm, ym, alpha)
+    """``meta.hypergradient`` of a lone run at ``hyper`` and ``theta`` (K,), on the train batch's
+    forward cache and record."""
+    return meta.hypergradient(p, row_fields([hyper]), theta[None], *train_batch(p, hyper, Xn, yn), Xm, ym, alpha)[0]
 
 
 def meta_loss(p, Xm, ym):
@@ -155,7 +157,7 @@ class TestHypergradient:
             g_ce = train_grad(p, h_ce, Xn, yn)
             h_rce = losses.HyperParams("sl", gamma1=0.0, gamma2=1.0)
             g_rce = train_grad(p, h_rce, Xn, yn)
-            scale = losses.reparam_scale("sl", theta)
+            scale = ref.reparam_scale(hyper, theta)
             want = np.array(
                 [
                     -alpha * scale[0] * float(g @ g_ce),
@@ -201,7 +203,7 @@ class TestHypergradient:
                     for k in range(theta.size):
                         e = np.zeros_like(theta)
                         e[k] = h_step
-                        hi, lo = (losses.from_unconstrained(theta + sign * e, hyper) for sign in (1, -1))
+                        hi, lo = (ref.from_unconstrained(theta + sign * e, hyper) for sign in (1, -1))
                         fd[k] = (meta_loss(step(hi), Xm, ym) - meta_loss(step(lo), Xm, ym)) / (2 * h_step)
                     return fd
 
@@ -222,7 +224,7 @@ class TestHypergradient:
             w_tilde = virtual_step(p, hyper, Xn, yn, alpha)
             g = meta.meta_ce_grad(w_tilde, Xm, ym)
             _, _, _, dG = losses.batch_hgrad(hyper, train_batch(p, hyper, Xn, yn)[1])
-            scale = losses.reparam_scale(hyper.variant, theta)
+            scale = ref.reparam_scale(hyper, theta)
             out = np.empty(theta.size)
             for k in range(theta.size):
                 mixed = model.backward(p, model._forward_cached(p, Xn), dG[k] / len(yn))
@@ -271,29 +273,36 @@ class TestPolysoftKink:
         with pytest.raises(NumericError, match=rf"bound .* passed by a .* derivative in lam under .*"
                                                rf"lam={re.escape(repr(lam))}, d=3\.0.* at train row 0 "
                                                rf"\(ce={re.escape(repr(ce0))}\)"):
-            meta.hypergradient(p, hyper, losses.to_unconstrained(hyper), cache, batch, Xm, ym, 0.3)
+            meta.hypergradient(p, row_fields([hyper]), losses.to_unconstrained(hyper)[None], cache, batch,
+                               Xm, ym, 0.3)
 
 
 class TestMetaUpdate:
+    NAMES = ("lam", "d")
+
     def test_zero_hypergrad(self):
-        theta = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(meta.meta_update(theta, np.zeros(2), 0.5), theta)
+        theta = np.array([[0.3, -0.7], [1.0, 2.0]])
+        np.testing.assert_array_equal(meta.meta_update(theta, np.zeros((2, 2)), 0.5, self.NAMES), theta)
 
     def test_zero_beta(self):
-        theta = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(meta.meta_update(theta, np.ones(2), 0.0), theta)
+        theta = np.array([[0.3, -0.7]])
+        np.testing.assert_array_equal(meta.meta_update(theta, np.ones((1, 2)), 0.0, self.NAMES), theta)
 
     def test_result_always_feasible(self):
         rng = np.random.default_rng(7)
         hyper = losses.HyperParams("polysoft", lam=1.1, d=3.0)
-        theta = losses.to_unconstrained(hyper)
+        theta = np.tile(losses.to_unconstrained(hyper), (3, 1))
         for _ in range(100):
-            theta = meta.meta_update(theta, rng.normal(size=2) * 5.0, 0.5)
-            losses.from_unconstrained(theta, hyper).validate()
+            theta = meta.meta_update(theta, rng.normal(size=(3, 2)) * 5.0, 0.5, self.NAMES)
+            for values in losses.from_unconstrained("polysoft", theta):
+                losses.HyperParams("polysoft", **dict(zip(self.NAMES, values.tolist())))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            meta.meta_update(np.zeros(2), np.array([np.nan, 0.0]), 0.1)
+    def test_nonfinite_rejected(self):  # and named by its first run and field
+        hg = np.zeros((3, 2))
+        hg[2, 0], hg[1, 1] = np.inf, np.nan  # the first run with one is run 1, in d
+        with pytest.raises(NumericError, match="non-finite hypergradient in d") as info:
+            meta.meta_update(np.zeros((3, 2)), hg, 0.1, self.NAMES)
+        assert info.value.run == 1
 
 
 def conventional(train, config, specs):
@@ -509,6 +518,35 @@ class TestForwardCount:
                                    "take": 2 * T, "_act_grad": 2 * 2 * T}
         assert counts["metrics"] == {"_forward_cached": 3 * len(rows)}  # no gradient, no derivative
 
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_one_map_per_meta_step_whatever_the_runs(self, monkeypatch, R):
+        # the runs' hyperparameters are one (R, K) array: a meta step makes one map, one
+        # reparam_scale and one _RowFields build, and only a snapshot forms a HyperParams
+        train, meta_set, _ = small_problem(seed=26)
+        config = meta.TrainConfig("polysoft", alpha=0.2, beta=0.5, batch_n=16, batch_m=10, max_iters=12,
+                                  metrics_every=5)
+        rng = np.random.default_rng(27)
+        runs = [meta.Run(train, meta_set, replace(config, seed=seed, init_hyper=random_hyper(rng, "polysoft")))
+                for seed in range(R)]
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("from_unconstrained", "reparam_scale", "_RowFields"):
+            counted(losses, name)
+        counted(losses.HyperParams, "__post_init__")
+        out = meta.train_runs(runs)
+        T, snapshots = config.max_iters, sum(len(snaps) - 1 for _, snaps in out)
+        assert snapshots == 3 * R  # at 5, 10 and 12
+        assert calls == {"from_unconstrained": T, "reparam_scale": T, "_RowFields": T + 1,
+                         "__post_init__": snapshots}
+
     @staticmethod
     def desk_solves(monkeypatch, T=200):
         """The solves of T desk bi_tempered steps, ``(logits, t2, cold, passes)`` each, and a
@@ -699,11 +737,35 @@ class TestOptionalKnobs:
 
         def huge_at_third(*args):
             calls[0] += 1
-            return np.array([0.0, 1e3]) if calls[0] == 3 else real(*args)
+            return np.array([[0.0, 1e3]]) if calls[0] == 3 else real(*args)
 
         monkeypatch.setattr(meta, "hypergradient", huge_at_third)
         with pytest.raises(NumericError, match=r"iteration 3 \(theta=\[.*\], .*\): d=1\.0 outside"):
             meta.arl_train(train, meta_set, test, config)
+
+    @pytest.mark.parametrize("poison, says", [
+        (1e3, "d=1\\.0 outside its domain"),
+        (np.nan, "non-finite hypergradient in d"),
+    ], ids=["domain", "nonfinite"])
+    def test_stack_failure_names_its_run(self, monkeypatch, poison, says):
+        # only the middle run of three: its meta step at iteration 3 rounds d onto 1.0,
+        # or its hypergradient in d is not finite
+        train, meta_set, _ = small_problem(seed=32)
+        config = meta.TrainConfig("polysoft", alpha=0.2, beta=0.5, batch_n=32, batch_m=10, max_iters=10)
+        real, calls = meta.hypergradient, [0]
+
+        def poisoned(*args):
+            hg = real(*args)
+            calls[0] += 1
+            if calls[0] == 3:
+                hg[1, 1] = poison
+            return hg
+
+        monkeypatch.setattr(meta, "hypergradient", poisoned)
+        runs = [meta.Run(train, meta_set, replace(config, seed=seed)) for seed in (3, 5, 7)]
+        with pytest.raises(NumericError, match=rf"iteration 3 \(theta=\[.*\], run from 0, runs\[1\], seed 5, "
+                                               rf"HyperParams\(variant='polysoft'.*\): {says}"):
+            meta.train_runs(runs)
 
     def test_divergence_aborts_with_iteration(self):
         train, meta_set, test = small_problem(seed=24)
