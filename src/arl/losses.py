@@ -32,7 +32,13 @@ as the kernels that ``bi_tempered`` runs, on the domain that
 ``HyperParams`` checks, 0 <= t1 < 1 < t2: ``_log_t_of_log`` (from log x,
 at t1), ``_exp_t_neg_args`` (at t2, of arguments <= 0) and the batched
 normalization solve ``_tempered_softmax_batch`` (Newton at t2 on every
-row, from max z or from given starts), which ``normalize`` calls.
+row, from max z or from given starts), which ``normalize`` calls; one
+Newton pass is one call of ``_exp_t_neg_args``.  At desk scale the
+bi_tempered path costs numpy call overhead, not arithmetic, so its solve
+and kernels form each term in as few calls as keep its bits: (n, 1)
+columns, ``np.add.reduce`` rather than the ``.sum`` wrapper, one
+preallocated derivative array, and no freeze of stopped rows, zeroing of
+clamped entries or Taylor series while no entry needs one.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the runs' (R, K) unconstrained coordinates onto
@@ -233,37 +239,47 @@ def _tempered_softmax_batch(Z, t2, start=None):
     max z, which keeps every argument of exp_t <= 0.  A row's start is its
     own, so it still solves to the same bits in any batch.  Without a start
     every iterate is >= max z already, and the bits are the cold solve's.
+
+    A pass is one call of ``_exp_t_neg_args``.  Stopped rows are frozen by
+    an ``np.where`` only once some row has stopped; before that the update
+    is the same plain add.  A row that has not stopped after
+    ``_NEWTON_MAX_STEPS`` passes raises ``NumericError``, which names the
+    first such row, its t2, its |S - 1| and its logits.
     """
     Z = np.asarray(Z, dtype=float)
     if not np.isfinite(Z).all():  # the method: np.all's wrapper costs about 3 us a call
         raise DomainError("logits must be finite")
-    k = t2 - 1.0  # a scalar or one per row
-    s = -_on_classes(k)
-    top = np.maximum.reduce(Z, axis=1)
+    n = len(Z)
+    k = _on_classes(t2 - 1.0)  # a scalar or one per row, as a column
+    s = -k
+    top = np.maximum.reduce(Z, axis=1, keepdims=True)
     gamma = top
     if start is not None:  # -log_t2(1/c) = expm1((t2 - 1) log c) / (t2 - 1)
-        gamma = np.minimum(np.maximum(start, top), top + np.expm1(k * math.log(Z.shape[1])) / k)
-    done = np.zeros(len(Z), dtype=bool)
+        gamma = np.minimum(np.maximum(start[:, None], top), top + np.expm1(k * math.log(Z.shape[1])) / k)
+    done = np.zeros((n, 1), dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        X = Z - gamma[:, None]
+        X = Z - gamma
         P = _exp_t_neg_args(X, s)
         Pt = P / (1.0 + s * X)  # p^t2 = dp/dx
-        S = np.add.reduce(P, axis=1)
-        step = S * np.expm1(k * np.log(S)) / (k * np.add.reduce(Pt, axis=1))
+        S = np.add.reduce(P, axis=1, keepdims=True)
+        step = S * np.expm1(k * np.log(S)) / (k * np.add.reduce(Pt, axis=1, keepdims=True))
         done |= np.abs(step) <= _NEWTON_RTOL * np.maximum(1.0, np.abs(gamma))  # NaN stays active
-        if done.all():
+        stopped = np.count_nonzero(done)
+        if stopped == n:
             break
-        gamma = np.where(done, gamma, gamma + step)  # a stopped row repeats its last pass's bits
+        # a stopped row repeats its last pass's bits
+        gamma = np.where(done, gamma, gamma + step) if stopped else gamma + step
         if start is not None:
             gamma = np.maximum(gamma, top)
     else:
+        i = int(np.argmin(done[:, 0]))  # the first row that did not stop
         raise NumericError(
             f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
-            f"t2={np.unique(t2)}, max |sum p - 1| = {np.abs(S[~done] - 1.0).max():.3e}, "
-            f"logit range [{Z.min():.3g}, {Z.max():.3g}]"
+            f"row {i} of {n} ({n - stopped} not stopped), t2={float(np.broadcast_to(t2, n)[i])!r}, "
+            f"|sum p - 1| = {abs(S[i, 0] - 1.0):.3e}, logits {Z[i].tolist()}"
         )
-    P -= Pt * step[:, None]
-    return P, gamma + step
+    P -= Pt * step
+    return P, (gamma + step)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +333,16 @@ class _Batch:
     def rows(self):
         return np.arange(len(self.P))
 
+    def at_labels(self, M):
+        """Each row's entry of ``M`` (rows, c) at its label."""
+        if np.ndim(self.labels) == 0:
+            return M[:, self.labels]  # one label for all rows is a column: no gather
+        return M[self.rows, self.labels]
+
     @_once
     def py(self):
         """Each row's probability of its label, not clamped."""
-        if np.ndim(self.labels) == 0:
-            return self.P[:, self.labels]  # one label for all rows is a column: no gather
-        return self.P[self.rows, self.labels]
+        return self.at_labels(self.P)
 
     @_once
     def pyc(self):
@@ -431,11 +451,12 @@ def _sl_hgrad(b, h, shared, dvalues):
 def _bi_tempered_value(b, h):
     """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
     Pc = _clamp(b.P)
-    log_py = np.log(b.pyc)
+    pyc = b.at_labels(Pc)
+    log_py = np.log(pyc)
     Pa = _pow(Pc, _on_classes(2.0 - h.t1))
-    tail = (1.0 - Pa.sum(axis=1)) / (2.0 - h.t1)
+    tail = (1.0 - np.add.reduce(Pa, axis=1)) / (2.0 - h.t1)
     values = np.maximum(-_log_t_of_log(log_py, h.t1) - tail, 0.0)
-    return values, {"Pc": Pc, "log_py": log_py, "Pa": Pa, "tail": tail}
+    return values, {"Pc": Pc, "pyc": pyc, "log_py": log_py, "Pa": Pa, "tail": tail}
 
 
 def _bi_tempered_grad(b, h, shared):
@@ -448,19 +469,21 @@ def _bi_tempered_grad(b, h, shared):
     """
     Pc = shared["Pc"]
     A = _pow(Pc, _on_classes(1.0 - h.t1 + h.t2))
-    B = _pow(b.pyc, h.t2 - h.t1)
-    g = A.copy()
-    g[b.rows, b.labels] -= B
+    B = _pow(shared["pyc"], h.t2 - h.t1)  # in (0, 1], so the one-hot rows subtract exact zeros off the label
+    g = A - _one_hot(A.shape[1])[b.labels] * B[:, None]
     V = _pow(Pc, _on_classes(h.t2))
-    S = V.sum(axis=1, keepdims=True)
+    S = np.add.reduce(V, axis=1, keepdims=True)
     U = V / S
-    shared.update(A=A, B=B, g=g, S=S, U=U)
-    return g - U * g.sum(axis=1, keepdims=True)
+    g_sum = np.add.reduce(g, axis=1, keepdims=True)
+    shared.update(A=A, B=B, g=g, S=S, U=U, g_sum=g_sum)
+    return g - U * g_sum
 
 
 def _expm1_excess(x):
     """(expm1(x) - x) / x^2, with its Taylor series where that cancels; 1/2 at 0."""
     small = np.abs(x) < 1e-2
+    if not small.any():
+        return (np.expm1(x) - x) / x**2
     xs = np.where(small, 1.0, x)
     series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
     return np.where(small, series, (np.expm1(xs) - xs) / xs**2)
@@ -482,32 +505,35 @@ def _bi_tempered_hgrad(b, h, shared, dvalues):
     """
     n, labels = b.rows, b.labels
     t1, t2 = _on_classes(h.t1), _on_classes(h.t2)
-    Pc, log_py, Pa, tail = shared["Pc"], shared["log_py"], shared["Pa"], shared["tail"]
-    A, B, g, S, U = shared["A"], shared["B"], shared["g"], shared["S"], shared["U"]
+    Pc, pyc, log_py, Pa, tail = shared["Pc"], shared["pyc"], shared["log_py"], shared["Pa"], shared["tail"]
+    A, B, g, S, U, g_sum = shared["A"], shared["B"], shared["g"], shared["S"], shared["U"], shared["g_sum"]
     log_p = np.log(Pc)
 
     R = log_p**2 * _expm1_excess((t2 - 1.0) * log_p)
-    dgamma = (Pc * R).sum(axis=1, keepdims=True) / S
+    dgamma = np.add.reduce(Pc * R, axis=1, keepdims=True) / S
     b.dgamma_dt2 = dgamma[:, 0]
     R -= _pow(Pc, t2 - 1.0) * dgamma
-    R[b.P != Pc] = 0.0  # a clamped probability does not move
+    clamped = b.P != Pc
+    if clamped.any():
+        R[clamped] = 0.0  # a clamped probability does not move
     dv = None
     if dvalues:
         y = (1.0 - h.t1) * log_py
         dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
-        dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - h.t1)
-        dv_t2 = (Pa * R).sum(axis=1) - _pow(b.pyc, 1.0 - h.t1) * R[n, labels]
+        dv_t1 = -dlog_term - (np.add.reduce(Pa * log_p, axis=1) + tail) / (2.0 - h.t1)
+        dv_t2 = np.add.reduce(Pa * R, axis=1) - _pow(pyc, 1.0 - h.t1) * R[n, labels]
         dv = np.stack([dv_t1, dv_t2])
 
-    e1 = 1.0 - t1 + t2
-    dg_t1 = -log_p * g
-    dg_t2 = log_p * g + e1 * A * R
+    dG = np.empty((2, *g.shape))
+    dg_t1, dg_t2 = dG
+    np.multiply(log_p, g, out=dg_t2)
+    np.negative(dg_t2, out=dg_t1)  # -log p * g
+    dg_t2 += (1.0 - t1 + t2) * A * R
     dg_t2[n, labels] -= (h.t2 - h.t1) * B * R[n, labels]
     dU = U * (log_p + t2 * R)
-    dU -= U * dU.sum(axis=1, keepdims=True)
-    dG = np.stack([dg_t1, dg_t2])
-    dG -= U * dG.sum(axis=2, keepdims=True)
-    dG[1] -= dU * g.sum(axis=1, keepdims=True)
+    dU -= U * np.add.reduce(dU, axis=1, keepdims=True)
+    dG -= U * np.add.reduce(dG, axis=2, keepdims=True)
+    dg_t2 -= dU * g_sum
     return dv, dG
 
 

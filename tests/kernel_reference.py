@@ -12,6 +12,14 @@ closing pass; the kernel's Newton on log_t2 of that sum is gated against
 it within a stated tolerance instead.  The hyperparameter reparameterization
 here is the scalar one: one run's coordinates, one field at a time through
 math (libm), into a ``HyperParams``.
+
+The bi_tempered path is here a second time, in its plain form and with the
+kernels' bits: the log_t2 Newton solve on (n,) roots with a per-pass
+``[:, None]``, the array methods' sums and an ``np.where`` freeze on every
+pass; the three loss kernels with ``np.stack``, an indexed subtraction for
+the label entries and an unconditional zero of the clamped entries; and
+``(expm1(x) - x) / x^2`` that always forms its series.  The kernels'
+call-lean forms are gated against these for equal bytes.
 """
 
 import math
@@ -163,3 +171,121 @@ def reparam_scale(like, theta):
         span, sig = REPARAM[name][1], sigmoid(th)
         out.append(span * sig * (1.0 - sig) if span else sig)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the bi_tempered path in its plain form, with the kernels' bits
+# ---------------------------------------------------------------------------
+
+PROB_FLOOR = 1e-12
+
+
+def clamp(p):
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+
+
+def on_classes(h):
+    """A scalar as itself, one value per row as a column over the classes."""
+    return h if np.ndim(h) == 0 else np.asarray(h)[..., None]
+
+
+def pow_rows(x, e):
+    """x ** e; an exponent array takes the general power, except where an entry is one of
+    numpy's special scalar exponents (-1, 1/2, 2), which take that exponent's op."""
+    out = x ** e
+    if np.ndim(e) == 0:
+        return out
+    for special, op in ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square)):
+        hit = np.broadcast_to(e == special, out.shape)
+        out[hit] = op(np.broadcast_to(x, out.shape)[hit])
+    return out
+
+
+def tempered_softmax_newton(Z, t2, start=None):
+    """``(P, gamma)``: Newton on log_t2 of the partition sum from max z, or from ``start`` clamped
+    into the root's bracket, each row frozen once its step is below 1e-13 max(1, |gamma|), and the
+    stopping step taken to first order.  ``t2 > 1`` is a scalar or one per row."""
+    Z = np.asarray(Z, dtype=float)
+    k = t2 - 1.0
+    s = -on_classes(k)
+    top = Z.max(axis=1)
+    gamma = top
+    if start is not None:
+        gamma = np.minimum(np.maximum(start, top), top + np.expm1(k * math.log(Z.shape[1])) / k)
+    done = np.zeros(len(Z), dtype=bool)
+    for _ in range(50):
+        X = Z - gamma[:, None]
+        P = np.exp(np.log1p(s * X) / s)
+        Pt = P / (1.0 + s * X)
+        S = P.sum(axis=1)
+        step = S * np.expm1(k * np.log(S)) / (k * Pt.sum(axis=1))
+        done |= np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(gamma))
+        if done.all():
+            break
+        gamma = np.where(done, gamma, gamma + step)
+        if start is not None:
+            gamma = np.maximum(gamma, top)
+    else:
+        raise ArithmeticError("the Newton solve did not converge in 50 steps")
+    P -= Pt * step[:, None]
+    return P, gamma + step
+
+
+def expm1_excess(x):
+    """(expm1(x) - x) / x^2, its Taylor series where |x| < 1e-2."""
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, 1.0, x)
+    series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+    return np.where(small, series, (np.expm1(xs) - xs) / xs**2)
+
+
+def bi_tempered_values(P, labels, t1):
+    """The bi_tempered values at probability rows ``P``: ``labels`` one per row, one for all rows
+    or a (k, 1) column, which gives (k, rows); ``t1`` a scalar or one per row."""
+    Pc = clamp(P)
+    log_py = np.log(clamp(P[np.arange(len(P)), labels]))
+    tail = (1.0 - pow_rows(Pc, on_classes(2.0 - t1)).sum(axis=1)) / (2.0 - t1)
+    return np.maximum(-np.expm1((1.0 - t1) * log_py) / (1.0 - t1) - tail, 0.0)
+
+
+def bi_tempered(P, labels, t1, t2):
+    """``(values, grads, dvalues, dgrads, dgamma_dt2)`` of bi_tempered at the tempered-softmax rows
+    ``P`` (n, c), one label per row, ``t1`` and ``t2`` scalars or one per row: the (2, n) and
+    (2, n, c) derivatives are in (t1, t2)."""
+    n = np.arange(len(P))
+    Pc = clamp(P)
+    pyc = clamp(P[n, labels])
+    log_py = np.log(pyc)
+    Pa = pow_rows(Pc, on_classes(2.0 - t1))
+    tail = (1.0 - Pa.sum(axis=1)) / (2.0 - t1)
+    values = bi_tempered_values(P, labels, t1)
+
+    A = pow_rows(Pc, on_classes(1.0 - t1 + t2))
+    B = pow_rows(pyc, t2 - t1)
+    g = A.copy()
+    g[n, labels] -= B
+    V = pow_rows(Pc, on_classes(t2))
+    S = V.sum(axis=1, keepdims=True)
+    U = V / S
+    grads = g - U * g.sum(axis=1, keepdims=True)
+
+    T1, T2 = on_classes(t1), on_classes(t2)
+    log_p = np.log(Pc)
+    R = log_p**2 * expm1_excess((T2 - 1.0) * log_p)
+    dgamma = (Pc * R).sum(axis=1, keepdims=True) / S
+    R -= pow_rows(Pc, T2 - 1.0) * dgamma
+    R[P != Pc] = 0.0
+    y = (1.0 - t1) * log_py
+    dlog_term = log_py**2 * ((1.0 - y) * expm1_excess(y) - 1.0)
+    dv_t1 = -dlog_term - ((Pa * log_p).sum(axis=1) + tail) / (2.0 - t1)
+    dv_t2 = (Pa * R).sum(axis=1) - pow_rows(pyc, 1.0 - t1) * R[n, labels]
+
+    dg_t1 = -log_p * g
+    dg_t2 = log_p * g + (1.0 - T1 + T2) * A * R
+    dg_t2[n, labels] -= (t2 - t1) * B * R[n, labels]
+    dU = U * (log_p + T2 * R)
+    dU -= U * dU.sum(axis=1, keepdims=True)
+    dG = np.stack([dg_t1, dg_t2])
+    dG -= U * dG.sum(axis=2, keepdims=True)
+    dG[1] -= dU * g.sum(axis=1, keepdims=True)
+    return values, grads, np.stack([dv_t1, dv_t2]), dG, dgamma[:, 0]

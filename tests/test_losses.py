@@ -274,20 +274,6 @@ def _bisect_reference(Z, t2):
     return P, gamma
 
 
-@pytest.fixture
-def solve_passes(monkeypatch):
-    """The passes of the tempered solve, one per call of ``_exp_t_neg_args``, in a one-item list."""
-    passes = [0]
-    exp_t_neg_args = L._exp_t_neg_args
-
-    def counted(X, s):
-        passes[0] += 1
-        return exp_t_neg_args(X, s)
-
-    monkeypatch.setattr(L, "_exp_t_neg_args", counted)
-    return passes
-
-
 class TestNewtonSolve:
     @pytest.mark.parametrize("t2", [1 - 1e-6, 1 + 1e-8, 1 + 1e-6, 1.01, 1.5, 4.0, 10.0])
     def test_matches_bisection(self, t2, solve_passes):
@@ -317,8 +303,22 @@ class TestNewtonSolve:
     def test_step_cap_raises_with_context(self, monkeypatch):
         monkeypatch.setattr(L, "_NEWTON_MAX_STEPS", 2)
         Z = np.array([[0.0, -500.0, 1000.0]])
-        with pytest.raises(NumericError, match=r"t2=\[10\.\].*\|sum p - 1\| = .*logit range"):
+        with pytest.raises(NumericError, match=r"in 2 steps: row 0 of 1 \(1 not stopped\), t2=10\.0, "
+                                               r"\|sum p - 1\| = \d\.\d{3}e[-+]\d\d, logits \[0\.0, -500\.0, 1000\.0\]$"):
             L._tempered_softmax_batch(Z, 10.0)
+
+    def test_step_cap_names_the_first_failing_row(self):
+        # per-row t2: the error names the first row that did not stop, its t2 alone and its logits
+        rng = np.random.default_rng(64)
+        Z = rng.normal(size=(6, 3)) * 2.0
+        t2 = np.array([1.5, 2.5, 4.0, 1.25, 3.0, 1.75])
+        start = L._tempered_softmax_batch(Z, t2)[1]
+        start[[2, 4]] = np.nan
+        with pytest.raises(NumericError, match=r"row 2 of 6 \(2 not stopped\), t2=4\.0, \|sum p - 1\| = nan, ") as info:
+            L._tempered_softmax_batch(Z, t2, start)
+        message = str(info.value)
+        assert message.endswith(f"logits {Z[2].tolist()}")
+        assert message.count("t2=") == 1
 
     @pytest.mark.parametrize("t2", [1.000099, 1.0000995])
     def test_probe_just_below_one(self, t2):
@@ -379,7 +379,7 @@ class TestWarmStart:
         Z = rng.normal(size=(8, 3)) * 2.0
         start = L._tempered_softmax_batch(Z, 1.5)[1]
         start[3] = np.nan
-        with pytest.raises(NumericError, match=r"Newton solve did not converge in 50 steps: t2=\[1\.6\]"):
+        with pytest.raises(NumericError, match=r"did not converge in 50 steps: row 3 of 8 \(1 not stopped\), t2=1\.6, "):
             L._tempered_softmax_batch(Z, 1.6, start)
         keep = np.arange(len(Z)) != 3
         P, gamma = L._tempered_softmax_batch(Z[keep], 1.6, start[keep])
@@ -434,6 +434,122 @@ class TestTemperedReference:
                 P, gamma = L._tempered_softmax_batch(Z, t2)
             assert np.all(np.isfinite(P)) and np.all(np.isfinite(gamma))
             assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestBiTemperedBits:
+    """The bi_tempered path against ``kernel_reference``'s plain form of it, byte for byte: the
+    solve's P and gamma, cold and warm, and the kernels' values, logit gradients, value and
+    gradient derivatives and dgamma/dt2, at scalar and per-row fields."""
+
+    SCALES = np.geomspace(1e-3, 1e3, 7)
+    T2S = (1.0 + 1e-8, 1.01, 1.5, 2.0, 4.0, 10.0)
+
+    @staticmethod
+    def assert_bytes(got, want, what):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+    def batches(self, rng, c, n=14):
+        """Logits at each scale alone, then a batch of rows at every scale."""
+        for scale in self.SCALES:
+            yield scale, rng.normal(size=(n, c)) * scale
+        yield "mixed", rng.normal(size=(n, c)) * rng.choice(self.SCALES, size=(n, 1))
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 10])
+    def test_solve_cold_and_warm(self, c):
+        rng = np.random.default_rng(80 + c)
+        for scale, Z in self.batches(rng, c):
+            for t2 in [*self.T2S, rng.choice(self.T2S, size=len(Z))]:  # scalars, then one per row
+                nearby = ref.tempered_softmax_newton(Z, 1.0 + (np.asarray(t2) - 1.0) * 1.1)[1]
+                far = np.where(rng.random(len(Z)) < 0.5, np.inf, -1e6)
+                for start in (None, nearby, far):
+                    P, gamma = L._tempered_softmax_batch(Z, t2, start)
+                    P_ref, gamma_ref = ref.tempered_softmax_newton(Z, t2, start)
+                    self.assert_bytes(P, P_ref, (scale, t2, start))
+                    self.assert_bytes(gamma, gamma_ref, (scale, t2, start))
+
+    def test_rows_that_stop_at_different_passes(self, solve_passes):
+        rng = np.random.default_rng(85)
+        Z = rng.normal(size=(14, 3)) * self.SCALES[np.arange(14) % 7, None]
+        t2 = rng.choice(self.T2S, size=len(Z))
+        alone = []
+        for i in range(len(Z)):
+            solve_passes[0] = 0
+            L._tempered_softmax_batch(Z[i:i + 1], t2[i])
+            alone.append(solve_passes[0])
+        assert len(set(alone)) >= 3, alone  # frozen rows beside active ones, over several passes
+        start = ref.tempered_softmax_newton(Z, t2 + 0.05)[1]
+        for t2_, start_ in ((t2, None), (t2, start), (2.0, None), (2.0, start)):
+            P, gamma = L._tempered_softmax_batch(Z, t2_, start_)
+            P_ref, gamma_ref = ref.tempered_softmax_newton(Z, t2_, start_)
+            self.assert_bytes(P, P_ref, (t2_, start_))
+            self.assert_bytes(gamma, gamma_ref, (t2_, start_))
+
+    def check_kernels(self, fields, t1, t2, P, gamma, labels, what):
+        """``batch_hgrad`` (with and without the value derivatives) and ``batch_loss`` on a fresh
+        record against the reference at (t1, t2)."""
+        values, grads, dvalues, dgrads, dgamma = ref.bi_tempered(P, labels, t1, t2)
+        for want_dvalues in (True, False):
+            batch = L._Batch(P, labels, gamma)
+            got = L.batch_hgrad(fields, batch, dvalues=want_dvalues)
+            for name, a, b in zip(("values", "grads", "dvalues", "dgrads"), got, (values, grads, dvalues, dgrads)):
+                if name != "dvalues" or want_dvalues:
+                    self.assert_bytes(a, b, (name, what))
+            assert want_dvalues or got[2] is None
+            self.assert_bytes(batch.dgamma_dt2, dgamma, ("dgamma_dt2", what))
+        for a, b, name in zip(L.batch_loss(fields, L._Batch(P, labels, gamma)), (values, grads), ("values", "grads")):
+            self.assert_bytes(a, b, (name, "batch_loss", what))
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 10])
+    def test_kernels(self, c):
+        rng = np.random.default_rng(90 + c)
+        clamped = 0
+        for scale, Z in self.batches(rng, c):
+            labels = rng.integers(0, c, size=len(Z))
+            for t1, t2 in [(0.5, 1.5), (0.0, 1.0 + 1e-8), (0.3, 10.0), (0.99, 1.01)]:
+                P, gamma = L._tempered_softmax_batch(Z, t2)
+                clamped += np.count_nonzero(P != ref.clamp(P))
+                self.check_kernels(bi_tempered(t1, t2), t1, t2, P, gamma, labels, (scale, t1, t2))
+            t1, t2 = rng.choice([0.0, 0.3, 0.5, 0.99], size=len(Z)), rng.choice(self.T2S, size=len(Z))
+            P, gamma = L._tempered_softmax_batch(Z, t2)
+            fields = row_fields([bi_tempered(a, b) for a, b in zip(t1.tolist(), t2.tolist())], rows=1)
+            self.check_kernels(fields, t1, t2, P, gamma, labels, (scale, "per row"))
+        assert clamped > 0  # the 1e-12 clamp bites at the large scales
+
+    def test_special_exponents_stacked(self):
+        # rows whose exponents are numpy's special ones: 2 - t1 = 2 and t2 = 2 at t1 = 0, 1 - t1 + t2 = 2,
+        # t2 - 1 and 1 - t1 = 1/2 at (0.5, 1.5), t2 - t1 = 1/2 at (0.75, 1.25), t2 - 1 = 2 at t2 = 3
+        rng = np.random.default_rng(95)
+        hypers = [bi_tempered(*f) for f in ((0.0, 2.0), (0.5, 1.5), (0.75, 1.25), (0.0, 3.0), (0.3, 1.7))]
+        rows = 4
+        Z = rng.normal(size=(rows * len(hypers), 3)) * 3.0
+        labels = rng.integers(0, 3, size=len(Z))
+        t1 = np.repeat([h.t1 for h in hypers], rows)
+        t2 = np.repeat([h.t2 for h in hypers], rows)
+        for start in (None, ref.tempered_softmax_newton(Z, t2 + 0.01)[1]):
+            P, gamma = L._tempered_softmax_batch(Z, t2, start)
+            P_ref, gamma_ref = ref.tempered_softmax_newton(Z, t2, start)
+            self.assert_bytes(P, P_ref, start is None)
+            self.assert_bytes(gamma, gamma_ref, start is None)
+        self.check_kernels(row_fields(hypers, rows), t1, t2, P, gamma, labels, "stacked")
+
+    def test_values_at_label_columns(self):
+        # the theory table's form: one label for all rows, or a (k, 1) column of labels
+        rng = np.random.default_rng(96)
+        P = L._tempered_softmax_batch(rng.normal(size=(9, 5)) * 30.0, 1.5)[0]
+        for labels in (2, np.arange(5)[:, None]):
+            self.assert_bytes(L.loss_values(bi_tempered(0.3, 1.5), P, labels),
+                              ref.bi_tempered_values(P, labels, 0.3), labels)
+
+    def test_expm1_excess(self):
+        rng = np.random.default_rng(97)
+        small = rng.uniform(-1e-2, 1e-2, size=(8, 3)) * 0.99
+        large = rng.choice([-1.0, 1.0], size=(8, 3)) * rng.uniform(1e-2, 30.0, size=(8, 3))
+        mixed = np.where(rng.random((8, 3)) < 0.5, small, large)
+        edges = np.array([0.0, -0.0, 1e-2, -1e-2, np.nextafter(1e-2, 0.0), -40.0])
+        for x in (small, large, mixed, edges, np.zeros(3)):
+            self.assert_bytes(L._expm1_excess(x), ref.expm1_excess(x), x)
+        assert L._expm1_excess(np.zeros(1))[0] == 0.5
 
 
 def _simplex_grid(c, parts):

@@ -548,15 +548,10 @@ class TestForwardCount:
                          "__post_init__": snapshots}
 
     @staticmethod
-    def desk_solves(monkeypatch, T=200):
+    def desk_solves(monkeypatch, passes, T=200):
         """The solves of T desk bi_tempered steps, ``(logits, t2, cold, passes)`` each, and a
-        function that counts the passes of a solve outside the run; a pass is one ``_exp_t_neg_args``."""
-        passes, solves = [0], []
-        solve, exp_t_neg_args = losses._tempered_softmax_batch, losses._exp_t_neg_args
-
-        def counted(X, s):
-            passes[0] += 1
-            return exp_t_neg_args(X, s)
+        function that counts the passes of a solve outside the run, from the ``solve_passes`` counter."""
+        solves, solve = [], losses._tempered_softmax_batch
 
         def recorded(Z, t2, start=None):
             before = passes[0]
@@ -569,18 +564,17 @@ class TestForwardCount:
             solve(*args)
             return passes[0] - before
 
-        monkeypatch.setattr(losses, "_exp_t_neg_args", counted)
         monkeypatch.setattr(losses, "_tempered_softmax_batch", recorded)
         train, meta_set, _ = desk_split(0, 0.4)
         meta.train_runs([meta.Run(train, meta_set, replace(desk_config("bi_tempered", 0), max_iters=T))])
         return solves, passes_of
 
-    def test_bi_tempered_solve_pass_budget(self, monkeypatch):
+    def test_bi_tempered_solve_pass_budget(self, monkeypatch, solve_passes):
         # a step's first solve starts cold from max z; its second, at t2 moved by one
         # meta step, starts from the first's roots moved to first order in t2.  Measured
         # means: 4.99 cold and 2.71 warm passes (Newton on sum p - 1 took 8.02 and 4.83)
         T = 200
-        solves, passes_of = self.desk_solves(monkeypatch, T)
+        solves, passes_of = self.desk_solves(monkeypatch, solve_passes, T)
         assert [cold for _, _, cold, _ in solves] == [True, False] * T
         for Z, t2, _, used in solves[::2]:
             assert used == passes_of(Z, t2)
@@ -588,10 +582,10 @@ class TestForwardCount:
         assert np.mean([used for *_, used in solves[1::2]]) <= 2.75
 
     @pytest.mark.parametrize("t2, budget", [(4.0, 5.8), (10.0, 4.0)])
-    def test_cold_solve_pass_budget_at_large_t2(self, monkeypatch, t2, budget):
+    def test_cold_solve_pass_budget_at_large_t2(self, monkeypatch, solve_passes, t2, budget):
         # the desk logits solved cold far from t2 = 1: measured means 5.80 at t2 = 4
         # and 4.00 at t2 = 10 (Newton on sum p - 1 took 9.95 and 13.0)
-        solves, passes_of = self.desk_solves(monkeypatch)
+        solves, passes_of = self.desk_solves(monkeypatch, solve_passes)
         assert np.mean([passes_of(Z, t2) for Z, *_ in solves[::2]]) <= budget
 
     def test_conventional_runs_one_per_step(self, monkeypatch):
