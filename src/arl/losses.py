@@ -37,8 +37,8 @@ Newton pass is one call of ``_exp_t_neg_args``.  At desk scale the
 bi_tempered path costs numpy call overhead, not arithmetic, so its solve
 and kernels form each term in as few calls as keep its bits: (n, 1)
 columns, ``np.add.reduce`` rather than the ``.sum`` wrapper, one
-preallocated derivative array, and no freeze of stopped rows, zeroing of
-clamped entries or Taylor series while no entry needs one.
+preallocated derivative array, and no freeze of stopped rows or Taylor
+series while no entry needs one.
 ``loss_on_logits`` is the one checked single-row entry point,
 ``polysoft_weight`` the checked sample weight of a cross entropy.  A smooth
 reparameterization maps the runs' (R, K) unconstrained coordinates onto
@@ -333,16 +333,12 @@ class _Batch:
     def rows(self):
         return np.arange(len(self.P))
 
-    def at_labels(self, M):
-        """Each row's entry of ``M`` (rows, c) at its label."""
-        if np.ndim(self.labels) == 0:
-            return M[:, self.labels]  # one label for all rows is a column: no gather
-        return M[self.rows, self.labels]
-
     @_once
     def py(self):
         """Each row's probability of its label, not clamped."""
-        return self.at_labels(self.P)
+        if np.ndim(self.labels) == 0:
+            return self.P[:, self.labels]  # one label for all rows is a column: no gather
+        return self.P[self.rows, self.labels]
 
     @_once
     def pyc(self):
@@ -451,12 +447,11 @@ def _sl_hgrad(b, h, shared, dvalues):
 def _bi_tempered_value(b, h):
     """-log_t1(p[label]) - (1 - sum_j p_j^(2-t1)) / (2 - t1), clamped at 0."""
     Pc = _clamp(b.P)
-    pyc = b.at_labels(Pc)
-    log_py = np.log(pyc)
+    log_py = np.log(b.pyc)
     Pa = _pow(Pc, _on_classes(2.0 - h.t1))
     tail = (1.0 - np.add.reduce(Pa, axis=1)) / (2.0 - h.t1)
     values = np.maximum(-_log_t_of_log(log_py, h.t1) - tail, 0.0)
-    return values, {"Pc": Pc, "pyc": pyc, "log_py": log_py, "Pa": Pa, "tail": tail}
+    return values, {"Pc": Pc, "log_py": log_py, "Pa": Pa, "tail": tail}
 
 
 def _bi_tempered_grad(b, h, shared):
@@ -469,8 +464,9 @@ def _bi_tempered_grad(b, h, shared):
     """
     Pc = shared["Pc"]
     A = _pow(Pc, _on_classes(1.0 - h.t1 + h.t2))
-    B = _pow(shared["pyc"], h.t2 - h.t1)  # in (0, 1], so the one-hot rows subtract exact zeros off the label
-    g = A - _one_hot(A.shape[1])[b.labels] * B[:, None]
+    B = _pow(b.pyc, h.t2 - h.t1)
+    g = A.copy()
+    g[b.rows, b.labels] -= B
     V = _pow(Pc, _on_classes(h.t2))
     S = np.add.reduce(V, axis=1, keepdims=True)
     U = V / S
@@ -505,7 +501,7 @@ def _bi_tempered_hgrad(b, h, shared, dvalues):
     """
     n, labels = b.rows, b.labels
     t1, t2 = _on_classes(h.t1), _on_classes(h.t2)
-    Pc, pyc, log_py, Pa, tail = shared["Pc"], shared["pyc"], shared["log_py"], shared["Pa"], shared["tail"]
+    Pc, log_py, Pa, tail = shared["Pc"], shared["log_py"], shared["Pa"], shared["tail"]
     A, B, g, S, U, g_sum = shared["A"], shared["B"], shared["g"], shared["S"], shared["U"], shared["g_sum"]
     log_p = np.log(Pc)
 
@@ -513,15 +509,13 @@ def _bi_tempered_hgrad(b, h, shared, dvalues):
     dgamma = np.add.reduce(Pc * R, axis=1, keepdims=True) / S
     b.dgamma_dt2 = dgamma[:, 0]
     R -= _pow(Pc, t2 - 1.0) * dgamma
-    clamped = b.P != Pc
-    if clamped.any():
-        R[clamped] = 0.0  # a clamped probability does not move
+    R[b.P != Pc] = 0.0  # a clamped probability does not move
     dv = None
     if dvalues:
         y = (1.0 - h.t1) * log_py
         dlog_term = log_py**2 * ((1.0 - y) * _expm1_excess(y) - 1.0)
         dv_t1 = -dlog_term - (np.add.reduce(Pa * log_p, axis=1) + tail) / (2.0 - h.t1)
-        dv_t2 = np.add.reduce(Pa * R, axis=1) - _pow(pyc, 1.0 - h.t1) * R[n, labels]
+        dv_t2 = np.add.reduce(Pa * R, axis=1) - _pow(b.pyc, 1.0 - h.t1) * R[n, labels]
         dv = np.stack([dv_t1, dv_t2])
 
     dG = np.empty((2, *g.shape))
