@@ -75,11 +75,7 @@ def losscurve_table(hyper, num_classes, points=500):
 
 def emit_losscurve(hyper, num_classes, path, points=500):
     header, rows = losscurve_table(hyper, num_classes, points)
-    row = ",".join(["%.9g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for values in rows.tolist():
-            fh.write(row % tuple(values))
+    data_mod.write_rows(path, header, ",".join(["%.9g"] * len(header)), rows.tolist())
 
 
 def _dataset_summary(split, noise):
@@ -215,15 +211,9 @@ def run_ablation(exp, modes, out_dir):
 
 def _write_ablation_csv(curves, modes, path):
     iters = sorted({t for mode in modes for t, _ in curves[mode]})
-    lookup = {mode: dict(curves[mode]) for mode in modes}
-    with open(path, "w") as fh:
-        fh.write(",".join(["iter", *modes]) + "\n")
-        for t in iters:
-            cells = [str(t)]
-            for mode in modes:
-                value = lookup[mode].get(t)
-                cells.append("" if value is None else f"{value:.9g}")
-            fh.write(",".join(cells) + "\n")
+    columns = [dict(curves[mode]) for mode in modes]
+    cells = ([t] + ["%.9g" % col[t] if t in col else "" for col in columns] for t in iters)
+    data_mod.write_rows(path, ["iter", *modes], ",".join(["%d"] + ["%s"] * len(modes)), cells)
 
 
 def verify_bounds(exp, out_path=None):
@@ -265,10 +255,8 @@ def gen_data(exp, out_dir):
         "noise_seed": exp.noise["seed"],
     }
     if exp.noise["type"] != "none":
-        with open(out_dir / "clean_labels.csv", "w") as fh:
-            fh.write("sample_id,clean_label\n")
-            for i, label in enumerate(noisy.y_clean):
-                fh.write(f"{i},{int(label)}\n")
+        data_mod.write_rows(out_dir / "clean_labels.csv", ["sample_id", "clean_label"], "%d,%d",
+                            enumerate(noisy.y_clean.tolist()))
         manifest["observed_flip_fraction"] = float(noisy.flip_mask.mean())
     _write_json(manifest, out_dir / "manifest.json")
     return manifest

@@ -85,7 +85,7 @@ _DEFAULTS = {
     "dataset": dict.fromkeys(("generator", "n", "classes", "dim", "spread", "csv")),
     "noise": {"type": "none", "eta": 0.0, "superclasses": None, "exact_count": False},
     "split": {"meta_size": 30, "test_fraction": 1000},
-    "loss": {"variant": "gce", "init": {}, "rce_a": -4.0},
+    "loss": {"variant": "gce", "init": {}, "rce_a": losses.HyperParams.rce_a},
     "train": {
         "alpha": 0.3, "beta": 0.3, "batch_n": 100, "batch_m": 30, "iters": 1000,
         "momentum": 0.0, "decay_steps": [], "decay_factor": 0.1, "metrics_every": 50,
@@ -151,7 +151,7 @@ def load_config(path, seed_override=None):
     return parse_config(_read_json(path, "config file"), seed_override)
 
 
-def build_hyper(variant, fields, num_classes, path, rce_a=-4.0):
+def build_hyper(variant, fields, num_classes, path, rce_a=losses.HyperParams.rce_a):
     """The one builder: ``fields`` over ``losses.default_hyper``, keys and values checked."""
     try:
         base = losses.default_hyper(variant, num_classes)
@@ -262,7 +262,7 @@ def load_run_hyper(path):
         raise ConfigError(f"manifest {path}: 'hyper_names' and 'hyper_final' differ in length")
     fields = dict(zip(manifest["hyper_names"], manifest["hyper_final"]))
     hyper = build_hyper(manifest["variant"], fields, manifest["classes"], "manifest.hyper_final",
-                        manifest.get("rce_a", -4.0))
+                        manifest.get("rce_a", losses.HyperParams.rce_a))
     return hyper, manifest["classes"]
 
 

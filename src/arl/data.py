@@ -1,8 +1,10 @@
-"""Synthetic datasets, label-noise injectors, and CSV ingestion.
+"""Synthetic datasets, label-noise injectors, and CSV ingestion and output.
 
 Noise is injected sample-wise i.i.d. with probability eta (an exact-count
 mode exists behind a flag) into the labels ``y`` a run trains on; the true
 labels ``y_clean`` ride along so diagnostics can compare against them.
+``write_rows`` writes every CSV artifact: a header line, then one
+``fmt % row`` line per row, each ended by ``\n``.
 """
 
 from __future__ import annotations
@@ -250,9 +252,15 @@ def load_csv(path):
     return Dataset(X, y, len(classes), label_map)
 
 
-def write_csv(dataset, path):
-    """Inverse of load_csv: the features and the training labels ``y``."""
+def write_rows(path, header, fmt, rows):
+    """The ``header`` names (None: no header line), then ``fmt % row`` per row, every line ended by ``\n``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for feats, label in zip(dataset.X, dataset.y):
-            writer.writerow([f"{v:.9g}" for v in feats] + [int(label)])
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) + "\n" for row in rows)
+
+
+def write_csv(dataset, path):
+    """Inverse of load_csv: the features (``%.9g``) and the training labels ``y``."""
+    write_rows(path, None, ",".join(["%.9g"] * dataset.X.shape[1] + ["%d"]),
+               ((*feats, label) for feats, label in zip(dataset.X.tolist(), dataset.y.tolist())))

@@ -22,7 +22,11 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A computation produced non-finite values or failed to converge."""
+    """A computation produced non-finite values or failed to converge; ``row`` is the stacked row that did."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DataFormatError(ValueError):

@@ -244,12 +244,14 @@ def _tempered_softmax_batch(Z, t2, start=None):
     an ``np.where`` only once some row has stopped; before that the update
     is the same plain add.  A row that has not stopped after
     ``_NEWTON_MAX_STEPS`` passes raises ``NumericError``, which names the
-    first such row, its t2, its |S - 1| and its logits.
+    first such row, its t2, its |S - 1| and its logits; non-finite logits
+    raise ``DomainError`` naming their first row.  Both hold it as ``row``.
     """
     Z = np.asarray(Z, dtype=float)
-    if not np.isfinite(Z).all():  # the method: np.all's wrapper costs about 3 us a call
-        raise DomainError("logits must be finite")
     n = len(Z)
+    if not np.isfinite(Z).all():  # the method: np.all's wrapper costs about 3 us a call
+        i = int(np.argmin(np.isfinite(Z).all(axis=1)))  # the first row with a non-finite logit
+        raise DomainError(f"logits must be finite: row {i} of {n}, logits {Z[i].tolist()}", i)
     k = _on_classes(t2 - 1.0)  # a scalar or one per row, as a column
     s = -k
     top = np.maximum.reduce(Z, axis=1, keepdims=True)
@@ -276,7 +278,7 @@ def _tempered_softmax_batch(Z, t2, start=None):
         raise NumericError(
             f"tempered softmax Newton solve did not converge in {_NEWTON_MAX_STEPS} steps: "
             f"row {i} of {n} ({n - stopped} not stopped), t2={float(np.broadcast_to(t2, n)[i])!r}, "
-            f"|sum p - 1| = {abs(S[i, 0] - 1.0):.3e}, logits {Z[i].tolist()}"
+            f"|sum p - 1| = {abs(S[i, 0] - 1.0):.3e}, logits {Z[i].tolist()}", i
         )
     P -= Pt * step
     return P, (gamma + step)[:, 0]
@@ -313,12 +315,13 @@ class _Batch:
 
     The probability rows P (softmax, or the tempered softmax for
     ``bi_tempered``) and the labels; the row index, the label
-    probabilities, their clamp, the cross entropies and D = P - Y are each
-    computed on first use, once.  No loss field enters, so a softmax
-    family's record serves at moved fields; a ``bi_tempered`` record holds
-    the solve at one t2, with its roots ``gamma`` (None for the softmax)
-    and, once ``_bi_tempered_hgrad`` has formed it, their slope
-    ``dgamma_dt2``.  Its arrays are shared, never written.
+    probabilities (one gather P[rows, labels] for every form of labels),
+    their clamp, the cross entropies and D = P - Y are each computed on
+    first use, once.  No loss field enters, so a softmax family's record
+    serves at moved fields; a ``bi_tempered`` record holds the solve at
+    one t2, with its roots ``gamma`` (None for the softmax) and, once
+    ``_bi_tempered_hgrad`` has formed it, their slope ``dgamma_dt2``.  Its
+    arrays are shared, never written.
     """
 
     def __init__(self, P, labels, gamma=None):
@@ -336,8 +339,6 @@ class _Batch:
     @_once
     def py(self):
         """Each row's probability of its label, not clamped."""
-        if np.ndim(self.labels) == 0:
-            return self.P[:, self.labels]  # one label for all rows is a column: no gather
         return self.P[self.rows, self.labels]
 
     @_once

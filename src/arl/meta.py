@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import losses, model
+from . import data, losses, model
 from .errors import ConfigError, DomainError, NumericError
 
 _CE = losses.HyperParams("ce")  # the meta objective; frozen, so built once
@@ -78,8 +78,8 @@ class TrainConfig:
     """Step sizes, batch sizes, iteration budget, and seeds for one run."""
 
     variant: str
-    alpha: float = 0.1
-    beta: float = 0.1
+    alpha: float = 0.3
+    beta: float = 0.3
     batch_n: int = 100
     batch_m: int = 30
     max_iters: int = 1000
@@ -313,21 +313,13 @@ class _Batches:
 
 
 def _normalize(fields, Z, y, start=None):
-    """``losses.normalize`` of the runs' stacked rows, from the solve's ``start`` when given;
-    a failure names the first run that fails alone, from its own rows of the start."""
+    """``losses.normalize`` of the runs' stacked rows, from the solve's ``start`` when given; a
+    failure names the run of the first failing row, which the error holds: a row solves to the
+    same bits in any batch, so that run is the first that fails alone."""
     try:
         return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1), start)
     except (NumericError, DomainError) as exc:
-        R = len(fields.values)
-        starts = [None] * R if start is None else start.reshape(R, -1)
-        runs = zip(Z.reshape(R, -1, Z.shape[-1]), y.reshape(R, -1), starts)
-        for r, (Zr, yr, start_r) in enumerate(runs):
-            try:  # run r's fields alone
-                alone = losses._RowFields(fields.variant, fields.values[r:r + 1], fields.presets[r:r + 1])
-                losses.normalize(alone, Zr, yr, start_r)
-            except (NumericError, DomainError) as own:
-                raise _RunError(r, str(own)) from exc
-        raise AssertionError("a stacked normalization failed where no run fails alone") from exc
+        raise _RunError(exc.row // (y.size // len(fields.values)), str(exc)) from exc
 
 
 def train_runs(runs):
@@ -448,17 +440,12 @@ def write_metrics_csv(rows, path):
     """Stable CSV: iter,train_loss,meta_loss,test_acc,hyper_1,..."""
     k = len(rows[0].hyper_values) if rows else 0
     header = ["iter", "train_loss", "meta_loss", "test_acc"] + [f"hyper_{i + 1}" for i in range(k)]
-    row = ",".join(["%d"] + ["%.9g"] * (3 + k)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(row % (r.iteration, r.train_loss, r.meta_loss, r.test_acc, *r.hyper_values))
+    data.write_rows(path, header, ",".join(["%d"] + ["%.9g"] * (3 + k)),
+                    ((r.iteration, r.train_loss, r.meta_loss, r.test_acc, *r.hyper_values) for r in rows))
 
 
 def write_weights_csv(weights, flip_mask, path):
     """Stable CSV: sample_id,is_clean,weight."""
-    with open(path, "w") as fh:
-        fh.write("sample_id,is_clean,weight\n")
-        clean = np.logical_not(flip_mask).tolist()
-        for row in zip(range(len(clean)), clean, np.asarray(weights).tolist()):
-            fh.write("%d,%d,%.9g\n" % row)
+    clean = np.logical_not(flip_mask).tolist()
+    data.write_rows(path, ["sample_id", "is_clean", "weight"], "%d,%d,%.9g",
+                    zip(range(len(clean)), clean, np.asarray(weights).tolist()))

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +621,13 @@ class TestConfigParsing:
         doc["dataset"] = {"csv": "x.csv", "generator": "blobs"}
         with pytest.raises(ConfigError):
             config_mod.parse_config(doc)
+
+    def test_document_defaults_are_train_config_defaults(self):
+        # a document that omits a train or model key trains as a TrainConfig that omits its field
+        built = {f.name: f.default for f in fields(meta.TrainConfig)}
+        for key, value in {**config_mod._DEFAULTS["train"], **config_mod._DEFAULTS["model"]}.items():
+            want = tuple(value) if isinstance(value, list) else value
+            assert built["max_iters" if key == "iters" else key] == want, key
 
     def test_init_keys_checked_against_variant(self):
         doc = dict(SMALL_RUN)

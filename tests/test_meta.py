@@ -11,7 +11,7 @@ import pytest
 from serial_reference import adaptive_run, conventional_run, row_fields
 from test_acceptance import desk_config, desk_split, flattening_point
 
-from arl import cli, data, losses, meta, model
+from arl import cli, config as config_mod, data, losses, meta, model
 from arl.errors import ConfigError, DomainError, NumericError
 
 
@@ -889,6 +889,18 @@ class TestConventionalRuns:
         with pytest.raises(NumericError, match=r"iteration 3 \(run from 0, .*t1=0\.7.*\): logits must be finite"):
             meta.train_runs(conventional(train, config, specs))
 
+    def test_nonfinite_start_network_names_its_run(self):
+        train, _, _ = small_problem(seed=59)
+        config = meta.TrainConfig("bi_tempered", alpha=0.2, batch_n=16, max_iters=10, seed=60)
+        good = model.init_mlp([2, 16, 3], seed=61)
+        vec = good.vec.copy()
+        vec[0] = np.nan  # a first-layer weight: every logit of the network is NaN
+        bad = model.MlpParams(vec, good.sizes, good.activation)
+        specs = [(losses.HyperParams("bi_tempered", t1=t1), p, 0) for t1, p in ((0.2, good), (0.7, bad), (0.4, good))]
+        with pytest.raises(NumericError, match=r"iteration 1 \(run from 0, runs\[1\], seed 60, .*t1=0\.7.*\): "
+                                               r"logits must be finite: row 16 of 48, logits \[nan, nan, nan\]"):
+            meta.train_runs(conventional(train, config, specs))
+
     def test_one_variant(self):
         train, _, test = small_problem(seed=51)
         config = meta.TrainConfig("gce", beta=0.0, batch_n=16, max_iters=5)
@@ -1060,9 +1072,9 @@ class TestLockstepAdaptive:
             meta.train_runs(runs)
 
     def test_failing_warm_solve_names_its_run(self, monkeypatch):
-        # a step's second solve starts from its first solve's roots; a NaN root fails
-        # the stacked solve and run 1's own, which is cold-solvable, so the fallback
-        # must solve each run from its own rows of the start to name it
+        # a step's second solve starts from its first solve's roots; run 1's NaN roots fail
+        # the stacked solve first at row 16, its first row, which names run 1 (whose rows
+        # are cold-solvable, so only the warm solve fails)
         train, meta_set, _ = small_problem(seed=58)
         config = meta.TrainConfig("bi_tempered", alpha=0.3, beta=0.5, batch_n=16, batch_m=10, max_iters=5)
         normalize = losses.normalize
@@ -1117,7 +1129,7 @@ class TestFlatteningPoint:
 
 
 class TestCsvWriters:
-    """The row templates write the bytes of the per-value f-string form."""
+    """Every CSV artifact has the bytes of the per-value f-string form, each line ended by \\n."""
 
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-300, np.finfo(float).max,
                -np.finfo(float).max, 0.1, 1.0 / 3.0, -2.5, 1e9, 123456789.123, 1.0, 0.0]
@@ -1134,7 +1146,7 @@ class TestCsvWriters:
             ",".join([str(r.iteration)] + [f"{x:.9g}" for x in (r.train_loss, r.meta_loss, r.test_acc,
                                                                   *r.hyper_values)]) + "\n"
             for r in rows)
-        assert (tmp_path / "m.csv").read_text() == want
+        assert (tmp_path / "m.csv").read_bytes() == want.encode()
 
     def test_weights(self, tmp_path):
         w = self.values(64)
@@ -1142,11 +1154,39 @@ class TestCsvWriters:
         meta.write_weights_csv(w, flip, tmp_path / "w.csv")
         want = "sample_id,is_clean,weight\n" + "".join(
             f"{i},{0 if f else 1},{x:.9g}\n" for i, (x, f) in enumerate(zip(w, flip)))
-        assert (tmp_path / "w.csv").read_text() == want
+        assert (tmp_path / "w.csv").read_bytes() == want.encode()
 
     def test_losscurve(self, tmp_path, monkeypatch):
         header, table = ["x", "zero_one", "ce", "learned"], self.values(80).reshape(-1, 4)
         monkeypatch.setattr(cli, "losscurve_table", lambda *args: (header, table))
         cli.emit_losscurve(losses.HyperParams("gce"), 3, tmp_path / "c.csv")
         want = "x,zero_one,ce,learned\n" + "".join(",".join(f"{v:.9g}" for v in r) + "\n" for r in table)
-        assert (tmp_path / "c.csv").read_text() == want
+        assert (tmp_path / "c.csv").read_bytes() == want.encode()
+
+    def test_ablation(self, tmp_path):
+        v = self.values(48).tolist()
+        curves = {"opt2": list(zip(range(0, 160, 10), v[:16])),  # no point at 155
+                  "adaptive": list(zip(range(10, 170, 10), v[16:32])) + [(155, v[32])]}
+        cli._write_ablation_csv(curves, ["adaptive", "opt2"], tmp_path / "a.csv")
+        cols = [dict(curves["adaptive"]), dict(curves["opt2"])]
+        want = "iter,adaptive,opt2\n" + "".join(
+            f"{t}," + ",".join(f"{c[t]:.9g}" if t in c else "" for c in cols) + "\n"
+            for t in sorted({*cols[0], *cols[1]}))
+        assert "\n0,,nan\n" in want and "\n155," in want and want.endswith(",\n")  # a blank cell in each column
+        assert (tmp_path / "a.csv").read_bytes() == want.encode()
+
+    def test_dataset(self, tmp_path):
+        X = self.values(80).reshape(-1, 2)
+        y = np.random.default_rng(66).integers(0, 4, size=len(X))
+        data.write_csv(data.Dataset(X, y, 4), tmp_path / "d.csv")
+        want = "".join(f"{a:.9g},{b:.9g},{label}\n" for (a, b), label in zip(X, y))
+        assert (tmp_path / "d.csv").read_bytes() == want.encode()
+
+    def test_clean_labels(self, tmp_path):
+        exp = config_mod.parse_config({"dataset": {"n": 90, "classes": 3, "spread": 0.3},
+                                       "noise": {"type": "symmetric", "eta": 0.4}})
+        cli.gen_data(exp, tmp_path)
+        clean = config_mod.load_dataset(exp).y
+        assert (data.load_csv(tmp_path / "dataset.csv").y != clean).any()  # the noised labels are elsewhere
+        want = "sample_id,clean_label\n" + "".join(f"{i},{label}\n" for i, label in enumerate(clean))
+        assert (tmp_path / "clean_labels.csv").read_bytes() == want.encode()
