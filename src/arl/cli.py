@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+CURVE_POINTS = 500  # the grid points of a loss curve
 
 # cross-validation grids for the fixed-hyperparameter ablation mode;
 # lam entries are multiples of log(c)
@@ -51,21 +52,21 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def losscurve_table(hyper, num_classes, points=500):
+def losscurve_table(hyper, num_classes):
     """Sample the learned loss next to CE and 0-1 reference columns.
 
     For the probability-based families the x axis is the correct-class
     probability (residual mass spread uniformly); for the soft-weighting
     loss it is the cross-entropy value on [0, 3*lam].  Returns the header
-    and a (points, 4) array of rows.
+    and a (CURVE_POINTS, 4) array of rows.
     """
     header = ["x", "zero_one", "ce", "learned"]
     if hyper.variant == "polysoft":
-        xs = np.linspace(0.0, 3.0 * hyper.lam, points)
+        xs = np.linspace(0.0, 3.0 * hyper.lam, CURVE_POINTS)
         learned = losses.polysoft_of_ce(xs, hyper.lam, hyper.d)[0]
         return header, np.column_stack([xs, xs > math.log(2.0), xs, learned])
 
-    xs = np.linspace(0.001, 1.0, points)
+    xs = np.linspace(0.001, 1.0, CURVE_POINTS)
     probs = np.repeat(((1.0 - xs) / (num_classes - 1))[:, None], num_classes, axis=1)
     probs[:, 0] = xs
     ce_ref = losses.loss_values(losses.HyperParams("ce"), probs, 0)
@@ -73,8 +74,8 @@ def losscurve_table(hyper, num_classes, points=500):
     return header, np.column_stack([xs, xs < 0.5, ce_ref, learned])
 
 
-def emit_losscurve(hyper, num_classes, path, points=500):
-    header, rows = losscurve_table(hyper, num_classes, points)
+def emit_losscurve(hyper, num_classes, path):
+    header, rows = losscurve_table(hyper, num_classes)
     data_mod.write_rows(path, header, ",".join(["%.9g"] * len(header)), rows.tolist())
 
 
@@ -103,7 +104,7 @@ def run_experiment(exp, out_dir):
     model.save_checkpoint(state.params, ckpt_path)
 
     artifacts = ["metrics.csv", "checkpoint.bin", "checkpoint.bin.json", "manifest.json"]
-    if exp.emit["weights"] and exp.loss["variant"] == "polysoft":
+    if exp.emit["weights"]:
         weights = meta.compute_sample_weights(state.params, state.hyper, split.train)
         meta.write_weights_csv(weights, split.train.flip_mask, out_dir / "weights.csv")
         artifacts.append("weights.csv")
@@ -241,10 +242,10 @@ def verify_bounds(exp, out_path=None):
 
 
 def gen_data(exp, out_dir):
-    """Write the configured dataset (with any noise) to CSV plus manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the configured dataset (with any noise) to CSV plus manifest; ``out_dir`` is made after the data."""
     clean = config_mod.load_dataset(exp)
     noisy = config_mod.apply_noise(clean, exp.noise)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(noisy, out_dir / "dataset.csv")
     manifest = {
         "count": len(clean),

@@ -179,6 +179,8 @@ def parse_config(doc, seed_override=None):
         dataset.setdefault("classes", 3)
         dataset.setdefault("dim", 2)
         dataset.setdefault("spread", 0.4)
+        _named(("dataset.n", "dataset.classes", "dataset.dim", "dataset.spread"), data_mod._check_blobs,
+               dataset["n"], dataset["classes"], dataset["dim"], dataset["spread"])
 
     if noise["type"] not in ("none", "symmetric", "asymmetric", "hierarchical"):
         raise ConfigError(f"unknown noise type {noise['type']!r}")
@@ -193,7 +195,9 @@ def parse_config(doc, seed_override=None):
 
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")
-    sections["emit"].setdefault("weights", loss["variant"] == "polysoft")
+    if sections["emit"].setdefault("weights", loss["variant"] == "polysoft") and loss["variant"] != "polysoft":
+        raise ConfigError(f"'emit.weights': sample weights are defined for the polysoft variant, "
+                          f"not {loss['variant']!r}")
     exp = ExperimentConfig(raw=doc, seed=master, **sections)
 
     # the run's own builders check loss.init and the train and model ranges.

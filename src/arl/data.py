@@ -52,22 +52,27 @@ class MetaSplit:
     test: Dataset
 
 
-def gen_blobs(n, c, d_in=2, spread=0.3, seed=0):
-    """Balanced Gaussian clusters, centers on the unit circle (d_in = 2)
-    or along random orthonormal directions (d_in > 2)."""
+def _check_blobs(n, c, d_in, spread):
+    """``gen_blobs``' arguments: n >= c >= 2, d_in >= 2, spread > 0, and d_in >= c for orthonormal centers."""
     if c < 2 or n < c:
         raise ConfigError(f"need n >= c >= 2, got n={n}, c={c}")
     if d_in < 2:
         raise ConfigError("d_in must be >= 2")
     if spread <= 0:
         raise ConfigError("spread must be positive")
+    if d_in > 2 and c > d_in:
+        raise ConfigError("need d_in >= c for orthogonal centers")
+
+
+def gen_blobs(n, c, d_in=2, spread=0.3, seed=0):
+    """Balanced Gaussian clusters, centers on the unit circle (d_in = 2)
+    or along random orthonormal directions (d_in > 2)."""
+    _check_blobs(n, c, d_in, spread)
     rng = np.random.default_rng(seed)
     if d_in == 2:
         angles = 2.0 * np.pi * np.arange(c) / c
         centers = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        if c > d_in:
-            raise ConfigError("need d_in >= c for orthogonal centers")
         raw = rng.normal(size=(d_in, d_in))
         qmat = np.linalg.qr(raw)[0]
         centers = qmat[:, :c].T

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: config problems -> 2, numeric
-failures -> 3, unreadable or malformed data files -> 4.
+failures -> 3, unreadable or malformed data files -> 4.  ``row`` on
+``DomainError`` and ``NumericError`` is the failing row of the stacked
+argument; at ``meta`` level, where the rows are lockstep runs, it is the run.
 """
 
 

@@ -26,7 +26,7 @@ hyperparameters one (R, K) array, so a meta step is one update, one map
 and one contraction; a ``HyperParams`` is formed only for a snapshot or a
 message.  Training evaluates nothing: the loop returns read-only
 parameter snapshots at the metrics cadence, and each caller evaluates only
-what it keeps.
+what it keeps.  A check that fails raises its error with the run as ``row``.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ from . import data, losses, model
 from .errors import ConfigError, DomainError, NumericError
 
 _CE = losses.HyperParams("ce")  # the meta objective; frozen, so built once
-
-
-class _RunError(NumericError):
-    """A failure of one run of a stack; ``run`` is its row."""
-
-    def __init__(self, run, message):
-        super().__init__(message)
-        self.run = run
 
 
 class _RangeError(ConfigError):
@@ -131,26 +123,13 @@ class MetricsRow:
     hyper_values: tuple
 
 
-def _first_bad(ok, params):
-    """The first run of ``params`` (one network or a stack) whose block of the flags ``ok`` holds a False."""
-    return int(ok.reshape(params.vec.size // params.vec.shape[-1], -1).all(axis=1).argmin())
-
-
 def _backward_mean(params, values, G, cache):
     """Gradient vector of each run's mean of its per-sample ``values``, which must be finite."""
     ok = np.isfinite(values)
     if not ok.all():
-        raise _RunError(_first_bad(ok, params), "non-finite training loss")
+        raise NumericError("non-finite training loss", model._first_bad(ok, params))
     Z = cache[0][-1]
     return model.backward(params, cache, G.reshape(Z.shape) / Z.shape[-2])
-
-
-def _sgd_step(params, step, alpha):
-    """``model.sgd_step``; a non-finite step names the first run that has one."""
-    try:
-        return model.sgd_step(params, step, alpha)
-    except NumericError as exc:
-        raise _RunError(_first_bad(np.isfinite(step), params), str(exc)) from exc
 
 
 def meta_ce_grad(params, X, y):
@@ -160,7 +139,7 @@ def meta_ce_grad(params, X, y):
     Z = cache[0][-1]
     D = losses.normalize(_CE, Z.reshape(-1, Z.shape[-1]), y.reshape(-1)).D
     if not np.isfinite(D).all():
-        raise _RunError(_first_bad(np.isfinite(D), params), "non-finite meta cross-entropy gradient")
+        raise NumericError("non-finite meta cross-entropy gradient", model._first_bad(np.isfinite(D), params))
     return model.backward(params, cache, D.reshape(Z.shape) / Z.shape[-2])
 
 
@@ -202,9 +181,9 @@ def hypergradient(params, fields, theta, cache, batch, Xm, ym, alpha):
         row = int(np.abs(dG[k, r]).argmax()) // batch.P.shape[1]
         what = f"bound {_DG_BOUND:g} passed by a {peak[r, k]:.3g}" if np.isfinite(peak[r, k]) else "non-finite"
         under = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields.values[r].tolist()))
-        raise _RunError(r, f"{what} logit-gradient derivative in {names[k]} under {under} "
-                           f"at train row {row} (ce={float(batch.ce[r * n + row])!r})")
-    g_meta = meta_ce_grad(_sgd_step(params, grads, alpha), Xm, ym)
+        raise NumericError(f"{what} logit-gradient derivative in {names[k]} under {under} "
+                           f"at train row {row} (ce={float(batch.ce[r * n + row])!r})", r)
+    g_meta = meta_ce_grad(model.sgd_step(params, grads, alpha), Xm, ym)
     tangent = model.jvp(params, cache, g_meta).reshape(R, -1, 1)
     dots = np.matmul(dG.transpose(1, 0, 2), tangent)[..., 0]  # each row the bits of dG[:, r] @ tangent[r]
     return -alpha * losses.reparam_scale(fields.variant, theta) * dots / n
@@ -216,7 +195,7 @@ def meta_update(theta, hypergrad, beta, names):
     ok = np.isfinite(hypergrad)
     if not ok.all():
         r, k = map(int, np.unravel_index(ok.argmin(), ok.shape))
-        raise _RunError(r, f"non-finite hypergradient in {names[k]}")
+        raise NumericError(f"non-finite hypergradient in {names[k]}", r)
     return theta - beta * hypergrad
 
 
@@ -314,12 +293,12 @@ class _Batches:
 
 def _normalize(fields, Z, y, start=None):
     """``losses.normalize`` of the runs' stacked rows, from the solve's ``start`` when given; a
-    failure names the run of the first failing row, which the error holds: a row solves to the
-    same bits in any batch, so that run is the first that fails alone."""
+    failure raises ``NumericError`` whose ``row`` is the run of the first failing row: a row
+    solves to the same bits in any batch, so that run is the first that fails alone."""
     try:
         return losses.normalize(fields, Z.reshape(-1, Z.shape[-1]), y.reshape(-1), start)
     except (NumericError, DomainError) as exc:
-        raise _RunError(exc.row // (y.size // len(fields.values)), str(exc)) from exc
+        raise NumericError(str(exc), exc.row // (y.size // len(fields.values))) from exc
 
 
 def train_runs(runs):
@@ -389,19 +368,16 @@ def train_runs(runs):
             if adaptive and beta_t > 0.0:  # a meta batch is drawn for a meta step only
                 hg = hypergradient(stack, fields, theta, cache, batch, *metas.take(k), alpha_t)
                 theta = meta_update(theta, hg, beta_t, names)
-                try:  # a meta step can round a field onto its domain boundary (d = 1 + softplus -> 1.0)
-                    values = losses.from_unconstrained(variant, theta)
-                except DomainError as exc:
-                    raise _RunError(exc.row, str(exc)) from exc
+                values = losses.from_unconstrained(variant, theta)  # can round d = 1 + softplus onto 1.0
                 before, fields = fields, losses._RowFields(variant, values, presets[:k], rows)
                 if variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
                     batch = _normalize(fields, cache[0][-1], yn, batch.start_at(fields.t2 - before.t2))
             step = _backward_mean(stack, *losses.batch_loss(fields, batch), cache)
             if velocity is not None:
                 velocity = step = step + config.momentum * velocity
-            stack = _sgd_step(stack, step, alpha_t)
-        except _RunError as exc:
-            r = exc.run
+            stack = model.sgd_step(stack, step, alpha_t)
+        except (NumericError, DomainError) as exc:  # its row is the failing run
+            r = exc.row
             at = f"theta={theta[r].tolist()}, " if adaptive else ""
             raise NumericError(f"diverged at iteration {t} ({at}run from {starts[r]}, runs[{order[r]}], "
                                f"seed {runs[r].config.seed}, {hyper(r)}): {exc}") from exc

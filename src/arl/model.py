@@ -193,12 +193,19 @@ def jvp(params, cache, direction):
     return tangent
 
 
+def _first_bad(ok, params):
+    """The first network of ``params`` (one or a stack) whose block of the flags ``ok`` holds a False."""
+    return int(ok.reshape(params.vec.size // params.vec.shape[-1], -1).all(axis=1).argmin())
+
+
 def sgd_step(params, step, alpha):
-    """params - alpha * step, with ``step`` shaped like ``params.vec``."""
+    """params - alpha * step, with ``step`` shaped like ``params.vec``; a non-finite step raises
+    ``NumericError``, whose ``row`` is the first network of the stack (0 for one network) with one."""
     if np.shape(step) != params.vec.shape:
         raise ShapeError(f"step of shape {np.shape(step)} != {params.vec.shape} parameters")
-    if not np.isfinite(step).all():
-        raise NumericError("non-finite gradient in sgd_step")
+    ok = np.isfinite(step)
+    if not ok.all():
+        raise NumericError("non-finite gradient in sgd_step", _first_bad(ok, params))
     moved = object.__new__(MlpParams)  # params' checked layout
     moved._adopt(params.vec - alpha * step, params.sizes, params.activation, params.layers)
     return moved

@@ -591,6 +591,46 @@ class TestChecksBeforeTraining:
         assert not out.exists()
         assert says in capsys.readouterr().err
 
+    BLOBS_KEYS = "'dataset.n' and 'dataset.classes' and 'dataset.dim' and 'dataset.spread'"
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    @pytest.mark.parametrize("dataset, code, says", [
+        ({"spread": -1}, 2, f"{BLOBS_KEYS}: spread must be positive"),
+        ({"dim": 1}, 2, f"{BLOBS_KEYS}: d_in must be >= 2"),
+        ({"classes": 1}, 2, f"{BLOBS_KEYS}: need n >= c >= 2, got n=640, c=1"),
+        ({"dim": 3, "classes": 4}, 2, f"{BLOBS_KEYS}: need d_in >= c for orthogonal centers"),
+        ({"csv": "missing.csv"}, 2, "dataset csv not found"),
+        ({"csv": "bad.csv"}, 4, "bad.csv:2: could not convert"),
+    ], ids=["spread", "dim", "classes", "orthogonal", "missing-csv", "malformed-csv"])
+    def test_bad_dataset_makes_no_out(self, tmp_path, capsys, monkeypatch, command, dataset, code, says):
+        # a generator setting is refused before any data is made, a bad CSV when it is read;
+        # either way no --out directory is left behind
+        if "csv" not in dataset:
+            monkeypatch.setattr(data, "gen_blobs", _never_load)
+            dataset = dict(SMALL_RUN["dataset"], **dataset)
+        else:
+            (tmp_path / "bad.csv").write_text("1.0,2.0,0\n1.0,zzz,1\n")
+            dataset = {"csv": str(tmp_path / dataset["csv"])}
+        monkeypatch.setattr(meta, "train_runs", _never_train)
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path, dict(SMALL_RUN, dataset=dataset))
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert not out.exists()
+        assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "ce"])
+    def test_weights_only_for_polysoft(self, tmp_path, capsys, monkeypatch, variant):
+        # sample weights exist for polysoft alone: asking another variant for them is refused
+        monkeypatch.setattr(data, "gen_blobs", _never_load)
+        doc = dict(SMALL_RUN, loss={"variant": variant}, emit={"weights": True})
+        out = tmp_path / "r"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"'emit.weights': sample weights are defined for the polysoft variant, not {variant!r}"
+                in capsys.readouterr().err)
+        assert not config_mod.parse_config(dict(doc, emit={"weights": False})).emit["weights"]
+        assert config_mod.parse_config(dict(doc, loss={"variant": "polysoft"})).emit["weights"]
+
     def test_theory_defaults_resolved(self):
         theory = config_mod.parse_config(dict(SMALL_RUN)).theory
         assert theory["classes"] == 3 and theory["etas"] == [0.1, 0.3, 0.6]

@@ -40,6 +40,20 @@ class TestBlobs:
         with pytest.raises(ConfigError):
             data.gen_blobs(10, 3, spread=0.0)
 
+    @pytest.mark.parametrize("args, says", [
+        ((10, 1, 2, 0.3), "need n >= c >= 2, got n=10, c=1"),
+        ((2, 3, 2, 0.3), "need n >= c >= 2, got n=2, c=3"),
+        ((10, 3, 1, 0.3), "d_in must be >= 2"),
+        ((10, 3, 2, -1.0), "spread must be positive"),
+        ((10, 4, 3, 0.3), "need d_in >= c for orthogonal centers"),
+    ])
+    def test_messages(self, args, says):
+        # gen_blobs' one check, which the config parser runs too
+        with pytest.raises(ConfigError, match=f"^{says}$"):
+            data.gen_blobs(*args)
+        with pytest.raises(ConfigError, match=f"^{says}$"):
+            data._check_blobs(*args)
+
 
 class TestSymmetric:
     def test_eta_zero_identity(self):

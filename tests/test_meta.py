@@ -302,7 +302,7 @@ class TestMetaUpdate:
         hg[2, 0], hg[1, 1] = np.inf, np.nan  # the first run with one is run 1, in d
         with pytest.raises(NumericError, match="non-finite hypergradient in d") as info:
             meta.meta_update(np.zeros((3, 2)), hg, 0.1, self.NAMES)
-        assert info.value.run == 1
+        assert info.value.row == 1
 
 
 def conventional(train, config, specs):
@@ -1090,6 +1090,42 @@ class TestLockstepAdaptive:
         runs = [meta.Run(train, meta_set, replace(config, seed=seed)) for seed in (3, 5, 7)]
         with pytest.raises(NumericError, match=r"iteration 1 \(theta=.*, run from 0, runs\[1\], seed 5, .*\): "
                                                r"tempered softmax Newton solve did not converge"):
+            meta.train_runs(runs)
+
+    @pytest.mark.parametrize("site, says", [
+        ("virtual", r"non-finite gradient in sgd_step"),
+        ("meta", r"non-finite meta cross-entropy gradient"),
+        ("bound", r"non-finite logit-gradient derivative in d under lam=.*, d=.* at train row 4 \(ce=.*\)"),
+    ])
+    def test_meta_step_failure_names_its_run(self, monkeypatch, site, says):
+        # only run 1 of three fails, at iteration 3: its virtual step, its meta cross-entropy
+        # gradient or its logit-gradient derivative in d is not finite
+        train, meta_set, _ = small_problem(seed=32)
+        config = meta.TrainConfig("polysoft", alpha=0.2, beta=0.5, batch_n=32, batch_m=10, max_iters=10)
+        batch_hgrad, forward, calls = losses.batch_hgrad, model._forward_cached, collections.Counter()
+
+        def poisoned_hgrad(h, batch):  # one call per iteration
+            values, G, dvalues, dG = batch_hgrad(h, batch)
+            calls["hgrad"] += 1
+            if calls["hgrad"] == 3 and site == "virtual":
+                G = G.copy()
+                G[32 + 4, 0] = np.nan  # run 1's train row 4
+            if calls["hgrad"] == 3 and site == "bound":
+                dG[1, 32 + 4, 0] = np.inf
+            return values, G, dvalues, dG
+
+        def poisoned_forward(params, X):
+            cache = forward(params, X)
+            calls[X.shape[-2]] += 1
+            if calls[10] == 3 and X.shape[-2] == 10 and site == "meta":  # the meta batch's forward
+                cache[0][-1][1, 0, 0] = np.nan
+            return cache
+
+        monkeypatch.setattr(losses, "batch_hgrad", poisoned_hgrad)
+        monkeypatch.setattr(model, "_forward_cached", poisoned_forward)
+        runs = [meta.Run(train, meta_set, replace(config, seed=seed)) for seed in (3, 5, 7)]
+        with pytest.raises(NumericError, match=rf"iteration 3 \(theta=\[.*\], run from 0, runs\[1\], seed 5, "
+                                               rf"HyperParams\(variant='polysoft'.*\): {says}$"):
             meta.train_runs(runs)
 
 

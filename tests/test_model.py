@@ -254,8 +254,18 @@ class TestSgd:
         p = model.init_mlp([2, 4, 2], seed=5)
         g = p.vec.copy()
         g[0] = np.nan  # weights[0][0, 0]
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError) as info:
             model.sgd_step(p, g, 0.1)
+        assert info.value.row == 0
+
+    def test_nonfinite_stack_names_first_network(self):
+        p = model.init_mlp([2, 4, 2], seed=6)
+        stack = model.MlpParams(np.stack([p.vec] * 4), p.sizes, p.activation)
+        g = np.zeros(stack.vec.shape)
+        g[3, 0], g[1, -1] = np.inf, np.nan  # the first network with one is network 1
+        with pytest.raises(NumericError, match="^non-finite gradient in sgd_step$") as info:
+            model.sgd_step(stack, g, 0.1)
+        assert info.value.row == 1
 
 
 class TestStack:
