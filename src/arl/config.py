@@ -169,9 +169,11 @@ def parse_config(doc, seed_override=None):
         raise ConfigError(f"'seed' must be an integer, got {master!r}")
     sections = {name: _section(doc, name, master, seed_override is None) for name in _DEFAULTS}
     dataset, noise, loss, theory = (sections[k] for k in ("dataset", "noise", "loss", "theory"))
-    if "csv" in dataset and "generator" in dataset:
-        raise ConfigError("'dataset' takes either 'generator' or 'csv', not both")
-    if "csv" not in dataset:
+    if "csv" in dataset:
+        for key in ("generator", "n", "classes", "dim", "spread"):
+            if key in dataset:
+                raise ConfigError(f"'dataset.{key}': a CSV dataset takes no generator settings")
+    else:
         dataset.setdefault("generator", "blobs")
         if dataset["generator"] != "blobs":
             raise ConfigError(f"unknown generator {dataset['generator']!r}")
@@ -275,7 +277,7 @@ def load_dataset(exp):
     ds_cfg = exp.dataset
     if "csv" in ds_cfg:
         if not Path(ds_cfg["csv"]).exists():
-            raise ConfigError(f"dataset csv not found: {ds_cfg['csv']}")
+            raise ConfigError(f"'dataset.csv': dataset csv not found: {ds_cfg['csv']}")
         return data_mod.load_csv(ds_cfg["csv"])
     return data_mod.gen_blobs(
         ds_cfg["n"], ds_cfg["classes"], ds_cfg["dim"], ds_cfg["spread"], ds_cfg["seed"]

@@ -14,15 +14,19 @@ risk is a sum of independent per-point terms, so the global minimizer is
 found by scanning the grid once per label instead of enumerating the
 product hypothesis space.
 
-One ``grid_scan`` evaluates the loss on the grid once: a (points, c) table
-of L(u, j) per (hyper, c, delta), which the verifications of every eta
-share, and no verification evaluates the loss again.  Its columns give the
-clean and noisy per-point terms of every label, hence both minimizers, and
-the minimizers' rows give the four risks; its rows give the grid tolerance:
+The grid is held as integer counts of delta, in lexicographic order; only
+the loss table's blocks and the two minimizers become probabilities.  One
+``grid_scan`` evaluates the loss on the grid once: a (points, c) table of
+L(u, j) per (hyper, c, delta), which the verifications of every eta share,
+and no verification evaluates the loss again.  Its columns give the clean
+and noisy per-point terms of every label, hence both minimizers, and the
+minimizers' rows give the four risks; its rows give the grid tolerance:
 moving one delta of mass between two coordinates of a grid point lands on
 another grid point, so every slope the tolerance needs is a difference of
-two table rows.  The tolerance scan takes its source rows one table block
-at a time, so its temporaries are one block's, well under one table.
+two table rows.  The move keeps the grid's order, so the rows it pairs are
+found by their place among the rows with mass at each coordinate.  The
+tolerance scan takes its rows one table block at a time, so its
+temporaries are one block's, well under one table.
 
 A scan is the one source of a world's c, delta and loss, and each input
 rule is one function that ``config`` also calls: ``_grid_parts`` for c and
@@ -144,36 +148,50 @@ def _grid_parts(c, delta):
 
 
 def simplex_grid(c, delta):
-    """All probability vectors with entries that are multiples of delta.
+    """The (N, c) int32 counts of delta of every probability vector with
+    entries that are multiples of delta, each row summing to 1/delta.
 
-    Rows come in lexicographic order of their counts (n_0, ..., n_{c-1}) of
-    delta.  The counts are built one coordinate at a time: each prefix, in
-    order, is extended by every count its remaining mass allows, and the
-    last coordinate takes what is left.
+    Rows come in lexicographic order of their counts (n_0, ..., n_{c-1}).
+    The array is filled one column at a time: column i runs through the
+    heads n_i that each prefix (n_0, ..., n_{i-1}) allows, in order, and
+    repeats each head by the completions of its prefix, C(m + k - 1, k - 1)
+    for the mass m left over the k coordinates after i; the last column
+    takes what is left.
     """
     parts = _grid_parts(c, delta)
-    counts = np.zeros((1, 0), dtype=np.int32)
-    left = np.array([parts], dtype=np.int32)
-    for _ in range(c - 1):
+    counts = np.empty((math.comb(parts + c - 1, c - 1), c), dtype=np.int32)
+    # ways[k - 1, m] = C(m + k - 1, k - 1), by the hockey-stick identity
+    ways = np.ones((c - 1, parts + 1), dtype=np.intp)
+    for k in range(1, c - 1):
+        np.cumsum(ways[k - 1], out=ways[k])
+    left = np.array([parts], dtype=np.int32)  # the mass left after each prefix, in order
+    for i in range(c - 1):
         width = left + 1
-        head = np.arange(width.sum(), dtype=np.int32) - np.repeat(np.cumsum(width) - width, width)
-        counts = np.column_stack([np.repeat(counts, width, axis=0), head])
+        first = np.cumsum(width, dtype=np.int32) - width  # int32 throughout: half the bytes of intp
+        head = np.arange(width.sum(), dtype=np.int32) - np.repeat(first, width)
         left = np.repeat(left, width) - head
-    return np.column_stack([counts, left]) / parts
+        # at i = c - 2 every head completes one way, and a repeat by ones is slow
+        counts[:, i] = np.repeat(head, ways[c - 2 - i].take(left)) if i < c - 2 else head
+    counts[:, c - 1] = left
+    return counts
 
 
-def _loss_table(hyper, probs):
-    """The (rows, c) table of L(u, j) for every row u of probs and label j.
+def _loss_table(hyper, rows):
+    """The (rows, c) table of L(u, j) for every row u of ``rows`` and label j.
 
-    Each block of rows takes one loss call over a column of all c labels,
-    so a label-independent term (bi_tempered's tail) is computed once per
-    row, and a block's temporaries stay in cache.
+    ``rows`` are a grid's integer counts, each row summing to 1/delta, or
+    probability vectors.  Each block of rows becomes probabilities (counts
+    over 1/delta, the bits of the grid's probability vectors) and takes one
+    loss call over a column of all c labels, so a label-independent term
+    (bi_tempered's tail) is computed once per row, and a block's
+    temporaries stay in cache.
     """
-    table = np.empty(probs.shape)
-    labels = np.arange(probs.shape[1])[:, None]
-    for start in range(0, len(probs), _TABLE_BLOCK):
-        rows = slice(start, start + _TABLE_BLOCK)
-        table[rows] = losses.loss_values(hyper, probs[rows], labels).T
+    parts = rows[0].sum() if rows.dtype.kind == "i" else 1
+    table = np.empty(rows.shape)
+    labels = np.arange(rows.shape[1])[:, None]
+    for start in range(0, len(rows), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        table[block] = losses.loss_values(hyper, rows[block] / parts, labels).T
     return table
 
 
@@ -186,80 +204,46 @@ def _per_point_terms(table, sums, label, eta, noisy):
     return (1.0 - eta) * own + eta / (c - 1.0) * (sums - own)
 
 
-def _neighbours(counts, start):
-    """Adjacent grid points of one block of rows, one coordinate a at a time.
-
-    ``counts`` are the grid rows ``start``, ``start + 1``, ... in delta
-    units; the grid is in lexicographic order.  For each a < c - 1 yields
-    ``(src, dsts)``: the grid rows of the block with mass at a, and for
-    b = a + 1, ..., c - 1 the grid rows that one delta moved from a to b
-    lands on.  With suffix sums S_i = sum_{l>=i} n_l a row's rank is
-    N - 1 - sum_{i=1}^{c-1} C(S_i + c-1-i, c-i).  The move raises S_i by
-    one for a < i <= b, so by Pascal's rule the destination sits
-    D_{a+1} + ... + D_b rows earlier, D_i = C(S_i + c-1-i, c-1-i).  Every
-    term is at most N, unlike a positional key in base parts + 1, and
-    depends on the row alone, so a block needs no other rows.
-    """
-    c = counts.shape[1]
-    parts = int(counts[0].sum())
-    # binom[m, s] = C(s + m, m), by the hockey-stick identity
-    binom = np.ones((c - 1, parts + 1), dtype=np.intp)
-    for m in range(1, c - 1):
-        np.cumsum(binom[m - 1], out=binom[m])
-    steps = [None] * c  # steps[i] = D_i of every row
-    suffix = np.zeros(len(counts), dtype=np.intp)
-    for i in range(c - 1, 0, -1):
-        suffix += counts[:, i]
-        steps[i] = binom[c - 1 - i].take(suffix)
-    for a in range(c - 1):
-        rows = np.flatnonzero(counts[:, a])
-        dst = src = rows + start
-        dsts = []
-        for b in range(a + 1, c):
-            dst = dst - steps[b].take(rows)
-            dsts.append(dst)
-        yield src, dsts
-
-
-def grid_lipschitz(grid, table, delta):
+def grid_lipschitz(counts, table, delta):
     """Max loss slope between adjacent grid points, per unit L1 mass.
 
     Adjacent means one delta of mass moved between a coordinate pair (an
     L1 displacement of 2 delta); the estimate feeds the grid tolerance
-    lipschitz * delta.  The move keeps every entry a multiple of delta and
-    the sum at 1, so it lands on another row of ``grid``; each slope is
-    |table[dst] - table[src]| / (2 delta) over the rows of the grid's loss
-    table, with no loss evaluated again.  Adjacency is symmetric, so the
-    pairs a < b cover every adjacent pair.  The scan takes the source rows
-    one table block at a time, so its temporaries are a block's, and a max
+    lipschitz * delta.  ``counts`` are the grid rows in delta units, in
+    lexicographic order.  Moving one delta from a to b maps the rows with
+    n_a >= 1 one to one onto the rows with n_b >= 1, and keeps their order:
+    two rows still differ first where they did, by as much.  So the k-th
+    row with mass at a lands on the k-th row with mass at b, and each slope
+    is |table[dst] - table[src]| / (2 delta) over the rows of the grid's
+    loss table, with no loss evaluated again.  Adjacency is symmetric, so
+    the pairs a < b cover every adjacent pair.  The scan takes the rows one
+    table block at a time, so its temporaries are a block's, and a max
     taken in any order is the same max.
     """
-    parts = round(1.0 / delta)
+    holders = [np.flatnonzero(column).astype(np.int32) for column in counts.T]  # int32: half the bytes
     worst = 0.0
-    for start in range(0, len(grid), _TABLE_BLOCK):
-        counts = np.rint(grid[start:start + _TABLE_BLOCK] * parts).astype(np.intp)
-        for src, dsts in _neighbours(counts, start):
-            if not len(src):
-                continue
-            base = table.take(src, axis=0)
-            for dst in dsts:
-                rise = table.take(dst, axis=0)
+    for a in range(len(holders) - 1):
+        for start in range(0, len(holders[a]), _TABLE_BLOCK):
+            block = slice(start, start + _TABLE_BLOCK)
+            base = table.take(holders[a][block], axis=0)
+            for dst in holders[a + 1:]:
+                rise = table.take(dst[block], axis=0)
                 rise -= base
                 worst = max(worst, float(rise.max()), -float(rise.min()))
     return worst / (2.0 * delta)
 
 
-GridScan = namedtuple("GridScan", "c delta hyper grid table sums tol")
-GridScan.__doc__ = ("The c, delta and hyper a scan was built for, its simplex grid, the grid's "
-                    "loss table, the table's row sums and the grid tolerance.")
+GridScan = namedtuple("GridScan", "c delta hyper counts table sums tol")
+GridScan.__doc__ = ("The c, delta and hyper a scan was built for, its simplex grid's counts, the "
+                    "grid's loss table, the table's row sums and the grid tolerance.")
 
 
 def grid_scan(c, delta, hyper):
     """The ``GridScan`` of the delta-spaced simplex grid in c classes: no eta moves it."""
-    grid = simplex_grid(c, delta)
-    table = _loss_table(hyper, grid)
-    return GridScan(c, delta, hyper, grid, table, table.sum(axis=1),
-                    grid_lipschitz(grid, table, delta) * delta)
+    counts = simplex_grid(c, delta)
+    table = _loss_table(hyper, counts)
+    return GridScan(c, delta, hyper, counts, table, table.sum(axis=1),
+                    grid_lipschitz(counts, table, delta) * delta)
 
 
 def _risk(scan, labels, eta, rows, noisy):
@@ -286,13 +270,14 @@ def riskgap_verify(scan, labels, eta):
     """
     constants = bound_constants(scan.c, eta, scan.hyper)
     labels = _check_labels(labels, scan.c)
-    grid, table, sums, tol = scan.grid, scan.table, scan.sums, scan.tol
+    counts, table, sums, tol = scan.counts, scan.table, scan.sums, scan.tol
     distinct, of_point = np.unique(labels, return_inverse=True)
     star, hat = (
         np.array([np.argmin(_per_point_terms(table, sums, label, eta, noisy)) for label in distinct])[of_point]
         for noisy in (False, True)
     )  # each point's minimizer row, clean and noisy
-    f_star, f_hat = grid[star], grid[hat]
+    parts = counts[0].sum()
+    f_star, f_hat = counts[star] / parts, counts[hat] / parts
 
     r_clean_star, r_clean_hat, r_noisy_star, r_noisy_hat = (
         _risk(scan, labels, eta, rows, noisy) for noisy in (False, True) for rows in (star, hat))

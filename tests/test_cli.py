@@ -599,7 +599,7 @@ class TestChecksBeforeTraining:
         ({"dim": 1}, 2, f"{BLOBS_KEYS}: d_in must be >= 2"),
         ({"classes": 1}, 2, f"{BLOBS_KEYS}: need n >= c >= 2, got n=640, c=1"),
         ({"dim": 3, "classes": 4}, 2, f"{BLOBS_KEYS}: need d_in >= c for orthogonal centers"),
-        ({"csv": "missing.csv"}, 2, "dataset csv not found"),
+        ({"csv": "missing.csv"}, 2, "'dataset.csv': dataset csv not found: {tmp_path}/missing.csv\n"),
         ({"csv": "bad.csv"}, 4, "bad.csv:2: could not convert"),
     ], ids=["spread", "dim", "classes", "orthogonal", "missing-csv", "malformed-csv"])
     def test_bad_dataset_makes_no_out(self, tmp_path, capsys, monkeypatch, command, dataset, code, says):
@@ -616,7 +616,20 @@ class TestChecksBeforeTraining:
         cfg = write_config(tmp_path, dict(SMALL_RUN, dataset=dataset))
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
         assert not out.exists()
-        assert says in capsys.readouterr().err
+        assert says.format(tmp_path=tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "gen-data"])
+    @pytest.mark.parametrize("key, value", [("n", 50), ("classes", 3), ("dim", 2), ("spread", 0.4)])
+    def test_csv_takes_no_generator_keys(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # a stray generator key next to dataset.csv is refused at parse time, before the file is read
+        monkeypatch.setattr(data, "load_csv", _never_load)
+        monkeypatch.setattr(meta, "train_runs", _never_train)
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path, dict(SMALL_RUN, dataset={"csv": "x.csv", key: value}))
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"'dataset.{key}': a CSV dataset takes no generator settings"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "ce"])
     def test_weights_only_for_polysoft(self, tmp_path, capsys, monkeypatch, variant):

@@ -95,15 +95,14 @@ class TestBoundConstants:
 class TestSimplexGrid:
     def test_counts_and_validity(self):
         grid = theory.simplex_grid(3, 0.02)
-        assert grid.shape == (math.comb(52, 2), 3)
-        np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
-        assert grid.min() >= 0.0
+        assert grid.shape == (math.comb(52, 2), 3) and grid.dtype == np.int32
+        assert np.all(grid.sum(axis=1) == 50)
+        assert grid.min() >= 0
 
     def test_contains_vertices_and_uniform(self):
-        grid = theory.simplex_grid(3, 0.1)
-        rows = {tuple(np.round(r, 6)) for r in grid}
-        assert (1.0, 0.0, 0.0) in rows
-        assert (0.3, 0.3, 0.4) in rows
+        rows = {tuple(r) for r in theory.simplex_grid(3, 0.1).tolist()}
+        assert (10, 0, 0) in rows
+        assert (3, 3, 4) in rows
 
     def test_budget_guard(self):
         says = f"10 classes at delta=0.005 would hold {math.comb(209, 9)} points > budget {theory.GRID_BUDGET}"
@@ -133,34 +132,39 @@ class TestSimplexGrid:
                 ref[i, j] = edge - prev - 1
                 prev = edge
         ref = ref / parts
-        grid = theory.simplex_grid(c, delta)
+        grid = theory.simplex_grid(c, delta) / parts
         assert grid.shape == ref.shape and grid.dtype == ref.dtype
         assert grid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c,delta", [
+        (2, 0.5), (3, 0.1), (3, 0.02), (5, 0.025), (7, 0.25), (10, 0.1), (60, 0.5), (3, 0.001),
+    ])
+    def test_matches_prefix_block_reference(self, c, delta):
+        # the counts over 1/delta are the probability vectors of the column_stack build
+        parts = int(round(1.0 / delta))
+        grid, ref = theory.simplex_grid(c, delta) / parts, theory_reference.simplex_grid(c, delta)
+        np.testing.assert_array_equal(grid, ref)
+        assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
         "c,delta", [(2, 0.1), (3, 0.05), (5, 0.05), (5, 0.125), (7, 0.25), (60, 0.5)]
     )
     def test_neighbour_rank_matches_row_lookup(self, c, delta):
-        # at c = 60, parts = 2 a base-3 positional key needs 3**60 > 2**63;
-        # blocks of 400 rows leave a partial last block and, at c = 60, blocks
-        # without mass at a = 0
-        parts = int(round(1.0 / delta))
-        counts = np.rint(theory.simplex_grid(c, delta) * parts).astype(np.intp)
+        # a neighbour's rank among the rows with mass at b is its source's among
+        # the rows with mass at a: one delta moved from a to b takes the k-th
+        # such row to the k-th; blocks of 400 rows leave partial last blocks
+        counts = theory.simplex_grid(c, delta)
         row_of = {tuple(row): i for i, row in enumerate(counts.tolist())}
-        for block in (theory._TABLE_BLOCK, 400):
-            for start in range(0, len(counts), block):
-                rows = counts[start:start + block]
-                found = list(theory._neighbours(rows, start))
-                assert len(found) == c - 1
-                for a, (src, dsts) in enumerate(found):
-                    np.testing.assert_array_equal(src, start + np.flatnonzero(rows[:, a]))
-                    assert len(dsts) == c - 1 - a
-                    for b, dst in zip(range(a + 1, c), dsts):
-                        moved = counts[src].copy()
-                        moved[:, a] -= 1
-                        moved[:, b] += 1
-                        expected = [row_of[tuple(row)] for row in moved.tolist()]
-                        np.testing.assert_array_equal(dst, expected)
+        for a, b in itertools.permutations(range(c), 2):
+            src, dst = np.flatnonzero(counts[:, a]), np.flatnonzero(counts[:, b])
+            assert len(src) == len(dst)
+            for block in (theory._TABLE_BLOCK, 400):
+                for start in range(0, len(src), block):
+                    moved = counts[src[start:start + block]]
+                    moved[:, a] -= 1
+                    moved[:, b] += 1
+                    expected = [row_of[tuple(row)] for row in moved.tolist()]
+                    np.testing.assert_array_equal(dst[start:start + block], expected)
 
 
 LABELS = [0, 1, 2, 0]
@@ -300,7 +304,7 @@ class TestBoundedLossSums:
 
 def _moved_copy_lipschitz(variant, hyper, c, delta):
     """The estimator before the loss table: re-evaluate on moved grid copies."""
-    grid = theory.simplex_grid(c, delta)
+    grid = theory_reference.simplex_grid(c, delta)
     worst = 0.0
     for label in range(c):
         base = losses.loss_values(hyper, grid, label)
@@ -338,7 +342,7 @@ def _per_point_loop_verify(labels, c, delta, eta, variant, hyper):
             total += float(terms(assignment[k : k + 1], int(label), noisy)[0])
         return total / len(labels)
 
-    grid = theory.simplex_grid(c, delta)
+    grid = theory_reference.simplex_grid(c, delta)
     f_star = np.stack([grid[int(np.argmin(terms(grid, int(l), False)))] for l in labels])
     f_hat = np.stack([grid[int(np.argmin(terms(grid, int(l), True)))] for l in labels])
     risks = [risk(f_star, False), risk(f_hat, False), risk(f_star, True), risk(f_hat, True)]
@@ -451,7 +455,7 @@ class TestKernelTable:
         ],
     )
     def test_table_matches_reference(self, c, delta, variant, hyper):
-        grid = theory.simplex_grid(c, delta)
+        grid = theory_reference.simplex_grid(c, delta)
         floored = np.any((grid < PROB_FLOOR) | (grid > 1.0 - PROB_FLOOR), axis=1)
         for label in range(c):
             got = losses.loss_values(hyper, grid, label)
@@ -473,7 +477,7 @@ class TestKernelTable:
         c, delta = (3, 0.02) if len(labels) == 4 else (5, 0.025)
         h = HyperParams(variant, **hyper)
         report = _verify(h, eta, labels, c, delta)
-        grid = theory.simplex_grid(c, delta)
+        grid = theory_reference.simplex_grid(c, delta)
         table = np.stack([_reference_loss_values(variant, h, grid, j) for j in range(c)], axis=1)
         sums = table.sum(axis=1)
         for k, label in enumerate(labels):

@@ -1,11 +1,16 @@
-"""References for ``theory``: the exact risk of any assignment, and a gather-based ``grid_lipschitz``.
+"""References for ``theory``: the float simplex grid, the exact risk of any
+assignment, and a rank-based ``grid_lipschitz``.
+
+``simplex_grid`` builds the grid's probability vectors by repeating every
+prefix block, one coordinate at a time; ``theory.simplex_grid`` holds the
+same rows as integer counts.
 
 ``exact_risk`` evaluates the loss again on the rows of an assignment,
 which may lie off the grid; ``riskgap_verify`` reads its risks from the
 grid's loss table and must give the same bits at its minimizers.
 
 ``grid_lipschitz`` is the grid-tolerance slope as computed over the whole
-grid at once: the integer counts and the rank offsets of every row, then
+grid at once: the rank offsets of every row of the integer counts, then
 one fancy-index gather of the source rows and one of the destination rows
 per coordinate pair a < b.  The blocked pass of ``theory`` must give the
 same bits.
@@ -15,6 +20,22 @@ import numpy as np
 
 from arl import theory
 from arl.errors import DomainError
+
+
+def simplex_grid(c, delta):
+    """All probability vectors with entries that are multiples of delta, in
+    lexicographic order of their counts: each prefix, in order, is extended
+    by every count its remaining mass allows, and the last coordinate takes
+    what is left."""
+    parts = theory._grid_parts(c, delta)
+    counts = np.zeros((1, 0), dtype=np.int32)
+    left = np.array([parts], dtype=np.int32)
+    for _ in range(c - 1):
+        width = left + 1
+        head = np.arange(width.sum(), dtype=np.int32) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack([np.repeat(counts, width, axis=0), head])
+        left = np.repeat(left, width) - head
+    return np.column_stack([counts, left]) / parts
 
 
 def exact_risk(labels, eta, assignment, hyper, noisy):
@@ -61,9 +82,8 @@ def neighbours(counts):
             yield src, src - (offsets[src, b] - offsets[src, a])
 
 
-def grid_lipschitz(grid, table, delta):
-    """Max loss slope between adjacent grid points, per unit L1 mass."""
-    counts = np.rint(grid * round(1.0 / delta)).astype(np.int32)
+def grid_lipschitz(counts, table, delta):
+    """Max loss slope between adjacent grid points, per unit L1 mass, of the grid's counts."""
     worst = 0.0
     for src, dst in neighbours(counts):
         rise = table[dst]
