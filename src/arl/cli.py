@@ -151,8 +151,11 @@ def run_ablation(exp, modes, out_dir):
 
     fixed: grid search with the meta set as validation; opt1: retrain
     from scratch with the adaptive run's final hyperparameters; opt2:
-    continue conventionally from each adaptive snapshot; adaptive: the
-    bilevel run itself.  The conventional runs train in one lockstep call.
+    continue conventionally from each adaptive snapshot, at zero velocity
+    when ``train.momentum`` > 0 (the snapshot holds no velocity), so a
+    continuation differs from the adaptive run in more than its frozen
+    hyperparameters; adaptive: the bilevel run itself.  The conventional
+    runs train in one lockstep call.
     Only the written points are evaluated, plus each grid candidate on the
     meta set.
     """

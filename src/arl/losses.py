@@ -16,9 +16,10 @@ h, shared)`` and ``hgrad(b, h, shared) -> (dvalues, dgrads)``, ``shared``
 carrying the terms they share; ``polysoft_of_ce`` is the soft-weighting
 formula on cross entropies.  A kernel reads its hyperparameter fields from
 a ``HyperParams`` or from the ``_RowFields`` record that training builds
-from the runs' (R, K) array of fields: a lone run's scalars, or a stack's
-value per row, so one call serves the stacked rows of runs with different
-fields.  Every power whose exponent is a loss field goes through ``_pow``:
+from the runs' (R, K) array of fields: a field that the runs share as one
+Python float, any other as a value per row, so one call serves the stacked
+rows of runs with different fields.  Every power whose exponent is a loss
+field goes through ``_pow``:
 a scalar field is a plain scalar power, and a row of a per-row field gets
 the bits of its own scalar, so a row evaluates to the same bits alone,
 stacked or in a batch of one.  On the record of
@@ -595,19 +596,17 @@ _FAMILIES = {
 class _RowFields:
     """The fields the kernels read, of R runs: ``values`` (R, K) in ``LEARNABLE`` order, ``presets`` (R,) rce_a.
 
-    With ``rows``, each run's fields fill ``rows`` consecutive rows of a
-    stacked batch, so one kernel call serves runs with different fields and
-    ``_pow`` gives each row its run's own bits.  A lone run's (no ``rows``)
-    are Python floats, which take the scalar paths.
+    Each run's fields fill ``rows`` consecutive rows of a stacked batch, so
+    one kernel call serves runs with different fields.  A field that all the
+    runs share (every field of one run) is held as that Python float, which
+    takes the scalar paths; any other is repeated per row, and ``_pow``
+    gives each row its run's own bits.
     """
 
-    def __init__(self, variant, values, presets, rows=None):
+    def __init__(self, variant, values, presets, rows):
         self.variant, self.values, self.presets = variant, values, presets
-        if rows is None:
-            columns = values[0].tolist() + [presets.item(0)]
-        else:
-            columns = [*values.T.repeat(rows, axis=1), presets.repeat(rows)]
-        self.__dict__.update(zip(LEARNABLE[variant] + ("rce_a",), columns))
+        for name, column in zip(LEARNABLE[variant] + ("rce_a",), [*values.T.tolist(), presets.tolist()]):
+            setattr(self, name, column[0] if column.count(column[0]) == len(column) else np.repeat(column, rows))
 
 
 def normalize(hyper, Z, labels, start=None):

@@ -21,12 +21,14 @@ logits as the virtual step, so they cost no forward and no backward pass.
 
 One loop, ``train_runs``, trains R runs of one variant and network shape
 in lockstep, each with the bits it gets alone; a run without meta steps is
-conventional SGD.  The runs' parameters are one (R, P) stack and their
-hyperparameters one (R, K) array, so a meta step is one update, one map
-and one contraction; a ``HyperParams`` is formed only for a snapshot or a
-message.  Training evaluates nothing: the loop returns read-only
-parameter snapshots at the metrics cadence, and each caller evaluates only
-what it keeps.  A check that fails raises its error with the run as ``row``.
+conventional SGD.  Every call trains a stack, a lone run as R = 1: the
+runs' parameters are one (R, P) stack and their hyperparameters one (R, K)
+array, so a meta step is one update, one map and one contraction.  A
+``HyperParams`` is formed only for a snapshot or a message, and a snapshot
+holds one run's parameter vector.  Training evaluates nothing: the loop
+returns read-only parameter snapshots at the metrics cadence, and each
+caller evaluates only what it keeps.  A check that fails raises its error
+with the run as ``row``.
 """
 
 from __future__ import annotations
@@ -153,19 +155,19 @@ def hypergradient(params, fields, theta, cache, batch, Xm, ym, alpha):
     """Gradient of the meta cross entropy with respect to the runs' (R, K) coordinates ``theta``.
 
     ``fields`` is the runs' ``losses._RowFields`` record, of the fields that
-    theta maps to; ``params`` their (R, P) stack, or a lone run's vector, and
-    ``Xm``, ``ym`` their (R, m, .) meta batches, or a lone run's.  Returns
-    (R, K): -alpha / n * reparam_scale_k * <J_w g, dG/dh_k> per run and
-    coordinate, with g the meta gradient at the virtual point, J_w g its
-    logit tangent and dG/dh_k the closed-form derivative of the logit
-    gradients in the k-th learnable field.  ``cache`` is the train batch's
-    ``model._forward_cached`` pass and ``batch`` its ``losses.normalize``
-    record, which the virtual step and dG/dh share.  Exactly zero when
-    alpha = 0 (the virtual point no longer depends on theta).  A row's
-    dG/dh_k past ``_DG_BOUND``, or not finite, raises ``NumericError``.  The
-    virtual step is the plain step w - alpha g also when the actual step
-    takes momentum, as in Ren et al. (ICML 2018) and Shu et al. (NeurIPS
-    2019): the look-ahead leaves the velocity out.
+    theta maps to; ``params`` their (R, P) stack and ``Xm``, ``ym`` their
+    (R, m, .) meta batches.  Returns (R, K): -alpha / n * reparam_scale_k *
+    <J_w g, dG/dh_k> per run and coordinate, with g the meta gradient at the
+    virtual point, J_w g its logit tangent and dG/dh_k the closed-form
+    derivative of the logit gradients in the k-th learnable field.
+    ``cache`` is the train batch's ``model._forward_cached`` pass and
+    ``batch`` its ``losses.normalize`` record, which the virtual step and
+    dG/dh share.  Exactly zero when alpha = 0 (the virtual point no longer
+    depends on theta).  A row's dG/dh_k past ``_DG_BOUND``, or not finite,
+    raises ``NumericError``.  The virtual step is the plain step
+    w - alpha g also when the actual step takes momentum, as in Ren et al.
+    (ICML 2018) and Shu et al. (NeurIPS 2019): the look-ahead leaves the
+    velocity out.
     """
     names = losses.LEARNABLE[fields.variant]
     if not names or alpha == 0.0:
@@ -246,21 +248,20 @@ class _Batches:
     """Seeded batches of lockstep runs, each from its run's stream over its run's set.
 
     The distinct sets are one array, which a step gathers from with one
-    fancy index.  Runs with one seed and set size share one step-aligned
-    stream, ``default_rng([seed, salt, 0])``: its draw t is the batch of
-    step t, so a run from ``start`` reads draws ``start + 1``, ... and a
-    step draws once per stream.  A stream whose first run starts later
-    than 0 burns the draws before that start when it is built.  When all
-    runs read one stream over one set (``shared``), as a lone run does, a
-    step gathers its one batch once: a lone run's is unstacked, and a
-    stack's is a read-only broadcast of it over the runs.
+    fancy index: each stream's draw fills its runs' rows of ``idx``, and
+    each run's set offset is added to them, unless the call has one set.
+    Runs with one seed and set size share one step-aligned stream,
+    ``default_rng([seed, salt, 0])``: its draw t is the batch of step t, so
+    a run from ``start`` reads draws ``start + 1``, ... and a step draws
+    once per stream.  A stream whose first run starts later than 0 burns
+    the draws before that start when it is built.
     """
 
     def __init__(self, runs, sets, salt, size):
         distinct = list({id(s): s for s in sets}.values())
         at = dict(zip(map(id, distinct), itertools.accumulate([len(s) for s in distinct[:-1]], initial=0)))
         self.X, self.y = (np.concatenate([getattr(s, name) for s in distinct]) for name in "Xy")
-        self.offsets = np.array([[at[id(s)]] for s in sets])
+        self.offsets = np.array([[at[id(s)]] for s in sets]) if len(distinct) > 1 else None
         members = {}  # stream -> its runs' rows (a slice if contiguous), in order of first use
         for r, (run, s) in enumerate(zip(runs, sets)):
             members.setdefault((run.config.seed, len(s)), []).append(r)
@@ -272,22 +273,14 @@ class _Batches:
             self.streams.append((rng, count, rows[0],
                                  slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows))
         self.idx, self.size = np.empty((len(runs), size), dtype=np.intp), size
-        self.shared, self.lone = len(self.streams) == 1 and len(distinct) == 1, len(runs) == 1
 
     def take(self, k):
-        """The next (k, size, .) batches of the first k runs; a lone run's unstacked."""
-        if self.shared:
-            rng, count, _, _ = self.streams[0]
-            draw = rng.choice(count, size=self.size, replace=False)
-            X, y = self.X[draw], self.y[draw]
-            if self.lone:
-                return X, y
-            return np.broadcast_to(X, (k, *X.shape)), np.broadcast_to(y, (k, *y.shape))
+        """The next (k, size, .) batches of the first k runs."""
         for rng, count, first, rows in self.streams:
             if first >= k:  # the streams of the first k runs come first
                 break
             self.idx[rows] = rng.choice(count, size=self.size, replace=False)
-        idx = self.idx[:k] + self.offsets[:k]
+        idx = self.idx[:k] if self.offsets is None else self.idx[:k] + self.offsets[:k]
         return self.X[idx], self.y[idx]
 
 
@@ -312,12 +305,13 @@ def train_runs(runs):
     ``[seed, 23, 0]``, one per seed and set size, so a run from ``s``
     trains on the batches that a run of its seed from 0 draws after ``s``.
     The started runs are one (R, P) stack and (R, K) hyperparameters, a lone
-    run its own vector and scalar fields: a step is one forward, one loss
-    call, one backward and one SGD step, and a meta step adds one stacked
-    ``hypergradient``, ``meta_update`` and map.  A run gets the bits
-    it gets alone, and a failure names it.  Returns per run its
-    ``TrainState`` and its read-only ``(t, params, hyper)`` snapshots at
-    its start, every ``metrics_every`` iterations and at the end.
+    run an R = 1 stack: a step is one forward, one loss call, one backward
+    and one SGD step, and a meta step adds one stacked ``hypergradient``,
+    ``meta_update`` and map.  A joining run starts at zero velocity.  A run
+    gets the bits it gets alone, and a failure names it.  Returns per run
+    its ``TrainState`` and its read-only ``(t, params, hyper)`` snapshots,
+    each holding its row of the stack, at its start, every
+    ``metrics_every`` iterations and at the end.
     """
     if not runs:
         return []
@@ -335,7 +329,6 @@ def train_runs(runs):
     init_values, presets = np.array([h.learnable_values() for h in hypers]), np.array([h.rce_a for h in hypers])
     init_theta = np.array([losses.to_unconstrained(h) for h in hypers]) if adaptive else init_values[:, :0]
     starts, n = [run.start for run in runs], config.batch_n
-    rows = n if len(runs) > 1 else None  # a lone run trains on arrays of its own shapes and scalar fields
     trains = _Batches(runs, [run.dataset for run in runs], 17, n)
     metas = _Batches(runs, [run.meta_set for run in runs], 23, config.batch_m) if adaptive else None
 
@@ -350,15 +343,13 @@ def train_runs(runs):
     k = 0  # runs started so far: the first k in start order
     for t in range(starts[0] + 1, config.max_iters + 1):
         joined, k = k, bisect.bisect_left(starts, t)  # the runs with start < t have started
-        if k > joined:
-            shape = (P,) if rows is None else (k, P)
-            vecs = np.concatenate([stack.vec.reshape(-1, P), [p.vec for p in inits[joined:k]]])
-            stack = model.MlpParams(vecs.reshape(shape), sizes, activation)
+        if k > joined:  # a joining run starts from its network, at zero velocity
+            stack = model.MlpParams(np.concatenate([stack.vec, [p.vec for p in inits[joined:k]]]), sizes, activation)
             if velocity is not None:
-                velocity = np.concatenate([velocity.reshape(-1, P), np.zeros((k - joined, P))]).reshape(shape)
+                velocity = np.concatenate([velocity, np.zeros((k - joined, P))])
             values = np.concatenate([values, init_values[joined:k]])
             theta = np.concatenate([theta, init_theta[joined:k]])
-            fields = losses._RowFields(variant, values, presets[:k], rows)
+            fields = losses._RowFields(variant, values, presets[:k], n)
         Xn, yn = trains.take(k)
         scale = _step_scale(t, config.decay_steps, config.decay_factor)
         alpha_t, beta_t = config.alpha * scale, config.beta * scale
@@ -369,7 +360,7 @@ def train_runs(runs):
                 hg = hypergradient(stack, fields, theta, cache, batch, *metas.take(k), alpha_t)
                 theta = meta_update(theta, hg, beta_t, names)
                 values = losses.from_unconstrained(variant, theta)  # can round d = 1 + softplus onto 1.0
-                before, fields = fields, losses._RowFields(variant, values, presets[:k], rows)
+                before, fields = fields, losses._RowFields(variant, values, presets[:k], n)
                 if variant == "bi_tempered":  # t2 moved: solve again from the roots moved to first order
                     batch = _normalize(fields, cache[0][-1], yn, batch.start_at(fields.t2 - before.t2))
             step = _backward_mean(stack, *losses.batch_loss(fields, batch), cache)
@@ -383,8 +374,7 @@ def train_runs(runs):
                                f"seed {runs[r].config.seed}, {hyper(r)}): {exc}") from exc
         if t % config.metrics_every == 0 or t == config.max_iters:
             for r in range(k):
-                params = stack if rows is None else model.MlpParams(stack.vec[r], sizes, activation)
-                snapshots[r].append((t, params, hyper(r)))
+                snapshots[r].append((t, model.MlpParams(stack.vec[r], sizes, activation), hyper(r)))
 
     # back in the callers' order; a run's last snapshot is its end
     return [(TrainState(*snapshots[i][-1][1:]), snapshots[i]) for i in np.argsort(order, kind="stable")]

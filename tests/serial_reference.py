@@ -25,8 +25,8 @@ from arl import losses, meta, model
 from arl.errors import DomainError, NumericError
 
 
-def row_fields(hypers, rows=None):
-    """The ``losses._RowFields`` record of runs at ``hypers``: ``rows`` stacked rows each, or a lone run's."""
+def row_fields(hypers, rows):
+    """The ``losses._RowFields`` record of runs at ``hypers``, ``rows`` stacked rows each."""
     return losses._RowFields(hypers[0].variant, np.array([h.learnable_values() for h in hypers]),
                              np.array([h.rce_a for h in hypers]), rows)
 

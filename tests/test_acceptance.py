@@ -221,12 +221,13 @@ class TestAcceptance:
                 alpha = 0.3
 
                 cache = model._forward_cached(params, Xn)
-                batch = losses.normalize(hyper, cache[0][-1], yn)
-                fields = row_fields([hyper])
-                assert np.all(
-                    meta.hypergradient(params, fields, theta[None], cache, batch, Xm, ym, 0.0) == 0.0
-                )
-                [got] = meta.hypergradient(params, fields, theta[None], cache, batch, Xm, ym, alpha)
+                # the run's hypergradient, as an R = 1 stack
+                stack = model.MlpParams(params.vec[None], params.sizes, params.activation)
+                stack_cache = model._forward_cached(stack, Xn[None])
+                inputs = (stack, row_fields([hyper], len(yn)), theta[None], stack_cache,
+                          losses.normalize(hyper, stack_cache[0][-1][0], yn), Xm[None], ym[None])
+                assert np.all(meta.hypergradient(*inputs, 0.0) == 0.0)
+                [got] = meta.hypergradient(*inputs, alpha)
 
                 def pipeline(th):
                     # the meta cross entropy after the virtual step at th

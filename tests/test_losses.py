@@ -1129,7 +1129,8 @@ class TestClamp:
 
 class TestRowFields:
     """One call over stacked runs' rows, each run with its own fields,
-    gives every run the bits of its own scalar-field call."""
+    gives every run the bits of its own scalar-field call; a field that
+    every run of the stack shares is held as one float."""
 
     RUNS = {
         "ce": [{}, {}],
@@ -1144,15 +1145,35 @@ class TestRowFields:
                         {"t1": 0.0, "t2": 3.0}],
     }
 
+    # stacks whose runs all share a field (a float in the record) beside a field per row, at
+    # numpy's special exponents: polysoft d = 3 raises u to 1/2 and d = 2 to 2, bi_tempered
+    # t2 = 2 raises P to 2 and t1 = 0 to 2 - t1 = 2, gce q = 1/2 takes sqrt
+    SHARED = {
+        "gce": [[{"q": 0.5}] * 3],
+        "sl": [[{"gamma1": g1, "gamma2": 1.0} for g1 in (0.1, 1.0, 3.0)]],
+        "polysoft": [[{"lam": lam, "d": d} for lam in (0.8, 1.5, 2.5)] for d in (3.0, 2.0)]
+                    + [[{"lam": 1.5, "d": d} for d in (1.5, 2.0, 3.0, 1.7)]],
+        "bi_tempered": [[{"t1": t1, "t2": 2.0} for t1 in (0.0, 0.5, 0.8)],
+                        [{"t1": 0.5, "t2": t2} for t2 in (1.5, 2.0, 3.0)]],
+    }
+
     @pytest.mark.parametrize("variant", list(RUNS))
     def test_one_call_matches_per_run_calls(self, variant):
+        for runs in [self.RUNS[variant], *self.SHARED.get(variant, [])]:
+            self.check_one_call(variant, runs)
+
+    @staticmethod
+    def check_one_call(variant, runs):
         rng = np.random.default_rng(63)
-        hypers = [L.HyperParams(variant, **fields) for fields in self.RUNS[variant]]
+        hypers = [L.HyperParams(variant, **fields) for fields in runs]
         k = len(hypers)
         for c, n, scale in ((3, 16, 1.0), (2, 5, 10.0), (5, 30, 4.0), (3, 1, 3.0)):
             Z = rng.normal(size=(k, n, c)) * scale
             y = rng.integers(c, size=(k, n))
             fields = row_fields(hypers, n)
+            for name in hypers[0].learnable_names + ("rce_a",):
+                shared = len({getattr(h, name) for h in hypers}) == 1
+                assert isinstance(getattr(fields, name), float) == shared, (name, runs)
             values, G = batch_loss(fields, Z.reshape(k * n, c), y.ravel())
             stacked = batch_hgrad(fields, Z.reshape(k * n, c), y.ravel())
             for r, hyper in enumerate(hypers):

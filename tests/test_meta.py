@@ -47,10 +47,19 @@ def virtual_step(p, hyper, Xn, yn, alpha):
     return model.sgd_step(p, train_grad(p, hyper, Xn, yn), alpha)
 
 
+def stacked(p):
+    """The network ``p`` as an R = 1 stack, the form ``meta.hypergradient`` takes."""
+    return model.MlpParams(p.vec[None], p.sizes, p.activation)
+
+
 def hypergradient(p, hyper, theta, Xn, yn, Xm, ym, alpha):
-    """``meta.hypergradient`` of a lone run at ``hyper`` and ``theta`` (K,), on the train batch's
-    forward cache and record."""
-    return meta.hypergradient(p, row_fields([hyper]), theta[None], *train_batch(p, hyper, Xn, yn), Xm, ym, alpha)[0]
+    """``meta.hypergradient`` of one run at ``hyper`` and ``theta`` (K,), as an R = 1 stack, on the
+    train batch's forward cache and record."""
+    stack = stacked(p)
+    cache = model._forward_cached(stack, Xn[None])
+    batch = losses.normalize(hyper, cache[0][-1][0], yn)
+    return meta.hypergradient(stack, row_fields([hyper], len(yn)), theta[None], cache, batch,
+                              Xm[None], ym[None], alpha)[0]
 
 
 def meta_loss(p, Xm, ym):
@@ -262,19 +271,19 @@ class TestPolysoftKink:
     def test_one_ulp_below_the_kink_fails_loudly(self):
         # dw/dlam grows like u^(1/(d-1) - 1) as u = 1 - ce/lam -> 0+
         rng = np.random.default_rng(56)
-        p = model.init_mlp([2, 6, 3], seed=57)
+        p = stacked(model.init_mlp([2, 6, 3], seed=57))
         Xn, yn, Xm, ym = make_batches(rng)
-        cache = model._forward_cached(p, Xn)
-        ce0 = float(losses.normalize(losses.HyperParams("ce"), cache[0][-1], yn).ce[0])
+        cache = model._forward_cached(p, Xn[None])
+        ce0 = float(losses.normalize(losses.HyperParams("ce"), cache[0][-1][0], yn).ce[0])
         lam = float(np.nextafter(ce0, np.inf))  # ce0 = lam (1 - ulp)
         assert 0.0 < 1.0 - ce0 / lam <= 2.0 * np.finfo(float).eps
         hyper = losses.HyperParams("polysoft", lam=lam, d=3.0)
-        batch = losses.normalize(hyper, cache[0][-1], yn)
+        batch = losses.normalize(hyper, cache[0][-1][0], yn)
         with pytest.raises(NumericError, match=rf"bound .* passed by a .* derivative in lam under .*"
                                                rf"lam={re.escape(repr(lam))}, d=3\.0.* at train row 0 "
                                                rf"\(ce={re.escape(repr(ce0))}\)"):
-            meta.hypergradient(p, row_fields([hyper]), losses.to_unconstrained(hyper)[None], cache, batch,
-                               Xm, ym, 0.3)
+            meta.hypergradient(p, row_fields([hyper], len(yn)), losses.to_unconstrained(hyper)[None], cache, batch,
+                               Xm[None], ym[None], 0.3)
 
 
 class TestMetaUpdate:
@@ -481,10 +490,12 @@ class TestForwardCount:
         assert counts["steps"] == 2 * 12
         assert counts["metrics"] == 3 * len(rows)
 
-    def test_lone_bilevel_step_pass_budget(self, monkeypatch):
-        # per step: the train and the meta forward; the virtual, meta and actual
-        # backward; one jvp; the virtual and the actual SGD step; a train and a meta
-        # batch; and one activation derivative per hidden layer of each cached forward
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_bilevel_step_pass_budget(self, monkeypatch, R):
+        # per step, for a lone run and for a stack of runs of one seed and set alike: the
+        # train and the meta forward; the virtual, meta and actual backward; one jvp; the
+        # virtual and the actual SGD step; a train and a meta batch; and one activation
+        # derivative per hidden layer of each cached forward
         train, meta_set, test = small_problem(seed=30)
         counts = {"steps": collections.Counter(), "metrics": collections.Counter()}
         in_metrics = [False]
@@ -513,7 +524,11 @@ class TestForwardCount:
         T = 12
         config = meta.TrainConfig("gce", alpha=0.2, beta=0.5, batch_n=16, batch_m=10, max_iters=T,
                                   seed=31, metrics_every=5, hidden=(8, 5))
-        _, rows = meta.arl_train(train, meta_set, test, config)
+        runs = [meta.Run(train, meta_set, replace(config, init_hyper=losses.HyperParams("gce", q=q)))
+                for q in (0.3, 0.6, 0.9)[:R]]
+        rows = [meta._metrics_row(t, p, h, train, meta_set, test)
+                for _, snapshots in meta.train_runs(runs) for t, p, h in snapshots[1:]]
+        assert len(rows) == 3 * R  # at 5, 10 and 12
         assert counts["steps"] == {"_forward_cached": 2 * T, "backward": 3 * T, "jvp": T, "sgd_step": 2 * T,
                                    "take": 2 * T, "_act_grad": 2 * 2 * T}
         assert counts["metrics"] == {"_forward_cached": 3 * len(rows)}  # no gradient, no derivative
@@ -980,33 +995,35 @@ class TestBatchStreams:
 
     @pytest.mark.parametrize("variant", ["sl", "bi_tempered"])
     def test_shared_batch_matches_gathered_copies(self, variant, monkeypatch):
-        # runs that all read one stream over one set (the ablation's conventional
-        # call) share one gathered batch, as a broadcast view over the stack
+        # runs that all read one stream over one set (the ablation's conventional call)
+        # read the same rows at every step, and train to the bits of the same runs split
+        # over two set objects of equal content, whose batches gather at the sets' offsets
         train, _, _ = small_problem(seed=86)
         config = meta.TrainConfig(variant, alpha=0.5, beta=0.0, batch_n=16, max_iters=30, seed=87,
                                   metrics_every=7, momentum=0.9)
         [(_, snapshots)] = meta.train_runs(conventional(train, config, [(losses.HyperParams(variant), None, 0)]))
         other = {"sl": {"gamma1": 0.5, "gamma2": 2.0}, "bi_tempered": {"t1": 0.3, "t2": 1.8}}[variant]
         specs = [(losses.HyperParams(variant, **other), None, 0)] + [(h, p, t) for t, p, h in snapshots[:-1]]
-        real_init, real_take, strides = meta._Batches.__init__, meta._Batches.take, set()
+        real_take, batches = meta._Batches.take, []
 
         def recorded(self, k):
             X, y = real_take(self, k)
-            strides.add((self.shared, X.strides[0], y.strides[0]))
+            batches.append((len(self.X), X, y))  # the rows it gathers from, and the batches
             return X, y
 
         monkeypatch.setattr(meta._Batches, "take", recorded)
-        shared = meta.train_runs(conventional(train, config, specs))
-        assert strides == {(True, 0, 0)}
-
-        def gathering(self, *args):
-            real_init(self, *args)
-            self.shared = False
-
-        monkeypatch.setattr(meta._Batches, "__init__", gathering)
-        strides.clear()
-        gathered = meta.train_runs(conventional(train, config, specs))
-        assert {s for s, _, _ in strides} == {False} and all(sx > 0 and sy > 0 for _, sx, sy in strides)
+        runs = conventional(train, config, specs)
+        shared = meta.train_runs(runs)
+        assert len(batches) == config.max_iters
+        for rows, X, y in batches:
+            assert rows == len(train)
+            for r in range(1, len(X)):
+                np.testing.assert_array_equal(X[r], X[0])
+                np.testing.assert_array_equal(y[r], y[0])
+        batches.clear()
+        twin = replace(train)  # the same arrays in another set object
+        gathered = meta.train_runs([run._replace(dataset=twin) if i % 2 else run for i, run in enumerate(runs)])
+        assert len(batches) == config.max_iters and {rows for rows, _, _ in batches} == {2 * len(train)}
         for (end, snaps), (want_end, want_snaps) in zip(shared, gathered):
             assert [(t, p.vec.tobytes()) for t, p, _ in snaps] == [(t, p.vec.tobytes()) for t, p, _ in want_snaps]
             assert np.array_equal(end.params.vec, want_end.params.vec)
