@@ -92,7 +92,7 @@ def _dataset_summary(split, noise):
 
 
 def run_experiment(exp, out_dir):
-    """Train once and write metrics.csv, checkpoint, and manifest.json."""
+    """Train once and write the run's artifacts: weights.csv for polysoft alone, the rest for every run."""
     split = config_mod.build_datasets(exp)
     out_dir.mkdir(parents=True, exist_ok=True)
     tc = config_mod.build_train_config(exp, split.train.c)
@@ -104,13 +104,12 @@ def run_experiment(exp, out_dir):
     model.save_checkpoint(state.params, ckpt_path)
 
     artifacts = ["metrics.csv", "checkpoint.bin", "checkpoint.bin.json", "manifest.json"]
-    if exp.emit["weights"]:
+    if exp.loss["variant"] == "polysoft":
         weights = meta.compute_sample_weights(state.params, state.hyper, split.train)
         meta.write_weights_csv(weights, split.train.flip_mask, out_dir / "weights.csv")
         artifacts.append("weights.csv")
-    if exp.emit["losscurve"]:
-        emit_losscurve(state.hyper, split.train.c, out_dir / "losscurve.csv")
-        artifacts.append("losscurve.csv")
+    emit_losscurve(state.hyper, split.train.c, out_dir / "losscurve.csv")
+    artifacts.append("losscurve.csv")
 
     names = state.hyper.learnable_names
     manifest = {
@@ -129,7 +128,7 @@ def run_experiment(exp, out_dir):
         "hyper_final": list(map(float, state.hyper.learnable_values())),
         "rce_a": exp.loss["rce_a"],
         "dataset": _dataset_summary(split, exp.noise),
-        "final_test_acc": rows[-1].test_acc if rows else None,
+        "final_test_acc": rows[-1].test_acc,
         "artifacts": artifacts,
     }
     _write_json(manifest, out_dir / "manifest.json")

@@ -57,8 +57,8 @@ _TYPES = {key: what for what, keys in (
     ("a list of numbers", "etas"),
     ("a list", "hyper_final"),
     ("a list of strings", "hyper_names"),
-    ("a string", "csv generator type variant activation"),
-    ("true or false", "exact_count weights losscurve"),
+    ("a string", "csv type variant activation"),
+    ("true or false", "exact_count"),
 ) for key in keys.split()}
 
 
@@ -82,7 +82,7 @@ def _check_types(section, path):
 
 # allowed keys and defaults of each section; None marks a key without a default
 _DEFAULTS = {
-    "dataset": dict.fromkeys(("generator", "n", "classes", "dim", "spread", "csv")),
+    "dataset": dict.fromkeys(("n", "classes", "dim", "spread", "csv")),
     "noise": {"type": "none", "eta": 0.0, "superclasses": None, "exact_count": False},
     "split": {"meta_size": 30, "test_fraction": 1000},
     "loss": {"variant": "gce", "init": {}, "rce_a": losses.HyperParams.rce_a},
@@ -91,7 +91,6 @@ _DEFAULTS = {
         "momentum": 0.0, "decay_steps": [], "decay_factor": 0.1, "metrics_every": 50,
     },
     "model": {"hidden": [16], "activation": "tanh"},
-    "emit": {"weights": None, "losscurve": True},
     "ablation": {"grid": {}},
     "theory": {"classes": 3, "etas": [0.1, 0.3, 0.6], "delta": 0.02, "world_labels": None,
                "variant": "polysoft", "hyper": {}},
@@ -132,7 +131,6 @@ class ExperimentConfig:
     loss: dict
     train: dict
     model: dict
-    emit: dict
     ablation: dict
     theory: dict
 
@@ -170,13 +168,10 @@ def parse_config(doc, seed_override=None):
     sections = {name: _section(doc, name, master, seed_override is None) for name in _DEFAULTS}
     dataset, noise, loss, theory = (sections[k] for k in ("dataset", "noise", "loss", "theory"))
     if "csv" in dataset:
-        for key in ("generator", "n", "classes", "dim", "spread"):
+        for key in ("n", "classes", "dim", "spread"):
             if key in dataset:
                 raise ConfigError(f"'dataset.{key}': a CSV dataset takes no generator settings")
     else:
-        dataset.setdefault("generator", "blobs")
-        if dataset["generator"] != "blobs":
-            raise ConfigError(f"unknown generator {dataset['generator']!r}")
         dataset.setdefault("n", 4030)
         dataset.setdefault("classes", 3)
         dataset.setdefault("dim", 2)
@@ -197,9 +192,6 @@ def parse_config(doc, seed_override=None):
 
     if loss["variant"] not in losses.VARIANTS:
         raise ConfigError(f"unknown loss variant {loss['variant']!r}")
-    if sections["emit"].setdefault("weights", loss["variant"] == "polysoft") and loss["variant"] != "polysoft":
-        raise ConfigError(f"'emit.weights': sample weights are defined for the polysoft variant, "
-                          f"not {loss['variant']!r}")
     exp = ExperimentConfig(raw=doc, seed=master, **sections)
 
     # the run's own builders check loss.init and the train and model ranges.

@@ -1,5 +1,8 @@
 """Synthetic datasets, label-noise injectors, and CSV ingestion and output.
 
+A CSV dataset's labels are remapped to 0..c-1 in sorted order when it is
+read; the original labels are not kept.
+
 Noise is injected sample-wise i.i.d. with probability eta (an exact-count
 mode exists behind a flag) into the labels ``y`` a run trains on; the true
 labels ``y_clean`` ride along so diagnostics can compare against them.
@@ -28,7 +31,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     c: int
-    label_map: dict | None = None
     y_clean: np.ndarray | None = None
 
     def __post_init__(self):
@@ -218,8 +220,8 @@ def split_meta(clean, meta_size, test_fraction, seed=0):
 def load_csv(path):
     """Read ``feature_1,...,feature_d,label`` rows into a clean dataset.
 
-    Labels are remapped to contiguous 0..c-1; the mapping is recorded on
-    the returned dataset.
+    Labels are remapped to contiguous 0..c-1 in sorted order: labels 5 and
+    9 become 0 and 1.
     """
     rows = []
     width = None
@@ -251,10 +253,8 @@ def load_csv(path):
         raise DataFormatError(f"{path}: no data rows")
     X = np.array([r[0] for r in rows])
     raw = np.array([r[1] for r in rows])
-    classes = sorted(set(raw.tolist()))
-    label_map = {orig: k for k, orig in enumerate(classes)}
-    y = np.array([label_map[v] for v in raw])
-    return Dataset(X, y, len(classes), label_map)
+    classes, y = np.unique(raw, return_inverse=True)
+    return Dataset(X, y, len(classes))
 
 
 def write_rows(path, header, fmt, rows):

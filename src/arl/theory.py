@@ -176,22 +176,21 @@ def simplex_grid(c, delta):
     return counts
 
 
-def _loss_table(hyper, rows):
-    """The (rows, c) table of L(u, j) for every row u of ``rows`` and label j.
+def _loss_table(hyper, counts):
+    """The (N, c) table of L(u, j) for every grid point u and label j.
 
-    ``rows`` are a grid's integer counts, each row summing to 1/delta, or
-    probability vectors.  Each block of rows becomes probabilities (counts
-    over 1/delta, the bits of the grid's probability vectors) and takes one
-    loss call over a column of all c labels, so a label-independent term
-    (bi_tempered's tail) is computed once per row, and a block's
-    temporaries stay in cache.
+    ``counts`` are a grid's integer counts, each row summing to 1/delta.
+    Each block of rows becomes probabilities (counts over 1/delta, the bits
+    of the grid's probability vectors) and takes one loss call over a
+    column of all c labels, so a label-independent term (bi_tempered's
+    tail) is computed once per row, and a block's temporaries stay in cache.
     """
-    parts = rows[0].sum() if rows.dtype.kind == "i" else 1
-    table = np.empty(rows.shape)
-    labels = np.arange(rows.shape[1])[:, None]
-    for start in range(0, len(rows), _TABLE_BLOCK):
+    parts = counts[0].sum()
+    table = np.empty(counts.shape)
+    labels = np.arange(counts.shape[1])[:, None]
+    for start in range(0, len(counts), _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
-        table[block] = losses.loss_values(hyper, rows[block] / parts, labels).T
+        table[block] = losses.loss_values(hyper, counts[block] / parts, labels).T
     return table
 
 

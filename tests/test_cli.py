@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,10 +35,11 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        for name in ("metrics.csv", "checkpoint.bin", "checkpoint.bin.json",
-                     "manifest.json", "losscurve.csv"):
-            assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
+        # a gce run writes no weights.csv, and the manifest lists exactly the files written
+        assert manifest["artifacts"] == ["metrics.csv", "checkpoint.bin", "checkpoint.bin.json",
+                                         "manifest.json", "losscurve.csv"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(manifest["artifacts"])
         assert manifest["variant"] == "gce"
         assert manifest["hyper_names"] == ["q"]
         assert len(manifest["config_sha256"]) == 64
@@ -254,9 +256,9 @@ class TestVerifyBoundsCommand:
         # the grid, its loss table and the tolerance do not depend on eta
         real, tables = theory._loss_table, []
 
-        def counted(hyper, probs):
-            tables.append(len(probs))
-            return real(hyper, probs)
+        def counted(hyper, counts):
+            tables.append(len(counts))
+            return real(hyper, counts)
 
         monkeypatch.setattr(theory, "_loss_table", counted)
         exp = config_mod.load_config(CONFIG_DIR / "bounds_polysoft.json")
@@ -631,19 +633,6 @@ class TestChecksBeforeTraining:
         assert (f"'dataset.{key}': a CSV dataset takes no generator settings"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("variant", ["gce", "sl", "bi_tempered", "ce"])
-    def test_weights_only_for_polysoft(self, tmp_path, capsys, monkeypatch, variant):
-        # sample weights exist for polysoft alone: asking another variant for them is refused
-        monkeypatch.setattr(data, "gen_blobs", _never_load)
-        doc = dict(SMALL_RUN, loss={"variant": variant}, emit={"weights": True})
-        out = tmp_path / "r"
-        assert cli.main(["train", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-        assert not out.exists()
-        assert (f"'emit.weights': sample weights are defined for the polysoft variant, not {variant!r}"
-                in capsys.readouterr().err)
-        assert not config_mod.parse_config(dict(doc, emit={"weights": False})).emit["weights"]
-        assert config_mod.parse_config(dict(doc, loss={"variant": "polysoft"})).emit["weights"]
-
     def test_theory_defaults_resolved(self):
         theory = config_mod.parse_config(dict(SMALL_RUN)).theory
         assert theory["classes"] == 3 and theory["etas"] == [0.1, 0.3, 0.6]
@@ -672,7 +661,7 @@ class TestConfigParsing:
     def test_csv_and_generator_conflict(self):
         doc = dict(SMALL_RUN)
         doc["dataset"] = {"csv": "x.csv", "generator": "blobs"}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="generator"):
             config_mod.parse_config(doc)
 
     def test_document_defaults_are_train_config_defaults(self):
@@ -732,8 +721,31 @@ class TestShippedConfigs:
         tc = config_mod.build_train_config(exp, exp.dataset["classes"])
         assert tc.init_hyper.variant == exp.loss["variant"]
 
-    def test_fd_eps_rejected(self, tmp_path):
-        doc = json.loads(self.CONFIGS[0].read_text())
-        doc["train"]["fd_eps"] = 1e-3
-        with pytest.raises(ConfigError, match="fd_eps"):
-            config_mod.load_config(write_config(tmp_path, doc))
+    def test_fd_eps_rejected(self, tmp_path, capsys, monkeypatch):
+        # every removed key, train.fd_eps as well as dataset.generator and the emit
+        # section, is now an unknown key: train exits 2 naming it, before --out is made
+        monkeypatch.setattr(meta, "train_runs", _never_train)
+        removed = [("train", "fd_eps", 1e-3), ("dataset", "generator", "blobs"),
+                   ("$", "emit", {"weights": True, "losscurve": True})]
+        for section, key, value in removed:
+            doc = json.loads(self.CONFIGS[0].read_text())
+            (doc if section == "$" else doc[section])[key] = value
+            out, cfg = tmp_path / key, write_config(tmp_path, doc)
+            assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2, key
+            assert not out.exists(), key
+            assert f"unknown key(s) ['{key}'] under '{section}'" in capsys.readouterr().err
+
+    def test_readme_lists_train_artifacts(self, tmp_path):
+        # the `train` bullets of README's Artifacts section name every file a polysoft
+        # run writes, in the manifest's order; a gce run writes all but weights.csv
+        readme = (self.ROOT / "README.md").read_text()
+        section = readme.split("### Artifacts", 1)[1].split("`gen-data` writes", 1)[0]
+        listed = [name for line in section.splitlines() if line.startswith("- ")
+                  for name in re.findall(r"`([^`]+)`", line.split(" — ", 1)[0])]
+        assert "weights.csv" in listed
+        for variant in ("polysoft", "gce"):
+            out = tmp_path / variant
+            cfg = write_config(tmp_path, dict(SMALL_RUN, loss={"variant": variant}))
+            assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["artifacts"] == [n for n in listed if variant == "polysoft" or n != "weights.csv"]

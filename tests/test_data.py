@@ -222,12 +222,14 @@ class TestSplit:
 
 class TestCsv:
     def test_label_remap(self, tmp_path):
+        # labels map to 0..c-1 in sorted order, not in the order they are first read
         path = tmp_path / "two.csv"
-        path.write_text("1.5,2.5,5\n3.5,4.5,9\n")
+        path.write_text("1.5,2.5,9\n3.5,4.5,5\n0.5,1.5,9\n")
         ds = data.load_csv(path)
         assert ds.c == 2
-        assert ds.label_map == {5: 0, 9: 1}
-        np.testing.assert_array_equal(ds.y, [0, 1])
+        assert ds.y.dtype == np.int64
+        np.testing.assert_array_equal(ds.y, [1, 0, 1])
+        np.testing.assert_array_equal(ds.y_clean, ds.y)
 
     def test_roundtrip(self, tmp_path):
         ds = data.gen_blobs(50, 3, seed=35)
@@ -273,4 +275,6 @@ class TestCsv:
     def test_integral_float_label_loads(self, tmp_path):
         path = tmp_path / "float_labels.csv"
         path.write_text("1.0,2.0,0.0\n1.0,2.0,3.0\n")
-        assert data.load_csv(path).label_map == {0: 0, 3: 1}
+        ds = data.load_csv(path)
+        assert ds.c == 2
+        np.testing.assert_array_equal(ds.y, [0, 1])

@@ -18,7 +18,7 @@ same bits.
 
 import numpy as np
 
-from arl import theory
+from arl import losses, theory
 from arl.errors import DomainError
 
 
@@ -51,7 +51,7 @@ def exact_risk(labels, eta, assignment, hyper, noisy):
         raise DomainError(f"assignment shape {A.shape} does not match {len(labels)} points")
     if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
         raise DomainError("assignments must be probability vectors")
-    table = theory._loss_table(hyper, A)
+    table = losses.loss_values(hyper, A, np.arange(A.shape[1])[:, None]).T
     terms = theory._per_point_terms(table, table.sum(axis=1), labels, eta, noisy)
     total = 0.0
     for term in terms.tolist():
